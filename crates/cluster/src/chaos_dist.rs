@@ -12,9 +12,9 @@
 //!    the shared [`FaultPlanBuilder`]'s DN crash/restart schedule mapped
 //!    proportionally from its time horizon into the twin's tick range, so
 //!    crashes land *mid-statement*. Statements go through
-//!    [`DistDb::execute_idempotent`]; a seeded ~10% of write statements are
-//!    submitted twice (same statement id) to exercise DN-side dedup — in
-//!    both runs, so the ledger stays comparable.
+//!    `execute_opts(sql, ExecOptions::idempotent(id))`; a seeded ~10% of
+//!    write statements are submitted twice (same statement id) to exercise
+//!    DN-side dedup — in both runs, so the ledger stays comparable.
 //!
 //! The audit asserts zero lost and zero double-applied rows: every
 //! statement's result (rows as a multiset, or the affected-count) must

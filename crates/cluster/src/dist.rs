@@ -28,7 +28,7 @@ use crate::retry::RetryPolicy;
 use crate::shard::key_prefix;
 use hdm_common::{DataType, Datum, HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_sql::ast::{BinOp, Expr, SelectStmt, Statement};
-use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver, TableFunction};
+use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver};
 use hdm_sql::expr::{bind, BoundSchema, SExpr};
 use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
@@ -42,7 +42,7 @@ use hdm_sql::{Catalog, ExecBackend, Profiler};
 use hdm_storage::heap::TupleId;
 use hdm_storage::{ColumnStats, TableStats, Visibility};
 use hdm_telemetry::{
-    CaptureInput, OpProfile, ShardLeg, SharedClock, SharedHistory, SharedRecorder,
+    CaptureInput, Clock, ShardLeg, SharedClock, SharedHistory, SharedRecorder,
     ShardWindowStat, StatementProfile, Telemetry, WallClock,
 };
 use hdm_txn::SnapshotVisibility;
@@ -195,7 +195,6 @@ pub struct DistDb {
     meta: HashMap<String, DistMeta>,
     hints: Option<Rc<dyn CardinalityHints>>,
     observer: Option<Rc<dyn StepObserver>>,
-    table_funcs: HashMap<String, Box<dyn TableFunction>>,
     tel: Option<Telemetry>,
     counters: DistCounters,
     /// Clock the query profiler stamps operator and fragment times with.
@@ -203,13 +202,14 @@ pub struct DistDb {
     recorder: Option<SharedRecorder>,
     profiling: bool,
     misestimate_ratio: f64,
-    /// Backoff schedule for [`Self::execute_idempotent`]; `None` (default)
-    /// keeps the legacy fail-fast behaviour.
+    /// Backoff schedule for idempotent execution
+    /// ([`QueryApi::execute_opts`]); `None` (default) keeps the legacy
+    /// fail-fast behaviour.
     retry: Option<RetryPolicy>,
     /// The statement id the currently-executing statement carries for
     /// idempotent dedup, threaded into error messages and leg tags.
     cur_stmt: Option<u64>,
-    /// Next auto-assigned statement id for [`Self::execute_retrying`].
+    /// Next auto-assigned statement id for `ExecOptions::retrying()`.
     next_stmt_id: u64,
     /// Scripted crash/restart plan ticked at every fragment dispatch.
     faults: Option<Rc<RefCell<FaultScript>>>,
@@ -262,7 +262,6 @@ impl DistDb {
             meta,
             hints: None,
             observer: None,
-            table_funcs: HashMap::new(),
             tel: None,
             counters: DistCounters::default(),
             clock: Arc::new(WallClock::new()),
@@ -352,7 +351,7 @@ impl DistDb {
         self.tel = Some(tel.clone());
     }
 
-    /// Give the coordinator a retry loop: [`Self::execute_idempotent`]
+    /// Give the coordinator a retry loop: [`QueryApi::execute_opts`]
     /// retries `unavailable`/`txn_aborted` statements under this policy's
     /// backoff, failing crashed shards over to replicas between attempts.
     /// `None` (the default) preserves the legacy fail-fast behaviour.
@@ -493,18 +492,7 @@ impl DistDb {
         Ok(result)
     }
 
-    /// Convenience: execute and return rows.
-    #[deprecated(note = "use `execute(sql)?.rows`")]
-    pub fn query(&mut self, sql: &str) -> Result<Vec<Row>> {
-        Ok(self.execute(sql)?.rows)
-    }
-
     /// Idempotent retrying execution with an auto-assigned statement id.
-    #[deprecated(note = "use `execute_opts(sql, ExecOptions::retrying())`")]
-    pub fn execute_retrying(&mut self, sql: &str) -> Result<QueryResult> {
-        self.run_retrying(sql)
-    }
-
     fn run_retrying(&mut self, sql: &str) -> Result<QueryResult> {
         let id = self.next_stmt_id;
         self.next_stmt_id += 1;
@@ -522,12 +510,7 @@ impl DistDb {
     /// (crashed/fenced shards and 2PC aborts); every attempt re-routes
     /// against the bound values so post-failover routing takes effect.
     /// Without a retry policy this is plain [`Self::execute`] with dedup
-    /// tagging.
-    #[deprecated(note = "use `execute_opts(sql, ExecOptions::idempotent(stmt_id))`")]
-    pub fn execute_idempotent(&mut self, sql: &str, stmt_id: u64) -> Result<QueryResult> {
-        self.run_idempotent(sql, stmt_id)
-    }
-
+    /// tagging. Reached through `execute_opts(sql, ExecOptions::idempotent(id))`.
     fn run_idempotent(&mut self, sql: &str, stmt_id: u64) -> Result<QueryResult> {
         let run_once = |db: &mut Self| {
             db.cur_stmt = Some(stmt_id);
@@ -542,7 +525,9 @@ impl DistDb {
         let result = loop {
             // Scripted faults and follower catch-up advance between attempts
             // too, so a retry storm can't freeze the cluster's timeline.
-            if let Err(e) = self.tick_faults().and_then(|()| self.failover_down_shards()) {
+            if let Err(e) = tick_faults(&mut self.cluster, self.faults.as_deref())
+                .and_then(|()| self.failover_down_shards())
+            {
                 break Err(e);
             }
             match run_once(self) {
@@ -574,12 +559,6 @@ impl DistDb {
             }
         }
         Ok(())
-    }
-
-    /// Advance the fault script by one tick (applying any scripted
-    /// crash/restart ops) and ship a bounded batch of replication records.
-    fn tick_faults(&mut self) -> Result<()> {
-        tick_faults(&mut self.cluster, self.faults.as_ref())
     }
 
     /// Idempotence check for a statement about to write `shards`: if any
@@ -616,7 +595,7 @@ impl DistDb {
                 where_clause,
             } => self.run_delete(table, where_clause.as_ref()),
             Statement::Analyze { table } => self.run_analyze(table.as_deref()),
-            Statement::Select(s) => self.run_select(s, sql),
+            Statement::Select(s) => self.run_select(s, sql, self.profiling_enabled()),
             Statement::Explain { analyze, stmt } => {
                 let Statement::Select(s) = stmt.as_ref() else {
                     return Err(HdmError::Unsupported("EXPLAIN supports SELECT only".into()));
@@ -625,7 +604,7 @@ impl DistDb {
                     // Execute for real (observing into the plan store as
                     // usual) and render the annotated tree: per-operator
                     // actuals, per-shard Exchange legs, GTM/2PC footer.
-                    let r = self.run_select_profiled(s, sql)?;
+                    let r = self.run_select(s, sql, true)?;
                     let profile = r.profile.expect("profiled select carries a profile");
                     let rows: Vec<Row> = render_analyze(&profile, self.misestimate_ratio)
                         .into_iter()
@@ -829,15 +808,11 @@ impl DistDb {
         };
         let mut txn = self.begin_scoped(scope)?;
         let mut n = 0u64;
+        let mut be = self.dist_exec(&mut txn, false, None);
         for (shard, _, row) in routed {
-            let res = self
-                .fragment_ctx(&mut txn, shard)
-                .and_then(|(xid, snap)| {
-                    let _ = snap;
-                    self.cluster
-                        .node_mut(shard)
-                        .sql_insert(&canon, xid, row)
-                });
+            let res = be
+                .open_leg(shard)
+                .and_then(|(xid, _)| be.cluster.node_mut(shard).sql_insert(&canon, xid, row));
             match res {
                 Ok(_) => n += 1,
                 Err(e) => {
@@ -918,7 +893,9 @@ impl DistDb {
 
     /// Shared UPDATE/DELETE driver: prune target shards from the predicate,
     /// open the narrowest transaction, then per shard collect the matching
-    /// tuples under the leg's snapshot and apply `write` to each.
+    /// tuples through [`DistExec::run_leg`] (an index probe when the
+    /// predicate pins an indexed column by equality) and apply `write` to
+    /// each.
     fn run_dml_scan(
         &mut self,
         canon: &str,
@@ -942,26 +919,14 @@ impl DistDb {
         }
         let mut txn = self.begin_scoped(scope)?;
         let mut n = 0u64;
+        let mut be = self.dist_exec(&mut txn, false, None);
         for shard in shards {
             let res = (|| {
-                let (xid, snap) = self.fragment_ctx(&mut txn, shard)?;
-                let node = self.cluster.node(shard);
-                let targets: Vec<(TupleId, Row)> = {
-                    let judge = SnapshotVisibility::new(&snap, node.mgr().clog(), Some(xid));
-                    let t = node.sql_table(canon)?;
-                    let mut v = Vec::new();
-                    for (tid, row) in t.scan(&judge) {
-                        let hit = match &pred {
-                            None => true,
-                            Some(p) => p.eval_filter(row.values())?,
-                        };
-                        if hit {
-                            v.push((tid, row.clone()));
-                        }
-                    }
-                    v
-                };
-                let node = self.cluster.node_mut(shard);
+                let mut targets: Vec<(TupleId, Row)> = Vec::new();
+                let xid = be.run_leg(canon, shard, None, None, pred.as_ref(), |tid, row| {
+                    targets.push((tid, row.clone()))
+                })?;
+                let node = be.cluster.node_mut(shard);
                 for (tid, old) in targets {
                     write(node, xid, tid, old)?;
                     n += 1;
@@ -1299,10 +1264,8 @@ impl DistDb {
         let mut temp: TempRels = TempRels::new();
         for (name, sub) in &s.with {
             let (plan, _, scope) = self.plan_annotated(sub, &temp, sys_snap)?;
-            let (rows, steps) = self.execute_plan(&plan, scope, sys_snap)?;
-            if let Some(o) = &self.observer {
-                o.observe(&steps);
-            }
+            let info = PlanningInfo::default();
+            let rows = self.run_plan(&plan, info, scope, sys_snap, None)?.rows;
             temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
         }
         self.plan_annotated(s, &temp, sys_snap)
@@ -1314,18 +1277,30 @@ impl DistDb {
         temp: &TempRels,
         sys_snap: Option<&SysSnapshot>,
     ) -> Result<(PlanNode, PlanningInfo, Scope)> {
+        let (mut plan, mut info) = self.plan_logical(s, temp, sys_snap)?;
+        let scope = self.annotate_plan(&mut plan, &mut info);
+        Ok((plan, info, scope))
+    }
+
+    /// The un-annotated logical plan, costed against the shadow catalog
+    /// with plan-store hints bridged through [`DistHints`].
+    fn plan_logical(
+        &self,
+        s: &SelectStmt,
+        temp: &TempRels,
+        sys_snap: Option<&SysSnapshot>,
+    ) -> Result<(PlanNode, PlanningInfo)> {
         let dh = self.dist_hints();
+        // No table functions are registered on the distributed facade.
+        let no_funcs = HashMap::new();
         let mut p = Planner::new(
             &self.shadow,
             dh.as_ref().map(|h| h as &dyn CardinalityHints),
-            &self.table_funcs,
+            &no_funcs,
         )
         .with_sys(sys_snap);
-        let mut plan = p.plan_select(s, temp)?;
-        let mut info = p.info;
-        drop(dh);
-        let scope = self.annotate_plan(&mut plan, &mut info);
-        Ok((plan, info, scope))
+        let plan = p.plan_select(s, temp)?;
+        Ok((plan, p.info))
     }
 
     /// The hint view distributed planning consults: the raw store bridged
@@ -1442,14 +1417,7 @@ impl DistDb {
                 "plan cache holds SELECT statements only".into(),
             ));
         };
-        let dh = self.dist_hints();
-        let mut p = Planner::new(
-            &self.shadow,
-            dh.as_ref().map(|h| h as &dyn CardinalityHints),
-            &self.table_funcs,
-        );
-        let plan = p.plan_select(&s, &TempRels::new())?;
-        drop(dh);
+        let (plan, _) = self.plan_logical(&s, &TempRels::new(), None)?;
         let entry = Rc::new(CachedDistStmt {
             param_types: collect_param_types(&plan, n_params),
             fast: self.compile_fast(&plan),
@@ -1505,9 +1473,13 @@ impl DistDb {
 
     /// Execute a canonicalized statement through the plan cache: bind the
     /// lifted/user parameters, then either run the fast scatter/gather
-    /// program (profiling, telemetry and fault scripts all off — those
-    /// paths need the tree executor's spans and tick cadence) or substitute
-    /// into the cached logical plan, re-prune, and run the tree.
+    /// program or substitute into the cached logical plan, re-prune, and run
+    /// the tree through [`Self::run_plan`]. Only profiling picks the tree
+    /// over an available fast program: a [`StatementProfile`] mirrors the
+    /// annotated plan tree operator by operator, which the flat program does
+    /// not have (until cached plans lower to one op array that carries its
+    /// own profile hooks). Telemetry and fault scripts ride on both — every
+    /// leg ticks and spans in [`DistExec::run_leg`].
     fn execute_canonical(
         &mut self,
         text: &str,
@@ -1531,14 +1503,11 @@ impl DistDb {
             replans = 1;
         }
         let params = bind_slots(slots, &cached.param_types, user_params)?;
-        if let Some(fast) = &cached.fast {
-            if !self.profiling_enabled() && self.tel.is_none() && self.faults.is_none() {
-                return self.run_fast(fast, &params, replans);
-            }
+        let profiled = self.profiling_enabled();
+        if let (false, Some(fast)) = (profiled, &cached.fast) {
+            return self.run_fast(fast, &params, replans);
         }
-        if self.profiling_enabled() {
-            return self.run_cached_profiled(&cached, &params, sql, replans);
-        }
+        let start = profiled.then(|| self.clock.now_us());
         let mut plan = cached.plan.substitute_params(&params)?;
         let mut info = PlanningInfo {
             replans,
@@ -1548,104 +1517,28 @@ impl DistDb {
             rehint_plan(&mut plan, h.as_ref(), &mut info);
         }
         let scope = self.annotate_plan(&mut plan, &mut info);
-        let (rows, steps) = self.execute_plan(&plan, scope, None)?;
-        if let Some(o) = &self.observer {
-            o.observe(&steps);
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps,
-            planning: info,
-            profile: None,
-        })
-    }
-
-    /// The profiled flavor of cached execution: identical substitution and
-    /// re-pruning to the unprofiled tree path, with the same clock and
-    /// profiler call sequence as [`Self::run_select_profiled`], so recorded
-    /// profiles are indistinguishable from fresh-planned ones.
-    fn run_cached_profiled(
-        &mut self,
-        cached: &CachedDistStmt,
-        params: &[Datum],
-        sql: &str,
-        replans: u64,
-    ) -> Result<QueryResult> {
-        let start = self.clock.now_us();
-        let mut plan = cached.plan.substitute_params(params)?;
-        let mut planning = PlanningInfo {
-            replans,
-            ..Default::default()
-        };
-        if let Some(h) = &self.hints {
-            rehint_plan(&mut plan, h.as_ref(), &mut planning);
-        }
-        let scope = self.annotate_plan(&mut plan, &mut planning);
-        let planned = self.clock.now_us();
-        let (rows, steps, stats) = self.execute_plan_profiled(&plan, scope, None)?;
-        let done = self.clock.now_us();
-        let profile = StatementProfile {
-            sql: sql.to_string(),
-            scope: match scope {
-                Scope::Single(_) => "single",
-                Scope::Multi => "multi",
-            }
-            .to_string(),
-            start_us: start,
-            plan_us: planned.saturating_sub(start),
-            exec_us: done.saturating_sub(planned),
-            total_us: done.saturating_sub(start),
-            rows_out: rows.len() as u64,
-            gtm_interactions: stats.gtm,
-            twopc_legs: stats.twopc_legs,
-            root: stats.root,
-        };
-        let derived = observations(profile.root.as_ref());
-        debug_assert_eq!(derived, steps, "profile must derive the executor's own observations");
-        if let Some(o) = &self.observer {
-            o.observe(&derived);
-        }
-        if let Some(r) = &self.recorder {
-            r.record(profile.clone());
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps: derived,
-            planning,
-            profile: Some(profile),
-        })
+        self.run_plan(&plan, info, scope, None, start.map(|t| (t, sql)))
     }
 
     /// The compiled hot path: prune from the bound predicate, open the
-    /// narrowest transaction, and scatter/gather with a direct heap scan per
-    /// leg — no plan tree, no boxed executor. Counters, observations and
-    /// hint accounting mirror the tree path exactly.
+    /// narrowest transaction, and scatter/gather through
+    /// [`DistExec::run_leg`] — the same leg the tree path dispatches, so
+    /// fault ticks, telemetry spans and counters are identical — with no
+    /// plan tree and no boxed executor above it. Observations and hint
+    /// accounting mirror the tree path exactly.
     fn run_fast(&mut self, fast: &FastSelect, params: &[Datum], replans: u64) -> Result<QueryResult> {
         // The pre-lowered `col = ?N` shape skips expression substitution
         // entirely: the bound datum is the comparison value and the shard
-        // route. Everything else substitutes and re-prunes generically.
-        let (pred, fast_eq): (Option<SExpr>, Option<(usize, Datum)>) = match fast.param_eq {
-            // NULL never satisfies `=`, so a NULL binding falls through to
-            // the generic evaluator rather than comparing datums directly.
-            Some((col, idx)) if !params[idx as usize].is_null() => {
-                (None, Some((col, params[idx as usize].clone())))
-            }
-            _ => {
-                let pred = match &fast.pred {
-                    Some(p) if p.has_params() => Some(p.substitute_params(params)?),
-                    other => other.clone(),
-                };
-                let eq = pred
-                    .as_ref()
-                    .and_then(col_eq_value)
-                    .filter(|(_, v)| !v.is_null())
-                    .map(|(c, v)| (c, v.clone()));
-                (pred, eq)
-            }
+        // route. NULL never satisfies `=`, so a NULL binding — like every
+        // other shape — substitutes and re-prunes generically.
+        let eq: Option<(usize, &Datum)> = fast
+            .param_eq
+            .map(|(col, idx)| (col, &params[idx as usize]))
+            .filter(|(_, v)| !v.is_null());
+        let pred = match &fast.pred {
+            _ if eq.is_some() => None,
+            Some(p) if p.has_params() => Some(p.substitute_params(params)?),
+            other => other.clone(),
         };
         let project = match &fast.project {
             Some(exprs) if exprs.iter().any(SExpr::has_params) => Some(
@@ -1656,8 +1549,8 @@ impl DistDb {
             ),
             other => other.clone(),
         };
-        let pruned = match &fast_eq {
-            Some((col, Datum::Int(v))) if *col == fast.meta.shard_col => {
+        let pruned = match eq {
+            Some((col, Datum::Int(v))) if col == fast.meta.shard_col => {
                 let (shard, prefix) = self.route_value(fast.meta, *v);
                 Pruned::Single(shard, prefix)
             }
@@ -1678,76 +1571,12 @@ impl DistDb {
         }
         let mut txn = self.begin_scoped(scope)?;
         let mut scan_rows: Vec<Row> = Vec::new();
+        let mut be = self.dist_exec(&mut txn, false, None);
         for &raw in &shards {
-            let shard = ShardId::new(raw);
-            let res = (|| -> Result<()> {
-                if !self.cluster.is_node_up(shard) {
-                    if leg_failover(&mut self.cluster, &txn, shard)? {
-                        self.counters.failovers += 1;
-                    } else {
-                        return Err(shard_down(shard, self.cur_stmt));
-                    }
-                }
-                if !txn.is_single_shard() {
-                    self.cluster.ensure_leg(&mut txn, shard)?;
-                }
-                let (xid, snap) = txn.lite_ctx(shard).ok_or_else(|| {
-                    HdmError::TxnState(format!(
-                        "fragment on {shard} outside the transaction's scope"
-                    ))
-                })?;
-                let node = self.cluster.node(shard);
-                let judge = MemoVisibility::new(SnapshotVisibility::new(
-                    &snap,
-                    node.mgr().clog(),
-                    Some(xid),
-                ));
-                let t = if fast.table == "kv" {
-                    node.kv_table()
-                } else {
-                    node.sql_table(&fast.table)?
-                };
-                let mut fragment_rows = 0u64;
-                match &fast_eq {
-                    Some((col, v)) => {
-                        if let Some(ix) =
-                            t.indexes().iter().position(|ix| ix.key_columns() == [*col])
-                        {
-                            let mut hits = t.probe(ix, &vec![v.clone()], &judge)?;
-                            // Ascending tid = heap-scan order, so probe and
-                            // scan yield byte-identical results.
-                            hits.sort_unstable_by_key(|&(tid, _)| tid);
-                            for (_tid, row) in hits {
-                                scan_rows.push(row.clone());
-                                fragment_rows += 1;
-                            }
-                        } else {
-                            for (_tid, row) in t.scan(&judge) {
-                                if row.values().get(*col) == Some(v) {
-                                    scan_rows.push(row.clone());
-                                    fragment_rows += 1;
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (_tid, row) in t.scan(&judge) {
-                            let keep = match &pred {
-                                None => true,
-                                Some(p) => p.eval_filter(row.values())?,
-                            };
-                            if keep {
-                                scan_rows.push(row.clone());
-                                fragment_rows += 1;
-                            }
-                        }
-                    }
-                }
-                self.counters.fragments_run += 1;
-                self.counters.rows_exchanged += fragment_rows;
-                Ok(())
-            })();
-            if let Err(e) = res {
+            let leg = be.run_leg(&fast.table, ShardId::new(raw), None, eq, pred.as_ref(), |_, row| {
+                scan_rows.push(row.clone())
+            });
+            if let Err(e) = leg {
                 self.cluster.abort(txn)?;
                 return Err(e);
             }
@@ -1838,71 +1667,20 @@ impl DistDb {
             .collect()
     }
 
-    fn run_select(&mut self, s: &SelectStmt, sql: Option<&str>) -> Result<QueryResult> {
-        if self.profiling_enabled() {
-            return self.run_select_profiled(s, sql);
-        }
+    /// Plan a SELECT fresh and hand the annotated tree to
+    /// [`Self::run_plan`]; the statement clock starts before planning when
+    /// `profiled`.
+    fn run_select(
+        &mut self,
+        s: &SelectStmt,
+        sql: Option<&str>,
+        profiled: bool,
+    ) -> Result<QueryResult> {
+        let start = profiled.then(|| self.clock.now_us());
         let sys_snap = self.sys_snapshot_for(s);
         let (plan, planning, scope) = self.plan_distributed(s, sys_snap.as_ref())?;
-        let (rows, steps) = self.execute_plan(&plan, scope, sys_snap.as_ref())?;
-        if let Some(o) = &self.observer {
-            o.observe(&steps);
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps,
-            planning,
-            profile: None,
-        })
-    }
-
-    /// The profiled SELECT path: identical plan, rows and observation list
-    /// to the plain path, plus a [`StatementProfile`] carrying per-operator
-    /// actuals, per-shard Exchange legs, the statement's GTM-interaction
-    /// delta and its 2PC leg count. The plan store is fed from the
-    /// profile-derived observations — the same artifact `EXPLAIN ANALYZE`
-    /// and the flight recorder expose.
-    fn run_select_profiled(&mut self, s: &SelectStmt, sql: Option<&str>) -> Result<QueryResult> {
-        let start = self.clock.now_us();
-        let sys_snap = self.sys_snapshot_for(s);
-        let (plan, planning, scope) = self.plan_distributed(s, sys_snap.as_ref())?;
-        let planned = self.clock.now_us();
-        let (rows, steps, stats) = self.execute_plan_profiled(&plan, scope, sys_snap.as_ref())?;
-        let done = self.clock.now_us();
-        let profile = StatementProfile {
-            sql: sql.unwrap_or("").to_string(),
-            scope: match scope {
-                Scope::Single(_) => "single",
-                Scope::Multi => "multi",
-            }
-            .to_string(),
-            start_us: start,
-            plan_us: planned.saturating_sub(start),
-            exec_us: done.saturating_sub(planned),
-            total_us: done.saturating_sub(start),
-            rows_out: rows.len() as u64,
-            gtm_interactions: stats.gtm,
-            twopc_legs: stats.twopc_legs,
-            root: stats.root,
-        };
-        let derived = observations(profile.root.as_ref());
-        debug_assert_eq!(derived, steps, "profile must derive the executor's own observations");
-        if let Some(o) = &self.observer {
-            o.observe(&derived);
-        }
-        if let Some(r) = &self.recorder {
-            r.record(profile.clone());
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps: derived,
-            planning,
-            profile: Some(profile),
-        })
+        let profiled = start.map(|t| (t, sql.unwrap_or("")));
+        self.run_plan(&plan, planning, scope, sys_snap.as_ref(), profiled)
     }
 
     /// Plan (and annotate) a SELECT without executing — exposes the
@@ -1930,117 +1708,107 @@ impl DistDb {
         }
     }
 
-    /// The `(local xid, snapshot)` a fragment on `shard` runs under, opening
-    /// the multi-shard leg on first touch. A down shard first gets one
-    /// inline failover chance (iff the transaction holds no leg there yet).
-    fn fragment_ctx(
+    /// Borrow the state one statement's legs run against.
+    fn dist_exec<'a>(
+        &'a mut self,
+        txn: &'a mut Txn,
+        profiled: bool,
+        sys: Option<&'a SysSnapshot>,
+    ) -> DistExec<'a> {
+        DistExec {
+            cluster: &mut self.cluster,
+            txn,
+            tel: self.tel.as_ref(),
+            counters: &mut self.counters,
+            clock: profiled.then_some(&*self.clock),
+            exchange_legs: Vec::new(),
+            cur_stmt: self.cur_stmt,
+            faults: self.faults.as_deref(),
+            sys,
+        }
+    }
+
+    /// The one SELECT driver: run an already-planned, annotated tree inside
+    /// the transaction its `scope` implies, commit, and feed the plan store.
+    /// `profiled` (statement start time + SQL text) makes the operator
+    /// profiler ride along — same plan, rows and observation list, plus a
+    /// [`StatementProfile`] carrying per-operator actuals, per-shard
+    /// Exchange legs, the statement's GTM-interaction delta (commit
+    /// included) and its 2PC leg count, which `EXPLAIN ANALYZE` renders and
+    /// the flight recorder keeps. Without it the clock is never read.
+    fn run_plan(
         &mut self,
-        txn: &mut Txn,
-        shard: ShardId,
-    ) -> Result<(hdm_common::Xid, hdm_txn::Snapshot)> {
-        tick_faults(&mut self.cluster, self.faults.as_ref())?;
-        if !self.cluster.is_node_up(shard) {
-            if leg_failover(&mut self.cluster, txn, shard)? {
-                self.counters.failovers += 1;
-            } else {
-                return Err(shard_down(shard, self.cur_stmt));
+        plan: &PlanNode,
+        planning: PlanningInfo,
+        scope: Scope,
+        sys_snap: Option<&SysSnapshot>,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult> {
+        // (start, SQL text, planning-done time, GTM count before, profiler)
+        let mut prof = profiled.map(|(start, sql)| {
+            let gtm_before = self.cluster.counters().gtm_interactions;
+            let prof = Profiler::new(self.clock.clone());
+            (start, sql, self.clock.now_us(), gtm_before, prof)
+        });
+        let mut txn = self.begin_scoped(scope)?;
+        let mut steps = Vec::new();
+        let res = {
+            let mut be = self.dist_exec(&mut txn, prof.is_some(), sys_snap);
+            hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.4))
+        };
+        let rows = match res {
+            Ok(rows) => rows,
+            Err(e) => {
+                self.cluster.abort(txn)?;
+                return Err(e);
             }
+        };
+        let twopc_legs = match &prof {
+            Some(_) if !txn.is_single_shard() => txn.legs().len() as u64,
+            _ => 0,
+        };
+        self.cluster.commit(txn)?;
+        let profile = prof.map(|(start, sql, planned, gtm_before, prof)| {
+            let done = self.clock.now_us();
+            let gtm_now = self.cluster.counters().gtm_interactions;
+            StatementProfile {
+                sql: sql.to_string(),
+                scope: match scope {
+                    Scope::Single(_) => "single",
+                    Scope::Multi => "multi",
+                }
+                .to_string(),
+                start_us: start,
+                plan_us: planned.saturating_sub(start),
+                exec_us: done.saturating_sub(planned),
+                total_us: done.saturating_sub(start),
+                rows_out: rows.len() as u64,
+                gtm_interactions: gtm_now.saturating_sub(gtm_before),
+                twopc_legs,
+                root: prof.finish(),
+            }
+        });
+        if let Some(p) = &profile {
+            debug_assert_eq!(
+                observations(p.root.as_ref()),
+                steps,
+                "profile must derive the executor's own observations"
+            );
         }
-        if !txn.is_single_shard() {
-            self.cluster.ensure_leg(txn, shard)?;
+        if let Some(o) = &self.observer {
+            o.observe(&steps);
         }
-        txn.lite_ctx(shard).ok_or_else(|| {
-            HdmError::TxnState(format!(
-                "fragment on {shard} outside the transaction's scope"
-            ))
+        if let (Some(r), Some(p)) = (&self.recorder, &profile) {
+            r.record(p.clone());
+        }
+        Ok(QueryResult {
+            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
+            rows,
+            affected: 0,
+            steps,
+            planning,
+            profile,
         })
-    }
-
-    fn execute_plan(
-        &mut self,
-        plan: &PlanNode,
-        scope: Scope,
-        sys_snap: Option<&SysSnapshot>,
-    ) -> Result<(Vec<Row>, Vec<StepObservation>)> {
-        let mut txn = self.begin_scoped(scope)?;
-        let mut steps = Vec::new();
-        let res = {
-            let mut be = DistExec {
-                cluster: &mut self.cluster,
-                txn: &mut txn,
-                tel: self.tel.as_ref(),
-                counters: &mut self.counters,
-                clock: None,
-                exchange_legs: Vec::new(),
-                cur_stmt: self.cur_stmt,
-                faults: self.faults.clone(),
-                sys: sys_snap,
-            };
-            hdm_sql::exec::execute(plan, &mut be, &mut steps)
-        };
-        match res {
-            Ok(rows) => {
-                self.cluster.commit(txn)?;
-                Ok((rows, steps))
-            }
-            Err(e) => {
-                self.cluster.abort(txn)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Self::execute_plan`] with the operator profiler riding along:
-    /// additionally returns the profile tree, the statement's GTM-interaction
-    /// delta (commit included) and the number of 2PC legs its commit drove.
-    fn execute_plan_profiled(
-        &mut self,
-        plan: &PlanNode,
-        scope: Scope,
-        sys_snap: Option<&SysSnapshot>,
-    ) -> Result<(Vec<Row>, Vec<StepObservation>, ExecStats)> {
-        let gtm_before = self.cluster.counters().gtm_interactions;
-        let mut txn = self.begin_scoped(scope)?;
-        let mut steps = Vec::new();
-        let mut prof = Profiler::new(self.clock.clone());
-        let res = {
-            let mut be = DistExec {
-                cluster: &mut self.cluster,
-                txn: &mut txn,
-                tel: self.tel.as_ref(),
-                counters: &mut self.counters,
-                clock: Some(self.clock.clone()),
-                exchange_legs: Vec::new(),
-                cur_stmt: self.cur_stmt,
-                faults: self.faults.clone(),
-                sys: sys_snap,
-            };
-            hdm_sql::exec::execute_with_profiler(plan, &mut be, &mut steps, &mut prof)
-        };
-        match res {
-            Ok(rows) => {
-                let twopc_legs = if txn.is_single_shard() {
-                    0
-                } else {
-                    txn.legs().len() as u64
-                };
-                self.cluster.commit(txn)?;
-                let stats = ExecStats {
-                    root: prof.finish(),
-                    gtm: self
-                        .cluster
-                        .counters()
-                        .gtm_interactions
-                        .saturating_sub(gtm_before),
-                    twopc_legs,
-                };
-                Ok((rows, steps, stats))
-            }
-            Err(e) => {
-                self.cluster.abort(txn)?;
-                Err(e)
-            }
-        }
     }
 
     /// Shard pruning (the tentpole rule): walk the predicate's top-level AND
@@ -2162,9 +1930,7 @@ fn leg_failover(cluster: &mut Cluster, txn: &Txn, shard: ShardId) -> Result<bool
     cluster.try_failover(shard)
 }
 
-/// Match a whole predicate of shape `col = literal` (either operand order)
-/// so the fast path can compare datums directly instead of walking the
-/// expression evaluator per row.
+/// Match an expression of shape `col = literal` (either operand order).
 fn col_eq_value(e: &SExpr) -> Option<(usize, &Datum)> {
     let SExpr::Binary(BinOp::Eq, l, r) = e else {
         return None;
@@ -2173,6 +1939,24 @@ fn col_eq_value(e: &SExpr) -> Option<(usize, &Datum)> {
         (SExpr::Col(c), SExpr::Lit(v)) | (SExpr::Lit(v), SExpr::Col(c)) => Some((*c, v)),
         _ => None,
     }
+}
+
+/// The first top-level AND conjunct of shape `col = non-NULL literal` whose
+/// column has a single-column index (`ix_on` resolves key columns to a
+/// DN-local index id): that index answers the fragment with a probe, and the
+/// whole predicate is still applied to the hits.
+fn indexed_eq<'a>(
+    e: &'a SExpr,
+    ix_on: &dyn Fn(&[usize]) -> Option<usize>,
+) -> Option<(usize, &'a Datum)> {
+    if let SExpr::Binary(BinOp::And, l, r) = e {
+        return indexed_eq(l, ix_on).or_else(|| indexed_eq(r, ix_on));
+    }
+    let (col, v) = col_eq_value(e)?;
+    if v.is_null() {
+        return None; // NULL never satisfies `=`; leave it to the evaluator.
+    }
+    Some((ix_on(&[col])?, v))
 }
 
 /// [`SnapshotVisibility`] with a one-entry memo on `sees_committed`: a
@@ -2214,7 +1998,7 @@ impl Visibility for MemoVisibility<'_> {
 /// Advance an installed fault script by one execution tick: apply the ops
 /// scheduled for this tick, then ship a bounded batch of replication
 /// records so followers catch up on the same deterministic cadence.
-fn tick_faults(cluster: &mut Cluster, faults: Option<&Rc<RefCell<FaultScript>>>) -> Result<()> {
+fn tick_faults(cluster: &mut Cluster, faults: Option<&RefCell<FaultScript>>) -> Result<()> {
     let Some(script) = faults else {
         return Ok(());
     };
@@ -2436,17 +2220,11 @@ fn empty_result() -> QueryResult {
     }
 }
 
-/// Statement-level execution stats the profiled path collects around the
-/// transaction: profile tree + GTM/2PC accounting.
-struct ExecStats {
-    root: Option<OpProfile>,
-    gtm: u64,
-    twopc_legs: u64,
-}
-
 /// The CN-side scatter-gather backend: `Exchange` leaves fan out to data
 /// nodes, everything above them (joins, aggregation, sorts) runs on the CN
-/// over the gathered rows.
+/// over the gathered rows. Every statement — tree SELECT, [`FastSelect`],
+/// UPDATE/DELETE, INSERT — dispatches its per-shard work through
+/// [`Self::run_leg`] / [`Self::open_leg`].
 struct DistExec<'a> {
     cluster: &'a mut Cluster,
     txn: &'a mut Txn,
@@ -2454,16 +2232,145 @@ struct DistExec<'a> {
     counters: &'a mut DistCounters,
     /// Present when the statement is profiled: fragment times are stamped
     /// on it and per-shard legs accumulate in `exchange_legs`.
-    clock: Option<SharedClock>,
+    clock: Option<&'a dyn Clock>,
     exchange_legs: Vec<ShardLeg>,
     /// The statement's idempotence key, threaded into `shard is down`
     /// errors so retried statements are traceable end to end.
     cur_stmt: Option<u64>,
-    /// Fault script ticked per fragment dispatch (shared with the DistDb).
-    faults: Option<Rc<RefCell<FaultScript>>>,
+    /// Fault script ticked per fragment dispatch (owned by the DistDb).
+    faults: Option<&'a RefCell<FaultScript>>,
     /// The statement's frozen `sys.*` snapshot; sys scans stay CN-local
     /// (they never annotate into Exchange legs) and are served from here.
     sys: Option<&'a SysSnapshot>,
+}
+
+impl DistExec<'_> {
+    /// Leg prologue: advance the fault script one tick, give a down shard
+    /// its one inline failover chance, open the multi-shard leg on first
+    /// touch, and return the `(local xid, snapshot)` the fragment runs
+    /// under.
+    fn open_leg(&mut self, shard: ShardId) -> Result<(Xid, hdm_txn::Snapshot)> {
+        tick_faults(self.cluster, self.faults)?;
+        if !self.cluster.is_node_up(shard) {
+            if leg_failover(self.cluster, self.txn, shard)? {
+                self.counters.failovers += 1;
+            } else {
+                return Err(shard_down(shard, self.cur_stmt));
+            }
+        }
+        if !self.txn.is_single_shard() {
+            self.cluster.ensure_leg(self.txn, shard)?;
+        }
+        self.txn.lite_ctx(shard).ok_or_else(|| {
+            HdmError::TxnState(format!(
+                "fragment on {shard} outside the transaction's scope"
+            ))
+        })
+    }
+
+    /// Run one fragment on one shard: [`Self::open_leg`], then fetch the
+    /// candidates under the leg's snapshot, keep those passing `predicate`
+    /// (or, with no predicate, the pre-lowered `eq` column/value pair) and
+    /// hand each to `emit` in heap order. Returns the leg's local xid.
+    ///
+    /// The access path is resolved against this DN's own index set — ids
+    /// differ per node (data nodes auto-index their shard key), so indexes
+    /// are looked up by key *columns*: the planner's `probe` if a local
+    /// index serves it, else an index on the `eq` column, else an index on
+    /// a top-level `col = literal` conjunct of `predicate`, else a full
+    /// shard scan. A leg missing the index (e.g. a follower promoted before
+    /// the DDL replayed) scans; the filter keeps results identical.
+    fn run_leg(
+        &mut self,
+        table: &str,
+        shard: ShardId,
+        probe: Option<&ExchangeProbe>,
+        eq: Option<(usize, &Datum)>,
+        predicate: Option<&SExpr>,
+        mut emit: impl FnMut(TupleId, &Row),
+    ) -> Result<Xid> {
+        let (xid, snap) = self.open_leg(shard)?;
+        let span = self.tel.map(|t| {
+            let s = t.tracer.begin("plan.fragment");
+            t.tracer.field(s, "shard", shard);
+            t.tracer.field(s, "table", table);
+            (t, s)
+        });
+        let leg_clock = self.clock.map(|c| (c, c.now_us()));
+        let node = self.cluster.node(shard);
+        let judge =
+            MemoVisibility::new(SnapshotVisibility::new(&snap, node.mgr().clog(), Some(xid)));
+        let t = if table == "kv" {
+            node.kv_table()
+        } else {
+            node.sql_table(table)?
+        };
+        let ix_on = |cols: &[usize]| t.indexes().iter().position(|ix| ix.key_columns() == cols);
+        let hits: Option<Vec<(TupleId, &Row)>> = match probe {
+            Some(ExchangeProbe::Eq { columns, key }) => {
+                ix_on(columns).map(|ix| t.probe(ix, key, &judge))
+            }
+            Some(ExchangeProbe::Range { column, lo, hi }) => ix_on(&[*column]).map(|ix| {
+                let lo_k = hdm_sql::backend::bound_key(lo);
+                let hi_k = hdm_sql::backend::bound_key(hi);
+                t.range_probe(
+                    ix,
+                    hdm_sql::backend::bound_ref(&lo_k),
+                    hdm_sql::backend::bound_ref(&hi_k),
+                    &judge,
+                )
+            }),
+            None => match eq {
+                Some((col, v)) => ix_on(&[col]).map(|ix| (ix, v)),
+                None => predicate.and_then(|p| indexed_eq(p, &ix_on)),
+            }
+            .map(|(ix, v)| t.probe(ix, &vec![v.clone()], &judge)),
+        }
+        .transpose()?;
+        let mut fragment_rows = 0u64;
+        let mut visit = |tid: TupleId, row: &Row| -> Result<()> {
+            let keep = match (predicate, eq) {
+                (Some(p), _) => p.eval_filter(row.values())?,
+                (None, Some((col, v))) => row.values().get(col) == Some(v),
+                (None, None) => true,
+            };
+            if keep {
+                emit(tid, row);
+                fragment_rows += 1;
+            }
+            Ok(())
+        };
+        match hits {
+            Some(mut hits) => {
+                // Ascending tid = heap-scan order, so probed legs yield
+                // byte-identical rows to scanned ones.
+                hits.sort_unstable_by_key(|&(tid, _)| tid);
+                for (tid, row) in hits {
+                    visit(tid, row)?;
+                }
+                self.counters.index_probes += 1;
+            }
+            None => {
+                for (tid, row) in t.scan(&judge) {
+                    visit(tid, row)?;
+                }
+            }
+        }
+        self.counters.fragments_run += 1;
+        self.counters.rows_exchanged += fragment_rows;
+        if let Some((c, start)) = leg_clock {
+            self.exchange_legs.push(ShardLeg {
+                shard: shard.raw(),
+                rows: fragment_rows,
+                time_us: c.now_us().saturating_sub(start),
+            });
+        }
+        if let Some((t, s)) = span {
+            t.tracer.field(s, "rows", fragment_rows);
+            t.tracer.end(s);
+        }
+        Ok(xid)
+    }
 }
 
 impl ExecBackend for DistExec<'_> {
@@ -2505,110 +2412,9 @@ impl ExecBackend for DistExec<'_> {
         self.exchange_legs.clear();
         let mut out = Vec::new();
         for &raw in shards {
-            let shard = ShardId::new(raw);
-            tick_faults(self.cluster, self.faults.as_ref())?;
-            if !self.cluster.is_node_up(shard) {
-                if leg_failover(self.cluster, self.txn, shard)? {
-                    self.counters.failovers += 1;
-                } else {
-                    return Err(shard_down(shard, self.cur_stmt));
-                }
-            }
-            if !self.txn.is_single_shard() {
-                self.cluster.ensure_leg(self.txn, shard)?;
-            }
-            let (xid, snap) = self.txn.lite_ctx(shard).ok_or_else(|| {
-                HdmError::TxnState(format!(
-                    "fragment on {shard} outside the transaction's scope"
-                ))
+            self.run_leg(table, ShardId::new(raw), probe, None, predicate, |_, row| {
+                out.push(row.clone())
             })?;
-            let span = self.tel.map(|t| {
-                let s = t.tracer.begin("plan.fragment");
-                t.tracer.field(s, "shard", shard);
-                t.tracer.field(s, "table", table);
-                s
-            });
-            let leg_start = self.clock.as_ref().map(|c| c.now_us());
-            let node = self.cluster.node(shard);
-            let judge = SnapshotVisibility::new(&snap, node.mgr().clog(), Some(xid));
-            let t = if table == "kv" {
-                node.kv_table()
-            } else {
-                node.sql_table(table)?
-            };
-            let mut fragment_rows = 0u64;
-            // Resolve the CN-chosen probe against this DN's own index set:
-            // the probe names key *columns*, and each leg looks up whichever
-            // local index serves them (ids differ per node — data nodes
-            // auto-index their shard key). A leg without a matching index
-            // (e.g. a follower promoted before the DDL replayed) falls back
-            // to the full scan; the predicate below keeps results identical.
-            let local_ix = probe.and_then(|p| {
-                let want: &[usize] = match p {
-                    ExchangeProbe::Eq { columns, .. } => columns,
-                    ExchangeProbe::Range { column, .. } => std::slice::from_ref(column),
-                };
-                t.indexes().iter().position(|ix| ix.key_columns() == want)
-            });
-            let candidates: Option<Vec<(TupleId, &Row)>> = match (probe, local_ix) {
-                (Some(ExchangeProbe::Eq { key, .. }), Some(ix)) => {
-                    Some(t.probe(ix, key, &judge)?)
-                }
-                (Some(ExchangeProbe::Range { lo, hi, .. }), Some(ix)) => {
-                    let lo_k = hdm_sql::backend::bound_key(lo);
-                    let hi_k = hdm_sql::backend::bound_key(hi);
-                    Some(t.range_probe(
-                        ix,
-                        hdm_sql::backend::bound_ref(&lo_k),
-                        hdm_sql::backend::bound_ref(&hi_k),
-                        &judge,
-                    )?)
-                }
-                _ => None,
-            };
-            match candidates {
-                Some(mut hits) => {
-                    // Ascending tid = heap-scan order, so probed legs yield
-                    // byte-identical rows to scanned ones.
-                    hits.sort_unstable_by_key(|&(tid, _)| tid);
-                    for (_tid, row) in hits {
-                        let keep = match predicate {
-                            None => true,
-                            Some(p) => p.eval_filter(row.values())?,
-                        };
-                        if keep {
-                            out.push(row.clone());
-                            fragment_rows += 1;
-                        }
-                    }
-                    self.counters.index_probes += 1;
-                }
-                None => {
-                    for (_tid, row) in t.scan(&judge) {
-                        let keep = match predicate {
-                            None => true,
-                            Some(p) => p.eval_filter(row.values())?,
-                        };
-                        if keep {
-                            out.push(row.clone());
-                            fragment_rows += 1;
-                        }
-                    }
-                }
-            }
-            self.counters.fragments_run += 1;
-            self.counters.rows_exchanged += fragment_rows;
-            if let (Some(c), Some(start)) = (self.clock.as_ref(), leg_start) {
-                self.exchange_legs.push(ShardLeg {
-                    shard: raw,
-                    rows: fragment_rows,
-                    time_us: c.now_us().saturating_sub(start),
-                });
-            }
-            if let (Some(t), Some(s)) = (self.tel, span) {
-                t.tracer.field(s, "rows", fragment_rows);
-                t.tracer.end(s);
-            }
         }
         Ok(out)
     }
@@ -2654,13 +2460,20 @@ mod tests {
         DistDb::new(Cluster::new(ClusterConfig::gtm_lite(shards))).unwrap()
     }
 
-    fn seed_orders(db: &mut DistDb) {
-        db.execute("create table orders (cust int, amount int)").unwrap();
+    fn orders_stmts() -> [String; 2] {
         let values: Vec<String> = (0..200i64)
             .map(|i| format!("({}, {})", i % 16, i * 10))
             .collect();
-        db.execute(&format!("insert into orders values {}", values.join(", ")))
-            .unwrap();
+        [
+            "create table orders (cust int, amount int)".to_string(),
+            format!("insert into orders values {}", values.join(", ")),
+        ]
+    }
+
+    fn seed_orders(db: &mut DistDb) {
+        for stmt in orders_stmts() {
+            db.execute(&stmt).unwrap();
+        }
     }
 
     #[test]
@@ -2747,6 +2560,7 @@ mod tests {
         let mut db = dist(4);
         seed_orders(&mut db);
         let expected = (0..200i64).filter(|i| i % 16 == 5).count() as u64;
+        let probes = db.counters().index_probes;
         let r = db.execute("update orders set amount = 1 where cust = 5").unwrap();
         assert_eq!(r.affected, expected);
         let rows = db
@@ -2764,6 +2578,36 @@ mod tests {
             rows[0].get(0).and_then(Datum::as_int),
             Some(200 - expected as i64)
         );
+        assert_eq!(
+            db.counters().index_probes,
+            probes + 3,
+            "key-equality UPDATE, SELECT and DELETE each probe the shard-key index"
+        );
+
+        // Predicates no index answers — a non-indexed column, an OR, and
+        // `= NULL` — keep scanning, and touch the rows the embedded engine
+        // touches.
+        let mut local = hdm_sql::Database::new();
+        let mut db = dist(4);
+        seed_orders(&mut db);
+        for stmt in orders_stmts() {
+            local.execute(&stmt).unwrap();
+        }
+        let probes = db.counters().index_probes;
+        for dml in [
+            "update orders set amount = 7 where amount = 30",
+            "update orders set amount = 8 where cust = 1 or cust = 2",
+            "update orders set amount = 9 where cust = null",
+            "delete from orders where amount = 7",
+            "delete from orders where cust = 1 or amount = 8",
+            "delete from orders where cust = null",
+        ] {
+            let want = local.execute(dml).unwrap().affected;
+            assert_eq!(db.execute(dml).unwrap().affected, want, "{dml}");
+        }
+        assert_eq!(db.counters().index_probes, probes, "none of these may probe");
+        let q = "select cust, amount from orders order by cust, amount";
+        assert_eq!(db.execute(q).unwrap().rows, local.execute(q).unwrap().rows);
     }
 
     #[test]

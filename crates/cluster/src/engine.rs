@@ -116,9 +116,7 @@ impl ClusterConfig {
 }
 
 /// How a transaction should be opened — the builder consumed by
-/// [`Cluster::begin`], replacing the old
-/// `try_begin_single`/`begin_single`/`try_begin_multi`/`begin_multi`
-/// quartet.
+/// [`Cluster::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnOptions {
     scope: TxnScope,
@@ -155,8 +153,7 @@ impl TxnOptions {
     /// coordinator this transaction needs (its home node, or the GTM) and
     /// fail fast with `Unavailable` so a retrying CN can back off —
     /// `true` by default. With `false` the begin is unchecked and
-    /// infallible, matching the legacy `begin_single`/`begin_multi`
-    /// behaviour scripted tests rely on.
+    /// infallible, which scripted tests rely on.
     pub fn retry_on_unavailable(mut self, yes: bool) -> Self {
         self.retry_on_unavailable = yes;
         self
@@ -987,30 +984,6 @@ impl Cluster {
                 })
             }
         }
-    }
-
-    #[deprecated(note = "use `begin(TxnOptions::single(prefix))`")]
-    pub fn try_begin_single(&mut self, prefix: u32) -> Result<Txn> {
-        self.begin(TxnOptions::single(prefix))
-    }
-
-    #[deprecated(note = "use `begin(TxnOptions::multi())`")]
-    pub fn try_begin_multi(&mut self) -> Result<Txn> {
-        self.begin(TxnOptions::multi())
-    }
-
-    #[deprecated(
-        note = "use `begin(TxnOptions::single(prefix).retry_on_unavailable(false))`"
-    )]
-    pub fn begin_single(&mut self, prefix: u32) -> Txn {
-        self.begin(TxnOptions::single(prefix).retry_on_unavailable(false))
-            .expect("unchecked begin is infallible")
-    }
-
-    #[deprecated(note = "use `begin(TxnOptions::multi().retry_on_unavailable(false))`")]
-    pub fn begin_multi(&mut self) -> Txn {
-        self.begin(TxnOptions::multi().retry_on_unavailable(false))
-            .expect("unchecked begin is infallible")
     }
 
     fn begin_baseline(&mut self) -> Txn {
@@ -2124,26 +2097,6 @@ mod tests {
         assert_eq!(n.snapshot_cache_misses, 2, "post-recovery begin refreshes");
         assert_eq!(n.snapshot_cache_hits, 1);
         c.abort(t3).unwrap();
-    }
-
-    #[test]
-    fn deprecated_quartet_still_routes_through_begin() {
-        #![allow(deprecated)]
-        let mut c = lite(4);
-        let (p1, _) = two_shards(&c);
-        let t = c.begin_single(p1);
-        c.commit(t).unwrap();
-        let t = c.try_begin_single(p1).unwrap();
-        c.commit(t).unwrap();
-        let t = c.begin_multi();
-        c.abort(t).unwrap();
-        let t = c.try_begin_multi().unwrap();
-        c.abort(t).unwrap();
-        let n = c.counters();
-        assert_eq!(n.single_shard_commits, 2);
-        assert_eq!(n.aborts, 2);
-        c.crash_gtm();
-        assert_eq!(c.try_begin_multi().unwrap_err().class(), "unavailable");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::ast::{SelectItem, SelectStmt, Statement};
 use crate::backend::LocalBackend;
 use crate::catalog::Catalog;
 use crate::compile::{compile, CompiledProgram, StepTemplate};
-use crate::exec::{execute, execute_with_profiler};
+use crate::exec::execute;
 use crate::expr::{bind, BoundSchema};
 use crate::parser::parse;
 use crate::plan::{PlanNode, StepObservation};
@@ -407,7 +407,7 @@ impl Database {
                 self.cache.bump_epoch();
                 Ok(QueryResult::empty())
             }
-            Statement::Select(s) => self.run_select(s, sql),
+            Statement::Select(s) => self.run_select(s, sql, self.profiling_enabled()),
             Statement::Explain { analyze, stmt } => self.run_explain(*analyze, stmt, sql),
         }
     }
@@ -572,7 +572,7 @@ impl Database {
             let rows = {
                 let mut be =
                     LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
-                execute(&plan, &mut be, &mut obs)?
+                execute(&plan, &mut be, &mut obs, None)?
             };
             if let Some(o) = &self.observer {
                 o.observe(&obs);
@@ -585,20 +585,71 @@ impl Database {
         Ok((plan, p.info))
     }
 
-    fn run_select(&mut self, s: &SelectStmt, sql: Option<&str>) -> Result<QueryResult> {
-        if self.profiling_enabled() {
-            return self.run_select_profiled(s, sql);
-        }
+    /// Plan a SELECT fresh and hand the tree to [`Self::run_plan`]; the
+    /// statement clock starts before planning when `profiled`.
+    fn run_select(
+        &mut self,
+        s: &SelectStmt,
+        sql: Option<&str>,
+        profiled: bool,
+    ) -> Result<QueryResult> {
+        let start = profiled.then(|| self.clock.now_us());
         let sys_snap = self.sys_snapshot_for(s);
         let (plan, planning) = self.plan_with_ctes(s, sys_snap.as_ref())?;
+        let profiled = start.map(|t| (t, sql.unwrap_or("")));
+        self.run_plan(&plan, planning, sys_snap.as_ref(), profiled)
+    }
+
+    /// The one SELECT driver: run an already-planned tree and feed the plan
+    /// store. `profiled` (statement start time + SQL text) makes the
+    /// profiler ride along — same plan, rows and observation list, plus a
+    /// [`StatementProfile`] mirroring the plan tree that `EXPLAIN ANALYZE`
+    /// renders and the flight recorder keeps. Without it the clock is never
+    /// read.
+    fn run_plan(
+        &mut self,
+        plan: &PlanNode,
+        planning: PlanningInfo,
+        sys_snap: Option<&SysSnapshot>,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult> {
+        // (statement start, SQL text, planning-done time, operator profiler)
+        let mut prof = profiled.map(|(start, sql)| {
+            let prof = Profiler::new(self.clock.clone());
+            (start, sql, self.clock.now_us(), prof)
+        });
         let mut steps = Vec::new();
         let rows = {
-            let mut be =
-                LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap.as_ref());
-            execute(&plan, &mut be, &mut steps)?
+            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
+            execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.3))?
         };
+        let profile = prof.map(|(start, sql, planned, prof)| {
+            let done = self.clock.now_us();
+            StatementProfile {
+                sql: sql.to_string(),
+                scope: "local".to_string(),
+                start_us: start,
+                plan_us: planned.saturating_sub(start),
+                exec_us: done.saturating_sub(planned),
+                total_us: done.saturating_sub(start),
+                rows_out: rows.len() as u64,
+                gtm_interactions: 0,
+                twopc_legs: 0,
+                root: prof.finish(),
+            }
+        });
+        if let Some(p) = &profile {
+            debug_assert_eq!(
+                observations(p.root.as_ref()),
+                steps,
+                "profile must derive the executor's own observations"
+            );
+        }
         if let Some(o) = &self.observer {
             o.observe(&steps);
+        }
+        if let (Some(r), Some(p)) = (&self.recorder, &profile) {
+            r.record(p.clone());
         }
         Ok(QueryResult {
             columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
@@ -606,55 +657,7 @@ impl Database {
             affected: 0,
             steps,
             planning,
-            profile: None,
-        })
-    }
-
-    /// The profiled SELECT path: identical plan, rows and observation list to
-    /// the plain path, plus a [`StatementProfile`] mirroring the plan tree.
-    /// The plan store is fed from the profile-derived observations — the
-    /// same artifact `EXPLAIN ANALYZE` and the flight recorder expose, so
-    /// the Fig 6 capture loop is auditable end to end.
-    fn run_select_profiled(&mut self, s: &SelectStmt, sql: Option<&str>) -> Result<QueryResult> {
-        let start = self.clock.now_us();
-        let sys_snap = self.sys_snapshot_for(s);
-        let (plan, planning) = self.plan_with_ctes(s, sys_snap.as_ref())?;
-        let planned = self.clock.now_us();
-        let mut steps = Vec::new();
-        let mut prof = Profiler::new(self.clock.clone());
-        let rows = {
-            let mut be =
-                LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap.as_ref());
-            execute_with_profiler(&plan, &mut be, &mut steps, &mut prof)?
-        };
-        let done = self.clock.now_us();
-        let profile = StatementProfile {
-            sql: sql.unwrap_or("").to_string(),
-            scope: "local".to_string(),
-            start_us: start,
-            plan_us: planned.saturating_sub(start),
-            exec_us: done.saturating_sub(planned),
-            total_us: done.saturating_sub(start),
-            rows_out: rows.len() as u64,
-            gtm_interactions: 0,
-            twopc_legs: 0,
-            root: prof.finish(),
-        };
-        let derived = observations(profile.root.as_ref());
-        debug_assert_eq!(derived, steps, "profile must derive the executor's own observations");
-        if let Some(o) = &self.observer {
-            o.observe(&derived);
-        }
-        if let Some(r) = &self.recorder {
-            r.record(profile.clone());
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps: derived,
-            planning,
-            profile: Some(profile),
+            profile,
         })
     }
 
@@ -685,7 +688,9 @@ impl Database {
 
     /// Execute a canonicalized statement through the plan cache: bind the
     /// lifted/user parameters, rehint estimates against the plan store, and
-    /// run either the compiled op-array (profiling off) or the plan tree.
+    /// run either the compiled op-array or — when profiling, whose profiles
+    /// mirror the plan tree, or for shapes the compiler does not cover —
+    /// the substituted plan tree through [`Self::run_plan`].
     fn execute_canonical(
         &mut self,
         text: &str,
@@ -712,10 +717,8 @@ impl Database {
             }
         }
         let params = bind_slots(slots, &cached.param_types, user_params)?;
-        if self.profiling_enabled() {
-            return self.run_cached_profiled(&cached, &params, sql, replans);
-        }
-        if let Some(prog) = &cached.program {
+        let profiled = self.profiling_enabled();
+        if let (false, Some(prog)) = (profiled, &cached.program) {
             let (ests, mut planning) = self.rehint_steps(&prog.steps);
             planning.replans = replans;
             let mut steps = Vec::new();
@@ -735,84 +738,14 @@ impl Database {
                 profile: None,
             });
         }
+        let start = profiled.then(|| self.clock.now_us());
         let mut plan = cached.plan.substitute_params(&params)?;
         let mut planning = PlanningInfo {
             replans,
             ..Default::default()
         };
         self.rehint_plan(&mut plan, &mut planning);
-        let mut steps = Vec::new();
-        let rows = {
-            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
-            execute(&plan, &mut be, &mut steps)?
-        };
-        if let Some(o) = &self.observer {
-            o.observe(&steps);
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps,
-            planning,
-            profile: None,
-        })
-    }
-
-    /// The profiled flavor of cached execution: same substituted plan, tree
-    /// executor with the profiler attached — identical machinery to the
-    /// unprofiled tree path, so profiles derive the executor's observations
-    /// exactly as the fresh-planned path does.
-    fn run_cached_profiled(
-        &mut self,
-        cached: &CachedStmt,
-        params: &[Datum],
-        sql: &str,
-        replans: u64,
-    ) -> Result<QueryResult> {
-        let start = self.clock.now_us();
-        let mut plan = cached.plan.substitute_params(params)?;
-        let mut planning = PlanningInfo {
-            replans,
-            ..Default::default()
-        };
-        self.rehint_plan(&mut plan, &mut planning);
-        let planned = self.clock.now_us();
-        let mut steps = Vec::new();
-        let mut prof = Profiler::new(self.clock.clone());
-        let rows = {
-            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
-            execute_with_profiler(&plan, &mut be, &mut steps, &mut prof)?
-        };
-        let done = self.clock.now_us();
-        let profile = StatementProfile {
-            sql: sql.to_string(),
-            scope: "local".to_string(),
-            start_us: start,
-            plan_us: planned.saturating_sub(start),
-            exec_us: done.saturating_sub(planned),
-            total_us: done.saturating_sub(start),
-            rows_out: rows.len() as u64,
-            gtm_interactions: 0,
-            twopc_legs: 0,
-            root: prof.finish(),
-        };
-        let derived = observations(profile.root.as_ref());
-        debug_assert_eq!(derived, steps, "profile must derive the executor's own observations");
-        if let Some(o) = &self.observer {
-            o.observe(&derived);
-        }
-        if let Some(r) = &self.recorder {
-            r.record(profile.clone());
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps: derived,
-            planning,
-            profile: Some(profile),
-        })
+        self.run_plan(&plan, planning, None, start.map(|t| (t, sql)))
     }
 
     /// Re-apply plan-store hints to a cached plan before execution — the
@@ -909,7 +842,7 @@ impl Database {
         if analyze {
             // Execute for real (observing into the plan store as usual) and
             // render the annotated tree instead of the result rows.
-            let r = self.run_select_profiled(s, sql)?;
+            let r = self.run_select(s, sql, true)?;
             let profile = r.profile.expect("profiled select carries a profile");
             let rows: Vec<Row> = render_analyze(&profile, self.misestimate_ratio)
                 .into_iter()

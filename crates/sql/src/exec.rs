@@ -16,30 +16,10 @@ use hdm_common::{Datum, HdmError, Result, Row};
 use std::collections::HashMap;
 
 /// Execute a plan against a storage backend, appending step observations.
-pub fn execute(
-    plan: &PlanNode,
-    backend: &mut dyn ExecBackend,
-    obs: &mut Vec<StepObservation>,
-) -> Result<Vec<Row>> {
-    let rows = execute_inner(plan, backend, obs, None)?;
-    Ok(rows)
-}
-
-/// Execute a plan with the operator profiler riding along. Rows, step
-/// observations and plan choice are identical to [`execute`]; the profiler
-/// only *additionally* mirrors the tree into an
+/// With a profiler riding along, rows, observations and plan choice are
+/// unchanged; the tree is *additionally* mirrored into an
 /// [`hdm_telemetry::OpProfile`] (take it with [`Profiler::finish`]).
-pub fn execute_with_profiler(
-    plan: &PlanNode,
-    backend: &mut dyn ExecBackend,
-    obs: &mut Vec<StepObservation>,
-    prof: &mut Profiler,
-) -> Result<Vec<Row>> {
-    let rows = execute_inner(plan, backend, obs, Some(prof))?;
-    Ok(rows)
-}
-
-fn execute_inner(
+pub fn execute(
     plan: &PlanNode,
     backend: &mut dyn ExecBackend,
     obs: &mut Vec<StepObservation>,
@@ -73,7 +53,7 @@ fn execute_inner(
         } => backend.scan_shards(table, predicate.as_ref(), shards, probe.as_ref())?,
         PlanOp::Values { rows, .. } => rows.clone(),
         PlanOp::Filter { predicate } => {
-            let input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             let mut out = Vec::new();
             for r in input {
                 if predicate.eval_filter(r.values())? {
@@ -83,8 +63,8 @@ fn execute_inner(
             out
         }
         PlanOp::NestedLoopJoin { on } => {
-            let left = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
-            let right = execute_inner(&plan.children[1], backend, obs, prof.as_deref_mut())?;
+            let left = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let right = execute(&plan.children[1], backend, obs, prof.as_deref_mut())?;
             let mut out = Vec::new();
             for l in &left {
                 for r in &right {
@@ -105,8 +85,8 @@ fn execute_inner(
             right_keys,
             residual,
         } => {
-            let left = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
-            let right = execute_inner(&plan.children[1], backend, obs, prof.as_deref_mut())?;
+            let left = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let right = execute(&plan.children[1], backend, obs, prof.as_deref_mut())?;
             // Build on the right input.
             let mut table: HashMap<Vec<Datum>, Vec<&Row>> = HashMap::new();
             for r in &right {
@@ -142,7 +122,7 @@ fn execute_inner(
             out
         }
         PlanOp::Project { exprs } => {
-            let input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             let mut out = Vec::with_capacity(input.len());
             for r in input {
                 let vals: Vec<Datum> = exprs
@@ -154,11 +134,11 @@ fn execute_inner(
             out
         }
         PlanOp::HashAgg { group, aggs } => {
-            let input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             run_hash_agg(group, aggs, &input)?
         }
         PlanOp::Sort { keys } => {
-            let mut input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let mut input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             // Precompute sort keys to keep comparator infallible.
             let mut keyed: Vec<(Vec<Datum>, Row)> = Vec::with_capacity(input.len());
             for r in input.drain(..) {
@@ -181,12 +161,12 @@ fn execute_inner(
             keyed.into_iter().map(|(_, r)| r).collect()
         }
         PlanOp::Limit { n } => {
-            let mut input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let mut input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             input.truncate(*n as usize);
             input
         }
         PlanOp::Distinct => {
-            let input = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             let mut seen = std::collections::HashSet::new();
             input
                 .into_iter()
@@ -194,8 +174,8 @@ fn execute_inner(
                 .collect()
         }
         PlanOp::SetOp { kind, all } => {
-            let left = execute_inner(&plan.children[0], backend, obs, prof.as_deref_mut())?;
-            let right = execute_inner(&plan.children[1], backend, obs, prof.as_deref_mut())?;
+            let left = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
+            let right = execute(&plan.children[1], backend, obs, prof.as_deref_mut())?;
             run_set_op(*kind, *all, left, right)
         }
     };

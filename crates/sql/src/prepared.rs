@@ -749,8 +749,6 @@ fn subst_expr(e: &Expr, params: &[Datum]) -> Result<Expr> {
     })
 }
 
-/// Execution options for [`QueryApi::execute_opts`] — the one-method
-/// replacement for the old `execute` / `execute_retrying` /
 /// Re-apply plan-store hints to a cached plan before execution — the
 /// cached-path counterpart of the planner's per-node hint lookup, so
 /// [`PlanningInfo`] hit/miss counts match what fresh planning would report.
@@ -833,7 +831,8 @@ pub fn drift_exceeds(
     }
 }
 
-/// `execute_idempotent` family.
+/// Execution options for [`QueryApi::execute_opts`]: plain, retrying, or
+/// retrying under an at-most-once statement id.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Retry transient replication/placement errors before giving up.
@@ -846,7 +845,7 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Retrying + idempotent, no statement id — the old `execute_retrying`.
+    /// Retrying + idempotent, with an auto-assigned statement id.
     pub fn retrying() -> Self {
         Self {
             retry: true,
@@ -855,7 +854,7 @@ impl ExecOptions {
         }
     }
 
-    /// Retrying with an idempotency key — the old `execute_idempotent`.
+    /// Retrying with a caller-chosen idempotency key.
     pub fn idempotent(stmt_id: u64) -> Self {
         Self {
             retry: true,

@@ -1,6 +1,6 @@
 //! The operator-level query profiler and its bridges.
 //!
-//! [`Profiler`] rides along with [`crate::exec::execute_with_profiler`],
+//! [`Profiler`] rides along with [`crate::exec::execute`],
 //! mirroring the plan tree into an [`OpProfile`] tree: per operator it
 //! records actual rows, inclusive time on a pluggable [`SharedClock`]
 //! (virtual in simulations, wall in real runs), and — for `Exchange`

@@ -5,11 +5,14 @@
 //! shard-key-pruned statements never visit the GTM, scattered statements
 //! commit through 2PC.
 
-use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
+use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb, FaultScript};
 use huawei_dm::common::Row;
 use huawei_dm::sql::plan::{PlanNode, PlanOp};
 use huawei_dm::sql::Database;
+use huawei_dm::telemetry::Telemetry;
 use huawei_dm::workloads::DistCorpus;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SHARDS: usize = 4;
 
@@ -68,6 +71,62 @@ fn seeded_corpus_matches_local_engine() {
             "local and distributed results diverged for: {q}"
         );
     }
+}
+
+/// Observing must not change the executor: a bare `DistDb`, one with
+/// telemetry attached and one under a (fault-free) `FaultScript` run the
+/// same statements through the same code — identical results *and*
+/// identical `DistCounters`, shard-key point statements answered by the
+/// DN-local index probe on all three.
+#[test]
+fn telemetry_and_fault_scripts_do_not_change_the_executor() {
+    let corpus = DistCorpus::default();
+    let mut twins: Vec<(&str, DistDb)> = vec![
+        ("bare", build_pair(&corpus).1),
+        ("telemetry", build_pair(&corpus).1),
+        ("fault script", build_pair(&corpus).1),
+    ];
+    let tel = Telemetry::simulated();
+    twins[1].1.attach_telemetry(&tel);
+    let script = Rc::new(RefCell::new(FaultScript::default()));
+    twins[2].1.set_fault_script(Some(script.clone()));
+
+    let mut stmts = corpus.queries();
+    stmts.extend([
+        "update orders set amount = amount + 1 where cust = 7".to_string(),
+        "select * from orders where cust = 7".to_string(),
+        "delete from orders where cust = 7".to_string(),
+        "select count(*) from orders".to_string(),
+    ]);
+    for (name, db) in &mut twins {
+        let before = db.counters().index_probes;
+        db.execute("select * from orders where cust = 3").unwrap();
+        assert_eq!(
+            db.counters().index_probes,
+            before + 1,
+            "{name}: a shard-key point SELECT is one index probe"
+        );
+    }
+    for q in &stmts {
+        let results: Vec<_> = twins
+            .iter_mut()
+            .map(|(name, db)| db.execute(q).unwrap_or_else(|e| panic!("{name} {q}: {e}")))
+            .collect();
+        for ((name, db), r) in twins.iter().zip(&results).skip(1) {
+            let bare = &results[0];
+            assert_eq!(r.rows, bare.rows, "{name}: rows diverged for {q}");
+            assert_eq!(r.columns, bare.columns, "{name}: columns diverged for {q}");
+            assert_eq!(r.steps, bare.steps, "{name}: steps diverged for {q}");
+            assert_eq!(r.planning, bare.planning, "{name}: planning diverged for {q}");
+            assert_eq!(r.affected, bare.affected, "{name}: affected diverged for {q}");
+            assert_eq!(
+                db.counters(),
+                twins[0].1.counters(),
+                "{name}: DistCounters diverged after {q}"
+            );
+        }
+    }
+    assert!(script.borrow().tick > 0, "the script twin ticked per fragment");
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn single_dn_crash_mid_sweep_is_invisible_to_a_retrying_client() {
         .borrow_mut()
         .schedule
         .insert(60, vec![FaultOp::Restart(1)]);
-    faulted.set_fault_script(Some(script));
+    faulted.set_fault_script(Some(script.clone()));
     for (i, q) in corpus.queries().iter().enumerate() {
         let want = sorted(clean.execute(q).unwrap().rows);
         let got = faulted
@@ -84,6 +84,23 @@ fn single_dn_crash_mid_sweep_is_invisible_to_a_retrying_client() {
         1,
         "promotion bumps the shard's fencing epoch"
     );
+    // The script does not swap the executor: under it a shard-key point
+    // SELECT is still one DN-local index probe, and every fragment — one
+    // here, one per shard for a scatter — advances the script one tick.
+    for (q, fragments) in [
+        ("select * from orders where cust = 7", 1),
+        ("select * from orders", SHARDS as u64),
+    ] {
+        let (tick, probes) = (script.borrow().tick, faulted.counters().index_probes);
+        let want = sorted(clean.execute(q).unwrap().rows);
+        assert_eq!(want, sorted(faulted.execute(q).unwrap().rows));
+        assert_eq!(script.borrow().tick, tick + fragments, "one tick per fragment: {q}");
+        assert_eq!(
+            faulted.counters().index_probes,
+            probes + u64::from(fragments == 1),
+            "only the point SELECT probes: {q}"
+        );
+    }
 }
 
 #[test]
