@@ -6,7 +6,7 @@
 //! against that shadow, then *annotates* the plan for distribution: each
 //! base-table scan becomes a [`PlanOp::Exchange`] leaf whose shard list is
 //! computed by **pruning** the scan predicate against the cluster's
-//! [`ShardMap`] (an equality conjunct on the distribution column collapses
+//! [`ShardMap`](crate::ShardMap) (an equality conjunct on the distribution column collapses
 //! the scatter to one DN leg; a top-level OR defeats pruning).
 //!
 //! Transaction scope follows the annotated plan, which is the paper's
@@ -14,7 +14,7 @@
 //! fragment lands on one shard opens a single-shard transaction — **zero GTM
 //! interactions** — while a multi-shard statement opens a global transaction
 //! whose per-DN legs get Algorithm-1 merged snapshots and whose commit runs
-//! 2PC. Fragments execute through [`DistExec`], an [`ExecBackend`] whose
+//! 2PC. Fragments execute through `DistExec`, an [`ExecBackend`] whose
 //! `scan_shards` visits each DN's MVCC storage under the leg's snapshot and
 //! wraps every fragment in a `plan.fragment` telemetry span.
 //!
@@ -26,30 +26,26 @@
 use crate::engine::{Cluster, Protocol, Txn, TxnOptions};
 use crate::retry::RetryPolicy;
 use crate::shard::key_prefix;
-use hdm_common::{DataType, Datum, HdmError, Result, Row, Schema, ShardId, Xid};
+use hdm_common::{Datum, HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_sql::ast::{BinOp, Expr, SelectStmt, Statement};
 use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver};
-use hdm_sql::expr::{bind, BoundSchema, SExpr};
+use hdm_sql::expr::SExpr;
 use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
-use hdm_sql::prepared::{
-    bind_slots, canonicalize, collect_param_types, count_params, drift_exceeds, rehint_plan,
-    substitute_statement_params, ExecOptions, PlanCache, QueryApi, StmtHandle, PLAN_CACHE_CAP,
-};
-use hdm_sql::profile::{observations, render_analyze};
+use hdm_sql::prepared::{bind_slots, canonicalize, rehint_plan, ExecOptions, QueryApi, StmtHandle};
+use hdm_sql::session::{self, CachedPlan, EngineState, Session};
 use hdm_sql::sys::{self, PlanStoreDump, SysSnapshot};
-use hdm_sql::{Catalog, ExecBackend, Profiler};
+use hdm_sql::{Catalog, ExecBackend};
 use hdm_storage::heap::TupleId;
 use hdm_storage::{ColumnStats, TableStats, Visibility};
 use hdm_telemetry::{
-    CaptureInput, Clock, ShardLeg, SharedClock, SharedHistory, SharedRecorder,
-    ShardWindowStat, StatementProfile, Telemetry, WallClock,
+    Clock, Regression, ShardLeg, SharedClock, SharedHistory, SharedRecorder, ShardWindowStat,
+    Telemetry,
 };
 use hdm_txn::SnapshotVisibility;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// One scripted fault against a data node, named by its raw shard id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,25 +130,6 @@ enum Scope {
     Multi,
 }
 
-/// One cached distributed statement: the **pre-annotation** logical plan
-/// (shard pruning re-runs per execution once parameters are bound — the
-/// shard list is a function of the bound values, not the statement text),
-/// the inferred parameter types, and a fast program for linear scan shapes.
-struct CachedDistStmt {
-    plan: PlanNode,
-    param_types: Vec<Option<DataType>>,
-    fast: Option<FastSelect>,
-    /// Precomputed re-plan-on-drift probes: (candidate store keys, planning
-    /// estimate) per canonical node. Planner `SCAN(...)` keys are expanded
-    /// to the per-shard `EXCHANGE(...)` spellings the plan store observes
-    /// under, so the per-execution check is a few hash lookups; see
-    /// [`hdm_sql::prepared::max_drift`].
-    drift: Vec<(Vec<String>, f64)>,
-    /// Last `(store generation, drifted?)` verdict, so quiescent stores skip
-    /// the keyed lookups; see [`hdm_sql::prepared::drift_exceeds`].
-    drift_state: Cell<Option<(u64, bool)>>,
-}
-
 /// A compiled linear SELECT (`Project? → SeqScan` of one distributed
 /// table): everything the scatter/gather loop needs without walking a plan
 /// tree through the boxed executor.
@@ -193,15 +170,8 @@ pub struct DistDb {
     /// CN-side schemas + merged statistics. Holds no rows.
     shadow: Catalog,
     meta: HashMap<String, DistMeta>,
-    hints: Option<Rc<dyn CardinalityHints>>,
-    observer: Option<Rc<dyn StepObserver>>,
     tel: Option<Telemetry>,
     counters: DistCounters,
-    /// Clock the query profiler stamps operator and fragment times with.
-    clock: SharedClock,
-    recorder: Option<SharedRecorder>,
-    profiling: bool,
-    misestimate_ratio: f64,
     /// Backoff schedule for idempotent execution
     /// ([`QueryApi::execute_opts`]); `None` (default) keeps the legacy
     /// fail-fast behaviour.
@@ -213,21 +183,9 @@ pub struct DistDb {
     next_stmt_id: u64,
     /// Scripted crash/restart plan ticked at every fragment dispatch.
     faults: Option<Rc<RefCell<FaultScript>>>,
-    /// Learned-cardinality dump served through the `sys.plan_store` view.
-    sys_plan_store: Option<Rc<dyn PlanStoreDump>>,
-    /// Canonical text → cached logical plan + fast program, invalidated on
-    /// DDL and ANALYZE (merged statistics change plan choices).
-    cache: PlanCache<Rc<CachedDistStmt>>,
-    /// Workload-history snapshot engine backing `sys.history_*`; regressions
-    /// detected at capture are journaled as `history.regression` events.
-    history: Option<SharedHistory>,
-    /// Cached `HistoryConfig::every_stmts` (0 = clock-driven windows). In
-    /// stride mode the per-statement hook is a plain counter bump on
-    /// `history_pending` — no clock read, no lock — flushed into the engine
-    /// only when a window is cut.
-    history_stride: u64,
-    /// Statements completed since the last flush into the snapshot engine.
-    history_pending: u64,
+    /// Plan-store hooks, profiler wiring, the plan cache (logical plans plus
+    /// fast programs, invalidated on DDL and ANALYZE) and history capture.
+    session: Session<FastSelect>,
 }
 
 impl DistDb {
@@ -260,51 +218,37 @@ impl DistDb {
             cluster,
             shadow,
             meta,
-            hints: None,
-            observer: None,
             tel: None,
             counters: DistCounters::default(),
-            clock: Arc::new(WallClock::new()),
-            recorder: None,
-            profiling: false,
-            misestimate_ratio: 2.0,
             retry: None,
             cur_stmt: None,
             next_stmt_id: 1,
             faults: None,
-            sys_plan_store: None,
-            cache: PlanCache::new(PLAN_CACHE_CAP),
-            history: None,
-            history_stride: 0,
-            history_pending: 0,
+            session: Session::default(),
         })
     }
 
     /// Use `clock` for profiler timestamps (share the cluster telemetry's
     /// virtual clock for deterministic profiles).
     pub fn set_clock(&mut self, clock: SharedClock) {
-        self.clock = clock;
+        self.session.clock = clock;
     }
 
     /// Record every statement's profile into `recorder` (implies profiling).
     pub fn attach_recorder(&mut self, recorder: SharedRecorder) {
-        self.recorder = Some(recorder);
+        self.session.recorder = Some(recorder);
     }
 
     /// Profile every SELECT even without a recorder attached, surfacing
     /// [`QueryResult::profile`] with GTM/2PC counts and per-shard legs.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
+        self.session.profiling = on;
     }
 
     /// Ratio at which `EXPLAIN ANALYZE` flags a misestimate (default 2.0,
     /// the plan store's capture threshold).
     pub fn set_misestimate_ratio(&mut self, ratio: f64) {
-        self.misestimate_ratio = ratio;
-    }
-
-    fn profiling_enabled(&self) -> bool {
-        self.profiling || self.recorder.is_some()
+        self.session.misestimate_ratio = ratio;
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -326,19 +270,17 @@ impl DistDb {
         hints: Rc<dyn CardinalityHints>,
         observer: Rc<dyn StepObserver>,
     ) {
-        self.hints = Some(hints);
-        self.observer = Some(observer);
+        self.session.set_plan_store(Some((hints, observer)));
     }
 
     pub fn clear_plan_store(&mut self) {
-        self.hints = None;
-        self.observer = None;
+        self.session.set_plan_store(None);
     }
 
     /// Expose a plan-store dump through the `sys.plan_store` view (usually
     /// the same shared store installed with [`Self::set_plan_store`]).
     pub fn attach_sys_plan_store(&mut self, dump: Rc<dyn PlanStoreDump>) {
-        self.sys_plan_store = Some(dump);
+        self.session.sys_plan_store = Some(dump);
     }
 
     /// Wire fragments (and the underlying cluster) to a telemetry bundle.
@@ -377,73 +319,42 @@ impl DistDb {
     /// Statement/co-access detail appears only while a recorder is attached;
     /// without one the fast point path stays untouched.
     pub fn attach_history(&mut self, history: SharedHistory) {
-        self.history_stride = history.with(|e| e.config().every_stmts);
-        self.history_pending = 0;
-        self.history = Some(history);
+        self.session.attach_history(history);
     }
 
     /// Stop capturing workload history. Statements executed since the last
     /// window cut are discarded rather than flushed into a partial window.
     pub fn detach_history(&mut self) {
-        self.history = None;
-        self.history_stride = 0;
-        self.history_pending = 0;
+        self.session.detach_history();
     }
 
     /// Force a window capture now (harnesses cut windows at deterministic
     /// points; no-op without an attached history engine).
     pub fn capture_history_now(&mut self) {
-        if let Some(h) = self.history.clone() {
-            self.capture_history(&h);
-        }
+        let found = self
+            .session
+            .capture_history_now(|| engine_state(self.tel.as_ref(), &self.cluster));
+        self.journal(found);
     }
 
     /// The attached workload-history handle, if any.
     pub fn history(&self) -> Option<&SharedHistory> {
-        self.history.as_ref()
+        self.session.history()
     }
 
-    fn history_capture_input(&self) -> CaptureInput {
-        let (cache_hits, cache_misses) = self.cache.stats();
-        let lags = self.cluster.shard_lags();
-        let shards = self
-            .cluster
-            .shard_map()
-            .all()
-            .map(|shard| {
-                let i = shard.raw() as usize;
-                ShardWindowStat {
-                    shard: shard.raw(),
-                    up: self.cluster.is_node_up(shard),
-                    epoch: self.cluster.epoch_of(shard),
-                    lag: lags.get(i).copied().unwrap_or(0),
-                }
-            })
-            .collect();
-        CaptureInput {
-            now_us: self.clock.now_us(),
-            metrics: self.tel.as_ref().map(|t| t.metrics.snapshot()),
-            shards,
-            cache_hits,
-            cache_misses,
-            cache_len: self.cache.len() as u64,
-            plan_store_len: self
-                .sys_plan_store
-                .as_ref()
-                .map(|d| d.dump_entries().len() as u64)
-                .unwrap_or(0),
+    /// Per-statement history hook; see [`Session::maybe_capture_history`].
+    fn after_statement(&mut self) {
+        let found = self
+            .session
+            .maybe_capture_history(|| engine_state(self.tel.as_ref(), &self.cluster));
+        // Skipping the call when nothing was found is measurable on point reads.
+        if !found.is_empty() {
+            self.journal(found);
         }
     }
 
-    fn capture_history(&mut self, h: &SharedHistory) {
-        let pending = std::mem::take(&mut self.history_pending);
-        let input = self.history_capture_input();
-        let regressions = h.with(|e| {
-            if pending > 0 {
-                e.note_statements(pending, input.now_us);
-            }
-            e.capture(input, self.recorder.as_ref())
-        });
+    /// Journal history regressions as `history.regression` events.
+    fn journal(&mut self, regressions: Vec<Regression>) {
         for r in regressions {
             self.cluster.journal_event(
                 "history.regression",
@@ -453,42 +364,15 @@ impl DistDb {
         }
     }
 
-    /// Per-statement history hook: count the statement and cut a window
-    /// when one is due. In stride mode the hot path is a single local
-    /// counter bump; clock-driven mode reads the clock and asks the engine.
-    /// Either way the capture itself runs once per window.
-    fn maybe_capture_history(&mut self) {
-        if self.history.is_none() {
-            return;
-        }
-        if self.history_stride > 0 {
-            self.history_pending += 1;
-            if self.history_pending < self.history_stride {
-                return;
-            }
-            let h = self.history.clone().expect("checked above");
-            self.capture_history(&h);
-        } else {
-            let now = self.clock.now_us();
-            let h = self.history.clone().expect("checked above");
-            if h.with(|e| e.note_statement(now)) {
-                self.capture_history(&h);
-            }
-        }
-    }
-
     /// Execute one SQL statement on the cluster. Cacheable SELECTs are
     /// canonicalized (literals lifted to parameters) and served through the
     /// plan cache, skipping the parser and planner on repeats.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let result = if let Some(c) = canonicalize(sql)? {
-            self.execute_canonical(&c.text, &c.slots, &[], sql)
-        } else {
-            let mut stmt = hdm_sql::parser::parse(sql)?;
-            hdm_sql::rewrite::rewrite_statement(&mut stmt);
-            self.execute_statement(&stmt, Some(sql))
+        let result = match canonicalize(sql)? {
+            Some(c) => self.execute_canonical(&c.text, &c.slots, &[], sql),
+            None => self.execute_statement(&session::parse_rewritten(sql)?, Some(sql)),
         }?;
-        self.maybe_capture_history();
+        self.after_statement();
         Ok(result)
     }
 
@@ -561,19 +445,45 @@ impl DistDb {
         Ok(())
     }
 
-    /// Idempotence check for a statement about to write `shards`: if any
-    /// routed shard remembers `stmt_id` as committed, the whole statement
-    /// already applied (every leg carries the statement-*total* rowcount).
-    fn stmt_dedup(
+    /// The write protocol every DML statement follows. A statement whose id
+    /// a routed shard already remembers as committed answers with that
+    /// shard's rowcount — every leg carries the statement-*total* — without
+    /// re-applying. Otherwise open the narrowest transaction, run `legs`
+    /// (aborting every leg on error), tag the rowcount for dedup, commit.
+    fn run_write(
         &mut self,
+        scope: Scope,
         shards: impl IntoIterator<Item = ShardId>,
-        stmt_id: u64,
-    ) -> Option<u64> {
-        let n = shards
-            .into_iter()
-            .find_map(|s| self.cluster.stmt_applied_on(s, stmt_id))?;
-        self.counters.dedup_hits += 1;
-        Some(n)
+        legs: impl FnOnce(&mut DistExec<'_>) -> Result<u64>,
+    ) -> Result<QueryResult> {
+        let applied = self.cur_stmt.and_then(|sid| {
+            shards
+                .into_iter()
+                .find_map(|s| self.cluster.stmt_applied_on(s, sid))
+        });
+        if let Some(affected) = applied {
+            self.counters.dedup_hits += 1;
+            return Ok(QueryResult {
+                affected,
+                ..Default::default()
+            });
+        }
+        let mut txn = self.begin_scoped(scope)?;
+        let affected = match legs(&mut self.dist_exec(&mut txn, false, None)) {
+            Ok(n) => n,
+            Err(e) => {
+                self.cluster.abort(txn)?;
+                return Err(e);
+            }
+        };
+        if let Some(sid) = self.cur_stmt {
+            self.cluster.tag_statement(&txn, sid, affected);
+        }
+        self.cluster.commit(txn)?;
+        Ok(QueryResult {
+            affected,
+            ..Default::default()
+        })
     }
 
     fn execute_statement(&mut self, stmt: &Statement, sql: Option<&str>) -> Result<QueryResult> {
@@ -595,45 +505,19 @@ impl DistDb {
                 where_clause,
             } => self.run_delete(table, where_clause.as_ref()),
             Statement::Analyze { table } => self.run_analyze(table.as_deref()),
-            Statement::Select(s) => self.run_select(s, sql, self.profiling_enabled()),
+            Statement::Select(s) => self.run_select(s, sql, self.session.profiling_enabled()),
             Statement::Explain { analyze, stmt } => {
-                let Statement::Select(s) = stmt.as_ref() else {
-                    return Err(HdmError::Unsupported("EXPLAIN supports SELECT only".into()));
-                };
+                let s = session::explained(stmt)?;
                 if *analyze {
                     // Execute for real (observing into the plan store as
                     // usual) and render the annotated tree: per-operator
                     // actuals, per-shard Exchange legs, GTM/2PC footer.
-                    let r = self.run_select(s, sql, true)?;
-                    let profile = r.profile.expect("profiled select carries a profile");
-                    let rows: Vec<Row> = render_analyze(&profile, self.misestimate_ratio)
-                        .into_iter()
-                        .map(|l| Row::new(vec![Datum::Text(l)]))
-                        .collect();
-                    return Ok(QueryResult {
-                        columns: vec!["plan".into()],
-                        rows,
-                        affected: 0,
-                        steps: r.steps,
-                        planning: r.planning,
-                        profile: Some(profile),
-                    });
+                    let run = self.run_select(s, sql, true)?;
+                    return Ok(self.session.explain_analyze(run));
                 }
                 let sys_snap = self.sys_snapshot_for(s);
                 let (plan, planning, _) = self.plan_distributed(s, sys_snap.as_ref())?;
-                let rows: Vec<Row> = plan
-                    .explain()
-                    .lines()
-                    .map(|l| Row::new(vec![Datum::Text(l.to_string())]))
-                    .collect();
-                Ok(QueryResult {
-                    columns: vec!["plan".into()],
-                    rows,
-                    affected: 0,
-                    steps: vec![],
-                    planning,
-                    profile: None,
-                })
+                Ok(session::explain_plan(&plan, planning))
             }
         }
     }
@@ -643,24 +527,7 @@ impl DistDb {
         name: &str,
         columns: &[hdm_sql::ast::ColumnDef],
     ) -> Result<QueryResult> {
-        if sys::is_sys_name(name) {
-            return Err(HdmError::Catalog(format!(
-                "the sys. namespace is reserved for system views (cannot create {name})"
-            )));
-        }
-        let schema = Schema::new(
-            columns
-                .iter()
-                .map(|c| {
-                    let col = hdm_common::Column::new(c.name.clone(), c.data_type);
-                    if c.not_null {
-                        col.not_null()
-                    } else {
-                        col
-                    }
-                })
-                .collect(),
-        );
+        let schema = session::table_schema(name, columns)?;
         // Distribution column: the first column, hash-distributed by value.
         match schema.columns().first().map(|c| c.data_type) {
             Some(hdm_common::DataType::Int) => {}
@@ -685,8 +552,8 @@ impl DistDb {
                 route: Route::HashValue,
             },
         );
-        self.cache.bump_epoch();
-        Ok(empty_result())
+        self.session.cache.bump_epoch();
+        Ok(QueryResult::default())
     }
 
     /// Distributed CREATE INDEX: register the index on the CN's shadow
@@ -695,30 +562,16 @@ impl DistDb {
     /// lands on each shard's replication log — a promoted replica replays
     /// it before any rows and keeps the probe path intact after failover.
     fn run_create_index(&mut self, table: &str, columns: &[String]) -> Result<QueryResult> {
-        sys::check_read_only(table)?;
-        let canon = table.to_ascii_lowercase();
-        let meta = self.dist_meta(&canon)?;
-        if meta.route == Route::PackedKey {
-            return Err(HdmError::Unsupported(
-                "the built-in kv table is read-only through SQL".into(),
-            ));
-        }
+        let (canon, _) = self.writable(table)?;
         let t = self.shadow.get_mut(&canon)?;
-        let idxs: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                t.schema()
-                    .index_of(c)
-                    .ok_or_else(|| HdmError::Catalog(format!("no column {c} in {table}")))
-            })
-            .collect::<Result<_>>()?;
+        let idxs = session::column_positions(table, t.schema(), columns)?;
         t.create_index(idxs.clone())?;
         for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
             self.cluster.create_sql_index_on(shard, &canon, idxs.clone())?;
         }
         // A new access path changes plan choices; cached plans are stale.
-        self.cache.bump_epoch();
-        Ok(empty_result())
+        self.session.cache.bump_epoch();
+        Ok(QueryResult::default())
     }
 
     /// The shard a distribution-column value routes to, with the sharding
@@ -736,10 +589,20 @@ impl DistDb {
         }
     }
 
-    fn dist_meta(&self, canon: &str) -> Result<DistMeta> {
-        self.meta.get(canon).copied().ok_or_else(|| {
+    /// The canonical name and distribution metadata of a table SQL may
+    /// write: `sys.` views and the built-in `kv` table are read-only.
+    fn writable(&self, table: &str) -> Result<(String, DistMeta)> {
+        sys::check_read_only(table)?;
+        let canon = table.to_ascii_lowercase();
+        let meta = self.meta.get(&canon).copied().ok_or_else(|| {
             HdmError::Catalog(format!("{canon} is not a distributed table"))
-        })
+        })?;
+        if meta.route == Route::PackedKey {
+            return Err(HdmError::Unsupported(
+                "the built-in kv table is read-only through SQL".into(),
+            ));
+        }
+        Ok((canon, meta))
     }
 
     fn run_insert(
@@ -748,86 +611,34 @@ impl DistDb {
         columns: Option<&[String]>,
         rows: &[Vec<Expr>],
     ) -> Result<QueryResult> {
-        sys::check_read_only(table)?;
-        let canon = table.to_ascii_lowercase();
-        let meta = self.dist_meta(&canon)?;
-        if meta.route == Route::PackedKey {
-            return Err(HdmError::Unsupported(
-                "the built-in kv table is read-only through SQL".into(),
-            ));
-        }
+        let (canon, meta) = self.writable(table)?;
         // Materialize every row CN-side before writing anything (same
-        // protocol as the embedded engine).
-        let t = self.shadow.get(table)?;
-        let width = t.schema().len();
-        let col_map: Vec<usize> = match columns {
-            None => (0..width).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| {
-                    t.schema()
-                        .index_of(c)
-                        .ok_or_else(|| HdmError::Catalog(format!("no column {c} in {table}")))
-                })
-                .collect::<Result<_>>()?,
-        };
-        let empty = BoundSchema::default();
-        let mut routed: Vec<(ShardId, u32, Row)> = Vec::with_capacity(rows.len());
-        for r in rows {
-            if r.len() != col_map.len() {
-                return Err(HdmError::Execution(format!(
-                    "INSERT row has {} values, expected {}",
-                    r.len(),
-                    col_map.len()
-                )));
-            }
-            let mut vals = vec![Datum::Null; width];
-            for (expr, &slot) in r.iter().zip(&col_map) {
-                vals[slot] = bind(expr, &empty)?.eval(&[])?;
-            }
-            let Some(dv) = vals[meta.shard_col].as_int() else {
-                return Err(HdmError::Execution(format!(
-                    "distribution column of {table} must be a non-null INT"
-                )));
-            };
-            let (shard, prefix) = self.route_value(meta, dv);
-            routed.push((shard, prefix, Row::new(vals)));
-        }
+        // protocol as the embedded engine), then route each one.
+        let rows = session::insert_rows(table, self.shadow.get(table)?.schema(), columns, rows)?;
+        let routed = rows
+            .into_iter()
+            .map(|row| {
+                let Some(dv) = row.values()[meta.shard_col].as_int() else {
+                    return Err(HdmError::Execution(format!(
+                        "distribution column of {table} must be a non-null INT"
+                    )));
+                };
+                let (shard, prefix) = self.route_value(meta, dv);
+                Ok((shard, prefix, row))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let shards: BTreeSet<u64> = routed.iter().map(|(s, _, _)| s.raw()).collect();
-        if let Some(sid) = self.cur_stmt {
-            if let Some(n) = self.stmt_dedup(shards.iter().map(|&s| ShardId::new(s)), sid) {
-                return Ok(QueryResult {
-                    affected: n,
-                    ..empty_result()
-                });
-            }
-        }
         let scope = match (shards.len(), routed.first()) {
             (1, Some((_, prefix, _))) => Scope::Single(*prefix),
             _ => Scope::Multi,
         };
-        let mut txn = self.begin_scoped(scope)?;
-        let mut n = 0u64;
-        let mut be = self.dist_exec(&mut txn, false, None);
-        for (shard, _, row) in routed {
-            let res = be
-                .open_leg(shard)
-                .and_then(|(xid, _)| be.cluster.node_mut(shard).sql_insert(&canon, xid, row));
-            match res {
-                Ok(_) => n += 1,
-                Err(e) => {
-                    self.cluster.abort(txn)?;
-                    return Err(e);
-                }
+        self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
+            let n = routed.len() as u64;
+            for (shard, _, row) in routed {
+                let (xid, _) = be.open_leg(shard)?;
+                be.cluster.node_mut(shard).sql_insert(&canon, xid, row)?;
             }
-        }
-        if let Some(sid) = self.cur_stmt {
-            self.cluster.tag_statement(&txn, sid, n);
-        }
-        self.cluster.commit(txn)?;
-        Ok(QueryResult {
-            affected: n,
-            ..empty_result()
+            Ok(n)
         })
     }
 
@@ -837,27 +648,9 @@ impl DistDb {
         sets: &[(String, Expr)],
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult> {
-        sys::check_read_only(table)?;
-        let canon = table.to_ascii_lowercase();
-        let meta = self.dist_meta(&canon)?;
-        if meta.route == Route::PackedKey {
-            return Err(HdmError::Unsupported(
-                "the built-in kv table is read-only through SQL".into(),
-            ));
-        }
-        let t = self.shadow.get(table)?;
-        let bschema = BoundSchema::from_table(&canon, &canon, t.schema());
-        let pred = where_clause.map(|w| bind(w, &bschema)).transpose()?;
-        let set_bound: Vec<(usize, SExpr)> = sets
-            .iter()
-            .map(|(c, e)| {
-                let idx = t
-                    .schema()
-                    .index_of(c)
-                    .ok_or_else(|| HdmError::Catalog(format!("no column {c} in {table}")))?;
-                Ok((idx, bind(e, &bschema)?))
-            })
-            .collect::<Result<_>>()?;
+        let (canon, meta) = self.writable(table)?;
+        let schema = self.shadow.get(table)?.schema();
+        let (set_bound, pred) = session::bind_dml(table, schema, sets, where_clause)?;
         if set_bound.iter().any(|(idx, _)| *idx == meta.shard_col) {
             return Err(HdmError::Unsupported(format!(
                 "updating the distribution column of {table} would move rows between shards"
@@ -874,17 +667,9 @@ impl DistDb {
     }
 
     fn run_delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<QueryResult> {
-        sys::check_read_only(table)?;
-        let canon = table.to_ascii_lowercase();
-        let meta = self.dist_meta(&canon)?;
-        if meta.route == Route::PackedKey {
-            return Err(HdmError::Unsupported(
-                "the built-in kv table is read-only through SQL".into(),
-            ));
-        }
-        let t = self.shadow.get(table)?;
-        let bschema = BoundSchema::from_table(&canon, &canon, t.schema());
-        let pred = where_clause.map(|w| bind(w, &bschema)).transpose()?;
+        let (canon, meta) = self.writable(table)?;
+        let schema = self.shadow.get(table)?.schema();
+        let (_, pred) = session::bind_dml(table, schema, &[], where_clause)?;
         let name = canon.clone();
         self.run_dml_scan(&canon, meta, pred, move |node, xid, tid, _old| {
             node.sql_delete(&name, xid, tid)
@@ -892,10 +677,10 @@ impl DistDb {
     }
 
     /// Shared UPDATE/DELETE driver: prune target shards from the predicate,
-    /// open the narrowest transaction, then per shard collect the matching
-    /// tuples through [`DistExec::run_leg`] (an index probe when the
-    /// predicate pins an indexed column by equality) and apply `write` to
-    /// each.
+    /// then per shard collect the matching tuples through
+    /// [`DistExec::run_leg`] (an index probe when the predicate pins an
+    /// indexed column by equality) and apply `write` to each, all under
+    /// [`Self::run_write`].
     fn run_dml_scan(
         &mut self,
         canon: &str,
@@ -903,25 +688,13 @@ impl DistDb {
         pred: Option<SExpr>,
         write: impl Fn(&mut crate::node::DataNode, hdm_common::Xid, TupleId, Row) -> Result<()>,
     ) -> Result<QueryResult> {
-        let pruned = self.prune_shards(meta, pred.as_ref());
-        let scope = match &pruned {
-            Pruned::Single(_, prefix) => Scope::Single(*prefix),
-            Pruned::All => Scope::Multi,
+        let (scope, shards) = match self.prune_shards(meta, pred.as_ref()) {
+            Pruned::Single(shard, prefix) => (Scope::Single(prefix), vec![shard]),
+            Pruned::All => (Scope::Multi, self.cluster.shard_map().all().collect()),
         };
-        let shards = self.pruned_list(&pruned);
-        if let Some(sid) = self.cur_stmt {
-            if let Some(n) = self.stmt_dedup(shards.iter().copied(), sid) {
-                return Ok(QueryResult {
-                    affected: n,
-                    ..empty_result()
-                });
-            }
-        }
-        let mut txn = self.begin_scoped(scope)?;
-        let mut n = 0u64;
-        let mut be = self.dist_exec(&mut txn, false, None);
-        for shard in shards {
-            let res = (|| {
+        self.run_write(scope, shards.iter().copied(), |be| {
+            let mut n = 0u64;
+            for &shard in &shards {
                 let mut targets: Vec<(TupleId, Row)> = Vec::new();
                 let xid = be.run_leg(canon, shard, None, None, pred.as_ref(), |tid, row| {
                     targets.push((tid, row.clone()))
@@ -931,20 +704,8 @@ impl DistDb {
                     write(node, xid, tid, old)?;
                     n += 1;
                 }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                self.cluster.abort(txn)?;
-                return Err(e);
             }
-        }
-        if let Some(sid) = self.cur_stmt {
-            self.cluster.tag_statement(&txn, sid, n);
-        }
-        self.cluster.commit(txn)?;
-        Ok(QueryResult {
-            affected: n,
-            ..empty_result()
+            Ok(n)
         })
     }
 
@@ -982,147 +743,58 @@ impl DistDb {
             self.shadow.get_mut(&name)?.set_stats(merged);
         }
         // Fresh merged statistics change plan choices; cached plans are stale.
-        self.cache.bump_epoch();
-        Ok(empty_result())
+        self.session.cache.bump_epoch();
+        Ok(QueryResult::default())
     }
 
     /// Materialize the `sys.*` views a SELECT references, frozen from live
-    /// cluster state at statement start. `None` when the statement touches
-    /// no system view — the common case, which pays nothing.
+    /// cluster state at statement start; see [`Session::sys_snapshot`].
     fn sys_snapshot_for(&self, s: &SelectStmt) -> Option<SysSnapshot> {
-        let wanted = sys::referenced_views_in_select(s);
-        if wanted.is_empty() {
-            return None;
-        }
-        let mut snap = SysSnapshot::new();
-        for view in wanted {
-            let rows = match view.as_str() {
-                "sys.metrics" => self.metric_rows(),
-                "sys.statements" => self
-                    .recorder
-                    .as_ref()
-                    .map(sys::statement_rows)
-                    .unwrap_or_default(),
-                "sys.shards" => self.shard_rows(),
-                "sys.txns" => self.txn_rows(),
-                "sys.events" => self.event_rows(),
-                "sys.plan_store" => self
-                    .sys_plan_store
-                    .as_ref()
-                    .map(|d| sys::plan_store_rows(d.as_ref()))
-                    .unwrap_or_default(),
-                "sys.prepared" => self.prepared_rows(),
-                "sys.indexes" => self.index_rows(),
-                "sys.config" => self.config_rows(),
-                "sys.history_windows" => self
-                    .history
-                    .as_ref()
-                    .map(sys::history_window_rows)
-                    .unwrap_or_default(),
-                "sys.history_metrics" => self
-                    .history
-                    .as_ref()
-                    .map(sys::history_metric_rows)
-                    .unwrap_or_default(),
-                "sys.history_statements" => self
-                    .history
-                    .as_ref()
-                    .map(sys::history_statement_rows)
-                    .unwrap_or_default(),
-                "sys.history_coaccess" => self
-                    .history
-                    .as_ref()
-                    .map(sys::history_coaccess_rows)
-                    .unwrap_or_default(),
-                _ => Vec::new(),
-            };
-            snap.insert(&view, rows);
-        }
-        Some(snap)
+        self.session.sys_snapshot(s, |view| match view {
+            "sys.metrics" => {
+                // The journal always exists here, so `events.dropped` always
+                // rides along.
+                let tel = self.tel.as_ref();
+                let mut snap = tel.map(|t| t.metrics.snapshot()).unwrap_or_default();
+                snap.counters
+                    .insert("events.dropped".into(), self.cluster.events_dropped());
+                self.session.metric_rows(snap)
+            }
+            "sys.shards" => self.shard_rows(),
+            "sys.txns" => self
+                .cluster
+                .shard_map()
+                .all()
+                .flat_map(|s| {
+                    session::txn_rows(Datum::Int(s.raw() as i64), self.cluster.node(s).mgr())
+                })
+                .collect(),
+            "sys.events" => self.event_rows(),
+            "sys.indexes" => self.index_rows(),
+            "sys.config" => self
+                .session
+                .config_rows(self.cluster_config_rows(), Some(self.retry.is_some())),
+            _ => Vec::new(),
+        })
     }
 
-    /// `sys.metrics` rows: the telemetry registry snapshot, plus the
-    /// synthetic bounded-ring eviction counters (`recorder.dropped` when a
-    /// recorder is attached, `events.dropped` always — the journal always
-    /// exists here). The registry itself is untouched, so telemetry exports
-    /// stay byte-identical.
-    fn metric_rows(&self) -> Vec<Row> {
-        let mut snap = self
-            .tel
-            .as_ref()
-            .map(|t| t.metrics.snapshot())
-            .unwrap_or_default();
-        snap.counters
-            .insert("events.dropped".into(), self.cluster.events_dropped());
-        if let Some(r) = &self.recorder {
-            snap.counters.insert("recorder.dropped".into(), r.dropped());
-        }
-        sys::metrics_rows(&snap)
-    }
-
-    /// `sys.config` rows: the effective cluster and engine knobs, one row
-    /// per knob in a fixed order (cluster, then engine, then telemetry,
-    /// then history) — experiments are self-describing from SQL.
-    fn config_rows(&self) -> Vec<Row> {
+    /// The cluster rows that lead `sys.config`: the effective cluster knobs
+    /// in a fixed order, so experiments are self-describing from SQL.
+    fn cluster_config_rows(&self) -> Vec<Row> {
         let cc = self.cluster.config();
-        let mut rows = vec![
-            sys::config_row("cluster.health_monitor", cc.health_monitor, "bool", "cluster"),
-            sys::config_row(
-                "cluster.lco_prune_horizon",
-                cc.lco_prune_horizon,
-                "int",
-                "cluster",
-            ),
-            sys::config_row(
-                "cluster.merge_policy",
-                format!("{:?}", cc.merge_policy).to_ascii_lowercase(),
-                "text",
-                "cluster",
-            ),
-            sys::config_row(
-                "cluster.protocol",
-                format!("{:?}", cc.protocol).to_ascii_lowercase(),
-                "text",
-                "cluster",
-            ),
-            sys::config_row("cluster.replicas", cc.replicas, "int", "cluster"),
-            sys::config_row("cluster.shards", cc.shards, "int", "cluster"),
-            sys::config_row("cluster.snapshot_cache", cc.snapshot_cache, "bool", "cluster"),
-            sys::config_row(
-                "events.capacity",
-                crate::health::EVENT_JOURNAL_CAP,
-                "int",
-                "cluster",
-            ),
-            sys::config_row("misestimate_ratio", self.misestimate_ratio, "float", "engine"),
-            sys::config_row("plan_cache.cap", PLAN_CACHE_CAP, "int", "engine"),
-            sys::config_row("profiling", self.profiling, "bool", "engine"),
-            sys::config_row("retry_policy", self.retry.is_some(), "bool", "engine"),
-        ];
-        if let Some(r) = &self.recorder {
-            let (cap, slow) = r.with(|r| (r.config().capacity, r.config().slow_threshold_us));
-            rows.push(sys::config_row("recorder.capacity", cap, "int", "telemetry"));
-            rows.push(sys::config_row(
-                "recorder.slow_threshold_us",
-                slow,
-                "int",
-                "telemetry",
-            ));
-        }
-        if let Some(h) = &self.history {
-            let cfg = h.with(|e| e.config());
-            rows.push(sys::config_row("history.baseline", cfg.baseline, "int", "history"));
-            rows.push(sys::config_row("history.capacity", cfg.capacity, "int", "history"));
-            rows.push(sys::config_row(
-                "history.every_stmts",
-                cfg.every_stmts,
-                "int",
-                "history",
-            ));
-            rows.push(sys::config_row("history.top_k", cfg.top_k, "int", "history"));
-            rows.push(sys::config_row("history.window_us", cfg.window_us, "int", "history"));
-        }
-        rows
+        let row =
+            |name: &str, value: String, kind: &str| sys::config_row(name, value, kind, "cluster");
+        let text = |v: &dyn std::fmt::Debug| format!("{v:?}").to_ascii_lowercase();
+        vec![
+            row("cluster.health_monitor", cc.health_monitor.to_string(), "bool"),
+            row("cluster.lco_prune_horizon", cc.lco_prune_horizon.to_string(), "int"),
+            row("cluster.merge_policy", text(&cc.merge_policy), "text"),
+            row("cluster.protocol", text(&cc.protocol), "text"),
+            row("cluster.replicas", cc.replicas.to_string(), "int"),
+            row("cluster.shards", cc.shards.to_string(), "int"),
+            row("cluster.snapshot_cache", cc.snapshot_cache.to_string(), "bool"),
+            row("events.capacity", crate::health::EVENT_JOURNAL_CAP.to_string(), "int"),
+        ]
     }
 
     /// `sys.shards` rows: per-shard liveness, primary epoch, replication log
@@ -1152,88 +824,36 @@ impl DistDb {
             .collect()
     }
 
-    /// `sys.txns` rows: every data node's in-flight local transactions with
-    /// their 2PC state and global transaction id (NULL for single-shard).
-    fn txn_rows(&self) -> Vec<Row> {
-        let mut out = Vec::new();
-        for shard in self.cluster.shard_map().all() {
-            let mgr = self.cluster.node(shard).mgr();
-            for xid in &mgr.local_snapshot().active {
-                let state = match mgr.status(*xid) {
-                    hdm_txn::TxnStatus::InProgress => "in_progress",
-                    hdm_txn::TxnStatus::Prepared => "prepared",
-                    hdm_txn::TxnStatus::Committed => "committed",
-                    hdm_txn::TxnStatus::Aborted => "aborted",
-                };
-                let gxid = mgr
-                    .gxid_of(*xid)
-                    .map(|g| Datum::Int(g.raw() as i64))
-                    .unwrap_or(Datum::Null);
-                out.push(Row::new(vec![
-                    Datum::Int(shard.raw() as i64),
-                    Datum::Int(xid.raw() as i64),
-                    gxid,
-                    Datum::Text(state.into()),
-                ]));
-            }
-        }
-        out
-    }
-
-    /// `sys.indexes` rows: one per planner-visible secondary index on the
-    /// shadow catalog, sorted by table name then index id. Entry counts sum
-    /// across the up data nodes, matched by key columns — DN-local index
-    /// ids differ from shadow ids because data nodes auto-index their shard
-    /// key. The backing shard set is every shard hosting the table.
+    /// `sys.indexes` rows for the planner-visible indexes on the shadow
+    /// catalog. Entry counts sum across the up data nodes, matched by key
+    /// columns — DN-local index ids differ from shadow ids because data
+    /// nodes auto-index their shard key. The backing shard set is every
+    /// shard hosting the table.
     fn index_rows(&self) -> Vec<Row> {
-        let mut names: Vec<&str> = self.shadow.names().collect();
-        names.sort_unstable();
         let shards: Vec<ShardId> = self.cluster.shard_map().all().collect();
-        let shard_list = shards
-            .iter()
-            .map(|s| s.raw().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut rows = Vec::new();
-        for name in names {
-            let Ok(t) = self.shadow.get(name) else {
-                continue;
-            };
-            for (ix_id, ix) in t.indexes().iter().enumerate() {
-                let mut entries = 0i64;
-                for &shard in &shards {
-                    if !self.cluster.is_node_up(shard) {
-                        continue;
-                    }
-                    let node = self.cluster.node(shard);
-                    let dn = if name == "kv" {
-                        Some(node.kv_table())
-                    } else {
-                        node.sql_table(name).ok()
-                    };
-                    if let Some(di) = dn.and_then(|dt| {
-                        dt.indexes()
-                            .iter()
-                            .find(|di| di.key_columns() == ix.key_columns())
-                    }) {
-                        entries += di.len() as i64;
-                    }
+        let shard_list: Vec<String> = shards.iter().map(|s| s.raw().to_string()).collect();
+        session::index_rows(&self.shadow, &shard_list.join(","), |name, ix| {
+            let mut entries = 0i64;
+            for &shard in &shards {
+                if !self.cluster.is_node_up(shard) {
+                    continue;
                 }
-                let cols: Vec<&str> = ix
-                    .key_columns()
-                    .iter()
-                    .map(|&c| t.schema().columns()[c].name.as_str())
-                    .collect();
-                rows.push(Row::new(vec![
-                    Datum::Text(format!("{name}_ix{ix_id}")),
-                    Datum::Text(name.to_string()),
-                    Datum::Text(cols.join(",")),
-                    Datum::Int(entries),
-                    Datum::Text(shard_list.clone()),
-                ]));
+                let node = self.cluster.node(shard);
+                let dn = if name == "kv" {
+                    Some(node.kv_table())
+                } else {
+                    node.sql_table(name).ok()
+                };
+                if let Some(di) = dn.and_then(|dt| {
+                    dt.indexes()
+                        .iter()
+                        .find(|di| di.key_columns() == ix.key_columns())
+                }) {
+                    entries += di.len() as i64;
+                }
             }
-        }
-        rows
+            entries
+        })
     }
 
     /// `sys.events` rows from the engine's crash/recovery journal.
@@ -1308,7 +928,7 @@ impl DistDb {
     /// planner's scan-level estimates (and thereby its access-path and
     /// join-order decisions). `None` with no plan store installed.
     fn dist_hints(&self) -> Option<DistHints<'_>> {
-        let inner = self.hints.as_deref()?;
+        let inner = self.session.hints.as_deref()?;
         Some(DistHints {
             inner,
             shard_sets: self.shard_set_strings(),
@@ -1384,7 +1004,7 @@ impl DistDb {
             &mut single,
             &mut scattered,
         );
-        if let Some(h) = &self.hints {
+        if let Some(h) = &self.session.hints {
             rehint_exchanges(plan, h.as_ref(), info);
         }
         match (&single[..], scattered) {
@@ -1405,28 +1025,16 @@ impl DistDb {
     /// cached plan is logical and **un-annotated**: canonicalizable
     /// statements reference no `sys.*` views and no CTEs, and pruning must
     /// wait for bound parameter values anyway.
-    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedDistStmt>> {
-        if let Some(e) = self.cache.get(canonical) {
+    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan<FastSelect>>> {
+        if let Some(e) = self.session.cache.get(canonical) {
             return Ok(e);
         }
-        let mut stmt = hdm_sql::parser::parse(canonical)?;
-        hdm_sql::rewrite::rewrite_statement(&mut stmt);
-        let n_params = count_params(&stmt);
-        let Statement::Select(s) = stmt else {
-            return Err(HdmError::Plan(
-                "plan cache holds SELECT statements only".into(),
-            ));
-        };
+        let (s, n_params) = session::parse_cacheable(canonical)?;
         let (plan, _) = self.plan_logical(&s, &TempRels::new(), None)?;
-        let entry = Rc::new(CachedDistStmt {
-            param_types: collect_param_types(&plan, n_params),
-            fast: self.compile_fast(&plan),
-            drift: self.drift_probes_for(&plan),
-            drift_state: Cell::new(None),
-            plan,
-        });
-        self.cache.insert(canonical.to_string(), Rc::clone(&entry));
-        Ok(entry)
+        let fast = self.compile_fast(&plan);
+        let drift = self.drift_probes_for(&plan);
+        let entry = CachedPlan::new(plan, n_params, fast, FastSelect::op_count, drift);
+        Ok(self.session.cache_insert(canonical, entry))
     }
 
     /// Lower a cached plan to a [`FastSelect`] when the shape is a linear
@@ -1488,32 +1096,24 @@ impl DistDb {
         sql: &str,
     ) -> Result<QueryResult> {
         let mut cached = self.ensure_cached(text)?;
-        // Re-plan on drift: when captured actuals (under the distributed
-        // EXCHANGE keys, bridged by [`DistHints`]) diverge from the cached
-        // plan's planning-time estimates past the misestimate ratio, the
-        // cached access-path and join-order choices are suspect — drop the
-        // entry and plan fresh, adopting the observed cardinalities.
-        let mut replans = 0u64;
-        let drifted = self.hints.as_deref().is_some_and(|h| {
-            drift_exceeds(&cached.drift, &cached.drift_state, h, self.misestimate_ratio)
-        });
-        if drifted {
-            self.cache.remove(text);
+        // Drift is judged under the distributed EXCHANGE keys the probes
+        // were expanded to, so a re-plan adopts the observed cardinalities.
+        let replans = self.session.evict_if_drifted(text, &cached);
+        if replans > 0 {
             cached = self.ensure_cached(text)?;
-            replans = 1;
         }
         let params = bind_slots(slots, &cached.param_types, user_params)?;
-        let profiled = self.profiling_enabled();
-        if let (false, Some(fast)) = (profiled, &cached.fast) {
+        let profiled = self.session.profiling_enabled();
+        if let (false, Some(fast)) = (profiled, &cached.program) {
             return self.run_fast(fast, &params, replans);
         }
-        let start = profiled.then(|| self.clock.now_us());
+        let start = profiled.then(|| self.session.clock.now_us());
         let mut plan = cached.plan.substitute_params(&params)?;
         let mut info = PlanningInfo {
             replans,
             ..Default::default()
         };
-        if let Some(h) = &self.hints {
+        if let Some(h) = &self.session.hints {
             rehint_plan(&mut plan, h.as_ref(), &mut info);
         }
         let scope = self.annotate_plan(&mut plan, &mut info);
@@ -1613,7 +1213,7 @@ impl DistDb {
             replans,
             ..Default::default()
         };
-        if let Some(h) = &self.hints {
+        if let Some(h) = &self.session.hints {
             // The per-node consult the planner would do (local SCAN key)...
             match h.lookup(&fast.scan_canon) {
                 Some(v) => {
@@ -1635,36 +1235,14 @@ impl DistDb {
             estimated: est,
             actual,
         }];
-        if let Some(o) = &self.observer {
-            o.observe(&steps);
-        }
+        self.session.observe(&steps);
         Ok(QueryResult {
             columns: fast.columns.clone(),
             rows,
-            affected: 0,
             steps,
             planning,
-            profile: None,
+            ..Default::default()
         })
-    }
-
-    /// `sys.prepared` rows: one per cached plan, sorted by canonical text.
-    /// `ops` is the fast program's op count, or 0 for plans that execute
-    /// through the tree.
-    fn prepared_rows(&self) -> Vec<Row> {
-        self.cache
-            .snapshot()
-            .into_iter()
-            .map(|(text, e)| {
-                let ops = e.payload.fast.as_ref().map_or(0, FastSelect::op_count);
-                Row::new(vec![
-                    Datum::Text(text.to_string()),
-                    Datum::Int(e.hits as i64),
-                    Datum::Int(ops as i64),
-                    Datum::Int(e.last_used as i64),
-                ])
-            })
-            .collect()
     }
 
     /// Plan a SELECT fresh and hand the annotated tree to
@@ -1676,7 +1254,7 @@ impl DistDb {
         sql: Option<&str>,
         profiled: bool,
     ) -> Result<QueryResult> {
-        let start = profiled.then(|| self.clock.now_us());
+        let start = profiled.then(|| self.session.clock.now_us());
         let sys_snap = self.sys_snapshot_for(s);
         let (plan, planning, scope) = self.plan_distributed(s, sys_snap.as_ref())?;
         let profiled = start.map(|t| (t, sql.unwrap_or("")));
@@ -1686,11 +1264,7 @@ impl DistDb {
     /// Plan (and annotate) a SELECT without executing — exposes the
     /// distributed shape to tests and the bench harness.
     pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
-        let mut stmt = hdm_sql::parser::parse(sql)?;
-        hdm_sql::rewrite::rewrite_statement(&mut stmt);
-        let Statement::Select(s) = stmt else {
-            return Err(HdmError::Plan("plan_only expects SELECT".into()));
-        };
+        let s = session::plan_only_select(sql)?;
         let sys_snap = self.sys_snapshot_for(&s);
         Ok(self.plan_distributed(&s, sys_snap.as_ref())?.0)
     }
@@ -1720,7 +1294,7 @@ impl DistDb {
             txn,
             tel: self.tel.as_ref(),
             counters: &mut self.counters,
-            clock: profiled.then_some(&*self.clock),
+            clock: profiled.then_some(&*self.session.clock),
             exchange_legs: Vec::new(),
             cur_stmt: self.cur_stmt,
             faults: self.faults.as_deref(),
@@ -1744,17 +1318,13 @@ impl DistDb {
         sys_snap: Option<&SysSnapshot>,
         profiled: Option<(u64, &str)>,
     ) -> Result<QueryResult> {
-        // (start, SQL text, planning-done time, GTM count before, profiler)
-        let mut prof = profiled.map(|(start, sql)| {
-            let gtm_before = self.cluster.counters().gtm_interactions;
-            let prof = Profiler::new(self.clock.clone());
-            (start, sql, self.clock.now_us(), gtm_before, prof)
-        });
+        let gtm_before = self.cluster.counters().gtm_interactions;
+        let mut prof = self.session.profiler(profiled);
         let mut txn = self.begin_scoped(scope)?;
         let mut steps = Vec::new();
         let res = {
             let mut be = self.dist_exec(&mut txn, prof.is_some(), sys_snap);
-            hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.4))
+            hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))
         };
         let rows = match res {
             Ok(rows) => rows,
@@ -1768,47 +1338,15 @@ impl DistDb {
             _ => 0,
         };
         self.cluster.commit(txn)?;
-        let profile = prof.map(|(start, sql, planned, gtm_before, prof)| {
-            let done = self.clock.now_us();
-            let gtm_now = self.cluster.counters().gtm_interactions;
-            StatementProfile {
-                sql: sql.to_string(),
-                scope: match scope {
-                    Scope::Single(_) => "single",
-                    Scope::Multi => "multi",
-                }
-                .to_string(),
-                start_us: start,
-                plan_us: planned.saturating_sub(start),
-                exec_us: done.saturating_sub(planned),
-                total_us: done.saturating_sub(start),
-                rows_out: rows.len() as u64,
-                gtm_interactions: gtm_now.saturating_sub(gtm_before),
-                twopc_legs,
-                root: prof.finish(),
-            }
+        let profile = prof.map(|p| {
+            let gtm = self.cluster.counters().gtm_interactions.saturating_sub(gtm_before);
+            let scope = match scope {
+                Scope::Single(_) => "single",
+                Scope::Multi => "multi",
+            };
+            self.session.finish_profile(p, scope, rows.len(), gtm, twopc_legs)
         });
-        if let Some(p) = &profile {
-            debug_assert_eq!(
-                observations(p.root.as_ref()),
-                steps,
-                "profile must derive the executor's own observations"
-            );
-        }
-        if let Some(o) = &self.observer {
-            o.observe(&steps);
-        }
-        if let (Some(r), Some(p)) = (&self.recorder, &profile) {
-            r.record(p.clone());
-        }
-        Ok(QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            affected: 0,
-            steps,
-            planning,
-            profile,
-        })
+        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
     }
 
     /// Shard pruning (the tentpole rule): walk the predicate's top-level AND
@@ -1839,33 +1377,11 @@ impl DistDb {
         Pruned::All
     }
 
-    fn pruned_list(&self, pruned: &Pruned) -> Vec<ShardId> {
-        match pruned {
-            Pruned::Single(s, _) => vec![*s],
-            Pruned::All => self.cluster.shard_map().all().collect(),
-        }
-    }
 }
 
 impl QueryApi for DistDb {
     fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle> {
-        if let Some(c) = canonicalize(sql)? {
-            self.ensure_cached(&c.text)?;
-            let n_open = c.open_params();
-            return Ok(StmtHandle::Cached {
-                canonical: c.text,
-                slots: c.slots,
-                n_open,
-            });
-        }
-        let mut stmt = hdm_sql::parser::parse(sql)?;
-        hdm_sql::rewrite::rewrite_statement(&mut stmt);
-        let n_params = count_params(&stmt);
-        Ok(StmtHandle::Ast {
-            stmt: Box::new(stmt),
-            n_params,
-            sql: sql.to_string(),
-        })
+        session::prepare(sql, |text| self.ensure_cached(text).map(drop))
     }
 
     fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult> {
@@ -1878,17 +1394,11 @@ impl QueryApi for DistDb {
                 n_params,
                 sql,
             } => {
-                if params.len() != *n_params {
-                    return Err(HdmError::Execution(format!(
-                        "statement has {n_params} parameters; got {}",
-                        params.len()
-                    )));
-                }
-                let bound = substitute_statement_params(stmt, params)?;
+                let bound = session::bind_ast(stmt, *n_params, params)?;
                 self.execute_statement(&bound, Some(sql))
             }
         }?;
-        self.maybe_capture_history();
+        self.after_statement();
         Ok(result)
     }
 
@@ -2018,6 +1528,23 @@ fn tick_faults(cluster: &mut Cluster, faults: Option<&RefCell<FaultScript>>) -> 
     }
     cluster.pump_replication(REPL_RECORDS_PER_TICK)?;
     Ok(())
+}
+
+/// The cluster's share of a history capture: the telemetry registry's
+/// snapshot and one health row per shard.
+fn engine_state(tel: Option<&Telemetry>, cluster: &Cluster) -> EngineState {
+    let lags = cluster.shard_lags();
+    let shards = cluster
+        .shard_map()
+        .all()
+        .map(|shard| ShardWindowStat {
+            shard: shard.raw(),
+            up: cluster.is_node_up(shard),
+            epoch: cluster.epoch_of(shard),
+            lag: lags.get(shard.raw() as usize).copied().unwrap_or(0),
+        })
+        .collect();
+    (tel.map(|t| t.metrics.snapshot()), shards)
 }
 
 /// Pruning oracle passed to [`annotate`]: shard list plus the single-shard
@@ -2207,17 +1734,6 @@ fn merge_stats(per_shard: &[&TableStats]) -> TableStats {
         m.distinct = m.distinct.min(merged.row_count);
     }
     merged
-}
-
-fn empty_result() -> QueryResult {
-    QueryResult {
-        columns: vec![],
-        rows: vec![],
-        affected: 0,
-        steps: vec![],
-        planning: PlanningInfo::default(),
-        profile: None,
-    }
 }
 
 /// The CN-side scatter-gather backend: `Exchange` leaves fan out to data

@@ -20,6 +20,13 @@
 //! "establishing a query rewrite engine" — which doubles as plan-store
 //! normalization: different spellings of one predicate share canonical text.
 //!
+//! [`session::Session`] is the SQL session both facades hold — the embedded
+//! [`Database`] here and the distributed `DistDb` in `hdm-cluster`: the
+//! plan cache and its drift check, the plan-store hooks, profiler and
+//! flight-recorder wiring, the workload-history hook, the `sys.*` views
+//! that do not depend on placement, and EXPLAIN rendering. Each facade adds
+//! only its backend.
+//!
 //! Extension hooks:
 //! * [`db::CardinalityHints`] — the optimizer consults it before using its
 //!   own estimate (the plan-store *consumer*).
@@ -41,6 +48,7 @@ pub mod planner;
 pub mod prepared;
 pub mod profile;
 pub mod rewrite;
+pub mod session;
 pub mod sys;
 
 pub use ast::Statement;

@@ -4,7 +4,7 @@
 //! ([`CostEstimate`]): predicate pushdown, cost-gated index access paths
 //! (equality probes and range walks, falling back to SeqScan when the
 //! weighted total says the probe is dearer), exhaustive bottom-up
-//! join-order search for ≤ [`EXHAUSTIVE_JOIN_LIMIT`] relations (greedy
+//! join-order search for ≤ `EXHAUSTIVE_JOIN_LIMIT` relations (greedy
 //! beyond), hash joins for equi-predicates, and hash aggregation. Before
 //! trusting its own estimate for a SCAN/JOIN/AGG step the planner consults
 //! the [`crate::db::CardinalityHints`] hook — the plan store's *consumer*

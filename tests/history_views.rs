@@ -9,6 +9,9 @@
 //! * a mid-failover window shows the 2PC-per-statement rate spiking against
 //!   its trailing baseline, and the capture journals a `history.regression`
 //!   event into `sys.events` — golden-pinned too;
+//! * the per-statement history hook both engines share counts every
+//!   statement into exactly one window and cuts windows after the same
+//!   statements on both engines, on both cadences;
 //! * `SharedHistory::to_jsonl` is byte-identical across same-seed runs;
 //! * history is observation-only: the telemetry JSONL export of a run with
 //!   history attached is byte-identical to the same run without it.
@@ -18,7 +21,7 @@
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::{Datum, ShardId};
-use huawei_dm::sql::{Database, QueryResult};
+use huawei_dm::sql::{Database, ExecOptions, QueryApi, QueryResult};
 use huawei_dm::telemetry::{
     HistoryConfig, MetricsRegistry, RecorderConfig, SharedHistory, SharedRecorder, Telemetry,
     VirtualClock,
@@ -287,3 +290,90 @@ fn telemetry_export_is_byte_identical_with_history_on_or_off() {
     assert_eq!(run(true), run(false), "history capture leaked into telemetry");
 }
 
+/// One mixed statement stream: DDL, a bulk load, point and scatter reads,
+/// and key DML.
+fn cadence_stream() -> Vec<String> {
+    let vals: Vec<String> = (0..16i64)
+        .map(|i| format!("({}, {})", i % 8, (i + 1) * 100))
+        .collect();
+    let mut stream = vec![
+        "create table orders (cust int, amount int)".to_string(),
+        format!("insert into orders values {}", vals.join(",")),
+    ];
+    stream.extend((0..8).map(|k| format!("select * from orders where cust = {k}")));
+    stream.extend([
+        "select count(*), sum(amount) from orders".to_string(),
+        "update orders set amount = 1 where cust = 2".to_string(),
+        "select cust, count(*) from orders group by cust".to_string(),
+        "delete from orders where cust = 3".to_string(),
+    ]);
+    stream
+}
+
+/// Run [`cadence_stream`] with statement `i` at virtual time 1 ms + 2.5 ms·i,
+/// then flush the open window. Returns the retained window count after each
+/// statement, and the sum of `sys.history_windows.stmts`.
+fn cadence_trace<E: QueryApi>(
+    db: &mut E,
+    clock: &VirtualClock,
+    history: &SharedHistory,
+    flush: fn(&mut E),
+) -> (Vec<usize>, i64) {
+    let mut cuts = Vec::new();
+    for (i, sql) in cadence_stream().iter().enumerate() {
+        clock.set(1_000 + 2_500 * i as u64);
+        db.execute_opts(sql, ExecOptions::default()).unwrap();
+        cuts.push(history.len());
+    }
+    flush(db);
+    let w = db
+        .execute_opts("select stmts from sys.history_windows", ExecOptions::default())
+        .unwrap();
+    let stmts = w.rows.iter().map(|r| r.values()[0].as_int().unwrap()).sum();
+    (cuts, stmts)
+}
+
+/// The history hook on all four engine × cadence pairs: clock-driven
+/// (`window_us`) and statement-stride (`every_stmts`) windows, each on the
+/// embedded and the distributed engine.
+#[test]
+fn history_hook_cuts_identically_on_both_engines_and_cadences() {
+    let n = cadence_stream().len() as i64;
+    for (cadence, window_us, every_stmts) in [("window_us", 10_000, 0), ("every_stmts", 0, 3)] {
+        let cfg = HistoryConfig {
+            window_us,
+            every_stmts,
+            capacity: 64,
+            ..HistoryConfig::default()
+        };
+
+        let clock = Arc::new(VirtualClock::new());
+        let history = SharedHistory::new(cfg);
+        let mut db = Database::new();
+        db.set_clock(clock.clone());
+        db.attach_history(history.clone());
+        let embedded = cadence_trace(&mut db, &clock, &history, Database::capture_history_now);
+
+        let clock = Arc::new(VirtualClock::new());
+        let history = SharedHistory::new(cfg);
+        let mut db = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(2))).unwrap();
+        db.set_clock(clock.clone());
+        db.attach_history(history.clone());
+        let dist = cadence_trace(&mut db, &clock, &history, DistDb::capture_history_now);
+
+        assert_eq!(embedded.1, n, "{cadence}: embedded windows must hold every statement");
+        assert_eq!(dist.1, n, "{cadence}: dist windows must hold every statement");
+        if every_stmts > 0 {
+            let want: Vec<usize> = (1..=n as usize).map(|i| i / every_stmts as usize).collect();
+            assert_eq!(embedded.0, want, "{cadence}: one window per {every_stmts} statements");
+        }
+        assert!(
+            embedded.0.last() > Some(&2),
+            "{cadence}: the stream must span several windows: {embedded:?}"
+        );
+        assert_eq!(
+            embedded.0, dist.0,
+            "{cadence}: both engines must cut windows after the same statements"
+        );
+    }
+}
