@@ -6,7 +6,7 @@
 //! | Binary | Reproduces |
 //! |---|---|
 //! | `fig3_gtm_lite_scalability` | Fig 3: GTM-lite vs baseline throughput over 1/2/4/8 nodes, SS and MS workloads (plus `--sweep-ms-fraction` ablation and `--demo-anomalies`) |
-//! | `table1_canonical_form` | Table I: captured step definitions with estimated vs actual cardinalities (plus Fig 6's plan and `--sweep-threshold` ablation) |
+//! | `table1_canonical_form` | Table I: captured step definitions with estimated vs actual cardinalities, Fig 6's plan, and the `--sweep-threshold` ablation (its only flag; engine performance numbers come from `perf/`) |
 //! | `fig8_mme_matrix` | Fig 8: the MME schema upgrade/downgrade support matrix |
 //! | `fig11_schema_evolution` | Fig 11: GMDB read/write throughput under schema conversion, and delta-vs-whole sync bandwidth |
 //!

@@ -56,10 +56,6 @@ pub struct ChaosDistConfig {
     /// Fraction of write statements submitted twice under one statement id.
     pub duplicate_fraction: f64,
     pub telemetry: Option<Telemetry>,
-    /// Enable the [`crate::health::HealthMonitor`] on both runs. The monitor
-    /// is observation-only, so the report must compare equal with it on or
-    /// off — pinned by the perturbation test.
-    pub health_monitor: bool,
     /// Capture AWR-style workload-history windows on both runs. The chaos
     /// shape uses the statement-count stride (clock-free cadence) and a
     /// top_k large enough to keep every statement, so the wall-time top-K
@@ -82,7 +78,6 @@ impl ChaosDistConfig {
             statements: 60,
             duplicate_fraction: 0.1,
             telemetry: None,
-            health_monitor: false,
             history: false,
         }
     }
@@ -267,7 +262,6 @@ fn build_script(cfg: &ChaosDistConfig) -> Vec<Stmt> {
 fn build_db(cfg: &ChaosDistConfig, script: Rc<RefCell<FaultScript>>) -> Result<DistDb> {
     let mut cc = ClusterConfig::gtm_lite(cfg.shards);
     cc.replicas = cfg.replicas;
-    cc.health_monitor = cfg.health_monitor;
     let mut db = DistDb::new(Cluster::new(cc))?;
     if let Some(tel) = &cfg.telemetry {
         db.attach_telemetry(tel);
@@ -489,21 +483,6 @@ mod tests {
         let r = run_chaos_dist(&cfg).unwrap();
         assert_eq!(r.statements, 12);
         assert!(r.crashes > 0, "dn-only plan must schedule crashes");
-    }
-
-    #[test]
-    fn health_monitor_is_a_pure_observer() {
-        // Perturbation test: the monitor derives gauges/events but touches
-        // no control flow, so a faulted sweep replays identically with it
-        // enabled — every deterministic report field must match.
-        let mut on = ChaosDistConfig::standard(0xBEEF);
-        on.statements = 24;
-        on.orders = 120;
-        let off = on.clone();
-        on.health_monitor = true;
-        let r_on = run_chaos_dist(&on).unwrap();
-        let r_off = run_chaos_dist(&off).unwrap();
-        assert_eq!(r_on, r_off, "health monitor perturbed the sweep");
     }
 
     #[test]

@@ -82,11 +82,6 @@ pub struct ClusterConfig {
     /// scheduled restart). With replicas, a crashed primary can be failed
     /// over via [`Cluster::try_failover`].
     pub replicas: usize,
-    /// Derive per-shard replication-lag and health gauges on every
-    /// [`Cluster::pump_replication`] tick, journaling health transitions
-    /// into `sys.events`. Strictly observation-only (no control-flow
-    /// impact); off by default so legacy telemetry stays byte-identical.
-    pub health_monitor: bool,
 }
 
 impl ClusterConfig {
@@ -98,7 +93,6 @@ impl ClusterConfig {
             lco_prune_horizon: 0,
             snapshot_cache: false,
             replicas: 0,
-            health_monitor: false,
         }
     }
 
@@ -110,7 +104,6 @@ impl ClusterConfig {
             lco_prune_horizon: 0,
             snapshot_cache: false,
             replicas: 0,
-            health_monitor: false,
         }
     }
 }
@@ -226,8 +219,8 @@ struct EngineTelemetry {
     /// refreshed on every `pump_replication` tick. Registered only when
     /// replication is on.
     replica_lag: Option<Gauge>,
-    /// Per-shard lag and health (1 = healthy) gauges — the
-    /// [`ClusterConfig::health_monitor`] plane; absent when it is off.
+    /// Per-shard lag and health (1 = healthy) gauges, refreshed by the
+    /// health monitor. Registered only when replication is on.
     shard_lag: Option<Vec<Gauge>>,
     shard_health: Option<Vec<Gauge>>,
 }
@@ -344,9 +337,9 @@ pub struct Cluster {
     rejoining: Vec<bool>,
     /// Bounded crash/recovery/promotion journal — the `sys.events` source.
     journal: EventJournal,
-    /// Per-shard health classifier, present when
-    /// [`ClusterConfig::health_monitor`] is on.
-    health: Option<HealthMonitor>,
+    /// Per-shard health classifier, driven from `pump_replication` while
+    /// replication is on.
+    health: HealthMonitor,
 }
 
 impl Cluster {
@@ -362,7 +355,7 @@ impl Cluster {
         let down = vec![false; nodes.len()];
         let epochs = vec![0; nodes.len()];
         let rejoining = vec![false; nodes.len()];
-        let health = cfg.health_monitor.then(|| HealthMonitor::new(nodes.len()));
+        let health = HealthMonitor::new(nodes.len());
         Self {
             cfg,
             map,
@@ -414,13 +407,13 @@ impl Cluster {
             replica_apply: (self.cfg.replicas > 0)
                 .then(|| m.counter("replica.apply", &[])),
             replica_lag: (self.cfg.replicas > 0).then(|| m.gauge("replica.lag", &[])),
-            shard_lag: self.cfg.health_monitor.then(|| {
+            shard_lag: (self.cfg.replicas > 0).then(|| {
                 self.map
                     .all()
                     .map(|s| m.gauge("replica.lag", &[("shard", &s.raw().to_string())]))
                     .collect()
             }),
-            shard_health: self.cfg.health_monitor.then(|| {
+            shard_health: (self.cfg.replicas > 0).then(|| {
                 self.map
                     .all()
                     .map(|s| m.gauge("shard.health", &[("shard", &s.raw().to_string())]))
@@ -748,10 +741,9 @@ impl Cluster {
     }
 
     /// The per-tick health plane: refresh the worst-shard `replica.lag`
-    /// gauge, and (with [`ClusterConfig::health_monitor`] on) the per-shard
-    /// lag/health gauges plus journal entries for health transitions.
-    /// Observation-only by construction — nothing here feeds back into
-    /// routing or recovery.
+    /// gauge and the per-shard lag/health gauges, and journal health
+    /// transitions. Observation-only by construction — nothing here feeds
+    /// back into routing or recovery.
     fn health_tick(&mut self) {
         let lags = self.shard_lags();
         if let Some(t) = &self.tel {
@@ -759,18 +751,15 @@ impl Cluster {
                 g.set(lags.iter().copied().max().unwrap_or(0) as i64);
             }
         }
-        let Some(mut health) = self.health.take() else {
-            return;
-        };
         for (i, &lag) in lags.iter().enumerate() {
             let up = !self.down[i];
-            let transition = health.observe(i, up, lag);
+            let transition = self.health.observe(i, up, lag);
             if let Some(t) = &self.tel {
                 if let Some(gs) = &t.shard_lag {
                     gs[i].set(lag as i64);
                 }
                 if let Some(gs) = &t.shard_health {
-                    gs[i].set(health.is_healthy(i) as i64);
+                    gs[i].set(self.health.is_healthy(i) as i64);
                 }
             }
             if let Some(now_ok) = transition {
@@ -787,7 +776,6 @@ impl Cluster {
                 );
             }
         }
-        self.health = Some(health);
     }
 
     /// Per-shard replication lag: log head minus the slowest follower's

@@ -6,9 +6,9 @@
 //! commit through 2PC.
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb, FaultScript};
-use huawei_dm::common::Row;
+use huawei_dm::common::{Datum, Row};
 use huawei_dm::sql::plan::{PlanNode, PlanOp};
-use huawei_dm::sql::Database;
+use huawei_dm::sql::{Database, QueryApi};
 use huawei_dm::telemetry::Telemetry;
 use huawei_dm::workloads::DistCorpus;
 use std::cell::RefCell;
@@ -155,7 +155,40 @@ fn pruned_point_query_skips_the_gtm() {
         before.single_shard_commits + 1,
         "pruned statement commits on the single-shard fast path"
     );
-    assert_eq!(sorted(local.query(q).unwrap()), sorted(res.rows));
+    let want = sorted(local.query(q).unwrap());
+    assert_eq!(sorted(res.rows), want);
+
+    // Profiling swaps in the tree walker. The production paths — raw text
+    // and prepared with profiling off — run `FastSelect`, and must stay off
+    // the GTM just the same.
+    dist.set_profiling(false);
+    let handle = dist
+        .prepare_handle("select * from orders where cust = ?")
+        .unwrap();
+    for path in ["raw", "prepared"] {
+        let before = (dist.cluster().counters(), dist.counters());
+        let res = match path {
+            "raw" => dist.execute(q),
+            _ => dist.execute_prepared(&handle, &[Datum::Int(7)]),
+        }
+        .unwrap();
+        let after = (dist.cluster().counters(), dist.counters());
+        assert_eq!(
+            after.0.gtm_interactions, before.0.gtm_interactions,
+            "{path}: shard-key-pruned statement must not interact with the GTM"
+        );
+        assert_eq!(
+            after.0.single_shard_commits,
+            before.0.single_shard_commits + 1,
+            "{path}: pruned statement commits on the single-shard fast path"
+        );
+        assert_eq!(
+            after.1.pruned_scans,
+            before.1.pruned_scans + 1,
+            "{path}: the scan is pruned to one shard"
+        );
+        assert_eq!(sorted(res.rows), want, "{path}: rows diverged");
+    }
 }
 
 #[test]

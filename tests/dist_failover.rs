@@ -134,15 +134,13 @@ fn retry_exhaustion_names_the_shard_and_attempt_count() {
 fn twenty_seed_chaos_dist_sweep_loses_nothing_and_replays_bit_identical() {
     for seed in 0..20u64 {
         let mut cfg = ChaosDistConfig::standard(0xBAD_5EED + seed);
-        // Trimmed sizes keep the 20×2 runs debug-friendly; the CI release
-        // sweep runs the full standard shape. The health monitor and the
-        // workload-history engine ride along on every seed: both must
-        // observe without perturbing the replay, and the captured windows
-        // themselves must replay bit-identically (they are part of the
-        // report's `PartialEq`).
+        // Trimmed sizes keep the 20×2 runs debug-friendly. The health
+        // monitor (always on with replicas) and the workload-history engine
+        // ride along on every seed: both must observe without perturbing the
+        // replay, and the captured windows themselves must replay
+        // bit-identically (they are part of the report's `PartialEq`).
         cfg.orders = 160;
         cfg.statements = 36;
-        cfg.health_monitor = true;
         cfg.history = true;
         let r1 = run_chaos_dist(&cfg).unwrap();
         assert_eq!(

@@ -115,7 +115,6 @@ fn dist_scenario() -> (DistDb, Arc<VirtualClock>) {
     let tel = Telemetry::with_clock(clock.clone());
     let mut cfg = ClusterConfig::gtm_lite(2);
     cfg.replicas = 1;
-    cfg.health_monitor = true;
     let mut db = DistDb::new(Cluster::new(cfg)).unwrap();
     db.set_clock(clock.clone());
     db.attach_telemetry(&tel);
