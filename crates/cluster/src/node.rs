@@ -201,18 +201,21 @@ impl DataNode {
             .sql
             .get_mut(name)
             .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))?;
-        let tid = t.insert(xid, row.clone())?;
+        let redo_row = self.record_redo.then(|| row.clone());
+        let tid = t.insert(xid, row)?;
         self.undo
             .entry(xid.raw())
             .or_default()
             .push(UndoOp::SqlInsert(name.to_string(), tid));
-        self.push_redo(
-            xid,
-            ReplOp::SqlInsert {
-                table: name.to_string(),
-                row,
-            },
-        );
+        if let Some(row) = redo_row {
+            self.push_redo(
+                xid,
+                ReplOp::SqlInsert {
+                    table: name.to_string(),
+                    row,
+                },
+            );
+        }
         Ok(tid)
     }
 
@@ -272,20 +275,33 @@ impl DataNode {
         Ok(())
     }
 
-    /// The visible tuple of `name` whose row equals `row`, judged by the
-    /// node's current snapshot (plus `own`-xid visibility) — the follower's
-    /// value-addressed lookup for replicated updates and deletes.
-    pub fn sql_find_by_row(
+    /// The lowest-tid tuple of `name` visible under `snap` (plus `own`-xid
+    /// visibility) whose row equals `row` — the follower's lookup for a
+    /// replicated UPDATE or DELETE. Every distributed table is hashed on
+    /// column 0 and indexed there by [`Self::create_sql_table`], so this is a
+    /// shard-key probe filtered by row equality; without that index it
+    /// scans. Posting lists are not kept in tid order, so the lowest tid is
+    /// taken explicitly: the tuple a heap-order scan would find first, which
+    /// keeps replay deterministic.
+    pub fn sql_find_row(
         &self,
         name: &str,
+        snap: &Snapshot,
         own: Option<Xid>,
         row: &Row,
     ) -> Result<Option<TupleId>> {
-        let snap = self.mgr.local_snapshot();
-        let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), own);
+        let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
         let t = self.sql_table(name)?;
-        let found = t.scan(&judge).find(|(_, r)| *r == row).map(|(tid, _)| tid);
-        Ok(found)
+        let key_ix = t.indexes().iter().position(|ix| ix.key_columns() == [0]);
+        Ok(match (key_ix, row.values().first()) {
+            (Some(ix), Some(key)) => t
+                .probe(ix, &vec![key.clone()], &judge)?
+                .into_iter()
+                .filter(|(_, r)| *r == row)
+                .map(|(tid, _)| tid)
+                .min(),
+            _ => t.scan(&judge).find(|(_, r)| *r == row).map(|(tid, _)| tid),
+        })
     }
 
     /// ANALYZE every table on this node (kv + SQL slices) under the node's

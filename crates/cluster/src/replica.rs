@@ -15,13 +15,20 @@
 //!
 //! A follower's **replica CSN** is the length of the log prefix it has
 //! applied; applying the whole log reproduces the primary's committed state
-//! exactly (value-addressed: updates and deletes locate their target tuple by
-//! row equality, which is unambiguous because followers apply serially and
-//! see only the committed prefix). Promotion = replay-to-head + in-doubt
-//! reconstruction; see `Cluster::try_failover`.
+//! exactly. Updates and deletes carry the old row, and the follower locates
+//! its target by a shard-key probe (column 0, which every distributed table
+//! is hashed on and indexed by) filtered by row equality, taking the
+//! **lowest** matching tuple id among the visible hits — the tuple a
+//! heap-order scan would find first, so replay is deterministic. Identical
+//! rows are interchangeable, and followers apply serially and see only the
+//! committed prefix, so follower tuple ids never need to match the
+//! primary's. Promotion = replay-to-head + in-doubt reconstruction; see
+//! `Cluster::try_failover`.
 
 use crate::node::DataNode;
 use hdm_common::{HdmError, Result, Row, Schema, ShardId, Xid};
+use hdm_storage::heap::TupleId;
+use hdm_txn::Snapshot;
 use std::collections::BTreeSet;
 
 /// One logical operation of a replicated transaction.
@@ -33,10 +40,10 @@ pub enum ReplOp {
     Del { key: i64 },
     /// Insert into this shard's slice of a distributed SQL table.
     SqlInsert { table: String, row: Row },
-    /// Value-addressed update: the follower rewrites its visible tuple equal
-    /// to `old` into `new`.
+    /// Update by old row: the follower rewrites its lowest-tid visible tuple
+    /// equal to `old` (found by probing the shard key `old[0]`) into `new`.
     SqlUpdate { table: String, old: Row, new: Row },
-    /// Value-addressed delete.
+    /// Delete by row, located the same way as [`Self::SqlUpdate`].
     SqlDelete { table: String, row: Row },
     /// Create this shard's slice of a SQL table (CN DDL fan-out).
     CreateSqlTable { table: String, schema: Schema },
@@ -126,8 +133,8 @@ impl Follower {
     }
 
     /// Apply the next unapplied log record, if any. Returns whether a record
-    /// was applied. Divergence (a value-addressed op not finding its target)
-    /// is a replication bug and surfaces as an error.
+    /// was applied. Divergence (an update or delete not finding its target
+    /// row) is a replication bug and surfaces as an error.
     pub fn apply_next(&mut self, log: &ShardLog) -> Result<bool> {
         let Some(rec) = log.get(self.applied) else {
             return Ok(false);
@@ -175,12 +182,13 @@ impl Follower {
     }
 }
 
-/// Apply a record's logical ops under one replica-local transaction. The
-/// snapshot is re-taken per op so value-addressed lookups see the ops already
-/// applied by this very transaction (own-xid visibility).
+/// Apply a record's logical ops under one replica-local transaction, judged
+/// by one snapshot taken up front. No transaction begins or commits between
+/// the ops of a record, and own-xid visibility exposes the ops this very
+/// transaction already applied, so a per-op snapshot would see the same.
 fn apply_ops(node: &mut DataNode, xid: Xid, ops: &[ReplOp]) -> Result<()> {
+    let snap = node.local_snapshot();
     for op in ops {
-        let snap = node.local_snapshot();
         match op {
             ReplOp::Put { key, val } => node.put_local(&snap, Some(xid), xid, *key, *val)?,
             ReplOp::Del { key } => {
@@ -190,15 +198,11 @@ fn apply_ops(node: &mut DataNode, xid: Xid, ops: &[ReplOp]) -> Result<()> {
                 node.sql_insert(table, xid, row.clone())?;
             }
             ReplOp::SqlUpdate { table, old, new } => {
-                let tid = node.sql_find_by_row(table, Some(xid), old)?.ok_or_else(|| {
-                    HdmError::TxnState(format!("replica divergence: no row {old:?} in {table}"))
-                })?;
+                let tid = find_target(node, &snap, xid, table, old)?;
                 node.sql_update(table, xid, tid, new.clone())?;
             }
             ReplOp::SqlDelete { table, row } => {
-                let tid = node.sql_find_by_row(table, Some(xid), row)?.ok_or_else(|| {
-                    HdmError::TxnState(format!("replica divergence: no row {row:?} in {table}"))
-                })?;
+                let tid = find_target(node, &snap, xid, table, row)?;
                 node.sql_delete(table, xid, tid)?;
             }
             ReplOp::CreateSqlTable { .. } | ReplOp::CreateSqlIndex { .. } => {
@@ -209,6 +213,20 @@ fn apply_ops(node: &mut DataNode, xid: Xid, ops: &[ReplOp]) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// The tuple a replicated update or delete of `row` targets; missing means
+/// the replica diverged from its primary.
+fn find_target(
+    node: &DataNode,
+    snap: &Snapshot,
+    xid: Xid,
+    table: &str,
+    row: &Row,
+) -> Result<TupleId> {
+    node.sql_find_row(table, snap, Some(xid), row)?.ok_or_else(|| {
+        HdmError::TxnState(format!("replica divergence: no row {row:?} in {table}"))
+    })
 }
 
 /// One shard's replication group: the shared log plus its followers.
@@ -304,6 +322,145 @@ mod tests {
             .collect();
         out.sort_by_key(|r| format!("{r:?}"));
         out
+    }
+
+    /// Visible `(tid, row)` pairs of `table` in heap order.
+    fn visible_tuples(node: &DataNode, table: &str) -> Vec<(TupleId, Row)> {
+        let snap = node.local_snapshot();
+        let judge = hdm_txn::SnapshotVisibility::new(&snap, node.mgr().clog(), None);
+        node.sql_table(table)
+            .unwrap()
+            .scan(&judge)
+            .map(|(tid, r)| (tid, r.clone()))
+            .collect()
+    }
+
+    fn with_table() -> ReplicaSet {
+        let mut rs = ReplicaSet::new(shard(), 1);
+        rs.append(LogRecord::Ddl {
+            op: ReplOp::CreateSqlTable {
+                table: "t".into(),
+                schema: sql_schema(),
+            },
+        });
+        rs
+    }
+
+    fn ins(row: Row) -> ReplOp {
+        ReplOp::SqlInsert {
+            table: "t".into(),
+            row,
+        }
+    }
+
+    fn upd(old: Row, new: Row) -> ReplOp {
+        ReplOp::SqlUpdate {
+            table: "t".into(),
+            old,
+            new,
+        }
+    }
+
+    fn del(row: Row) -> ReplOp {
+        ReplOp::SqlDelete {
+            table: "t".into(),
+            row,
+        }
+    }
+
+    fn commit(ops: Vec<ReplOp>) -> LogRecord {
+        LogRecord::Commit { ops, stmt: None }
+    }
+
+    #[test]
+    fn delete_of_identical_rows_takes_the_lowest_tid() {
+        let mut rs = with_table();
+        // An aborted leg's undo swap-removes tid 0 from the key-1 posting
+        // list, leaving it [2, 1]: the probe's first hit is not the lowest.
+        rs.append(LogRecord::Prepare {
+            gxid: Xid(9100),
+            ops: vec![ins(row![1, 5])],
+            stmt: None,
+        });
+        rs.append(commit(vec![ins(row![1, 10]), ins(row![1, 10])]));
+        rs.append(LogRecord::Resolve {
+            gxid: Xid(9100),
+            commit: false,
+        });
+        rs.append(commit(vec![del(row![1, 10])]));
+        rs.pump(0).unwrap();
+        assert_eq!(
+            visible_tuples(&rs.followers[0].node, "t"),
+            vec![(TupleId(2), row![1, 10])],
+            "the heap-order scan's pick: tid 1 goes, tid 2 stays"
+        );
+    }
+
+    #[test]
+    fn update_of_the_shard_key_is_found_by_its_new_key() {
+        let mut rs = with_table();
+        rs.append(commit(vec![ins(row![1, 10]), ins(row![2, 20])]));
+        rs.append(commit(vec![upd(row![1, 10], row![7, 10])]));
+        assert_eq!(rs.pump(0).unwrap(), 3);
+        assert_eq!(
+            visible_rows(&rs.followers[0].node, "t"),
+            vec![row![2, 20], row![7, 10]]
+        );
+        rs.append(commit(vec![upd(row![7, 10], row![7, 11])]));
+        rs.append(commit(vec![del(row![7, 11])]));
+        assert_eq!(rs.pump(0).unwrap(), 2);
+        assert_eq!(visible_rows(&rs.followers[0].node, "t"), vec![row![2, 20]]);
+    }
+
+    #[test]
+    fn one_record_sees_its_own_earlier_ops_under_one_snapshot() {
+        let mut rs = with_table();
+        rs.append(commit(vec![
+            ins(row![3, 30]),
+            upd(row![3, 30], row![3, 31]),
+            ins(row![4, 40]),
+            del(row![4, 40]),
+            ReplOp::Put { key: 1, val: 10 },
+            ReplOp::Put { key: 1, val: 11 },
+        ]));
+        rs.pump(0).unwrap();
+        let node = &rs.followers[0].node;
+        assert_eq!(visible_rows(node, "t"), vec![row![3, 31]]);
+        let snap = node.local_snapshot();
+        assert_eq!(node.get_local(&snap, None, 1).unwrap(), Some(11));
+    }
+
+    #[test]
+    fn an_unresolved_prepare_is_no_match_for_a_later_record() {
+        let mut rs = with_table();
+        rs.append(LogRecord::Prepare {
+            gxid: Xid(9200),
+            ops: vec![ins(row![4, 40])],
+            stmt: None,
+        });
+        rs.append(commit(vec![ins(row![4, 40])]));
+        rs.append(commit(vec![del(row![4, 40])]));
+        rs.pump(0).unwrap();
+        // The prepared tid 0 is lower, but invisible: the delete took tid 1.
+        rs.append(LogRecord::Resolve {
+            gxid: Xid(9200),
+            commit: true,
+        });
+        rs.pump(0).unwrap();
+        assert_eq!(
+            visible_tuples(&rs.followers[0].node, "t"),
+            vec![(TupleId(0), row![4, 40])]
+        );
+
+        let mut rs = with_table();
+        rs.append(LogRecord::Prepare {
+            gxid: Xid(9201),
+            ops: vec![ins(row![5, 50])],
+            stmt: None,
+        });
+        rs.append(commit(vec![del(row![5, 50])]));
+        let err = rs.pump(0).unwrap_err().to_string();
+        assert!(err.contains("replica divergence"), "{err}");
     }
 
     #[test]

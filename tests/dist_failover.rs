@@ -15,7 +15,7 @@ use huawei_dm::cluster::{
     run_chaos_dist, ChaosDistConfig, Cluster, ClusterConfig, DistDb, FaultOp, FaultScript,
     RetryPolicy,
 };
-use huawei_dm::common::{Row, ShardId, SimDuration};
+use huawei_dm::common::{Row, ShardId, SimDuration, SplitMix64};
 use huawei_dm::sql::{ExecOptions, QueryApi};
 use huawei_dm::workloads::DistCorpus;
 use std::cell::RefCell;
@@ -218,4 +218,47 @@ fn secondary_index_probe_path_survives_failover() {
         text.iter().any(|l| l.contains("Exchange Index Scan")),
         "explain must keep the probed Exchange: {text:?}"
     );
+}
+
+/// Followers locate each replicated UPDATE and DELETE by its old row. With
+/// duplicate rows in the table, a seeded stream of keyed DML must still
+/// leave every promoted replica holding exactly the primary's multiset.
+#[test]
+fn keyed_dml_over_duplicate_rows_survives_promoting_every_shard() {
+    let mut db = replicated_db(1);
+    db.execute("create table dup (k int, v int)").unwrap();
+    let load: Vec<String> = (0..64)
+        .flat_map(|k| std::iter::repeat_n(format!("({k},{})", k % 5), 3))
+        .collect();
+    db.execute(&format!("insert into dup values {}", load.join(",")))
+        .unwrap();
+    db.cluster_mut().pump_replication(0).unwrap();
+
+    let mut rng = SplitMix64::new(31);
+    for i in 0..240 {
+        let k = rng.next_below(72);
+        let v = rng.next_below(5);
+        let stmt = match rng.next_below(5) {
+            0 => format!("delete from dup where k = {k}"),
+            1 => format!("delete from dup where k = {k} and v = {v}"),
+            2 => format!("update dup set v = v + 1 where k = {k}"),
+            3 => format!("update dup set v = {v} where k = {k} and v > {v}"),
+            _ => format!("insert into dup values ({k},{v}),({k},{v})"),
+        };
+        db.execute(&stmt).unwrap();
+        if i % 16 == 15 {
+            // Partial shipping: followers trail the primary mid-stream.
+            db.cluster_mut().pump_replication(4).unwrap();
+        }
+    }
+    db.cluster_mut().pump_replication(0).unwrap();
+    let want = sorted(db.execute("select * from dup").unwrap().rows);
+    assert!(want.len() > 64, "the stream keeps plenty of duplicates");
+
+    for s in 0..SHARDS {
+        db.cluster_mut().crash_node(ShardId::new(s as u64));
+        assert!(db.cluster_mut().try_failover(ShardId::new(s as u64)).unwrap());
+    }
+    let got = sorted(db.execute("select * from dup").unwrap().rows);
+    assert_eq!(got, want, "promoted replicas hold the primary's multiset");
 }
