@@ -1439,6 +1439,35 @@ fn leg_failover(cluster: &mut Cluster, txn: &Txn, shard: ShardId) -> Result<bool
     cluster.try_failover(shard)
 }
 
+/// Match an expression of shape `col = literal` (either operand order).
+fn col_eq_value(e: &SExpr) -> Option<(usize, &Datum)> {
+    let SExpr::Binary(BinOp::Eq, l, r) = e else {
+        return None;
+    };
+    match (l.as_ref(), r.as_ref()) {
+        (SExpr::Col(c), SExpr::Lit(v)) | (SExpr::Lit(v), SExpr::Col(c)) => Some((*c, v)),
+        _ => None,
+    }
+}
+
+/// The first top-level AND conjunct of shape `col = non-NULL literal` whose
+/// column has a single-column index (`ix_on` resolves key columns to a
+/// DN-local index id): that index answers the fragment with a probe, and the
+/// whole predicate is still applied to the hits.
+fn indexed_eq<'a>(
+    e: &'a SExpr,
+    ix_on: &dyn Fn(&[usize]) -> Option<usize>,
+) -> Option<(usize, &'a Datum)> {
+    if let SExpr::Binary(BinOp::And, l, r) = e {
+        return indexed_eq(l, ix_on).or_else(|| indexed_eq(r, ix_on));
+    }
+    let (col, v) = col_eq_value(e)?;
+    if v.is_null() {
+        return None; // NULL never satisfies `=`; leave it to the evaluator.
+    }
+    Some((ix_on(&[col])?, v))
+}
+
 /// [`SnapshotVisibility`] with a one-entry memo on `sees_committed`: a
 /// point-query fragment judges a run of tuples that overwhelmingly share
 /// one creating transaction, so the commit-log probe hits the memo on
@@ -1808,7 +1837,7 @@ impl DistExec<'_> {
             }),
             None => match eq {
                 Some((col, v)) => ix_on(&[col]).map(|ix| (ix, v)),
-                None => predicate.and_then(|p| hdm_sql::backend::indexed_eq(p, &ix_on)),
+                None => predicate.and_then(|p| indexed_eq(p, &ix_on)),
             }
             .map(|(ix, v)| t.probe(ix, &vec![v.clone()], &judge)),
         }

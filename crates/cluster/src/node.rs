@@ -279,10 +279,9 @@ impl DataNode {
     /// visibility) whose row equals `row` — the follower's lookup for a
     /// replicated UPDATE or DELETE. Every distributed table is hashed on
     /// column 0 and indexed there by [`Self::create_sql_table`], so this is a
-    /// shard-key probe filtered by row equality; without that index it
-    /// scans. Posting lists are not kept in tid order, so the lowest tid is
-    /// taken explicitly: the tuple a heap-order scan would find first, which
-    /// keeps replay deterministic.
+    /// shard-key probe filtered by row equality. Posting lists are not kept
+    /// in tid order, so the lowest tid is taken explicitly: the tuple a
+    /// heap-order scan would find first, which keeps replay deterministic.
     pub fn sql_find_row(
         &self,
         name: &str,
@@ -292,16 +291,18 @@ impl DataNode {
     ) -> Result<Option<TupleId>> {
         let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
         let t = self.sql_table(name)?;
-        let key_ix = t.indexes().iter().position(|ix| ix.key_columns() == [0]);
-        Ok(match (key_ix, row.values().first()) {
-            (Some(ix), Some(key)) => t
-                .probe(ix, &vec![key.clone()], &judge)?
-                .into_iter()
-                .filter(|(_, r)| *r == row)
-                .map(|(tid, _)| tid)
-                .min(),
-            _ => t.scan(&judge).find(|(_, r)| *r == row).map(|(tid, _)| tid),
-        })
+        let no_key = || HdmError::Catalog(format!("no shard-key index on {name} at {}", self.id));
+        let ix = t
+            .indexes()
+            .iter()
+            .position(|ix| ix.key_columns() == [0])
+            .ok_or_else(no_key)?;
+        let key = row.values().get(..1).ok_or_else(no_key)?.to_vec();
+        Ok(t.probe(ix, &key, &judge)?
+            .into_iter()
+            .filter(|(_, r)| *r == row)
+            .map(|(tid, _)| tid)
+            .min())
     }
 
     /// ANALYZE every table on this node (kv + SQL slices) under the node's

@@ -16,13 +16,11 @@
 //! learning optimizer feeds on — is backend-agnostic coordinator work;
 //! everything below it is shard-local storage access under some snapshot.
 
-use crate::ast::BinOp;
 use crate::catalog::Catalog;
 use crate::expr::SExpr;
 use crate::sys::{self, SysSnapshot};
 use hdm_common::{Datum, Result, Row};
-use hdm_storage::heap::TupleId;
-use hdm_storage::{Table, TableStats};
+use hdm_storage::TableStats;
 use hdm_telemetry::ShardLeg;
 use hdm_txn::{LocalTxnManager, Snapshot, SnapshotVisibility};
 
@@ -168,62 +166,6 @@ pub fn bound_ref(b: &std::ops::Bound<Vec<Datum>>) -> std::ops::Bound<&Vec<Datum>
     }
 }
 
-/// Match an expression of shape `col = literal` (either operand order).
-fn col_eq_value(e: &SExpr) -> Option<(usize, &Datum)> {
-    let SExpr::Binary(BinOp::Eq, l, r) = e else {
-        return None;
-    };
-    match (l.as_ref(), r.as_ref()) {
-        (SExpr::Col(c), SExpr::Lit(v)) | (SExpr::Lit(v), SExpr::Col(c)) => Some((*c, v)),
-        _ => None,
-    }
-}
-
-/// The first top-level AND conjunct of shape `col = non-NULL literal` whose
-/// column has a single-column index (`ix_on` resolves key columns to an index
-/// id of the table at hand): that index answers the access with a probe, and
-/// the whole predicate is still applied to the hits.
-pub fn indexed_eq<'a>(
-    e: &'a SExpr,
-    ix_on: &dyn Fn(&[usize]) -> Option<usize>,
-) -> Option<(usize, &'a Datum)> {
-    if let SExpr::Binary(BinOp::And, l, r) = e {
-        return indexed_eq(l, ix_on).or_else(|| indexed_eq(r, ix_on));
-    }
-    let (col, v) = col_eq_value(e)?;
-    if v.is_null() {
-        return None; // NULL never satisfies `=`; leave it to the evaluator.
-    }
-    Some((ix_on(&[col])?, v))
-}
-
-/// The visible tuples of `t` that pass `predicate`, in heap (tuple id)
-/// order — the write targets of an UPDATE or DELETE. A top-level indexed
-/// `col = literal` conjunct probes its index; anything else scans.
-fn dml_targets<'a>(
-    t: &'a Table,
-    judge: &'a SnapshotVisibility<'a>,
-    predicate: Option<&SExpr>,
-) -> Result<Vec<(TupleId, &'a Row)>> {
-    let ix_on = |cols: &[usize]| t.indexes().iter().position(|ix| ix.key_columns() == cols);
-    let candidates: Box<dyn Iterator<Item = (TupleId, &Row)>> =
-        match predicate.and_then(|p| indexed_eq(p, &ix_on)) {
-            Some((ix, v)) => {
-                let mut hits = t.probe(ix, &vec![v.clone()], judge)?;
-                hits.sort_unstable_by_key(|&(tid, _)| tid);
-                Box::new(hits.into_iter())
-            }
-            None => Box::new(t.scan(judge)),
-        };
-    let mut out = Vec::new();
-    for (tid, row) in candidates {
-        if predicate.map_or(Ok(true), |p| p.eval_filter(row.values()))? {
-            out.push((tid, row));
-        }
-    }
-    Ok(out)
-}
-
 /// Filter a sys view's frozen rows through the scan predicate — shared by
 /// both backends so the two engines agree on sys-view semantics.
 pub fn scan_sys_rows(
@@ -351,13 +293,20 @@ impl ExecBackend for LocalBackend<'_> {
         let xid = self.mgr.begin_local();
         let snap = self.mgr.local_snapshot();
         // Collect targets first (snapshot view), then write.
-        let targets: Vec<(TupleId, Row)> = {
+        let targets: Vec<(hdm_storage::heap::TupleId, Row)> = {
             let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
             let t = self.catalog.get(table)?;
-            dml_targets(t, &judge, predicate)?
-                .into_iter()
-                .map(|(tid, row)| (tid, row.clone()))
-                .collect()
+            let mut v = Vec::new();
+            for (tid, row) in t.scan(&judge) {
+                let hit = match predicate {
+                    None => true,
+                    Some(p) => p.eval_filter(row.values())?,
+                };
+                if hit {
+                    v.push((tid, row.clone()));
+                }
+            }
+            v
         };
         let t = self.catalog.get_mut(table)?;
         let mut n = 0;
@@ -382,13 +331,20 @@ impl ExecBackend for LocalBackend<'_> {
     fn delete(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<u64> {
         let xid = self.mgr.begin_local();
         let snap = self.mgr.local_snapshot();
-        let targets: Vec<TupleId> = {
+        let targets: Vec<hdm_storage::heap::TupleId> = {
             let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
             let t = self.catalog.get(table)?;
-            dml_targets(t, &judge, predicate)?
-                .into_iter()
-                .map(|(tid, _)| tid)
-                .collect()
+            let mut v = Vec::new();
+            for (tid, row) in t.scan(&judge) {
+                let hit = match predicate {
+                    None => true,
+                    Some(p) => p.eval_filter(row.values())?,
+                };
+                if hit {
+                    v.push(tid);
+                }
+            }
+            v
         };
         let t = self.catalog.get_mut(table)?;
         let mut n = 0;
@@ -457,62 +413,6 @@ mod tests {
         let mut be = LocalBackend::new(&mut catalog, &mut mgr);
         be.snap = early_snap;
         assert_eq!(be.scan("t", None).unwrap().len(), 1);
-    }
-
-    fn bin(op: BinOp, l: SExpr, r: SExpr) -> SExpr {
-        SExpr::Binary(op, Box::new(l), Box::new(r))
-    }
-
-    fn col_is(c: usize, v: Datum) -> SExpr {
-        bin(BinOp::Eq, SExpr::Col(c), SExpr::Lit(v))
-    }
-
-    #[test]
-    fn keyed_dml_probes_and_matches_the_scan() {
-        let rows = vec![
-            row![1, 10],
-            row![2, 20],
-            row![1, 10],
-            row![3, 30],
-            row![1, 11],
-            row![2, 20],
-        ];
-        // (predicate, whether the index on column 0 serves it)
-        let cases = [
-            (col_is(0, Datum::Int(1)), true),
-            (bin(BinOp::Eq, SExpr::Lit(Datum::Int(2)), SExpr::Col(0)), true),
-            (
-                bin(BinOp::And, col_is(1, Datum::Int(10)), col_is(0, Datum::Int(1))),
-                true,
-            ),
-            (col_is(1, Datum::Int(20)), false),
-            (
-                bin(BinOp::Or, col_is(0, Datum::Int(1)), col_is(0, Datum::Int(3))),
-                false,
-            ),
-            (col_is(0, Datum::Null), false),
-        ];
-        let sets = vec![(1usize, SExpr::Lit(Datum::Int(99)))];
-        for (pred, probes) in &cases {
-            // The same rows with and without an index on column 0: the
-            // plain twin can only scan.
-            let mut twins: Vec<(Catalog, LocalTxnManager)> = (0..2).map(|_| setup()).collect();
-            twins[1].0.get_mut("t").unwrap().create_index(vec![0]).unwrap();
-            let ix_on = |cols: &[usize]| (cols == [0]).then_some(0);
-            assert_eq!(indexed_eq(pred, &ix_on).is_some(), *probes, "{pred:?}");
-            let mut seen = Vec::new();
-            for (catalog, mgr) in &mut twins {
-                LocalBackend::new(catalog, mgr).insert("t", rows.clone()).unwrap();
-                let updated = LocalBackend::new(catalog, mgr)
-                    .update("t", &sets, Some(pred))
-                    .unwrap();
-                let after_update = LocalBackend::new(catalog, mgr).scan("t", None).unwrap();
-                let deleted = LocalBackend::new(catalog, mgr).delete("t", Some(pred)).unwrap();
-                let after_delete = LocalBackend::new(catalog, mgr).scan("t", None).unwrap();
-                seen.push((updated, after_update, deleted, after_delete));
-            }
-            assert_eq!(seen[0], seen[1], "probe and scan disagree on {pred:?}");
-        }
     }
 
     #[test]
