@@ -204,6 +204,7 @@ struct EngineTelemetry {
     aborts: Counter,
     prepare_yes: Counter,
     prepare_no: Counter,
+    prepare_read_only: Counter,
     leg_finish: Counter,
     restart_dn: Counter,
     restart_gtm: Counter,
@@ -396,6 +397,7 @@ impl Cluster {
             aborts: m.counter("txn.abort", &[]),
             prepare_yes: m.counter("twopc.leg.prepare", &[("vote", "yes")]),
             prepare_no: m.counter("twopc.leg.prepare", &[("vote", "no")]),
+            prepare_read_only: m.counter("twopc.leg.prepare", &[("vote", "read_only")]),
             leg_finish: m.counter("twopc.leg.finish", &[]),
             restart_dn: m.counter("recovery.restart", &[("target", "dn")]),
             restart_gtm: m.counter("recovery.restart", &[("target", "gtm")]),
@@ -630,7 +632,9 @@ impl Cluster {
             return;
         }
         let mut observations = Vec::new();
+        let mut max_gxid = 0;
         for node in &self.nodes {
+            max_gxid = max_gxid.max(node.mgr().max_gxid());
             // Durable per-DN state (clog + xidMap) survives even if the
             // node's process is currently down — recovery reads the logs.
             // A *live* node additionally reports its received-but-unapplied
@@ -642,7 +646,7 @@ impl Cluster {
                 observations.push((gxid, committed));
             }
         }
-        self.gtm = Gtm::recover_from_observations(observations);
+        self.gtm = Gtm::recover_from_observations(observations, max_gxid);
         self.gtm_up = true;
         // A recovered GTM restarts its CSN epoch: never validate a cached
         // snapshot from the previous incarnation against it.
@@ -1281,6 +1285,8 @@ impl Cluster {
     }
 
     /// 2PC phase 1 for a GTM-lite multi-shard transaction: prepare every leg.
+    /// A leg that wrote nothing votes read-only: its DN forgets it, no
+    /// `Prepare` record ships, and it takes no part in phase two.
     pub(crate) fn multi_prepare(&mut self, txn: &Txn) -> Result<()> {
         let TxnKind::LiteMulti { gxid, legs, .. } = &txn.kind else {
             return Err(HdmError::TxnState("multi_prepare on non-multi txn".into()));
@@ -1297,26 +1303,28 @@ impl Cluster {
             // coordinator counts the missing vote as a no (presumed abort).
             let reachable = !self.down[s as usize]
                 && (self.cfg.replicas == 0 || self.epochs[s as usize] == leg.epoch);
-            let mut vote_yes = false;
-            if reachable {
-                if let Ok((ops, stmt)) = self.nodes[s as usize].prepare_leg(leg.xid) {
-                    vote_yes = true;
-                    // Prepares ship their ops Raft-style: a promoted
-                    // follower reconstructs the in-doubt leg from the log.
-                    if self.cfg.replicas > 0 {
-                        self.replicas[s as usize].append(LogRecord::Prepare {
-                            gxid: *gxid,
-                            ops,
-                            stmt,
-                        });
-                    }
+            let vote = if reachable {
+                self.nodes[s as usize].prepare_leg(leg.xid).ok()
+            } else {
+                None
+            };
+            let vote_yes = vote.is_some();
+            if let Some(t) = &self.tel {
+                match &vote {
+                    Some(Some(_)) => t.prepare_yes.inc(),
+                    Some(None) => t.prepare_read_only.inc(),
+                    None => t.prepare_no.inc(),
                 }
             }
-            if let Some(t) = &self.tel {
-                if vote_yes {
-                    t.prepare_yes.inc();
-                } else {
-                    t.prepare_no.inc();
+            if let Some(Some((ops, stmt))) = vote {
+                // Prepares ship their ops Raft-style: a promoted follower
+                // reconstructs the in-doubt leg from the log.
+                if self.cfg.replicas > 0 {
+                    self.replicas[s as usize].append(LogRecord::Prepare {
+                        gxid: *gxid,
+                        ops,
+                        stmt,
+                    });
                 }
             }
             if let Some(Decision::Abort) = coord.vote(ShardId::new(s), vote_yes)? {
@@ -1329,8 +1337,9 @@ impl Cluster {
     }
 
     /// Commit decision at the GTM ("transactions are marked committed in GTM
-    /// first and then on all nodes"). Legs become pending on their DNs; the
-    /// Anomaly-1 window is open until [`Cluster::multi_finish`].
+    /// first and then on all nodes"). Legs that prepared become pending on
+    /// their DNs (read-only legs were forgotten at prepare); the Anomaly-1
+    /// window is open until [`Cluster::multi_finish`].
     pub(crate) fn multi_commit_at_gtm(&mut self, txn: &Txn) -> Result<()> {
         let TxnKind::LiteMulti { gxid, legs, .. } = &txn.kind else {
             return Err(HdmError::TxnState(
@@ -1350,10 +1359,12 @@ impl Cluster {
             // A down or fenced leg cannot receive the decision message; its
             // durable prepare record resolves through the clog at restart
             // (or through the promoted primary's in-doubt pass) instead.
+            let node = &mut self.nodes[s as usize];
             if !self.down[s as usize]
                 && (self.cfg.replicas == 0 || self.epochs[s as usize] == leg.epoch)
+                && node.mgr().clog().is_prepared(leg.xid)
             {
-                self.nodes[s as usize].mark_pending_commit(leg.xid);
+                node.mark_pending_commit(leg.xid);
             }
         }
         Ok(())
@@ -1363,7 +1374,7 @@ impl Cluster {
     /// window. Idempotent per leg (a reader's UPGRADE may have finished some
     /// legs already).
     pub(crate) fn multi_finish(&mut self, txn: Txn) -> Result<()> {
-        let TxnKind::LiteMulti { gxid, legs, .. } = txn.kind else {
+        let TxnKind::LiteMulti { legs, .. } = txn.kind else {
             return Err(HdmError::TxnState("multi_finish on non-multi txn".into()));
         };
         for (&s, leg) in &legs {
@@ -1375,17 +1386,7 @@ impl Cluster {
             {
                 continue;
             }
-            let node = &mut self.nodes[s as usize];
-            let flipped = node.finish_commit(leg.xid)?;
-            if self.cfg.lco_prune_horizon > 0 {
-                node.mgr_mut().prune_lco(self.cfg.lco_prune_horizon);
-            }
-            if let Some(t) = &self.tel {
-                t.leg_finish.inc();
-            }
-            if flipped && self.cfg.replicas > 0 {
-                self.replicas[s as usize].resolve(gxid, true);
-            }
+            self.finish_leg(ShardId::new(s), leg.xid)?;
         }
         self.counters.multi_shard_commits += 1;
         Ok(())
@@ -1394,10 +1395,16 @@ impl Cluster {
     /// Deliver the commit confirmation to **one** leg — the retransmission
     /// unit of the 2PC finish phase. Fails with `Unavailable` while the
     /// leg's node is down (the coordinator backs off and retries); succeeds
-    /// as a no-op if in-doubt recovery already completed the leg.
+    /// as a no-op if in-doubt recovery already completed the leg, or if the
+    /// leg voted read-only and was forgotten.
     pub(crate) fn finish_leg(&mut self, shard: ShardId, local_xid: Xid) -> Result<()> {
         self.check_node(shard)?;
         let node = &mut self.nodes[shard.raw() as usize];
+        if node.mgr().status(local_xid) == TxnStatus::Aborted {
+            // Voted read-only and was forgotten (an unknown xid reads
+            // aborted; a prepared leg cannot abort once the GTM committed).
+            return Ok(());
+        }
         let flipped = node.finish_commit(local_xid)?;
         if self.cfg.lco_prune_horizon > 0 {
             let horizon = self.cfg.lco_prune_horizon;
@@ -1989,6 +1996,73 @@ mod tests {
         let spans = tel.tracer.finished();
         assert!(spans.iter().any(|s| s.name == "crash" && s.field("target") == Some("gtm")));
         assert!(spans.iter().any(|s| s.name == "restart" && s.field("target") == Some("gtm")));
+    }
+
+    /// `(lco, clog, xid_map, log head)` of shard `s`: what a transaction
+    /// leaves behind there.
+    fn trace(c: &Cluster, s: ShardId) -> (usize, usize, usize, u64) {
+        let m = c.node(s).mgr();
+        (
+            m.lco().len(),
+            m.clog().len(),
+            m.xid_map().len(),
+            c.log_heads()[s.raw() as usize],
+        )
+    }
+
+    #[test]
+    fn a_read_only_leg_votes_read_only_and_drops_out_of_phase_two() {
+        let tel = Telemetry::simulated();
+        let mut cfg = ClusterConfig::gtm_lite(4);
+        cfg.replicas = 1;
+        let mut c = Cluster::new(cfg);
+        c.attach_telemetry(&tel);
+        let (p1, p2) = two_shards(&c);
+        let (w, r) = (make_key(p1, 1), make_key(p2, 1));
+        let (sw, sr) = (c.shard_map().shard_of_key(w), c.shard_map().shard_of_key(r));
+        c.bump(Some(p2), r, 5).unwrap();
+        let reader_before = trace(&c, sr);
+        let (lco, clog, map, head) = trace(&c, sw);
+
+        // Only the writing leg prepares, ships Prepare + Resolve, and finishes.
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        c.put(&mut t, w, 10).unwrap();
+        assert_eq!(c.get(&mut t, r).unwrap(), Some(5));
+        c.commit(t).unwrap();
+        assert_eq!(
+            trace(&c, sr),
+            reader_before,
+            "the reading leg left no trace"
+        );
+        assert_eq!(trace(&c, sw), (lco + 1, clog + 1, map + 1, head + 2));
+        let snap = tel.metrics.snapshot();
+        assert_eq!(snap.counter("twopc.leg.prepare{vote=yes}"), 1);
+        assert_eq!(snap.counter("twopc.leg.prepare{vote=read_only}"), 1);
+        assert_eq!(snap.counter("twopc.leg.finish"), 1);
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        assert_eq!(c.get(&mut t, w).unwrap(), Some(10), "the commit is visible");
+        c.commit(t).unwrap();
+
+        // Aborting after the read-only vote is clean on both legs.
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        c.put(&mut t, w, 11).unwrap();
+        c.get(&mut t, r).unwrap();
+        c.multi_prepare(&t).unwrap();
+        c.abort(t).unwrap();
+        for s in [sw, sr] {
+            let n = c.node(s);
+            assert_eq!((n.undo_len(), n.pending_commit_len()), (0, 0));
+            assert_eq!(n.mgr().active_count(), 0);
+        }
+        assert_eq!(trace(&c, sr), reader_before);
+        assert_eq!(
+            trace(&c, sw),
+            (lco + 1, clog + 2, map + 1, head + 4),
+            "Prepare + abort"
+        );
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        assert_eq!(c.get(&mut t, w).unwrap(), Some(10));
+        c.commit(t).unwrap();
     }
 
     #[test]

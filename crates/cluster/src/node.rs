@@ -493,11 +493,25 @@ impl DataNode {
         self.undo.remove(&xid.raw());
     }
 
+    /// Did `xid` write here: does it hold undo, redo or a statement tag?
+    /// A tagged statement that matched no rows still counts — its dedup tag
+    /// must be published and shipped like any write.
+    fn wrote(&self, xid: Xid) -> bool {
+        let x = xid.raw();
+        self.undo.contains_key(&x) || self.redo.contains_key(&x) || self.stmt_tags.contains_key(&x)
+    }
+
     /// Commit a single-shard transaction here: clog commit, undo released,
     /// logical redo drained for the shard's replication log, and the
     /// statement tag (if any) published to the dedup table. Returns the
-    /// drained `(ops, stmt_tag)` for the `Commit` log record.
+    /// drained `(ops, stmt_tag)` for the `Commit` log record. A transaction
+    /// that did not write here is forgotten instead of committed: it leaves
+    /// no clog entry and never enters the LCO, which holds writers only.
     pub fn commit_local(&mut self, xid: Xid) -> Result<DrainedRedo> {
+        if !self.wrote(xid) {
+            self.mgr.forget(xid)?;
+            return Ok((Vec::new(), None));
+        }
         self.mgr.commit(xid)?;
         self.clear_undo(xid);
         let ops = self.redo.remove(&xid.raw()).unwrap_or_default();
@@ -511,12 +525,18 @@ impl DataNode {
     /// 2PC phase one on this shard: prepare the leg and drain its redo for
     /// the `Prepare` log record — the leg's ops ship to followers at
     /// prepare time, so a promoted follower holds the leg in doubt. The
-    /// statement tag stays here until the decision resolves it.
-    pub fn prepare_leg(&mut self, xid: Xid) -> Result<DrainedRedo> {
+    /// statement tag stays here until the decision resolves it. A leg that
+    /// did not write here votes read-only: it is forgotten, drops out of
+    /// phase two and returns `None`, so no `Prepare` record ships for it.
+    pub fn prepare_leg(&mut self, xid: Xid) -> Result<Option<DrainedRedo>> {
+        if !self.wrote(xid) {
+            self.mgr.forget(xid)?;
+            return Ok(None);
+        }
         self.mgr.prepare(xid)?;
         let ops = self.redo.remove(&xid.raw()).unwrap_or_default();
         let stmt = self.stmt_tags.get(&xid.raw()).copied();
-        Ok((ops, stmt))
+        Ok(Some((ops, stmt)))
     }
 
     /// Record that `local_xid` (prepared here) is decided-commit globally but
@@ -744,6 +764,41 @@ mod tests {
         assert!(!n.is_pending_commit(x));
         n.finish_commit(x).unwrap(); // second call: no-op
         assert_eq!(n.mgr().lco(), &[x]);
+    }
+
+    #[test]
+    fn a_reader_is_forgotten_not_committed() {
+        let mut n = node();
+        committed_put(&mut n, 1, 10);
+        let before = (n.mgr().lco().len(), n.mgr().clog().len());
+        let r = n.mgr_mut().begin_local();
+        assert_eq!(read_latest(&n, 1), Some(10));
+        assert!(!n.wrote(r));
+        assert_eq!(n.commit_local(r).unwrap(), (Vec::new(), None));
+        let leg = n.mgr_mut().begin_global(Xid(901));
+        assert_eq!(n.prepare_leg(leg).unwrap(), None, "read-only vote");
+        assert_eq!((n.mgr().lco().len(), n.mgr().clog().len()), before);
+        assert_eq!(n.mgr().active_count(), 0);
+        assert!(n.mgr().xid_map().is_empty());
+    }
+
+    #[test]
+    fn a_tagged_statement_that_matched_nothing_still_commits() {
+        let mut n = node();
+        n.set_record_redo(true);
+        let x = n.mgr_mut().begin_local();
+        n.tag_statement(x, 42, 0);
+        assert!(n.wrote(x), "the tag is the write");
+        assert_eq!(n.commit_local(x).unwrap(), (Vec::new(), Some((42, 0))));
+        assert_eq!(n.stmt_applied(42), Some(0), "dedup tag published");
+        assert_eq!(n.mgr().lco(), &[x]);
+        let leg = n.mgr_mut().begin_global(Xid(902));
+        n.tag_statement(leg, 43, 0);
+        assert_eq!(
+            n.prepare_leg(leg).unwrap(),
+            Some((Vec::new(), Some((43, 0))))
+        );
+        assert!(n.mgr().clog().is_prepared(leg));
     }
 
     #[test]

@@ -77,6 +77,15 @@ impl CommitLog {
         )
     }
 
+    /// Drop an in-progress transaction that wrote nothing. Only valid from
+    /// `InProgress`: no tuple carries the XID, so afterwards it reads as
+    /// `Aborted` like any XID this namespace never assigned.
+    pub fn forget(&mut self, xid: Xid) -> Result<()> {
+        self.transition(xid, TxnStatus::InProgress, &[TxnStatus::InProgress])?;
+        self.statuses.remove(&xid.raw());
+        Ok(())
+    }
+
     fn transition(&mut self, xid: Xid, to: TxnStatus, from: &[TxnStatus]) -> Result<()> {
         let cur = self
             .statuses
@@ -151,6 +160,22 @@ mod tests {
         assert!(log.abort(Xid(4)).is_err());
         assert!(log.prepare(Xid(4)).is_err());
         assert!(log.commit(Xid(4)).is_err(), "double commit rejected");
+    }
+
+    #[test]
+    fn forget_drops_an_in_progress_entry_only() {
+        let mut log = CommitLog::new();
+        log.begin(Xid(5));
+        log.begin(Xid(6));
+        log.prepare(Xid(6)).unwrap();
+        log.forget(Xid(5)).unwrap();
+        assert!(
+            log.forget(Xid(6)).is_err(),
+            "a prepared txn is never forgotten"
+        );
+        assert_eq!(log.status(Xid(5)), TxnStatus::Aborted);
+        assert_eq!(log.len(), 1);
+        assert!(log.forget(Xid(5)).is_err(), "forgotten is gone");
     }
 
     #[test]

@@ -260,9 +260,12 @@ impl Gtm {
     /// it is recovered as committed. Every other observed gxid was at best
     /// prepared somewhere, meaning no client can have seen a commit
     /// confirmation, so presumed abort recovers it as aborted. `next_gxid`
-    /// restarts above every observed gxid so recovered IDs never collide.
+    /// restarts above every observed gxid and above `max_gxid`, the highest
+    /// gxid any DN ever mapped: a gxid whose legs were all forgotten (read
+    /// only) or aborted left no observation, yet must never be reissued.
     pub fn recover_from_observations(
         observations: impl IntoIterator<Item = (Xid, bool)>,
+        max_gxid: u64,
     ) -> Self {
         // Fold multi-DN observations: any committed leg wins.
         let mut seen: BTreeMap<Xid, bool> = BTreeMap::new();
@@ -279,6 +282,7 @@ impl Gtm {
             }
             gtm.next_gxid = gtm.next_gxid.max(gxid.raw() + 1);
         }
+        gtm.next_gxid = gtm.next_gxid.max(max_gxid + 1);
         // Seed the recovered epoch from the number of recovered commits:
         // monotone across the crash boundary is not required (CN caches are
         // invalidated on crash), but a recovered GTM must publish *some*
@@ -345,12 +349,15 @@ mod tests {
         // DN observations: gxid 100 has a committed leg somewhere (so the
         // lost GTM must have committed it); gxid 101 was only ever prepared;
         // gxid 102 was in progress.
-        let mut g = Gtm::recover_from_observations(vec![
-            (Xid(100), true),
-            (Xid(100), false), // another DN's leg still prepared
-            (Xid(101), false),
-            (Xid(102), false),
-        ]);
+        let mut g = Gtm::recover_from_observations(
+            vec![
+                (Xid(100), true),
+                (Xid(100), false), // another DN's leg still prepared
+                (Xid(101), false),
+                (Xid(102), false),
+            ],
+            102,
+        );
         assert!(g.is_committed(Xid(100)));
         assert_eq!(g.resolve_in_doubt(Xid(100)), Decision::Commit);
         assert_eq!(g.resolve_in_doubt(Xid(101)), Decision::Abort);
@@ -373,14 +380,18 @@ mod tests {
 
     #[test]
     fn recovered_gxids_never_collide() {
-        let mut g = Gtm::recover_from_observations(vec![(Xid(500), true)]);
+        let mut g = Gtm::recover_from_observations(vec![(Xid(500), true)], 500);
         let fresh = g.begin();
         assert!(fresh > Xid(500), "fresh gxid {fresh} collides with history");
+        // A gxid no DN still maps (its legs were forgotten) is above every
+        // observation but not above the DNs' high-water mark.
+        let mut g = Gtm::recover_from_observations(vec![(Xid(500), true)], 700);
+        assert_eq!(g.begin(), Xid(701));
     }
 
     #[test]
     fn recovery_from_nothing_is_a_fresh_gtm() {
-        let mut g = Gtm::recover_from_observations(vec![]);
+        let mut g = Gtm::recover_from_observations(vec![], 0);
         let first = g.begin();
         assert_eq!(first, Xid(hdm_common::ids::FIRST_XID));
     }
@@ -456,7 +467,7 @@ mod tests {
         assert_eq!(reg.snapshot().gauge("gtm.csn"), 1);
         // A recovered GTM re-attaching to the same registry re-seeds the
         // gauge from its own epoch, not the dead instance's last value.
-        let mut recovered = Gtm::recover_from_observations(vec![(a, true), (Xid(50), false)]);
+        let mut recovered = Gtm::recover_from_observations(vec![(a, true), (Xid(50), false)], 50);
         recovered.attach_telemetry(&reg);
         assert_eq!(recovered.csn(), 1, "one recovered commit seeds the epoch");
         assert_eq!(reg.snapshot().gauge("gtm.csn"), 1);

@@ -6,6 +6,11 @@
 //! a global XID; the DN records the association in the **xidMap**. Each DN
 //! also maintains the **local commit order (LCO)** — the sequence in which
 //! local transactions committed — which Algorithm 1's DOWNGRADE traverses.
+//!
+//! A transaction that wrote nothing is *forgotten* rather than committed
+//! ([`LocalTxnManager::forget`]): no tuple carries its XID, so it leaves no
+//! clog entry, never enters the LCO and drops its xidMap pair. The clog, LCO
+//! and xidMap hold writers only.
 
 use crate::commitlog::{CommitLog, TxnStatus};
 use crate::snapshot::Snapshot;
@@ -25,6 +30,11 @@ pub struct LocalTxnManager {
     xid_map: HashMap<Xid, Xid>,
     /// Reverse of `xid_map`.
     gxid_of: HashMap<Xid, Xid>,
+    /// Highest global XID ever mapped here (0 = none). Durable: neither
+    /// `forget`, `abort` nor `crash_volatile` lowers it, so a recovering
+    /// GTM can allocate above every gxid a DN has seen even when the
+    /// mapping itself is gone.
+    max_gxid: u64,
 }
 
 impl Default for LocalTxnManager {
@@ -42,6 +52,7 @@ impl LocalTxnManager {
             lco: Vec::new(),
             xid_map: HashMap::new(),
             gxid_of: HashMap::new(),
+            max_gxid: 0,
         }
     }
 
@@ -60,6 +71,7 @@ impl LocalTxnManager {
         let xid = self.begin_local();
         self.xid_map.insert(gxid, xid);
         self.gxid_of.insert(xid, gxid);
+        self.max_gxid = self.max_gxid.max(gxid.raw());
         xid
     }
 
@@ -86,9 +98,26 @@ impl LocalTxnManager {
     pub fn abort(&mut self, xid: Xid) -> Result<()> {
         self.clog.abort(xid)?;
         self.active.remove(&xid);
-        self.xid_map.retain(|_, v| *v != xid);
-        self.gxid_of.remove(&xid);
+        self.unmap(xid);
         Ok(())
+    }
+
+    /// Forget an in-progress transaction that wrote nothing: it leaves the
+    /// active set, drops its clog entry and its xidMap pair, and never
+    /// enters the LCO. Afterwards its XID reads as `Aborted`, which is
+    /// harmless because no tuple carries it; DOWNGRADE's taint can only
+    /// start at a commit that wrote.
+    pub fn forget(&mut self, xid: Xid) -> Result<()> {
+        self.clog.forget(xid)?;
+        self.active.remove(&xid);
+        self.unmap(xid);
+        Ok(())
+    }
+
+    fn unmap(&mut self, xid: Xid) {
+        if let Some(gxid) = self.gxid_of.remove(&xid) {
+            self.xid_map.remove(&gxid);
+        }
     }
 
     pub fn status(&self, xid: Xid) -> TxnStatus {
@@ -112,6 +141,12 @@ impl LocalTxnManager {
     /// The global XID of a local XID, if this was a multi-shard leg.
     pub fn gxid_of(&self, local: Xid) -> Option<Xid> {
         self.gxid_of.get(&local).copied()
+    }
+
+    /// Highest global XID ever mapped on this DN (0 if none), including
+    /// legs since forgotten or aborted.
+    pub fn max_gxid(&self) -> u64 {
+        self.max_gxid
     }
 
     /// The local XID assigned to global transaction `gxid`, if it ran here.
@@ -221,6 +256,34 @@ mod tests {
         assert_eq!(m.local_of(gxid), None);
         assert!(!m.is_active(local));
         assert!(m.lco().is_empty(), "aborts never enter the LCO");
+    }
+
+    #[test]
+    fn forget_leaves_no_trace_and_the_lco_holds_writers_only() {
+        let mut m = LocalTxnManager::new();
+        let writer = m.begin_global(Xid(900));
+        let reader = m.begin_global(Xid(901));
+        let local_reader = m.begin_local();
+        m.forget(reader).unwrap();
+        m.forget(local_reader).unwrap();
+        m.prepare(writer).unwrap();
+        m.commit(writer).unwrap();
+        assert_eq!(m.lco(), &[writer]);
+        assert_eq!(m.active_count(), 0);
+        assert_eq!(m.clog().len(), 1, "only the writer keeps a clog entry");
+        assert_eq!(
+            m.status(reader),
+            TxnStatus::Aborted,
+            "unknown reads aborted"
+        );
+        assert_eq!(m.local_of(Xid(901)), None);
+        assert_eq!(m.gxid_of(reader), None);
+        assert_eq!(m.xid_map().len(), 1);
+        assert_eq!(m.max_gxid(), 901, "the high-water mark survives forget");
+        assert!(
+            m.forget(writer).is_err(),
+            "a committed txn is not forgettable"
+        );
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! the DN tracks). Downgraded transactions that are in fact globally visible
 //! are restored by the UPGRADE pass, which runs second — the same order as
 //! Algorithm 1's lines 5 and 6.
+//!
+//! The LCO and xidMap hold writers only: a transaction or 2PC leg that
+//! wrote nothing on a DN is forgotten there instead of committed
+//! ([`crate::local::LocalTxnManager::forget`]). A reader could only ever
+//! start a taint that downgrades innocent later commits, and no tuple
+//! carries its XID, so dropping it changes no visibility decision except
+//! to stop those spurious downgrades.
 
 use crate::snapshot::Snapshot;
 use hdm_common::Xid;
