@@ -24,6 +24,7 @@
 //! them, never cross-contaminating single-node plans.
 
 use crate::engine::{Cluster, Protocol, Txn, TxnOptions};
+use crate::node::{DataNode, TableId};
 use crate::retry::RetryPolicy;
 use crate::shard::key_prefix;
 use hdm_common::{Datum, HdmError, Result, Row, Schema, ShardId, Xid};
@@ -636,7 +637,8 @@ impl DistDb {
             let n = routed.len() as u64;
             for (shard, _, row) in routed {
                 let (xid, _) = be.open_leg(shard)?;
-                be.cluster.node_mut(shard).sql_insert(&canon, xid, row)?;
+                let node = be.cluster.node_mut(shard);
+                node.sql_insert(node.table_id(&canon)?, xid, row)?;
             }
             Ok(n)
         })
@@ -656,13 +658,12 @@ impl DistDb {
                 "updating the distribution column of {table} would move rows between shards"
             )));
         }
-        let name = canon.clone();
-        self.run_dml_scan(&canon, meta, pred, move |node, xid, tid, old| {
+        self.run_dml_scan(&canon, meta, pred, move |node, table, xid, tid, old| {
             let mut vals = old.into_values();
             for (idx, e) in &set_bound {
                 vals[*idx] = e.eval(&vals)?;
             }
-            node.sql_update(&name, xid, tid, Row::new(vals)).map(|_| ())
+            node.sql_update(table, xid, tid, Row::new(vals)).map(|_| ())
         })
     }
 
@@ -670,9 +671,8 @@ impl DistDb {
         let (canon, meta) = self.writable(table)?;
         let schema = self.shadow.get(table)?.schema();
         let (_, pred) = session::bind_dml(table, schema, &[], where_clause)?;
-        let name = canon.clone();
-        self.run_dml_scan(&canon, meta, pred, move |node, xid, tid, _old| {
-            node.sql_delete(&name, xid, tid)
+        self.run_dml_scan(&canon, meta, pred, |node, table, xid, tid, _old| {
+            node.sql_delete(table, xid, tid)
         })
     }
 
@@ -686,7 +686,7 @@ impl DistDb {
         canon: &str,
         meta: DistMeta,
         pred: Option<SExpr>,
-        write: impl Fn(&mut crate::node::DataNode, hdm_common::Xid, TupleId, Row) -> Result<()>,
+        write: impl Fn(&mut DataNode, TableId, hdm_common::Xid, TupleId, Row) -> Result<()>,
     ) -> Result<QueryResult> {
         let (scope, shards) = match self.prune_shards(meta, pred.as_ref()) {
             Pruned::Single(shard, prefix) => (Scope::Single(prefix), vec![shard]),
@@ -700,8 +700,9 @@ impl DistDb {
                     targets.push((tid, row.clone()))
                 })?;
                 let node = be.cluster.node_mut(shard);
+                let table = node.table_id(canon)?;
                 for (tid, old) in targets {
-                    write(node, xid, tid, old)?;
+                    write(node, table, xid, tid, old)?;
                     n += 1;
                 }
             }
@@ -730,12 +731,7 @@ impl DistDb {
                     continue;
                 }
                 let node = self.cluster.node(shard);
-                let s = if name == "kv" {
-                    node.stats()
-                } else {
-                    node.sql_stats(&name)
-                };
-                if let Some(s) = s {
+                if let Some(s) = node.sql_table(&name).ok().and_then(|t| t.stats()) {
                     per_shard.push(s);
                 }
             }
@@ -837,12 +833,7 @@ impl DistDb {
                 if !self.cluster.is_node_up(shard) {
                     continue;
                 }
-                let node = self.cluster.node(shard);
-                let dn = if name == "kv" {
-                    Some(node.kv_table())
-                } else {
-                    node.sql_table(name).ok()
-                };
+                let dn = self.cluster.node(shard).sql_table(name).ok();
                 if let Some(di) = dn.and_then(|dt| {
                     dt.indexes()
                         .iter()
@@ -1815,11 +1806,7 @@ impl DistExec<'_> {
         let node = self.cluster.node(shard);
         let judge =
             MemoVisibility::new(SnapshotVisibility::new(&snap, node.mgr().clog(), Some(xid)));
-        let t = if table == "kv" {
-            node.kv_table()
-        } else {
-            node.sql_table(table)?
-        };
+        let t = node.sql_table(table)?;
         let ix_on = |cols: &[usize]| t.indexes().iter().position(|ix| ix.key_columns() == cols);
         let hits: Option<Vec<(TupleId, &Row)>> = match probe {
             Some(ExchangeProbe::Eq { columns, key }) => {

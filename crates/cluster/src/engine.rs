@@ -885,11 +885,12 @@ impl Cluster {
         schema: Schema,
     ) -> Result<()> {
         self.check_node(shard)?;
-        self.nodes[shard.raw() as usize].create_sql_table(name, schema.clone())?;
+        let table = self.nodes[shard.raw() as usize].create_sql_table(name, schema.clone())?;
         if self.cfg.replicas > 0 {
             self.replicas[shard.raw() as usize].append(LogRecord::Ddl {
                 op: ReplOp::CreateSqlTable {
-                    table: name.to_string(),
+                    name: name.to_string(),
+                    table,
                     schema,
                 },
             });
@@ -907,14 +908,12 @@ impl Cluster {
         columns: Vec<usize>,
     ) -> Result<()> {
         self.check_node(shard)?;
-        self.nodes[shard.raw() as usize].create_sql_index(name, columns.clone())?;
+        let node = &mut self.nodes[shard.raw() as usize];
+        let table = node.table_id(name)?;
+        node.create_sql_index(table, columns.clone())?;
         if self.cfg.replicas > 0 {
-            self.replicas[shard.raw() as usize].append(LogRecord::Ddl {
-                op: ReplOp::CreateSqlIndex {
-                    table: name.to_string(),
-                    columns,
-                },
-            });
+            self.replicas[shard.raw() as usize]
+                .append(LogRecord::Ddl { op: ReplOp::CreateSqlIndex { table, columns } });
         }
         Ok(())
     }
@@ -1027,25 +1026,20 @@ impl Cluster {
         snap
     }
 
-    /// Read `key` in `txn`.
-    pub fn get(&mut self, txn: &mut Txn, key: i64) -> Result<Option<i64>> {
+    /// Route `key` to its shard and make `txn` ready to touch it there: a
+    /// baseline transaction records the shard, a single-shard one checks
+    /// its scope and fence, a multi-shard one opens its leg.
+    fn kv_shard(&mut self, txn: &mut Txn, key: i64) -> Result<ShardId> {
         let shard = self.map.shard_of_key(key);
         self.check_node(shard)?;
         match &mut txn.kind {
-            TxnKind::Baseline {
-                gxid,
-                gsnap,
-                touched,
-            } => {
+            TxnKind::Baseline { touched, .. } => {
                 touched.insert(shard.raw());
-                let judge = SnapshotVisibility::new(gsnap, self.gtm.clog(), Some(*gxid));
-                self.nodes[shard.raw() as usize].get(&judge, key)
             }
             TxnKind::LiteSingle {
                 shard: own_shard,
-                xid,
-                snap,
                 epoch,
+                ..
             } => {
                 if shard != *own_shard {
                     return Err(HdmError::TxnState(format!(
@@ -1054,87 +1048,57 @@ impl Cluster {
                 }
                 let epoch = *epoch;
                 self.check_epoch(shard, epoch)?;
-                self.nodes[shard.raw() as usize].get_local(snap, Some(*xid), key)
             }
-            TxnKind::LiteMulti { .. } => {
-                self.ensure_leg(txn, shard)?;
-                let TxnKind::LiteMulti { legs, .. } = &txn.kind else {
-                    unreachable!()
-                };
-                let leg = &legs[&shard.raw()];
-                self.nodes[shard.raw() as usize].get_local(&leg.merged, Some(leg.xid), key)
-            }
+            TxnKind::LiteMulti { .. } => self.ensure_leg(txn, shard)?,
         }
+        Ok(shard)
+    }
+
+    /// The xid `txn` writes `shard` as, and the judge it reads `shard`'s
+    /// rows by: the GTM's snapshot and clog under the baseline protocol,
+    /// the shard's own (the leg's merged snapshot for a multi-shard
+    /// transaction) under GTM-lite. The leg must be open ([`Self::kv_shard`]).
+    fn kv_view<'a>(&'a self, txn: &'a Txn, shard: ShardId) -> (Xid, SnapshotVisibility<'a>) {
+        let node = &self.nodes[shard.raw() as usize];
+        let (xid, snap, clog) = match &txn.kind {
+            TxnKind::Baseline { gxid, gsnap, .. } => (*gxid, gsnap, self.gtm.clog()),
+            TxnKind::LiteSingle { xid, snap, .. } => (*xid, snap, node.mgr().clog()),
+            TxnKind::LiteMulti { legs, .. } => {
+                let leg = &legs[&shard.raw()];
+                (leg.xid, &leg.merged, node.mgr().clog())
+            }
+        };
+        (xid, SnapshotVisibility::new(snap, clog, Some(xid)))
+    }
+
+    /// Read `key` in `txn`.
+    pub fn get(&mut self, txn: &mut Txn, key: i64) -> Result<Option<i64>> {
+        let shard = self.kv_shard(txn, key)?;
+        let (_, judge) = self.kv_view(txn, shard);
+        self.nodes[shard.raw() as usize].get(&judge, key)
     }
 
     /// All visible values for `key` in a GTM-lite multi-shard `txn` — the
     /// anomaly-observable read: a consistent view returns at most one value,
     /// the naive merge can return several (paper Fig 2's tuple table).
     pub fn get_versions(&mut self, txn: &mut Txn, key: i64) -> Result<Vec<i64>> {
-        let shard = self.map.shard_of_key(key);
-        self.check_node(shard)?;
-        match &txn.kind {
-            TxnKind::LiteMulti { .. } => {
-                self.ensure_leg(txn, shard)?;
-                let TxnKind::LiteMulti { legs, .. } = &txn.kind else {
-                    unreachable!()
-                };
-                let leg = &legs[&shard.raw()];
-                self.nodes[shard.raw() as usize].get_versions_local(
-                    &leg.merged,
-                    Some(leg.xid),
-                    key,
-                )
-            }
-            _ => self.get(txn, key).map(|v| v.into_iter().collect()),
+        if !matches!(txn.kind, TxnKind::LiteMulti { .. }) {
+            return self.get(txn, key).map(|v| v.into_iter().collect());
         }
+        let shard = self.kv_shard(txn, key)?;
+        let TxnKind::LiteMulti { legs, .. } = &txn.kind else {
+            unreachable!()
+        };
+        let leg = &legs[&shard.raw()];
+        self.nodes[shard.raw() as usize].get_versions_local(&leg.merged, Some(leg.xid), key)
     }
 
     /// Upsert `key = val` in `txn`.
     pub fn put(&mut self, txn: &mut Txn, key: i64, val: i64) -> Result<()> {
-        let shard = self.map.shard_of_key(key);
-        self.check_node(shard)?;
-        match &mut txn.kind {
-            TxnKind::Baseline {
-                gxid,
-                gsnap,
-                touched,
-            } => {
-                touched.insert(shard.raw());
-                let judge = SnapshotVisibility::new(gsnap, self.gtm.clog(), Some(*gxid));
-                let gxid = *gxid;
-                self.nodes[shard.raw() as usize].put(&judge, gxid, key, val)
-            }
-            TxnKind::LiteSingle {
-                shard: own_shard,
-                xid,
-                snap,
-                epoch,
-            } => {
-                if shard != *own_shard {
-                    return Err(HdmError::TxnState(format!(
-                        "single-shard transaction on {own_shard} touched key {key} on {shard}"
-                    )));
-                }
-                let (xid, snap, epoch) = (*xid, snap.clone(), *epoch);
-                self.check_epoch(shard, epoch)?;
-                self.nodes[shard.raw() as usize].put_local(&snap, Some(xid), xid, key, val)
-            }
-            TxnKind::LiteMulti { .. } => {
-                self.ensure_leg(txn, shard)?;
-                let TxnKind::LiteMulti { legs, .. } = &txn.kind else {
-                    unreachable!()
-                };
-                let leg = legs[&shard.raw()].clone();
-                self.nodes[shard.raw() as usize].put_local(
-                    &leg.merged,
-                    Some(leg.xid),
-                    leg.xid,
-                    key,
-                    val,
-                )
-            }
-        }
+        let shard = self.kv_shard(txn, key)?;
+        let (xid, judge) = self.kv_view(txn, shard);
+        let old = self.nodes[shard.raw() as usize].kv_find(&judge, key)?;
+        self.nodes[shard.raw() as usize].put(xid, old, key, val)
     }
 
     /// First touch of `shard` by a multi-shard GTM-lite transaction: begin

@@ -43,7 +43,7 @@ pub use chaos_dist::{run_chaos_dist, ChaosDistConfig, ChaosDistReport};
 pub use dist::{DistCounters, DistDb, FaultOp, FaultScript};
 pub use engine::{Cluster, ClusterConfig, ClusterCounters, MergePolicy, Protocol, Txn, TxnOptions};
 pub use health::{EventJournal, HealthMonitor, SysEvent};
-pub use node::DataNode;
+pub use node::{DataNode, TableId};
 pub use replica::{Follower, LogRecord, ReplOp, ReplicaSet, ShardLog};
 pub use retry::RetryPolicy;
 pub use shard::{key_local, key_prefix, make_key, ShardMap};

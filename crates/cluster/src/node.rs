@@ -1,10 +1,15 @@
 //! A data node: one shard's storage plus its local transaction machinery.
 //!
-//! The node stores a transactional key→value table (the OLTP surface Fig 3
-//! exercises), tracks per-transaction undo information for aborts, and keeps
-//! the "pending commit" set that UPGRADE waits resolve against: a multi-shard
-//! transaction that is decided-commit at the GTM but whose confirmation has
-//! not yet been applied here can be *finished* on demand by a reader.
+//! The node stores its tables in one vector addressed by [`TableId`]: slot 0
+//! is the built-in kv table (the OLTP surface Fig 3 exercises), created by
+//! [`DataNode::new`] through the same path as the shard slices of
+//! distributed SQL tables that follow it. Every write goes through one
+//! private insert/update/delete-by-tid path that records undo as
+//! `(TableId, TupleId)` pairs, so aborts roll back every table alike. The
+//! node also keeps the "pending commit" set that UPGRADE waits resolve
+//! against: a multi-shard transaction that is decided-commit at the GTM but
+//! whose confirmation has not yet been applied here can be *finished* on
+//! demand by a reader.
 
 use crate::replica::ReplOp;
 
@@ -15,21 +20,28 @@ pub type DrainedRedo = (Vec<ReplOp>, Option<(u64, u64)>);
 use hdm_common::{row, Datum, HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_storage::heap::TupleId;
 use hdm_storage::mvcc::Visibility;
-use hdm_storage::{Table, TableStats};
+use hdm_storage::Table;
 use hdm_txn::{LocalTxnManager, Snapshot, SnapshotVisibility};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+
+/// A table's slot on its data node. Ids are assigned in creation order, and
+/// the replication log binds each name to its id, so a follower's ids equal
+/// its primary's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TableId(pub u32);
+
+impl TableId {
+    /// The built-in kv table, created with the node.
+    pub const KV: TableId = TableId(0);
+}
 
 /// One undoable write.
 #[derive(Debug, Clone)]
 enum UndoOp {
     /// We inserted this version; abort neutralizes it.
-    Insert(TupleId),
+    Insert(TableId, TupleId),
     /// We stamped this version dead; abort clears the stamp.
-    Delete(TupleId),
-    /// Insert into a named SQL table shard.
-    SqlInsert(String, TupleId),
-    /// Delete stamp on a named SQL table shard.
-    SqlDelete(String, TupleId),
+    Delete(TableId, TupleId),
 }
 
 /// A data node holding one shard.
@@ -37,11 +49,13 @@ enum UndoOp {
 pub struct DataNode {
     id: ShardId,
     mgr: LocalTxnManager,
-    table: Table,
-    /// Shard-local slices of distributed SQL tables, keyed by canonical
-    /// (lowercased) table name. Created by the CN's `CREATE TABLE` fan-out;
-    /// each holds only the rows routed to this shard.
-    sql: BTreeMap<String, Table>,
+    /// Every table on this shard, indexed by [`TableId`]: the kv table in
+    /// slot 0, then this shard's slices of distributed SQL tables, created
+    /// by the CN's `CREATE TABLE` fan-out (each holds only the rows routed
+    /// to this shard).
+    tables: Vec<Table>,
+    /// Canonical (lowercased) table name -> slot.
+    names: HashMap<String, TableId>,
     /// Undo log per writing XID (local XID under GTM-lite, global XID under
     /// the baseline protocol — the node is agnostic).
     undo: HashMap<u64, Vec<UndoOp>>,
@@ -65,26 +79,24 @@ pub struct DataNode {
 
 impl DataNode {
     pub fn new(id: ShardId) -> Self {
-        let mut table = Table::new(
-            format!("kv@{id}"),
-            hdm_common::Schema::from_pairs(&[
-                ("k", hdm_common::DataType::Int),
-                ("v", hdm_common::DataType::Int),
-            ]),
-        );
-        table.create_index(vec![0]).expect("static index def");
-        Self {
+        let mut node = Self {
             id,
             mgr: LocalTxnManager::new(),
-            table,
-            sql: BTreeMap::new(),
+            tables: Vec::new(),
+            names: HashMap::new(),
             undo: HashMap::new(),
             pending_commit: HashMap::new(),
             redo: HashMap::new(),
             record_redo: false,
             stmt_tags: HashMap::new(),
             applied_stmts: HashMap::new(),
-        }
+        };
+        let kv = Schema::from_pairs(&[
+            ("k", hdm_common::DataType::Int),
+            ("v", hdm_common::DataType::Int),
+        ]);
+        node.create_sql_table("kv", kv).expect("a new node has no tables");
+        node
     }
 
     /// Turn logical redo recording on (the shard has followers to ship to).
@@ -136,43 +148,31 @@ impl DataNode {
         &mut self.mgr
     }
 
-    pub fn stats(&self) -> Option<&TableStats> {
-        self.table.stats()
-    }
-
-    /// The built-in kv table (exposed read-only for distributed scans).
-    pub fn kv_table(&self) -> &Table {
-        &self.table
-    }
-
-    /// Create this shard's slice of a distributed SQL table. Idempotent on
-    /// name collisions only if the existing slice is empty of versions.
-    pub fn create_sql_table(&mut self, name: &str, schema: Schema) -> Result<()> {
-        if self.sql.contains_key(name) {
+    /// Create this shard's slice of table `name` in the next slot and
+    /// return its id. Every table is hash-distributed on its first column,
+    /// so it is indexed there: point queries pinned to the shard key probe
+    /// instead of scanning. Replicas replay the DDL through this method and
+    /// build the identical index, so failover keeps the probe path.
+    pub fn create_sql_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
+        if self.names.contains_key(name) {
             return Err(HdmError::Catalog(format!(
                 "table {name} already exists on {}",
                 self.id
             )));
         }
         let mut table = Table::new(format!("{name}@{}", self.id), schema);
-        // Every distributed table is hash-distributed on its first column,
-        // so index it: point queries pinned to the shard key probe instead
-        // of scanning. Replicas replay the same DDL through this method and
-        // build the identical index, so failover keeps the probe path.
-        table.create_index(vec![0]).expect("static index def");
-        self.sql.insert(name.to_string(), table);
-        Ok(())
+        table.create_index(vec![0])?;
+        let id = TableId(self.tables.len() as u32);
+        self.tables.push(table);
+        self.names.insert(name.to_string(), id);
+        Ok(id)
     }
 
-    /// Create a secondary index on this shard's slice of SQL table `name`.
-    /// Idempotent: replica replay may re-apply the DDL after a rejoin, and
-    /// the shard-key index created by [`Self::create_sql_table`] may already
-    /// cover the same columns.
-    pub fn create_sql_index(&mut self, name: &str, columns: Vec<usize>) -> Result<usize> {
-        let t = self
-            .sql
-            .get_mut(name)
-            .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))?;
+    /// Create a secondary index on table `t`. Idempotent: replica replay
+    /// may re-apply the DDL after a rejoin, and the shard-key index created
+    /// by [`Self::create_sql_table`] may already cover the same columns.
+    pub fn create_sql_index(&mut self, t: TableId, columns: Vec<usize>) -> Result<usize> {
+        let t = self.table_mut(t)?;
         if let Some(ix) = t
             .indexes()
             .iter()
@@ -183,201 +183,160 @@ impl DataNode {
         t.create_index(columns)
     }
 
-    /// This shard's slice of SQL table `name`.
-    pub fn sql_table(&self, name: &str) -> Result<&Table> {
-        self.sql
+    /// The id bound to table `name` here (`kv` is [`TableId::KV`]).
+    pub fn table_id(&self, name: &str) -> Result<TableId> {
+        self.names
             .get(name)
+            .copied()
             .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))
     }
 
-    /// Statistics for this shard's slice of SQL table `name` (last ANALYZE).
-    pub fn sql_stats(&self, name: &str) -> Option<&TableStats> {
-        self.sql.get(name).and_then(Table::stats)
+    /// This shard's slice of table `name`, the kv table included.
+    pub fn sql_table(&self, name: &str) -> Result<&Table> {
+        self.table(self.table_id(name)?)
     }
 
-    /// Insert `row` into SQL table `name` as `xid`, with undo recorded.
-    pub fn sql_insert(&mut self, name: &str, xid: Xid, row: Row) -> Result<TupleId> {
-        let t = self
-            .sql
-            .get_mut(name)
-            .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))?;
-        let redo_row = self.record_redo.then(|| row.clone());
-        let tid = t.insert(xid, row)?;
-        self.undo
-            .entry(xid.raw())
-            .or_default()
-            .push(UndoOp::SqlInsert(name.to_string(), tid));
-        if let Some(row) = redo_row {
-            self.push_redo(
-                xid,
-                ReplOp::SqlInsert {
-                    table: name.to_string(),
-                    row,
-                },
-            );
+    fn table(&self, t: TableId) -> Result<&Table> {
+        self.tables
+            .get(t.0 as usize)
+            .ok_or_else(|| HdmError::Catalog(format!("no table {t:?} on {}", self.id)))
+    }
+
+    fn table_mut(&mut self, t: TableId) -> Result<&mut Table> {
+        self.tables
+            .get_mut(t.0 as usize)
+            .ok_or_else(|| HdmError::Catalog(format!("no table {t:?} on {}", self.id)))
+    }
+
+    /// Insert `row` into table `t` as `xid`, with undo recorded.
+    fn insert(&mut self, t: TableId, xid: Xid, row: Row) -> Result<TupleId> {
+        let tid = self.table_mut(t)?.insert(xid, row)?;
+        self.undo.entry(xid.raw()).or_default().push(UndoOp::Insert(t, tid));
+        Ok(tid)
+    }
+
+    /// Replace tuple `tid` of table `t` by `row` as `xid`, with undo
+    /// recorded.
+    fn update(&mut self, t: TableId, xid: Xid, tid: TupleId, row: Row) -> Result<TupleId> {
+        let new_tid = self.table_mut(t)?.update(xid, tid, row)?;
+        let u = self.undo.entry(xid.raw()).or_default();
+        u.push(UndoOp::Delete(t, tid));
+        u.push(UndoOp::Insert(t, new_tid));
+        Ok(new_tid)
+    }
+
+    /// Delete tuple `tid` of table `t` as `xid`, with undo recorded.
+    fn delete(&mut self, t: TableId, xid: Xid, tid: TupleId) -> Result<()> {
+        self.table_mut(t)?.delete(xid, tid)?;
+        self.undo.entry(xid.raw()).or_default().push(UndoOp::Delete(t, tid));
+        Ok(())
+    }
+
+    /// The row of tuple `tid` in table `t` while redo is recorded: the old
+    /// image a replicated update or delete ships.
+    fn redo_image(&self, t: TableId, tid: TupleId) -> Result<Option<Row>> {
+        if !self.record_redo {
+            return Ok(None);
+        }
+        Ok(Some(self.table(t)?.heap().row(tid)?.clone()))
+    }
+
+    /// Insert `row` into SQL table `t` as `xid`.
+    pub fn sql_insert(&mut self, t: TableId, xid: Xid, row: Row) -> Result<TupleId> {
+        let redo = self.record_redo.then(|| row.clone());
+        let tid = self.insert(t, xid, row)?;
+        if let Some(row) = redo {
+            self.push_redo(xid, ReplOp::SqlInsert { table: t, row });
         }
         Ok(tid)
     }
 
-    /// Update tuple `tid` of SQL table `name` as `xid`, with undo recorded.
-    pub fn sql_update(&mut self, name: &str, xid: Xid, tid: TupleId, row: Row) -> Result<TupleId> {
-        let t = self
-            .sql
-            .get_mut(name)
-            .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))?;
-        let old_row = if self.record_redo {
-            Some(t.heap().row(tid)?.clone())
-        } else {
-            None
-        };
-        let new_tid = t.update(xid, tid, row.clone())?;
-        let u = self.undo.entry(xid.raw()).or_default();
-        u.push(UndoOp::SqlDelete(name.to_string(), tid));
-        u.push(UndoOp::SqlInsert(name.to_string(), new_tid));
-        if let Some(old) = old_row {
-            self.push_redo(
-                xid,
-                ReplOp::SqlUpdate {
-                    table: name.to_string(),
-                    old,
-                    new: row,
-                },
-            );
+    /// Update tuple `tid` of SQL table `t` to `row` as `xid`.
+    pub fn sql_update(&mut self, t: TableId, xid: Xid, tid: TupleId, row: Row) -> Result<TupleId> {
+        let redo = self.redo_image(t, tid)?.map(|old| (old, row.clone()));
+        let new_tid = self.update(t, xid, tid, row)?;
+        if let Some((old, new)) = redo {
+            self.push_redo(xid, ReplOp::SqlUpdate { table: t, old, new });
         }
         Ok(new_tid)
     }
 
-    /// Delete tuple `tid` of SQL table `name` as `xid`, with undo recorded.
-    pub fn sql_delete(&mut self, name: &str, xid: Xid, tid: TupleId) -> Result<()> {
-        let t = self
-            .sql
-            .get_mut(name)
-            .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))?;
-        let row = if self.record_redo {
-            Some(t.heap().row(tid)?.clone())
-        } else {
-            None
-        };
-        t.delete(xid, tid)?;
-        self.undo
-            .entry(xid.raw())
-            .or_default()
-            .push(UndoOp::SqlDelete(name.to_string(), tid));
-        if let Some(row) = row {
-            self.push_redo(
-                xid,
-                ReplOp::SqlDelete {
-                    table: name.to_string(),
-                    row,
-                },
-            );
+    /// Delete tuple `tid` of SQL table `t` as `xid`.
+    pub fn sql_delete(&mut self, t: TableId, xid: Xid, tid: TupleId) -> Result<()> {
+        let redo = self.redo_image(t, tid)?;
+        self.delete(t, xid, tid)?;
+        if let Some(row) = redo {
+            self.push_redo(xid, ReplOp::SqlDelete { table: t, row });
         }
         Ok(())
     }
 
-    /// The lowest-tid tuple of `name` visible under `snap` (plus `own`-xid
-    /// visibility) whose row equals `row` — the follower's lookup for a
-    /// replicated UPDATE or DELETE. Every distributed table is hashed on
-    /// column 0 and indexed there by [`Self::create_sql_table`], so this is a
-    /// shard-key probe filtered by row equality. Posting lists are not kept
-    /// in tid order, so the lowest tid is taken explicitly: the tuple a
+    /// The lowest-tid tuple of table `t` visible under `snap` (plus
+    /// `own`-xid visibility) whose row equals `row` — the follower's lookup
+    /// for a replicated UPDATE or DELETE. Every distributed table is hashed
+    /// on column 0 and indexed there by [`Self::create_sql_table`], so this
+    /// is a shard-key probe filtered by row equality. Posting lists are not
+    /// kept in tid order, so the lowest tid is taken explicitly: the tuple a
     /// heap-order scan would find first, which keeps replay deterministic.
     pub fn sql_find_row(
         &self,
-        name: &str,
+        t: TableId,
         snap: &Snapshot,
         own: Option<Xid>,
         row: &Row,
     ) -> Result<Option<TupleId>> {
-        let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
-        let t = self.sql_table(name)?;
-        let no_key = || HdmError::Catalog(format!("no shard-key index on {name} at {}", self.id));
-        let ix = t
+        let judge = self.judge(snap, own);
+        let table = self.table(t)?;
+        let no_key =
+            || HdmError::Catalog(format!("no shard-key index on {} at {}", table.name(), self.id));
+        let ix = table
             .indexes()
             .iter()
             .position(|ix| ix.key_columns() == [0])
             .ok_or_else(no_key)?;
         let key = row.values().get(..1).ok_or_else(no_key)?.to_vec();
-        Ok(t.probe(ix, &key, &judge)?
+        Ok(table
+            .probe(ix, &key, &judge)?
             .into_iter()
             .filter(|(_, r)| *r == row)
             .map(|(tid, _)| tid)
             .min())
     }
 
-    /// ANALYZE every table on this node (kv + SQL slices) under the node's
-    /// current local snapshot — the per-DN half of a distributed ANALYZE.
+    /// ANALYZE every table on this node under the node's current local
+    /// snapshot — the per-DN half of a distributed ANALYZE.
     pub fn analyze_all(&mut self) {
         let snap = self.mgr.local_snapshot();
         let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), None);
-        self.table.analyze(&judge);
-        for t in self.sql.values_mut() {
+        for t in &mut self.tables {
             t.analyze(&judge);
         }
     }
 
-    /// Read `key` under the caller's visibility judge.
+    /// A judge over this node's own snapshot machinery (GTM-lite): `snap`
+    /// is a local or merged snapshot in this node's XID namespace, checked
+    /// against this node's commit log.
+    pub fn judge<'a>(&'a self, snap: &'a Snapshot, own: Option<Xid>) -> SnapshotVisibility<'a> {
+        SnapshotVisibility::new(snap, self.mgr.clog(), own)
+    }
+
+    /// The versions of kv `key` visible to `judge`, in probe order.
+    fn kv_probe<'a, V: Visibility + ?Sized>(
+        &'a self,
+        judge: &'a V,
+        key: i64,
+    ) -> Result<Vec<(TupleId, &'a Row)>> {
+        self.tables[0].probe(0, &vec![Datum::Int(key)], judge)
+    }
+
+    /// Read kv `key` under `judge`.
     pub fn get<V: Visibility + ?Sized>(&self, judge: &V, key: i64) -> Result<Option<i64>> {
-        let hits = self.table.probe(0, &vec![Datum::Int(key)], judge)?;
-        match hits.len() {
-            0 => Ok(None),
-            1 => Ok(hits[0].1.get(1).and_then(Datum::as_int)),
-            n => Err(HdmError::Execution(format!(
-                "key {key} resolves to {n} visible versions on {}",
-                self.id
-            ))),
-        }
-    }
-
-    /// Upsert `key = val` as transaction `xid`. The visible old version (if
-    /// any) is judged with `judge`; a write-write conflict aborts.
-    pub fn put<V: Visibility + ?Sized>(
-        &mut self,
-        judge: &V,
-        xid: Xid,
-        key: i64,
-        val: i64,
-    ) -> Result<()> {
-        let old = {
-            let hits = self.table.probe(0, &vec![Datum::Int(key)], judge)?;
-            hits.first().map(|(tid, _)| *tid)
-        };
-        self.apply_put(xid, old, key, val)
-    }
-
-    /// Delete `key` as transaction `xid`. Returns whether a version existed.
-    pub fn del<V: Visibility + ?Sized>(
-        &mut self,
-        judge: &V,
-        xid: Xid,
-        key: i64,
-    ) -> Result<bool> {
-        let old = {
-            let hits = self.table.probe(0, &vec![Datum::Int(key)], judge)?;
-            hits.first().map(|(tid, _)| *tid)
-        };
-        match old {
-            None => Ok(false),
-            Some(tid) => {
-                self.table.delete(xid, tid)?;
-                self.undo.entry(xid.raw()).or_default().push(UndoOp::Delete(tid));
-                self.push_redo(xid, ReplOp::Del { key });
-                Ok(true)
-            }
-        }
-    }
-
-    /// [`Self::get`] judged by this node's *own* snapshot machinery
-    /// (GTM-lite path): `snap` is a local or merged snapshot in this node's
-    /// XID namespace, checked against this node's commit log.
-    pub fn get_local(&self, snap: &Snapshot, own: Option<Xid>, key: i64) -> Result<Option<i64>> {
-        let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
-        let hits = self.table.probe(0, &vec![Datum::Int(key)], &judge)?;
-        match hits.len() {
-            0 => Ok(None),
-            1 => Ok(hits[0].1.get(1).and_then(Datum::as_int)),
-            n => Err(HdmError::Execution(format!(
-                "key {key} resolves to {n} visible versions on {}",
+        match self.kv_probe(judge, key)?.as_slice() {
+            [] => Ok(None),
+            [(_, r)] => Ok(r.get(1).and_then(Datum::as_int)),
+            hits => Err(HdmError::Execution(format!(
+                "key {key} resolves to {} visible versions on {}",
+                hits.len(),
                 self.id
             ))),
         }
@@ -393,74 +352,40 @@ impl DataNode {
         own: Option<Xid>,
         key: i64,
     ) -> Result<Vec<i64>> {
-        let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
-        let hits = self.table.probe(0, &vec![Datum::Int(key)], &judge)?;
-        Ok(hits
+        Ok(self
+            .kv_probe(&self.judge(snap, own), key)?
             .iter()
             .filter_map(|(_, r)| r.get(1).and_then(Datum::as_int))
             .collect())
     }
 
-    /// [`Self::put`] judged by this node's own snapshot machinery.
-    pub fn put_local(
-        &mut self,
-        snap: &Snapshot,
-        own: Option<Xid>,
-        xid: Xid,
-        key: i64,
-        val: i64,
-    ) -> Result<()> {
-        let old = {
-            let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
-            self.table
-                .probe(0, &vec![Datum::Int(key)], &judge)?
-                .first()
-                .map(|(tid, _)| *tid)
-        };
-        self.apply_put(xid, old, key, val)
+    /// The kv version of `key` a write judged by `judge` replaces: the
+    /// first visible one, if any. Pass it to [`Self::put`] or [`Self::del`].
+    pub fn kv_find<V: Visibility + ?Sized>(&self, judge: &V, key: i64) -> Result<Option<TupleId>> {
+        Ok(self.kv_probe(judge, key)?.first().map(|(tid, _)| *tid))
     }
 
-    /// [`Self::del`] judged by this node's own snapshot machinery.
-    pub fn del_local(
-        &mut self,
-        snap: &Snapshot,
-        own: Option<Xid>,
-        xid: Xid,
-        key: i64,
-    ) -> Result<bool> {
-        let old = {
-            let judge = SnapshotVisibility::new(snap, self.mgr.clog(), own);
-            self.table
-                .probe(0, &vec![Datum::Int(key)], &judge)?
-                .first()
-                .map(|(tid, _)| *tid)
+    /// Upsert `key = val` as transaction `xid`, replacing version `old`. A
+    /// write-write conflict aborts.
+    pub fn put(&mut self, xid: Xid, old: Option<TupleId>, key: i64, val: i64) -> Result<()> {
+        let row = row![key, val];
+        match old {
+            Some(tid) => self.update(TableId::KV, xid, tid, row)?,
+            None => self.insert(TableId::KV, xid, row)?,
         };
-        match old {
-            None => Ok(false),
-            Some(tid) => {
-                self.table.delete(xid, tid)?;
-                self.undo.entry(xid.raw()).or_default().push(UndoOp::Delete(tid));
-                self.push_redo(xid, ReplOp::Del { key });
-                Ok(true)
-            }
-        }
-    }
-
-    fn apply_put(&mut self, xid: Xid, old: Option<TupleId>, key: i64, val: i64) -> Result<()> {
-        match old {
-            Some(tid) => {
-                let new_tid = self.table.update(xid, tid, row![key, val])?;
-                let u = self.undo.entry(xid.raw()).or_default();
-                u.push(UndoOp::Delete(tid));
-                u.push(UndoOp::Insert(new_tid));
-            }
-            None => {
-                let tid = self.table.insert(xid, row![key, val])?;
-                self.undo.entry(xid.raw()).or_default().push(UndoOp::Insert(tid));
-            }
-        }
         self.push_redo(xid, ReplOp::Put { key, val });
         Ok(())
+    }
+
+    /// Delete version `old` of `key` as transaction `xid`. Returns whether
+    /// there was a version to delete.
+    pub fn del(&mut self, xid: Xid, old: Option<TupleId>, key: i64) -> Result<bool> {
+        let Some(tid) = old else {
+            return Ok(false);
+        };
+        self.delete(TableId::KV, xid, tid)?;
+        self.push_redo(xid, ReplOp::Del { key });
+        Ok(true)
     }
 
     /// Roll back every write `xid` made here.
@@ -470,18 +395,8 @@ impl DataNode {
         if let Some(ops) = self.undo.remove(&xid.raw()) {
             for op in ops.into_iter().rev() {
                 match op {
-                    UndoOp::Insert(tid) => self.table.undo_insert(xid, tid)?,
-                    UndoOp::Delete(tid) => self.table.undo_delete(xid, tid)?,
-                    UndoOp::SqlInsert(name, tid) => {
-                        if let Some(t) = self.sql.get_mut(&name) {
-                            t.undo_insert(xid, tid)?;
-                        }
-                    }
-                    UndoOp::SqlDelete(name, tid) => {
-                        if let Some(t) = self.sql.get_mut(&name) {
-                            t.undo_delete(xid, tid)?;
-                        }
-                    }
+                    UndoOp::Insert(t, tid) => self.table_mut(t)?.undo_insert(xid, tid)?,
+                    UndoOp::Delete(t, tid) => self.table_mut(t)?.undo_delete(xid, tid)?,
                 }
             }
         }
@@ -647,21 +562,15 @@ impl DataNode {
         self.mgr.local_snapshot()
     }
 
-    /// ANALYZE the node's table under `judge`.
-    pub fn analyze<V: Visibility + ?Sized>(&mut self, judge: &V) {
-        self.table.analyze(judge);
-    }
-
-    /// Count of all tuple versions (storage growth metric).
+    /// Count of all kv tuple versions (storage growth metric).
     pub fn version_count(&self) -> usize {
-        self.table.heap().version_count()
+        self.tables[0].heap().version_count()
     }
 
-    /// All `(key, value)` pairs visible to `judge` — the HTAP replica-sync
-    /// read path (a consistent snapshot scan of the shard).
+    /// All kv `(key, value)` pairs visible to `judge` — the HTAP
+    /// replica-sync read path (a consistent snapshot scan of the shard).
     pub fn snapshot_rows<V: Visibility + ?Sized>(&self, judge: &V) -> Vec<(i64, i64)> {
-        let mut out: Vec<(i64, i64)> = self
-            .table
+        let mut out: Vec<(i64, i64)> = self.tables[0]
             .scan(judge)
             .filter_map(|(_, r)| {
                 Some((
@@ -683,17 +592,33 @@ mod tests {
         DataNode::new(ShardId::new(0))
     }
 
+    /// Helpers: the kv operations judged by the node's own snapshot
+    /// machinery, writing as `x`.
+    fn put(n: &mut DataNode, snap: &Snapshot, x: Xid, key: i64, val: i64) -> Result<()> {
+        let old = n.kv_find(&n.judge(snap, Some(x)), key)?;
+        n.put(x, old, key, val)
+    }
+
+    fn del(n: &mut DataNode, snap: &Snapshot, x: Xid, key: i64) -> Result<bool> {
+        let old = n.kv_find(&n.judge(snap, Some(x)), key)?;
+        n.del(x, old, key)
+    }
+
+    fn get(n: &DataNode, snap: &Snapshot, own: Option<Xid>, key: i64) -> Result<Option<i64>> {
+        n.get(&n.judge(snap, own), key)
+    }
+
     /// Helper: run a committed single-statement write.
     fn committed_put(n: &mut DataNode, key: i64, val: i64) {
         let x = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(x), x, key, val).unwrap();
+        put(n, &snap, x, key, val).unwrap();
         n.mgr_mut().commit(x).unwrap();
     }
 
     fn read_latest(n: &DataNode, key: i64) -> Option<i64> {
         let snap = n.local_snapshot();
-        n.get_local(&snap, None, key).unwrap()
+        get(n, &snap, None, key).unwrap()
     }
 
     #[test]
@@ -701,10 +626,10 @@ mod tests {
         let mut n = node();
         let x = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(x), x, 1, 100).unwrap();
-        assert_eq!(n.get_local(&snap, Some(x), 1).unwrap(), Some(100));
+        put(&mut n, &snap, x, 1, 100).unwrap();
+        assert_eq!(get(&n, &snap, Some(x), 1).unwrap(), Some(100));
         // Another reader with the same snapshot sees nothing yet.
-        assert_eq!(n.get_local(&snap, None, 1).unwrap(), None);
+        assert_eq!(get(&n, &snap, None, 1).unwrap(), None);
         n.mgr_mut().commit(x).unwrap();
         assert_eq!(read_latest(&n, 1), Some(100));
     }
@@ -724,7 +649,7 @@ mod tests {
         committed_put(&mut n, 9, 1);
         let b = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(b), b, 9, 2).unwrap();
+        put(&mut n, &snap, b, 9, 2).unwrap();
         n.rollback_writes(b).unwrap();
         n.mgr_mut().abort(b).unwrap();
         assert_eq!(read_latest(&n, 9), Some(1));
@@ -735,7 +660,7 @@ mod tests {
         let mut n = node();
         let b = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(b), b, 3, 30).unwrap();
+        put(&mut n, &snap, b, 3, 30).unwrap();
         n.rollback_writes(b).unwrap();
         n.mgr_mut().abort(b).unwrap();
         assert_eq!(read_latest(&n, 3), None);
@@ -748,8 +673,8 @@ mod tests {
         let b = n.mgr_mut().begin_local();
         let c = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(b), b, 7, 2).unwrap();
-        let err = n.put_local(&snap, Some(c), c, 7, 3).unwrap_err();
+        put(&mut n, &snap, b, 7, 2).unwrap();
+        let err = put(&mut n, &snap, c, 7, 3).unwrap_err();
         assert_eq!(err.class(), "txn_aborted");
     }
 
@@ -808,10 +733,10 @@ mod tests {
         // An in-progress writer and a prepared multi-shard leg.
         let plain = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(plain), plain, 1, 99).unwrap();
+        put(&mut n, &snap, plain, 1, 99).unwrap();
         let leg = n.mgr_mut().begin_global(Xid(800));
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(leg), leg, 2, 20).unwrap();
+        put(&mut n, &snap, leg, 2, 20).unwrap();
         n.mgr_mut().prepare(leg).unwrap();
         n.mark_pending_commit(leg);
 
@@ -832,7 +757,7 @@ mod tests {
         let mut n = node();
         let leg = n.mgr_mut().begin_global(Xid(801));
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(leg), leg, 5, 50).unwrap();
+        put(&mut n, &snap, leg, 5, 50).unwrap();
         n.mgr_mut().prepare(leg).unwrap();
         n.crash();
         n.resolve_in_doubt(leg, true).unwrap();
@@ -845,7 +770,7 @@ mod tests {
         committed_put(&mut n, 6, 1);
         let leg = n.mgr_mut().begin_global(Xid(802));
         let snap = n.local_snapshot();
-        n.put_local(&snap, Some(leg), leg, 6, 999).unwrap();
+        put(&mut n, &snap, leg, 6, 999).unwrap();
         n.mgr_mut().prepare(leg).unwrap();
         n.crash();
         n.resolve_in_doubt(leg, false).unwrap();
@@ -861,10 +786,34 @@ mod tests {
         committed_put(&mut n, 4, 44);
         let b = n.mgr_mut().begin_local();
         let snap = n.local_snapshot();
-        assert!(n.del_local(&snap, Some(b), b, 4).unwrap());
-        assert!(!n.del_local(&snap, Some(b), b, 4).unwrap(), "already dead to b");
+        assert!(del(&mut n, &snap, b, 4).unwrap());
+        assert!(!del(&mut n, &snap, b, 4).unwrap(), "already dead to b");
         n.mgr_mut().commit(b).unwrap();
         assert_eq!(read_latest(&n, 4), None);
+    }
+
+    #[test]
+    fn kv_is_slot_zero_behind_the_generic_lookup() {
+        let mut n = node();
+        let schema = Schema::from_pairs(&[("a", hdm_common::DataType::Int)]);
+        let err = n.create_sql_table("kv", schema.clone()).unwrap_err();
+        assert_eq!(err.class(), "catalog", "slot 0 owns the name: {err}");
+        assert_eq!(n.table_id("kv").unwrap(), TableId::KV);
+        assert_eq!(n.create_sql_table("t", schema).unwrap(), TableId(1));
+
+        committed_put(&mut n, 2, 20);
+        let kv = n.sql_table("kv").unwrap();
+        assert_eq!(kv.name(), "kv@shard:0");
+        let ix = kv.indexes().iter().position(|ix| ix.key_columns() == [0]);
+        let snap = n.local_snapshot();
+        let judge = n.judge(&snap, None);
+        let hits = kv.probe(ix.expect("column-0 index"), &vec![Datum::Int(2)], &judge);
+        assert_eq!(hits.unwrap().len(), 1);
+
+        let x = n.mgr_mut().begin_local();
+        n.sql_insert(TableId(1), x, row![1]).unwrap();
+        n.mgr_mut().commit(x).unwrap();
+        assert_eq!(n.version_count(), 1, "kv versions only");
     }
 
     #[test]
@@ -874,7 +823,7 @@ mod tests {
         // Reader takes its snapshot, then a writer commits.
         let early = n.local_snapshot();
         committed_put(&mut n, 8, 2);
-        assert_eq!(n.get_local(&early, None, 8).unwrap(), Some(1));
+        assert_eq!(get(&n, &early, None, 8).unwrap(), Some(1));
         assert_eq!(read_latest(&n, 8), Some(2));
     }
 }

@@ -11,27 +11,33 @@
 //!   follower holds the leg **in doubt** and the existing in-doubt machinery
 //!   resolves it against the GTM;
 //! * [`LogRecord::Resolve`] — the 2PC decision for a prepared leg;
-//! * [`LogRecord::Ddl`] — CN-side CREATE TABLE fan-out.
+//! * [`LogRecord::Ddl`] — CN-side CREATE TABLE / CREATE INDEX fan-out.
 //!
 //! A follower's **replica CSN** is the length of the log prefix it has
 //! applied; applying the whole log reproduces the primary's committed state
-//! exactly. Updates and deletes carry the old row, and the follower locates
-//! its target by a shard-key probe (column 0, which every distributed table
-//! is hashed on and indexed by) filtered by row equality, taking the
-//! **lowest** matching tuple id among the visible hits — the tuple a
-//! heap-order scan would find first, so replay is deterministic. Identical
-//! rows are interchangeable, and followers apply serially and see only the
-//! committed prefix, so follower tuple ids never need to match the
-//! primary's. Promotion = replay-to-head + in-doubt reconstruction; see
-//! `Cluster::try_failover`.
+//! exactly. SQL ops address their table by [`TableId`]: a follower starts
+//! with the kv table in slot 0 like its primary and replays every
+//! `CreateSqlTable` in log order, checking that it binds the id the primary
+//! logged. kv ops stay key-addressed: a follower applies `Put`/`Del` to the
+//! version of the key its own snapshot sees. SQL updates and deletes carry
+//! the old row, and the follower locates its target by a shard-key probe
+//! (column 0, which every distributed table is hashed on and indexed by)
+//! filtered by row equality, taking the **lowest** matching tuple id among
+//! the visible hits — the tuple a heap-order scan would find first, so
+//! replay is deterministic. Identical rows are interchangeable, and
+//! followers apply serially and see only the committed prefix, so follower
+//! tuple ids never need to match the primary's. Promotion = replay-to-head +
+//! in-doubt reconstruction; see `Cluster::try_failover`.
 
-use crate::node::DataNode;
+use crate::node::{DataNode, TableId};
 use hdm_common::{HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_storage::heap::TupleId;
 use hdm_txn::Snapshot;
 use std::collections::BTreeSet;
 
-/// One logical operation of a replicated transaction.
+/// One logical operation of a replicated transaction. SQL ops address
+/// their table by [`TableId`]; the log's `CreateSqlTable` records bind
+/// each id to its name, so a follower's ids equal its primary's.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplOp {
     /// Upsert on the built-in kv table.
@@ -39,18 +45,23 @@ pub enum ReplOp {
     /// Delete on the built-in kv table.
     Del { key: i64 },
     /// Insert into this shard's slice of a distributed SQL table.
-    SqlInsert { table: String, row: Row },
+    SqlInsert { table: TableId, row: Row },
     /// Update by old row: the follower rewrites its lowest-tid visible tuple
     /// equal to `old` (found by probing the shard key `old[0]`) into `new`.
-    SqlUpdate { table: String, old: Row, new: Row },
+    SqlUpdate { table: TableId, old: Row, new: Row },
     /// Delete by row, located the same way as [`Self::SqlUpdate`].
-    SqlDelete { table: String, row: Row },
-    /// Create this shard's slice of a SQL table (CN DDL fan-out).
-    CreateSqlTable { table: String, schema: Schema },
+    SqlDelete { table: TableId, row: Row },
+    /// Create this shard's slice of SQL table `name` in slot `table` (CN
+    /// DDL fan-out). A follower that binds another id has diverged.
+    CreateSqlTable {
+        name: String,
+        table: TableId,
+        schema: Schema,
+    },
     /// Create a secondary index on this shard's slice (CN DDL fan-out).
     /// Replayed before any rows on a rejoining follower, so a promoted
     /// replica serves the same probe paths as the primary it replaced.
-    CreateSqlIndex { table: String, columns: Vec<usize> },
+    CreateSqlIndex { table: TableId, columns: Vec<usize> },
 }
 
 /// One entry of a shard's replication log. The statement tag `(id, rows)`
@@ -141,11 +152,20 @@ impl Follower {
         };
         match rec {
             LogRecord::Ddl { op } => match op {
-                ReplOp::CreateSqlTable { table, schema } => {
-                    self.node.create_sql_table(table, schema.clone())?;
+                ReplOp::CreateSqlTable {
+                    name,
+                    table,
+                    schema,
+                } => {
+                    let bound = self.node.create_sql_table(name, schema.clone())?;
+                    if bound != *table {
+                        return Err(HdmError::TxnState(format!(
+                            "replica divergence: {name} bound to {bound:?}, the log says {table:?}"
+                        )));
+                    }
                 }
                 ReplOp::CreateSqlIndex { table, columns } => {
-                    self.node.create_sql_index(table, columns.clone())?;
+                    self.node.create_sql_index(*table, columns.clone())?;
                 }
                 _ => {
                     return Err(HdmError::TxnState(format!(
@@ -190,20 +210,24 @@ fn apply_ops(node: &mut DataNode, xid: Xid, ops: &[ReplOp]) -> Result<()> {
     let snap = node.local_snapshot();
     for op in ops {
         match op {
-            ReplOp::Put { key, val } => node.put_local(&snap, Some(xid), xid, *key, *val)?,
+            ReplOp::Put { key, val } => {
+                let old = node.kv_find(&node.judge(&snap, Some(xid)), *key)?;
+                node.put(xid, old, *key, *val)?;
+            }
             ReplOp::Del { key } => {
-                node.del_local(&snap, Some(xid), xid, *key)?;
+                let old = node.kv_find(&node.judge(&snap, Some(xid)), *key)?;
+                node.del(xid, old, *key)?;
             }
             ReplOp::SqlInsert { table, row } => {
-                node.sql_insert(table, xid, row.clone())?;
+                node.sql_insert(*table, xid, row.clone())?;
             }
             ReplOp::SqlUpdate { table, old, new } => {
-                let tid = find_target(node, &snap, xid, table, old)?;
-                node.sql_update(table, xid, tid, new.clone())?;
+                let tid = find_target(node, &snap, xid, *table, old)?;
+                node.sql_update(*table, xid, tid, new.clone())?;
             }
             ReplOp::SqlDelete { table, row } => {
-                let tid = find_target(node, &snap, xid, table, row)?;
-                node.sql_delete(table, xid, tid)?;
+                let tid = find_target(node, &snap, xid, *table, row)?;
+                node.sql_delete(*table, xid, tid)?;
             }
             ReplOp::CreateSqlTable { .. } | ReplOp::CreateSqlIndex { .. } => {
                 return Err(HdmError::TxnState(
@@ -221,11 +245,11 @@ fn find_target(
     node: &DataNode,
     snap: &Snapshot,
     xid: Xid,
-    table: &str,
+    table: TableId,
     row: &Row,
 ) -> Result<TupleId> {
     node.sql_find_row(table, snap, Some(xid), row)?.ok_or_else(|| {
-        HdmError::TxnState(format!("replica divergence: no row {row:?} in {table}"))
+        HdmError::TxnState(format!("replica divergence: no row {row:?} in {table:?}"))
     })
 }
 
@@ -306,6 +330,9 @@ mod tests {
         ShardId::new(0)
     }
 
+    /// Slot of the first SQL table: the kv table holds slot 0.
+    const T: TableId = TableId(1);
+
     fn sql_schema() -> Schema {
         Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)])
     }
@@ -339,7 +366,8 @@ mod tests {
         let mut rs = ReplicaSet::new(shard(), 1);
         rs.append(LogRecord::Ddl {
             op: ReplOp::CreateSqlTable {
-                table: "t".into(),
+                name: "t".into(),
+                table: T,
                 schema: sql_schema(),
             },
         });
@@ -348,14 +376,14 @@ mod tests {
 
     fn ins(row: Row) -> ReplOp {
         ReplOp::SqlInsert {
-            table: "t".into(),
+            table: T,
             row,
         }
     }
 
     fn upd(old: Row, new: Row) -> ReplOp {
         ReplOp::SqlUpdate {
-            table: "t".into(),
+            table: T,
             old,
             new,
         }
@@ -363,9 +391,14 @@ mod tests {
 
     fn del(row: Row) -> ReplOp {
         ReplOp::SqlDelete {
-            table: "t".into(),
+            table: T,
             row,
         }
+    }
+
+    fn kv_get(node: &DataNode, key: i64) -> Option<i64> {
+        let snap = node.local_snapshot();
+        node.get(&node.judge(&snap, None), key).unwrap()
     }
 
     fn commit(ops: Vec<ReplOp>) -> LogRecord {
@@ -426,8 +459,7 @@ mod tests {
         rs.pump(0).unwrap();
         let node = &rs.followers[0].node;
         assert_eq!(visible_rows(node, "t"), vec![row![3, 31]]);
-        let snap = node.local_snapshot();
-        assert_eq!(node.get_local(&snap, None, 1).unwrap(), Some(11));
+        assert_eq!(kv_get(node, 1), Some(11));
     }
 
     #[test]
@@ -468,18 +500,19 @@ mod tests {
         let mut rs = ReplicaSet::new(shard(), 1);
         rs.append(LogRecord::Ddl {
             op: ReplOp::CreateSqlTable {
-                table: "t".into(),
+                name: "t".into(),
+                table: T,
                 schema: sql_schema(),
             },
         });
         rs.append(LogRecord::Commit {
             ops: vec![
                 ReplOp::SqlInsert {
-                    table: "t".into(),
+                    table: T,
                     row: row![1, 10],
                 },
                 ReplOp::SqlInsert {
-                    table: "t".into(),
+                    table: T,
                     row: row![2, 20],
                 },
             ],
@@ -487,7 +520,7 @@ mod tests {
         });
         rs.append(LogRecord::Commit {
             ops: vec![ReplOp::SqlUpdate {
-                table: "t".into(),
+                table: T,
                 old: row![1, 10],
                 new: row![1, 11],
             }],
@@ -505,14 +538,15 @@ mod tests {
         let mut rs = ReplicaSet::new(shard(), 1);
         rs.append(LogRecord::Ddl {
             op: ReplOp::CreateSqlTable {
-                table: "t".into(),
+                name: "t".into(),
+                table: T,
                 schema: sql_schema(),
             },
         });
         rs.append(LogRecord::Prepare {
             gxid: Xid(9000),
             ops: vec![ReplOp::SqlInsert {
-                table: "t".into(),
+                table: T,
                 row: row![5, 50],
             }],
             stmt: Some((3, 1)),
@@ -538,14 +572,18 @@ mod tests {
 
     #[test]
     fn resolve_abort_rolls_the_leg_back() {
-        let mut rs = ReplicaSet::new(shard(), 1);
+        let mut rs = with_table();
         rs.append(LogRecord::Commit {
-            ops: vec![ReplOp::Put { key: 1, val: 10 }],
+            ops: vec![ReplOp::Put { key: 1, val: 10 }, ins(row![1, 10])],
             stmt: None,
         });
         rs.append(LogRecord::Prepare {
             gxid: Xid(9001),
-            ops: vec![ReplOp::Put { key: 1, val: 99 }],
+            ops: vec![
+                ReplOp::Put { key: 1, val: 99 },
+                ins(row![2, 20]),
+                upd(row![1, 10], row![1, 11]),
+            ],
             stmt: None,
         });
         rs.append(LogRecord::Resolve {
@@ -554,9 +592,24 @@ mod tests {
         });
         rs.pump(100).unwrap();
         let f = &rs.followers[0];
-        let snap = f.node.local_snapshot();
-        assert_eq!(f.node.get_local(&snap, None, 1).unwrap(), Some(10));
+        assert_eq!(kv_get(&f.node, 1), Some(10), "the kv slot rolled back");
+        assert_eq!(
+            visible_rows(&f.node, "t"),
+            vec![row![1, 10]],
+            "the SQL slot rolled back"
+        );
+        let t = f.node.sql_table("t").unwrap();
+        assert_eq!(t.indexes()[0].len(), 1, "the aborted insert left the index");
         assert_eq!(f.node.undo_len(), 0, "aborted leg releases its undo");
+        // Undo cleared the delete stamps, so both versions take new writes.
+        rs.append(commit(vec![
+            ReplOp::Put { key: 1, val: 11 },
+            upd(row![1, 10], row![1, 11]),
+        ]));
+        rs.pump(100).unwrap();
+        let f = &rs.followers[0];
+        assert_eq!(kv_get(&f.node, 1), Some(11));
+        assert_eq!(visible_rows(&f.node, "t"), vec![row![1, 11]]);
     }
 
     #[test]
@@ -576,9 +629,8 @@ mod tests {
         let (f, behind) = rs.take_promoted().unwrap().unwrap();
         assert_eq!(behind, 2, "catch-up replayed exactly the missing suffix");
         assert_eq!(f.applied, 6);
-        let snap = f.node.local_snapshot();
         for i in 0..6 {
-            assert_eq!(f.node.get_local(&snap, None, i).unwrap(), Some(i * 10));
+            assert_eq!(kv_get(&f.node, i), Some(i * 10));
         }
         assert_eq!(rs.followers.len(), 1, "one follower remains");
         assert_eq!(rs.followers[0].applied, 0);
@@ -589,18 +641,19 @@ mod tests {
         let mut rs = ReplicaSet::new(shard(), 1);
         rs.append(LogRecord::Ddl {
             op: ReplOp::CreateSqlTable {
-                table: "t".into(),
+                name: "t".into(),
+                table: T,
                 schema: sql_schema(),
             },
         });
         rs.append(LogRecord::Commit {
             ops: vec![
                 ReplOp::SqlInsert {
-                    table: "t".into(),
+                    table: T,
                     row: row![1, 10],
                 },
                 ReplOp::SqlInsert {
-                    table: "t".into(),
+                    table: T,
                     row: row![1, 20],
                 },
             ],
@@ -608,12 +661,32 @@ mod tests {
         });
         rs.append(LogRecord::Commit {
             ops: vec![ReplOp::SqlDelete {
-                table: "t".into(),
+                table: T,
                 row: row![1, 20],
             }],
             stmt: None,
         });
         rs.pump(100).unwrap();
         assert_eq!(visible_rows(&rs.followers[0].node, "t"), vec![row![1, 10]]);
+    }
+
+    #[test]
+    fn a_ddl_record_binding_another_id_is_divergence() {
+        let mut rs = ReplicaSet::new(shard(), 1);
+        rs.append(LogRecord::Ddl {
+            op: ReplOp::CreateSqlTable {
+                name: "t".into(),
+                table: TableId(2),
+                schema: sql_schema(),
+            },
+        });
+        let err = rs.pump(0).unwrap_err().to_string();
+        assert!(err.contains("replica divergence"), "{err}");
+        assert_eq!(rs.followers[0].applied, 0, "the record is not applied");
+    }
+
+    #[test]
+    fn no_op_carries_a_table_name_beside_its_rows() {
+        assert!(std::mem::size_of::<ReplOp>() <= 56);
     }
 }

@@ -64,12 +64,6 @@ id_newtype!(
 );
 
 id_newtype!(
-    /// Identifies a table in a catalog.
-    TableId,
-    "table:"
-);
-
-id_newtype!(
     /// Identifies a GMDB client (each client may run a different schema
     /// version, §III-B).
     ClientId,

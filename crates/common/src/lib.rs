@@ -16,7 +16,7 @@ pub mod time;
 pub mod value;
 
 pub use error::{HdmError, Result};
-pub use ids::{ClientId, DeviceId, NodeId, ShardId, TableId, Xid};
+pub use ids::{ClientId, DeviceId, NodeId, ShardId, Xid};
 pub use rng::SplitMix64;
 pub use schema::{Column, Row, Schema};
 pub use time::{SimDuration, SimInstant};

@@ -146,7 +146,7 @@ impl Histogram {
         self.total
     }
 
-    /// Approximate percentile (`q` in [0,1]); returns the bucket upper bound.
+    /// Approximate percentile (`q` in `[0, 1]`); returns the bucket upper bound.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;

@@ -17,7 +17,7 @@
 //!   `gtimeseries(...)` and `ggraph(...)` table functions embed the other
 //!   engines inside relational queries, reproducing Example 1.
 
-//! * [`vision`] — the vision-metadata engine the paper "plan[s] to add …
+//! * [`vision`] — the vision-metadata engine the paper "plan\[s\] to add …
 //!   soon": detection storage with class/time indexes and embedding
 //!   similarity search (the §IV-B high-dimensional challenge).
 //! * [`stream`] — continuous queries: standing tumbling-window aggregations

@@ -1,7 +1,7 @@
 //! The vision-metadata engine.
 //!
 //! §II-B: "High resolution cameras, lidar … produce a lot of data …
-//! Sophisticated AI based algorithms have been developed to [recognize]
+//! Sophisticated AI based algorithms have been developed to \[recognize\]
 //! objects in vision or point cloud data. A multimodel system needs to
 //! store these objects and process queries on them. The storage of these
 //! objects requires special indexing and proper metadata" — and the paper

@@ -11,7 +11,7 @@
 //! * [`index`] — ordered secondary indexes over heap tuples.
 //! * [`compress`] — RLE / dictionary / delta codecs for column chunks
 //!   ("data compression", §I).
-//! * [`column`] — a compressed columnar representation of a table
+//! * [`column`](mod@column) — a compressed columnar representation of a table
 //!   ("hybrid row-column storage", §I).
 //! * [`batch`] — vectorized column batches with selection vectors
 //!   ("vectorized execution engine", §II).

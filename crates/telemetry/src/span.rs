@@ -1,9 +1,9 @@
 //! Lightweight structured spans.
 //!
 //! A span is a named interval with a parent link, `key=value` fields and
-//! point events; timestamps come from the tracer's [`Clock`], so the same
-//! call sites produce virtual-time spans under the simulator and wall-time
-//! spans in real runs. Parents are passed explicitly (no thread-local
+//! point events; timestamps come from the tracer's [`Clock`](crate::Clock),
+//! so the same call sites produce virtual-time spans under the simulator and
+//! wall-time spans in real runs. Parents are passed explicitly (no thread-local
 //! ambient span): the discrete-event harnesses interleave dozens of
 //! transactions on one thread, so ambient nesting would attribute children
 //! to whichever transaction's event happened to run last.

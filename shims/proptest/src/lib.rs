@@ -188,7 +188,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Size specification for [`vec`]: an exact length or a half-open range.
+    /// Size specification for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
