@@ -22,15 +22,27 @@ use crate::sys::{self, SysSnapshot};
 use hdm_common::{Datum, Result, Row};
 use hdm_storage::TableStats;
 use hdm_telemetry::ShardLeg;
-use hdm_txn::{LocalTxnManager, Snapshot, SnapshotVisibility};
+use hdm_txn::{LocalTxnManager, MemoVisibility, Snapshot, SnapshotVisibility};
 
 /// Storage access for the executor: scans and point gets under the backend's
 /// statement snapshot, DML as autocommitted transactions, and a statistics
 /// handle for planners that want backend-truth row counts.
+///
+/// Scans are visitors: [`Self::scan`] and [`Self::scan_shards`] hand each
+/// surviving row to `emit` by reference, straight out of storage, and
+/// return how many rows they emitted. Rows arrive in heap (tuple id) order,
+/// shard by shard in the order `shards` names them. An error from `emit`
+/// aborts the scan and is returned as the scan's error. A caller that needs
+/// the rows owned clones them in `emit`; one that aggregates never does.
 pub trait ExecBackend {
-    /// Rows of `table` visible under the backend's snapshot that pass
-    /// `predicate` (all rows when `None`).
-    fn scan(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<Vec<Row>>;
+    /// Visit the rows of `table` visible under the backend's snapshot that
+    /// pass `predicate` (all rows when `None`).
+    fn scan(
+        &mut self,
+        table: &str,
+        predicate: Option<&SExpr>,
+        emit: &mut dyn FnMut(&Row) -> Result<()>,
+    ) -> Result<u64>;
 
     /// Equality index probe on `index_id` with `key_values`, filtered by the
     /// `residual` predicate.
@@ -61,7 +73,8 @@ pub trait ExecBackend {
     }
 
     /// Scan restricted to the given shard set — the `Exchange` fragment
-    /// entry point. Backends without a notion of placement run a plain scan.
+    /// entry point, visiting rows as [`Self::scan`] does. Backends without a
+    /// notion of placement run a plain scan.
     /// When the planner chose an index access path, `probe` carries the
     /// concrete equality key or range bounds so each shard leg can consult
     /// its local index instead of walking its whole slice; the full
@@ -80,9 +93,10 @@ pub trait ExecBackend {
         predicate: Option<&SExpr>,
         shards: &[u64],
         probe: Option<&crate::plan::ExchangeProbe>,
-    ) -> Result<Vec<Row>> {
+        emit: &mut dyn FnMut(&Row) -> Result<()>,
+    ) -> Result<u64> {
         let _ = (shards, probe);
-        self.scan(table, predicate)
+        self.scan(table, predicate, emit)
     }
 
     /// Insert pre-materialized rows as one autocommitted transaction.
@@ -166,46 +180,67 @@ pub fn bound_ref(b: &std::ops::Bound<Vec<Datum>>) -> std::ops::Bound<&Vec<Datum>
     }
 }
 
-/// Filter a sys view's frozen rows through the scan predicate — shared by
-/// both backends so the two engines agree on sys-view semantics.
-pub fn scan_sys_rows(
-    snapshot: &SysSnapshot,
-    table: &str,
+/// Hand each of `rows` that passes `predicate` to `emit`; returns how many
+/// it emitted.
+fn emit_matching<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
     predicate: Option<&SExpr>,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    for row in snapshot.rows(table) {
+    emit: &mut dyn FnMut(&Row) -> Result<()>,
+) -> Result<u64> {
+    let mut n = 0;
+    for row in rows {
         let keep = match predicate {
             None => true,
             Some(p) => p.eval_filter(row.values())?,
         };
         if keep {
-            out.push(row.clone());
+            emit(row)?;
+            n += 1;
         }
     }
+    Ok(n)
+}
+
+/// Clone each of `rows` that passes `predicate`.
+fn collect_matching<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
+    predicate: Option<&SExpr>,
+) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    emit_matching(rows, predicate, &mut |r| {
+        out.push(r.clone());
+        Ok(())
+    })?;
     Ok(out)
 }
 
+/// Visit a sys view's frozen rows that pass the scan predicate — shared by
+/// both backends so the two engines agree on sys-view semantics.
+pub fn scan_sys_rows(
+    snapshot: &SysSnapshot,
+    table: &str,
+    predicate: Option<&SExpr>,
+    emit: &mut dyn FnMut(&Row) -> Result<()>,
+) -> Result<u64> {
+    emit_matching(snapshot.rows(table), predicate, emit)
+}
+
 impl ExecBackend for LocalBackend<'_> {
-    fn scan(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<Vec<Row>> {
+    fn scan(
+        &mut self,
+        table: &str,
+        predicate: Option<&SExpr>,
+        emit: &mut dyn FnMut(&Row) -> Result<()>,
+    ) -> Result<u64> {
         if let Some(snapshot) = self.sys {
             if sys::is_sys_view(table) {
-                return scan_sys_rows(snapshot, table, predicate);
+                return scan_sys_rows(snapshot, table, predicate, emit);
             }
         }
-        let judge = SnapshotVisibility::new(&self.snap, self.mgr.clog(), None);
+        let judge =
+            MemoVisibility::new(SnapshotVisibility::new(&self.snap, self.mgr.clog(), None));
         let t = self.catalog.get(table)?;
-        let mut out = Vec::new();
-        for (_tid, row) in t.scan(&judge) {
-            let keep = match predicate {
-                None => true,
-                Some(p) => p.eval_filter(row.values())?,
-            };
-            if keep {
-                out.push(row.clone());
-            }
-        }
-        Ok(out)
+        emit_matching(t.scan(&judge).map(|(_tid, row)| row), predicate, emit)
     }
 
     fn point_get(
@@ -218,17 +253,7 @@ impl ExecBackend for LocalBackend<'_> {
         let judge = SnapshotVisibility::new(&self.snap, self.mgr.clog(), None);
         let t = self.catalog.get(table)?;
         let hits = t.probe(index_id, &key_values.to_vec(), &judge)?;
-        let mut out = Vec::new();
-        for (_tid, row) in hits {
-            let keep = match residual {
-                None => true,
-                Some(p) => p.eval_filter(row.values())?,
-            };
-            if keep {
-                out.push(row.clone());
-            }
-        }
-        Ok(out)
+        collect_matching(hits.into_iter().map(|(_tid, row)| row), residual)
     }
 
     fn index_range(
@@ -251,17 +276,7 @@ impl ExecBackend for LocalBackend<'_> {
         )?;
         // Index order → heap order, matching the sequential plan's output.
         hits.sort_unstable_by_key(|&(tid, _)| tid);
-        let mut out = Vec::new();
-        for (_tid, row) in hits {
-            let keep = match residual {
-                None => true,
-                Some(p) => p.eval_filter(row.values())?,
-            };
-            if keep {
-                out.push(row.clone());
-            }
-        }
-        Ok(out)
+        collect_matching(hits.into_iter().map(|(_tid, row)| row), residual)
     }
 
     fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
@@ -382,6 +397,18 @@ mod tests {
         (catalog, LocalTxnManager::new())
     }
 
+    fn scan_all(be: &mut LocalBackend<'_>) -> Vec<Row> {
+        let mut rows = Vec::new();
+        let n = be
+            .scan("t", None, &mut |r| {
+                rows.push(r.clone());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n, rows.len() as u64, "scan returns the emitted count");
+        rows
+    }
+
     #[test]
     fn insert_then_scan_roundtrip() {
         let (mut catalog, mut mgr) = setup();
@@ -390,8 +417,32 @@ mod tests {
             assert_eq!(be.insert("t", vec![row![1, 10], row![2, 20]]).unwrap(), 2);
         }
         let mut be = LocalBackend::new(&mut catalog, &mut mgr);
-        let rows = be.scan("t", None).unwrap();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(scan_all(&mut be).len(), 2);
+    }
+
+    #[test]
+    fn emit_error_aborts_the_scan() {
+        let (mut catalog, mut mgr) = setup();
+        let mut be = LocalBackend::new(&mut catalog, &mut mgr);
+        be.insert("t", vec![row![1, 10], row![2, 20], row![3, 30]])
+            .unwrap();
+        let mut be = LocalBackend::new(&mut catalog, &mut mgr);
+        let mut seen = Vec::new();
+        let err = be
+            .scan("t", None, &mut |r| {
+                seen.push(r.clone());
+                match seen.len() {
+                    2 => Err(hdm_common::HdmError::Execution("stop".into())),
+                    _ => Ok(()),
+                }
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            hdm_common::HdmError::Execution("stop".into()).to_string()
+        );
+        // Heap order, and nothing after the failing row.
+        assert_eq!(seen, vec![row![1, 10], row![2, 20]]);
     }
 
     #[test]
@@ -412,7 +463,7 @@ mod tests {
         }
         let mut be = LocalBackend::new(&mut catalog, &mut mgr);
         be.snap = early_snap;
-        assert_eq!(be.scan("t", None).unwrap().len(), 1);
+        assert_eq!(scan_all(&mut be).len(), 1);
     }
 
     #[test]
@@ -429,7 +480,6 @@ mod tests {
         assert_eq!(be.update("t", &sets, Some(&pred)).unwrap(), 1);
         assert_eq!(be.delete("t", Some(&pred)).unwrap(), 1);
         let mut be = LocalBackend::new(&mut catalog, &mut mgr);
-        let rows = be.scan("t", None).unwrap();
-        assert_eq!(rows, vec![row![2, 20]]);
+        assert_eq!(scan_all(&mut be), vec![row![2, 20]]);
     }
 }

@@ -187,7 +187,11 @@ impl CompiledProgram {
             match op {
                 Op::SeqScan { table, pred, dst } => {
                     let p = pred.map(|x| &exprs[x as usize]);
-                    regs[*dst as usize] = backend.scan(table, p)?;
+                    let rows = &mut regs[*dst as usize];
+                    backend.scan(table, p, &mut |r| {
+                        rows.push(r.clone());
+                        Ok(())
+                    })?;
                     out = *dst as usize;
                 }
                 Op::IndexProbe {

@@ -32,4 +32,4 @@ pub use local::LocalTxnManager;
 pub use merge::{merge_snapshot, merge_with_manager, MergeInputs, MergeOutcome};
 pub use snapshot::Snapshot;
 pub use twopc::{Decision, TwoPcCoordinator, TwoPcState};
-pub use visibility::SnapshotVisibility;
+pub use visibility::{MemoVisibility, SnapshotVisibility};

@@ -9,6 +9,7 @@ use crate::commitlog::CommitLog;
 use crate::snapshot::Snapshot;
 use hdm_common::Xid;
 use hdm_storage::Visibility;
+use std::cell::Cell;
 
 /// Visibility judge for one reader on one DN.
 #[derive(Debug, Clone, Copy)]
@@ -39,6 +40,42 @@ impl Visibility for SnapshotVisibility<'_> {
 
     fn is_own(&self, xid: Xid) -> bool {
         self.own == Some(xid)
+    }
+}
+
+/// [`SnapshotVisibility`] with a one-entry memo on `sees_committed`: a scan
+/// or probe judges runs of tuples that share one creating transaction (a
+/// bulk load, a batch INSERT), so the commit-log probe hits the memo on
+/// nearly every row. Visibility answers are snapshot-stable within a
+/// statement, so memoizing cannot change results.
+pub struct MemoVisibility<'a> {
+    inner: SnapshotVisibility<'a>,
+    last: Cell<Option<(Xid, bool)>>,
+}
+
+impl<'a> MemoVisibility<'a> {
+    pub fn new(inner: SnapshotVisibility<'a>) -> Self {
+        Self {
+            inner,
+            last: Cell::new(None),
+        }
+    }
+}
+
+impl Visibility for MemoVisibility<'_> {
+    fn sees_committed(&self, xid: Xid) -> bool {
+        if let Some((x, ans)) = self.last.get() {
+            if x == xid {
+                return ans;
+            }
+        }
+        let ans = self.inner.sees_committed(xid);
+        self.last.set(Some((xid, ans)));
+        ans
+    }
+
+    fn is_own(&self, xid: Xid) -> bool {
+        self.inner.is_own(xid)
     }
 }
 

@@ -163,7 +163,7 @@ impl DistCorpus {
         out
     }
 
-    /// ~20 seeded equivalence queries. Every query is deterministic up to
+    /// ~30 seeded equivalence queries. Every query is deterministic up to
     /// row order (LIMIT always rides on a total-order ORDER BY).
     pub fn queries(&self) -> Vec<String> {
         let mut rng = SplitMix64::new(self.seed ^ 0x9E37);
@@ -213,6 +213,14 @@ impl DistCorpus {
         q.push(format!(
             "select region from orders where cust = {k} and amount > 200"
         ));
+        // Aggregate shapes over the scatter. They draw nothing from the RNG,
+        // so every query above stays what it was for every seed.
+        q.push("select min(amount), max(amount), avg(amount) from orders where region = 3".into());
+        q.push("select count(amount), count(*) from orders where amount > 900".into());
+        // A global aggregate over no rows is one row (0, NULL); a grouped
+        // one is no rows.
+        q.push("select count(*), sum(amount) from orders where amount < 0".into());
+        q.push("select region, count(*) from orders where amount < 0 group by region".into());
         q
     }
 }
