@@ -5,7 +5,10 @@
 //! records actual rows, inclusive time on a pluggable [`SharedClock`]
 //! (virtual in simulations, wall in real runs), and — for `Exchange`
 //! operators — the per-shard rows/time legs the backend drained via
-//! [`crate::backend::ExecBackend::take_exchange_profile`].
+//! [`crate::backend::ExecBackend::take_exchange_profile`]. A streamed scan
+//! hands each row to its consumer inside the scan, so its time (and each
+//! Exchange leg's) includes the consumer's per-row work: a `HashAgg` or
+//! `Project` over a scan shows a self time near 0.
 //!
 //! Two bridges make the profile more than a pretty tree:
 //!

@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// One shard's contribution to an Exchange operator: the fragment's row
-/// count and the time the CN spent gathering it.
+/// count and the time the CN spent gathering it. When the Exchange streams
+/// into its consumer, that time includes the consumer's work on the rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLeg {
     pub shard: u64,
