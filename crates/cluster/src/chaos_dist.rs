@@ -98,7 +98,7 @@ pub struct ChaosDistReport {
     pub restarts: u64,
     /// Followers promoted to primary (engine counter).
     pub promotions: u64,
-    /// Crashed ex-primaries re-seeded as empty followers.
+    /// Crashed ex-primaries rejoined as followers at their crash CSN.
     pub rejoins: u64,
     /// CN-driven failovers (inline at a fragment + between retry attempts).
     pub failovers: u64,

@@ -53,8 +53,9 @@ use std::rc::Rc;
 pub enum FaultOp {
     /// Crash the shard's primary.
     Crash(u64),
-    /// Restart the crashed machine (it rejoins as an empty follower when the
-    /// shard already failed over to a replica).
+    /// Restart the crashed machine (when the shard already failed over to a
+    /// replica, it rejoins as a follower from its own durable state,
+    /// resuming at its crash CSN).
     Restart(u64),
 }
 

@@ -184,8 +184,8 @@ pub struct ClusterCounters {
     pub snapshot_cache_hits: u64,
     pub snapshot_cache_misses: u64,
     /// Followers promoted to primary after a crash / crashed ex-primaries
-    /// re-seeded as empty followers. Both zero unless
-    /// [`ClusterConfig::replicas`] > 0.
+    /// rejoined as followers, resuming from their own durable state at
+    /// their crash CSN. Both zero unless [`ClusterConfig::replicas`] > 0.
     pub promotions: u64,
     pub rejoins: u64,
 }
@@ -333,9 +333,11 @@ pub struct Cluster {
     /// Per-shard primary epoch, bumped by each promotion. Stays 0 for every
     /// shard when replication is off, so legacy behaviour is bit-identical.
     epochs: Vec<u64>,
-    /// Shards whose scheduled restart should re-seed the returning machine
-    /// as an empty follower (a promotion already replaced it as primary).
-    rejoining: Vec<bool>,
+    /// Per shard, the replaced ex-primary parked as a follower at its crash
+    /// CSN until its scheduled restart adds it to the shard's follower set.
+    /// A second promotion before that restart parks the newer ex-primary
+    /// in its place.
+    rejoining: Vec<Option<Follower>>,
     /// Bounded crash/recovery/promotion journal — the `sys.events` source.
     journal: EventJournal,
     /// Per-shard health classifier, driven from `pump_replication` while
@@ -355,7 +357,7 @@ impl Cluster {
         let replicas = map.all().map(|s| ReplicaSet::new(s, cfg.replicas)).collect();
         let down = vec![false; nodes.len()];
         let epochs = vec![0; nodes.len()];
-        let rejoining = vec![false; nodes.len()];
+        let rejoining = (0..nodes.len()).map(|_| None).collect();
         let health = HealthMonitor::new(nodes.len());
         Self {
             cfg,
@@ -517,20 +519,21 @@ impl Cluster {
     /// them.
     pub fn restart_node(&mut self, shard: ShardId) {
         let i = shard.raw() as usize;
-        if self.rejoining[i] {
+        if let Some(follower) = self.rejoining[i].take() {
             // A promotion already replaced this machine as primary; the
-            // returning process discards its stale state and rejoins as an
-            // empty follower, re-seeding from the shard log.
-            self.rejoining[i] = false;
+            // returning process keeps its durable state and rejoins as a
+            // follower at its crash CSN, catching up on the records the
+            // new primary appended since.
+            let csn = follower.applied;
+            self.replicas[i].followers.push(follower);
             self.counters.dn_restarts += 1;
             self.counters.rejoins += 1;
-            self.replicas[i].followers.push(Follower::new(shard));
             let now = self.journal_now_us();
             self.journal.append(
                 now,
                 "rejoin",
                 Some(i as u64),
-                "ex-primary re-seeded as empty follower".into(),
+                format!("ex-primary rejoined from its own state at csn={csn}"),
             );
             if let Some(t) = &self.tel {
                 t.restart_dn.inc();
@@ -674,9 +677,11 @@ impl Cluster {
     /// reconstruct in-doubt 2PC legs from the shipped `Prepare` records,
     /// bump the shard's epoch (fencing every leg opened against the dead
     /// primary), and resolve the reconstructed in-doubt legs against the
-    /// GTM. The dead machine rejoins as an empty follower at its scheduled
-    /// restart. Returns `true` if a promotion happened; `false` when the
-    /// shard is up, replication is off, or no follower exists.
+    /// GTM. The dead node keeps its durable state, which is the log prefix
+    /// at its crash, and is parked as a follower at that CSN
+    /// ([`Follower::rejoin`]); its scheduled restart adds it to the
+    /// follower set. Returns `true` if a promotion happened; `false` when
+    /// the shard is up, replication is off, or no follower exists.
     pub fn try_failover(&mut self, shard: ShardId) -> Result<bool> {
         let i = shard.raw() as usize;
         if self.cfg.replicas == 0 || !self.down[i] {
@@ -688,10 +693,12 @@ impl Cluster {
         let mut node = follower.node;
         node.set_record_redo(true);
         let in_doubt = node.in_doubt_legs().len();
-        self.nodes[i] = node;
+        let dead = std::mem::replace(&mut self.nodes[i], node);
+        // Parked before the promoted node resolves its in-doubt legs: those
+        // `Resolve` records are the first the rejoined follower applies.
+        self.rejoining[i] = Some(Follower::rejoin(dead, &self.replicas[i].log)?);
         self.down[i] = false;
         self.epochs[i] += 1;
-        self.rejoining[i] = true;
         self.counters.promotions += 1;
         let now = self.journal_now_us();
         self.journal.append(
@@ -1121,8 +1128,8 @@ impl Cluster {
             return Err(HdmError::Unavailable("GTM is down".into()));
         }
         let epoch = self.epochs[shard.raw() as usize];
-        let mut upgraded: Vec<Xid> = Vec::new();
         let node = &mut self.nodes[shard.raw() as usize];
+        let replicas = &mut self.replicas[shard.raw() as usize];
         let xid = node.mgr_mut().begin_global(*gxid);
 
         let merged = match self.cfg.merge_policy {
@@ -1163,7 +1170,10 @@ impl Cluster {
                     }
                     // The paper's wait-for-commit: the decision is already
                     // durable at the GTM, so the reader completes the local
-                    // commits instead of blocking.
+                    // commits instead of blocking. Each flip closes some
+                    // other transaction's commit window and is logged at
+                    // once, so an error later in the merge cannot leave the
+                    // log behind the primary.
                     self.counters.upgrade_waits += out.upgrade_waits.len() as u64;
                     for w in out.upgrade_waits {
                         if !node.is_pending_commit(w) {
@@ -1171,23 +1181,16 @@ impl Cluster {
                                 "UPGRADE wait on {w} which is not pending-commit"
                             )));
                         }
-                        if node.finish_commit(w)? {
-                            upgraded.push(w);
+                        if node.finish_commit(w)? && self.cfg.replicas > 0 {
+                            if let Some(g) = node.mgr().gxid_of(w) {
+                                replicas.resolve(g, true);
+                            }
                         }
                     }
                 }
             }
         };
         legs.insert(shard.raw(), Leg { xid, merged, epoch });
-        // The reader just closed some other transaction's commit window;
-        // that resolution must reach the shard's followers too.
-        if self.cfg.replicas > 0 {
-            for w in upgraded {
-                if let Some(g) = self.nodes[shard.raw() as usize].mgr().gxid_of(w) {
-                    self.replicas[shard.raw() as usize].resolve(g, true);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1535,6 +1538,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::ShardLog;
     use crate::shard::make_key;
 
     fn lite(shards: usize) -> Cluster {
@@ -2134,5 +2138,215 @@ mod tests {
             c.bump(None, make_key(0, i), 1).unwrap();
         }
         assert!(c.node(ShardId::new(0)).mgr().lco().len() <= 16 + 1);
+    }
+
+    fn replicated(shards: usize) -> Cluster {
+        let mut cfg = ClusterConfig::gtm_lite(shards);
+        cfg.replicas = 1;
+        Cluster::new(cfg)
+    }
+
+    /// A sharding prefix that routes to `shard`.
+    fn prefix_on(c: &Cluster, shard: ShardId) -> u32 {
+        (0..)
+            .find(|&p| c.shard_map().shard_of_prefix(p) == shard)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_rejoin_resumes_at_the_crash_csn_whatever_the_history() {
+        let s0 = ShardId::new(0);
+        for n in [100u32, 5_000] {
+            let mut c = replicated(4);
+            let p = prefix_on(&c, s0);
+            for j in 0..n {
+                c.bump(Some(p), make_key(p, j), 1).unwrap();
+            }
+            c.pump_replication(0).unwrap();
+            c.crash_node(s0);
+            let crash_head = c.log_heads()[0];
+            assert!(crash_head >= u64::from(n), "one record per load commit");
+            assert!(c.try_failover(s0).unwrap());
+            let k = 7;
+            for j in 0..k {
+                c.bump(Some(p), make_key(p, n + j), 1).unwrap();
+            }
+            c.restart_node(s0);
+            assert_eq!(c.replica_csns()[0], vec![crash_head], "n={n}");
+            assert_eq!(
+                c.pump_replication(0).unwrap(),
+                u64::from(k),
+                "n={n}: the rejoin applies only the records appended since the crash"
+            );
+            assert_eq!(c.replica_csns()[0], vec![c.log_heads()[0]]);
+            assert_eq!(c.counters().rejoins, 1);
+            let rejoin = c.events().find(|e| e.kind == "rejoin").unwrap();
+            assert!(
+                rejoin.detail.ends_with(&format!("csn={crash_head}")),
+                "{rejoin:?}"
+            );
+        }
+    }
+
+    /// Everything a follower's durable state answers: the visible rows of
+    /// each named table as a multiset, the kv pairs, the dedup entry of
+    /// every statement tag in the log, and the in-doubt gxids.
+    type ReplicaState = (
+        Vec<Vec<String>>,
+        Vec<(i64, i64)>,
+        Vec<Option<u64>>,
+        Vec<Option<Xid>>,
+    );
+
+    fn replica_state(node: &DataNode, log: &ShardLog, tables: &[&str]) -> ReplicaState {
+        let snap = node.local_snapshot();
+        let judge = SnapshotVisibility::new(&snap, node.mgr().clog(), None);
+        let rows = tables
+            .iter()
+            .map(|t| {
+                let mut out: Vec<String> = node
+                    .sql_table(t)
+                    .unwrap()
+                    .scan(&judge)
+                    .map(|(_, r)| format!("{r:?}"))
+                    .collect();
+                out.sort();
+                out
+            })
+            .collect();
+        let stmts = (0..log.head())
+            .filter_map(|csn| match log.get(csn) {
+                Some(LogRecord::Commit {
+                    stmt: Some((id, _)),
+                    ..
+                })
+                | Some(LogRecord::Prepare {
+                    stmt: Some((id, _)),
+                    ..
+                }) => Some(*id),
+                _ => None,
+            })
+            .map(|id| node.stmt_applied(id))
+            .collect();
+        let mut in_doubt: Vec<Option<Xid>> =
+            node.in_doubt_legs().into_iter().map(|(_, g)| g).collect();
+        in_doubt.sort();
+        (rows, node.snapshot_rows(&judge), stmts, in_doubt)
+    }
+
+    /// Compare every follower of every shard with a follower replayed from
+    /// record 0 on the same log. Returns the total in-doubt legs seen.
+    fn assert_followers_match_replay(c: &Cluster, tables: &[&str]) -> usize {
+        let mut in_doubt = 0;
+        for (i, rs) in c.replicas.iter().enumerate() {
+            let mut oracle = Follower::new(ShardId::new(i as u64));
+            while oracle.apply_next(&rs.log).unwrap() {}
+            let want = replica_state(&oracle.node, &rs.log, tables);
+            assert!(!rs.followers.is_empty(), "shard {i} has a follower");
+            for f in &rs.followers {
+                assert_eq!(f.applied, rs.log.head());
+                assert_eq!(replica_state(&f.node, &rs.log, tables), want, "shard {i}");
+            }
+            in_doubt += want.3.len();
+        }
+        in_doubt
+    }
+
+    #[test]
+    fn rejoined_ex_primaries_match_a_replay_from_record_zero() {
+        use crate::dist::DistDb;
+        use hdm_common::SplitMix64;
+        use hdm_sql::prepared::{ExecOptions, QueryApi};
+
+        const SHARDS: u64 = 4;
+        let mut db = DistDb::new(replicated(SHARDS as usize)).unwrap();
+        db.execute("create table dup (k int, v int)").unwrap();
+        let load: Vec<String> = (0..48)
+            .flat_map(|k| std::iter::repeat_n(format!("({k},{})", k % 5), 3))
+            .collect();
+        db.execute(&format!("insert into dup values {}", load.join(",")))
+            .unwrap();
+        db.cluster_mut().pump_replication(0).unwrap();
+
+        let mut rng = SplitMix64::new(36);
+        let mut stmt_id = 0u64;
+        // Keyed DML over duplicate rows, tagged for dedup, with partial
+        // shipping so followers trail the primary.
+        let mut dml = |db: &mut DistDb, count: usize| {
+            for i in 0..count {
+                let k = rng.next_below(56);
+                let v = rng.next_below(5);
+                let stmt = match rng.next_below(5) {
+                    0 => format!("delete from dup where k = {k}"),
+                    1 => format!("delete from dup where k = {k} and v = {v}"),
+                    2 => format!("update dup set v = v + 1 where k = {k}"),
+                    3 => format!("update dup set v = {v} where k = {k} and v > {v}"),
+                    _ => format!("insert into dup values ({k},{v}),({k},{v})"),
+                };
+                stmt_id += 1;
+                db.execute_opts(&stmt, ExecOptions::idempotent(stmt_id))
+                    .unwrap();
+                if i % 6 == 5 {
+                    db.cluster_mut().pump_replication(2).unwrap();
+                }
+            }
+        };
+
+        for round in 0..2u32 {
+            for s in 0..SHARDS {
+                dml(&mut db, 18);
+                let c = db.cluster_mut();
+                let shard = ShardId::new(s);
+                let other = ShardId::new((s + 1) % SHARDS);
+                let (ps, po) = (prefix_on(c, shard), prefix_on(c, other));
+                // A 2PC leg in doubt on the shard at its crash, decided
+                // commit or abort at the GTM.
+                let mut t = c.begin(TxnOptions::multi()).unwrap();
+                c.put(&mut t, make_key(ps, round), i64::from(round) + 10)
+                    .unwrap();
+                c.put(&mut t, make_key(po, 100 + round), 1).unwrap();
+                c.multi_prepare(&t).unwrap();
+                let commit = (u64::from(round) + s) % 2 == 0;
+                if commit {
+                    c.multi_commit_at_gtm(&t).unwrap();
+                }
+                c.crash_node(shard);
+                assert!(c.try_failover(shard).unwrap());
+                if commit {
+                    c.multi_finish(t).unwrap();
+                } else {
+                    c.abort(t).unwrap();
+                }
+                // The promoted primary takes writes before the old one returns.
+                dml(&mut db, 6);
+                db.cluster_mut().restart_node(shard);
+            }
+        }
+        assert_eq!(db.cluster().counters().rejoins, 2 * SHARDS);
+
+        // One more crash with the GTM down: the leg stays in doubt on the
+        // promoted primary and on the rejoined ex-primary alike.
+        let c = db.cluster_mut();
+        let (s0, s1) = (ShardId::new(0), ShardId::new(1));
+        let (p0, p1) = (prefix_on(c, s0), prefix_on(c, s1));
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        c.put(&mut t, make_key(p0, 7), 70).unwrap();
+        c.put(&mut t, make_key(p1, 7), 71).unwrap();
+        c.multi_prepare(&t).unwrap();
+        c.crash_gtm();
+        c.crash_node(s0);
+        assert!(c.try_failover(s0).unwrap());
+        c.restart_node(s0);
+        c.pump_replication(0).unwrap();
+        let tables = ["kv", "dup"];
+        assert_eq!(
+            assert_followers_match_replay(c, &tables),
+            2,
+            "one leg per shard"
+        );
+
+        c.restart_gtm();
+        c.pump_replication(0).unwrap();
+        assert_eq!(assert_followers_match_replay(c, &tables), 0);
     }
 }

@@ -101,9 +101,12 @@ impl DataNode {
 
     /// Turn logical redo recording on (the shard has followers to ship to).
     /// Off by default so replication-free clusters pay nothing on the write
-    /// path.
+    /// path. Turning it off drops any undrained redo: nothing would ship it.
     pub fn set_record_redo(&mut self, on: bool) {
         self.record_redo = on;
+        if !on {
+            self.redo.clear();
+        }
     }
 
     fn push_redo(&mut self, xid: Xid, op: ReplOp) {

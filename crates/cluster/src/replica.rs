@@ -27,7 +27,10 @@
 //! replay is deterministic. Identical rows are interchangeable, and
 //! followers apply serially and see only the committed prefix, so follower
 //! tuple ids never need to match the primary's. Promotion = replay-to-head +
-//! in-doubt reconstruction; see `Cluster::try_failover`.
+//! in-doubt reconstruction; see `Cluster::try_failover`. The replaced
+//! primary's durable state is the log prefix at its crash, so it rejoins
+//! as a follower at that CSN ([`Follower::rejoin`]) instead of replaying
+//! from record 0.
 
 use crate::node::{DataNode, TableId};
 use hdm_common::{HdmError, Result, Row, Schema, ShardId, Xid};
@@ -116,6 +119,12 @@ impl ShardLog {
         self.in_flight.contains(&gxid)
     }
 
+    /// Every gxid with a `Prepare` record and no `Resolve` yet: the legs a
+    /// node holding the whole log prefix has in doubt.
+    pub fn in_flight(&self) -> &BTreeSet<Xid> {
+        &self.in_flight
+    }
+
     /// The log head: one past the last record.
     pub fn head(&self) -> u64 {
         self.records.len() as u64
@@ -141,6 +150,30 @@ impl Follower {
             node: DataNode::new(shard),
             applied: 0,
         }
+    }
+
+    /// Turn a crashed ex-primary into a follower at the log head. Its
+    /// durable state is exactly the shard's log prefix at the crash — every
+    /// durable change appended its record in the same engine call, and a
+    /// down shard takes no appends — so it resumes there instead of
+    /// replaying from record 0. Its undrained redo is dropped (a follower
+    /// ships nothing). A node whose in-doubt legs differ from the log's
+    /// unresolved `Prepare`s is not that prefix: `replica divergence`.
+    pub fn rejoin(mut node: DataNode, log: &ShardLog) -> Result<Self> {
+        node.set_record_redo(false);
+        let in_doubt: BTreeSet<Option<Xid>> =
+            node.in_doubt_legs().into_iter().map(|(_, g)| g).collect();
+        let logged: BTreeSet<Option<Xid>> = log.in_flight().iter().map(|&g| Some(g)).collect();
+        if in_doubt != logged {
+            return Err(HdmError::TxnState(format!(
+                "replica divergence: {} holds in-doubt legs {in_doubt:?}, the log has {logged:?} in flight",
+                node.id()
+            )));
+        }
+        Ok(Self {
+            node,
+            applied: log.head(),
+        })
     }
 
     /// Apply the next unapplied log record, if any. Returns whether a record
@@ -683,6 +716,70 @@ mod tests {
         let err = rs.pump(0).unwrap_err().to_string();
         assert!(err.contains("replica divergence"), "{err}");
         assert_eq!(rs.followers[0].applied, 0, "the record is not applied");
+    }
+
+    /// A crashed primary holding leg `gxid` prepared on kv key `key`, and
+    /// the log its engine calls appended: one commit, then that `Prepare`.
+    fn crashed_primary_with_leg(gxid: Xid, key: i64) -> (DataNode, ShardLog) {
+        let mut node = DataNode::new(shard());
+        node.set_record_redo(true);
+        let mut log = ShardLog::default();
+        let write = |node: &mut DataNode, x: Xid, key: i64, val: i64| {
+            let snap = node.local_snapshot();
+            let old = node.kv_find(&node.judge(&snap, Some(x)), key).unwrap();
+            node.put(x, old, key, val).unwrap();
+        };
+        let x = node.mgr_mut().begin_local();
+        write(&mut node, x, 1, 10);
+        let (ops, stmt) = node.commit_local(x).unwrap();
+        log.append(LogRecord::Commit { ops, stmt });
+        let leg = node.mgr_mut().begin_global(gxid);
+        write(&mut node, leg, key, 20);
+        node.tag_statement(leg, 5, 1);
+        let (ops, stmt) = node.prepare_leg(leg).unwrap().unwrap();
+        log.append(LogRecord::Prepare { gxid, ops, stmt });
+        node.crash();
+        (node, log)
+    }
+
+    #[test]
+    fn a_rejoining_node_with_a_leg_the_log_never_shipped_is_divergence() {
+        let (node, mut log) = crashed_primary_with_leg(Xid(9300), 2);
+        // The same history minus the Prepare record.
+        log.records.pop();
+        log.in_flight.clear();
+        let err = Follower::rejoin(node, &log).unwrap_err();
+        assert!(matches!(err, HdmError::TxnState(_)), "{err:?}");
+        assert!(err.to_string().contains("replica divergence"), "{err}");
+    }
+
+    #[test]
+    fn a_rejoined_node_resumes_at_the_head_and_resolves_its_leg() {
+        let (node, log) = crashed_primary_with_leg(Xid(9301), 2);
+        let mut rs = ReplicaSet::new(shard(), 0);
+        rs.log = log;
+        let f = Follower::rejoin(node, &rs.log).unwrap();
+        assert_eq!(f.applied, rs.log.head());
+        assert_eq!(f.applied, 2);
+        assert_eq!(f.node.in_doubt_legs().len(), 1);
+        assert_eq!(kv_get(&f.node, 1), Some(10), "the committed prefix is kept");
+        assert_eq!(kv_get(&f.node, 2), None, "the prepared leg is invisible");
+        rs.followers.push(f);
+        rs.append(LogRecord::Resolve {
+            gxid: Xid(9301),
+            commit: true,
+        });
+        assert_eq!(rs.pump(0).unwrap(), 1, "only the Resolve is applied");
+        let f = &rs.followers[0];
+        assert_eq!(f.applied, 3);
+        assert_eq!(kv_get(&f.node, 2), Some(20));
+        assert!(f.node.in_doubt_legs().is_empty());
+        assert_eq!(
+            f.node.stmt_applied(5),
+            Some(1),
+            "the leg's tag is published"
+        );
+        assert_eq!(f.node.undo_len(), 0);
     }
 
     #[test]
