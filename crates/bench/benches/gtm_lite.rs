@@ -51,12 +51,10 @@ fn bench_engine_protocols(c: &mut Criterion) {
         ("baseline_single_shard", Protocol::Baseline, true),
     ] {
         g.bench_function(name, |b| {
-            let mut cfg = match protocol {
+            let mut cluster = Cluster::new(match protocol {
                 Protocol::Baseline => ClusterConfig::baseline(4),
                 Protocol::GtmLite => ClusterConfig::gtm_lite(4),
-            };
-            cfg.lco_prune_horizon = 1024;
-            let mut cluster = Cluster::new(cfg);
+            });
             let mut i = 0u32;
             b.iter(|| {
                 i = i.wrapping_add(1);

@@ -646,6 +646,14 @@ fn audit(w: &mut World) {
             w.cluster.gtm().active_count()
         ));
     }
+    if w.cluster.live_snapshot_count() != 0 {
+        // Not a safety failure by itself, but it pins the LCO horizon and
+        // so silently stops pruning.
+        w.violations.push(format!(
+            "{} global snapshots leaked live",
+            w.cluster.live_snapshot_count()
+        ));
+    }
     for s in 0..cfg.shards as u64 {
         let shard = ShardId::new(s);
         if !w.cluster.is_node_up(shard) {

@@ -118,6 +118,10 @@ pub struct ChaosDistReport {
     pub audit_diffs: u64,
     /// Execution ticks the faulted run consumed.
     pub ticks: u64,
+    /// Global snapshots still counted live after both runs healed: a
+    /// statement path that never released its transaction's snapshot
+    /// (0 in a correct run; a leak pins the LCO horizon).
+    pub leaked_snapshots: u64,
     // ---- wall-clock latency decomposition (excluded from PartialEq) ----
     /// Wall time of the fault-free twin phase.
     pub twin_wall_us: u64,
@@ -152,6 +156,7 @@ impl PartialEq for ChaosDistReport {
             && self.mismatches == other.mismatches
             && self.audit_diffs == other.audit_diffs
             && self.ticks == other.ticks
+            && self.leaked_snapshots == other.leaked_snapshots
             && self.history_windows == other.history_windows
     }
 }
@@ -440,6 +445,8 @@ pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
         }
     }
 
+    report.leaked_snapshots =
+        (twin.cluster().live_snapshot_count() + db.cluster().live_snapshot_count()) as u64;
     let c = db.cluster().counters();
     report.promotions = c.promotions;
     report.rejoins = c.rejoins;
@@ -521,5 +528,6 @@ mod tests {
         let r = run_chaos_dist(&ChaosDistConfig::standard(0xD157_0E55)).unwrap();
         assert_eq!(r.mismatches, 0);
         assert_eq!(r.audit_diffs, 0);
+        assert_eq!(r.leaked_snapshots, 0);
     }
 }

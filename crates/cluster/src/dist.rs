@@ -784,7 +784,6 @@ impl DistDb {
             |name: &str, value: String, kind: &str| sys::config_row(name, value, kind, "cluster");
         let text = |v: &dyn std::fmt::Debug| format!("{v:?}").to_ascii_lowercase();
         vec![
-            row("cluster.lco_prune_horizon", cc.lco_prune_horizon.to_string(), "int"),
             row("cluster.merge_policy", text(&cc.merge_policy), "text"),
             row("cluster.protocol", text(&cc.protocol), "text"),
             row("cluster.replicas", cc.replicas.to_string(), "int"),

@@ -70,9 +70,6 @@ pub struct ClusterConfig {
     pub shards: usize,
     pub protocol: Protocol,
     pub merge_policy: MergePolicy,
-    /// Prune each DN's LCO to this many entries after multi-shard commits
-    /// (0 = never prune; scripted tests use 0).
-    pub lco_prune_horizon: usize,
     /// Reuse the last global snapshot while the GTM's CSN is unchanged,
     /// skipping the per-begin snapshot interaction. Off by default so the
     /// legacy interaction counts stay bit-identical.
@@ -90,7 +87,6 @@ impl ClusterConfig {
             shards,
             protocol: Protocol::Baseline,
             merge_policy: MergePolicy::Full,
-            lco_prune_horizon: 0,
             snapshot_cache: false,
             replicas: 0,
         }
@@ -101,7 +97,6 @@ impl ClusterConfig {
             shards,
             protocol: Protocol::GtmLite,
             merge_policy: MergePolicy::Full,
-            lco_prune_horizon: 0,
             snapshot_cache: false,
             replicas: 0,
         }
@@ -325,6 +320,11 @@ pub struct Cluster {
     /// only when [`ClusterConfig::snapshot_cache`] is on and dropped on any
     /// GTM crash/restart (a recovered GTM restarts its epoch).
     snap_cache: Option<(u64, Snapshot)>,
+    /// `(gsnap.xmin, gxid)` of every GTM-lite multi-shard transaction
+    /// between `begin` and its prepare or abort: the global snapshots still
+    /// read by merges. Keyed by the unique gxid as well, so a release is
+    /// idempotent; its first entry bounds [`Self::lco_horizon`].
+    live_gsnaps: BTreeSet<(Xid, Xid)>,
     counters: ClusterCounters,
     tel: Option<EngineTelemetry>,
     /// Per-shard replication state: the commit log + log-shipped followers.
@@ -367,6 +367,7 @@ impl Cluster {
             down,
             gtm_up: true,
             snap_cache: None,
+            live_gsnaps: BTreeSet::new(),
             counters: ClusterCounters::default(),
             tel: None,
             replicas,
@@ -971,6 +972,7 @@ impl Cluster {
                         let gxid = self.gtm.begin();
                         self.counters.gtm_interactions += 1;
                         let gsnap = self.global_snapshot();
+                        self.live_gsnaps.insert((gsnap.xmin, gxid));
                         Txn {
                             kind: TxnKind::LiteMulti {
                                 gxid,
@@ -1031,6 +1033,48 @@ impl Cluster {
         let snap = self.gtm.snapshot();
         self.snap_cache = Some((epoch, snap.clone()));
         snap
+    }
+
+    /// Stop counting `txn`'s global snapshot as live (a no-op for other
+    /// kinds and for a snapshot already released).
+    fn release_gsnap(&mut self, txn: &Txn) {
+        if let TxnKind::LiteMulti { gxid, gsnap, .. } = &txn.kind {
+            self.live_gsnaps.remove(&(gsnap.xmin, *gxid));
+        }
+    }
+
+    /// The global-XID horizon below which no LCO entry can start a
+    /// DOWNGRADE taint: the lowest `xmin` among the global snapshots that
+    /// live multi-shard transactions hold, the `xmin` of any snapshot the
+    /// GTM hands out from now on, and the cached snapshot's `xmin` (the
+    /// cache may hand that older snapshot out again).
+    fn lco_horizon(&self) -> Xid {
+        let mut horizon = self.gtm.xmin();
+        if let Some(&(xmin, _)) = self.live_gsnaps.first() {
+            horizon = horizon.min(xmin);
+        }
+        if let Some((_, snap)) = &self.snap_cache {
+            horizon = horizon.min(snap.xmin);
+        }
+        horizon
+    }
+
+    /// Global snapshots currently held by live multi-shard transactions.
+    /// A transaction that is dropped without prepare or abort never
+    /// releases its entry, which holds the LCO pruning horizon down for
+    /// good: correct, but nothing is cut below it again.
+    pub fn live_snapshot_count(&self) -> usize {
+        self.live_gsnaps.len()
+    }
+
+    /// Cut `shard`'s LCO below [`Self::lco_horizon`]. Every merge over the
+    /// cut LCO returns what the full walk would
+    /// ([`hdm_txn::LocalTxnManager::prune_lco_below`]).
+    fn prune_lco(&mut self, shard: ShardId) {
+        let horizon = self.lco_horizon();
+        self.nodes[shard.raw() as usize]
+            .mgr_mut()
+            .prune_lco_below(horizon);
     }
 
     /// Route `key` to its shard and make `txn` ready to touch it there: a
@@ -1205,6 +1249,7 @@ impl Cluster {
                 self.check_epoch(shard, epoch)?;
                 let node = &mut self.nodes[shard.raw() as usize];
                 let (ops, stmt) = node.commit_local(xid)?;
+                self.prune_lco(shard);
                 if self.cfg.replicas > 0 && (!ops.is_empty() || stmt.is_some()) {
                     self.replicas[shard.raw() as usize]
                         .append(LogRecord::Commit { ops, stmt });
@@ -1258,6 +1303,8 @@ impl Cluster {
         let TxnKind::LiteMulti { gxid, legs, .. } = &txn.kind else {
             return Err(HdmError::TxnState("multi_prepare on non-multi txn".into()));
         };
+        // The read phase is over: no merge reads this snapshot again.
+        self.release_gsnap(txn);
         if legs.is_empty() {
             return Ok(());
         }
@@ -1373,10 +1420,7 @@ impl Cluster {
             return Ok(());
         }
         let flipped = node.finish_commit(local_xid)?;
-        if self.cfg.lco_prune_horizon > 0 {
-            let horizon = self.cfg.lco_prune_horizon;
-            node.mgr_mut().prune_lco(horizon);
-        }
+        self.prune_lco(shard);
         if let Some(t) = &self.tel {
             t.leg_finish.inc();
         }
@@ -1396,6 +1440,7 @@ impl Cluster {
     /// alone, and a down GTM is skipped (its recovered clog presumes the
     /// abort anyway). The happy path is unchanged.
     pub fn abort(&mut self, txn: Txn) -> Result<()> {
+        self.release_gsnap(&txn);
         self.counters.aborts += 1;
         if let Some(t) = &self.tel {
             t.aborts.inc();
@@ -1966,12 +2011,12 @@ mod tests {
         assert!(spans.iter().any(|s| s.name == "restart" && s.field("target") == Some("gtm")));
     }
 
-    /// `(lco, clog, xid_map, log head)` of shard `s`: what a transaction
-    /// leaves behind there.
-    fn trace(c: &Cluster, s: ShardId) -> (usize, usize, usize, u64) {
+    /// `(lco appends, clog, xid_map, log head)` of shard `s`: what a
+    /// transaction leaves behind there.
+    fn trace(c: &Cluster, s: ShardId) -> (u64, usize, usize, u64) {
         let m = c.node(s).mgr();
         (
-            m.lco().len(),
+            m.lco_appends(),
             m.clog().len(),
             m.xid_map().len(),
             c.log_heads()[s.raw() as usize],
@@ -2129,15 +2174,77 @@ mod tests {
         c.abort(t3).unwrap();
     }
 
-    #[test]
-    fn lco_pruning_keeps_merges_bounded() {
-        let mut cfg = ClusterConfig::gtm_lite(2);
-        cfg.lco_prune_horizon = 16;
-        let mut c = Cluster::new(cfg);
-        for i in 0..100 {
-            c.bump(None, make_key(0, i), 1).unwrap();
+    fn gsnap_xmin(t: &Txn) -> Xid {
+        let TxnKind::LiteMulti { gsnap, .. } = &t.kind else {
+            unreachable!()
+        };
+        gsnap.xmin
+    }
+
+    fn assert_horizon_below_live(c: &Cluster, live: &[&Txn]) {
+        let h = c.lco_horizon();
+        for t in live {
+            let xmin = gsnap_xmin(t);
+            assert!(h <= xmin, "horizon {h} above a live xmin {xmin}");
         }
-        assert!(c.node(ShardId::new(0)).mgr().lco().len() <= 16 + 1);
+    }
+
+    #[test]
+    fn the_lco_horizon_never_passes_a_live_snapshot() {
+        for cache in [false, true] {
+            let mut cfg = ClusterConfig::gtm_lite(2);
+            cfg.snapshot_cache = cache;
+            let mut c = Cluster::new(cfg);
+            let (k0, k1) = (make_key(0, 1), make_key(1, 1));
+            let mut w = c.begin(TxnOptions::multi()).unwrap();
+            // `old` begins while `w` is active, so its xmin is `w`'s gxid.
+            // With the cache on it is a hit: `old` reuses the snapshot
+            // taken at `w`'s begin.
+            let old = c.begin(TxnOptions::multi()).unwrap();
+            assert_eq!(c.counters().snapshot_cache_hits, cache as u64);
+            c.put(&mut w, k0, 1).unwrap();
+            c.put(&mut w, k1, 1).unwrap();
+            assert_horizon_below_live(&c, &[&old, &w]);
+            c.commit(w).unwrap();
+            // The GTM's oldest active gxid is now `old`'s own, above the
+            // xmin `old` still reads by.
+            assert!(c.gtm().xmin() > gsnap_xmin(&old));
+            assert_horizon_below_live(&c, &[&old]);
+            for i in 0..8 {
+                c.bump(Some(0), make_key(0, 10 + i), 1).unwrap();
+                c.bump(None, make_key(1, 10 + i), 1).unwrap();
+                assert_horizon_below_live(&c, &[&old]);
+            }
+            let mut late = c.begin(TxnOptions::multi()).unwrap();
+            c.get(&mut late, k0).unwrap();
+            assert_horizon_below_live(&c, &[&old, &late]);
+            assert_eq!(c.live_snapshot_count(), 2);
+            c.abort(old).unwrap();
+            c.commit(late).unwrap();
+            assert_eq!(c.live_snapshot_count(), 0);
+        }
+    }
+
+    #[test]
+    fn an_old_reader_keeps_the_commit_that_starts_its_taint() {
+        let mut c = lite(2);
+        let (k0, k1) = (make_key(0, 1), make_key(1, 1));
+        c.bump(None, k0, 1).unwrap();
+        // `r` begins while `w` is active: `w`'s leg must start r's taint.
+        let mut w = c.begin(TxnOptions::multi()).unwrap();
+        let mut r = c.begin(TxnOptions::multi()).unwrap();
+        c.put(&mut w, k0, 2).unwrap();
+        c.put(&mut w, k1, 2).unwrap();
+        c.commit(w).unwrap();
+        for i in 0..16 {
+            c.bump(Some(0), make_key(0, 100 + i), 1).unwrap();
+        }
+        let s0 = c.shard_map().shard_of_key(k0);
+        assert!(c.node(s0).mgr().lco().len() >= 17, "w's leg and later stay");
+        assert_eq!(c.get(&mut r, k0).unwrap(), Some(1), "w stays downgraded");
+        c.commit(r).unwrap();
+        c.bump(Some(0), make_key(0, 999), 1).unwrap();
+        assert!(c.node(s0).mgr().lco().is_empty(), "no reader holds it now");
     }
 
     fn replicated(shards: usize) -> Cluster {

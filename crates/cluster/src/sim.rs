@@ -252,13 +252,10 @@ struct World {
 
 impl World {
     fn new(cfg: SimConfig) -> Self {
-        let mut ccfg = match cfg.protocol {
+        let mut cluster = Cluster::new(match cfg.protocol {
             Protocol::Baseline => ClusterConfig::baseline(cfg.nodes),
             Protocol::GtmLite => ClusterConfig::gtm_lite(cfg.nodes),
-        };
-        // Long runs need bounded LCO for bounded merge cost.
-        ccfg.lco_prune_horizon = 4096;
-        let mut cluster = Cluster::new(ccfg);
+        });
         let tel = cfg.telemetry.clone().map(|tel| SimTel {
             lat_single: tel.metrics.histogram("txn.latency", &[("path", "single")]),
             lat_distributed: tel

@@ -149,6 +149,13 @@ impl Gtm {
         Snapshot::capture(Xid(self.next_gxid), self.active.iter().copied())
     }
 
+    /// The `xmin` of a snapshot taken now: the oldest active gxid, or the
+    /// next gxid when none is active. Begins only add gxids above it, so
+    /// every snapshot dispatched later carries an `xmin` at least as high.
+    pub fn xmin(&self) -> Xid {
+        self.active.first().copied().unwrap_or(Xid(self.next_gxid))
+    }
+
     /// Mark a global transaction committed and dequeue it.
     ///
     /// In the paper's protocol "transactions are marked committed in GTM
@@ -313,6 +320,20 @@ mod tests {
         let s = gtm.snapshot();
         assert!(s.sees(a), "committed gxid is finished");
         assert!(!s.sees(b), "active gxid is not");
+    }
+
+    #[test]
+    fn xmin_is_the_oldest_active_gxid_else_the_next() {
+        let mut gtm = Gtm::new();
+        assert_eq!(gtm.xmin(), gtm.peek_snapshot().xmin);
+        let a = gtm.begin();
+        let b = gtm.begin();
+        assert_eq!(gtm.xmin(), a);
+        gtm.commit(a).unwrap();
+        assert_eq!(gtm.xmin(), b);
+        gtm.abort(b).unwrap();
+        assert_eq!(gtm.xmin(), Xid(b.raw() + 1));
+        assert_eq!(gtm.xmin(), gtm.peek_snapshot().xmin);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! a global XID; the DN records the association in the **xidMap**. Each DN
 //! also maintains the **local commit order (LCO)** — the sequence in which
 //! local transactions committed — which Algorithm 1's DOWNGRADE traverses.
+//! The LCO is cut from the front below a global-XID horizon
+//! ([`LocalTxnManager::prune_lco_below`]): DOWNGRADE's taint can only start
+//! at a commit whose global XID is at or above the reader's global `xmin`,
+//! so a prefix below the oldest global snapshot still in use, or still to
+//! be handed out, can never be tainted.
 //!
 //! A transaction that wrote nothing is *forgotten* rather than committed
 //! ([`LocalTxnManager::forget`]): no tuple carries its XID, so it leaves no
@@ -25,7 +30,12 @@ pub struct LocalTxnManager {
     active: BTreeSet<Xid>,
     clog: CommitLog,
     /// Local commit order: local XIDs in the order their commits landed.
+    /// `lco[lco_head..]` is live; the pruned prefix is compacted away once
+    /// it outgrows the live part.
     lco: Vec<Xid>,
+    lco_head: usize,
+    /// Commits ever appended to the LCO; pruning never lowers it.
+    lco_appends: u64,
     /// Global XID -> local XID for multi-shard transactions on this DN.
     xid_map: HashMap<Xid, Xid>,
     /// Reverse of `xid_map`.
@@ -50,6 +60,8 @@ impl LocalTxnManager {
             active: BTreeSet::new(),
             clog: CommitLog::new(),
             lco: Vec::new(),
+            lco_head: 0,
+            lco_appends: 0,
             xid_map: HashMap::new(),
             gxid_of: HashMap::new(),
             max_gxid: 0,
@@ -91,6 +103,7 @@ impl LocalTxnManager {
         self.clog.commit(xid)?;
         self.active.remove(&xid);
         self.lco.push(xid);
+        self.lco_appends += 1;
         Ok(())
     }
 
@@ -128,9 +141,17 @@ impl LocalTxnManager {
         &self.clog
     }
 
-    /// The local commit order (oldest first).
+    /// The live local commit order (oldest first): every commit not yet
+    /// pruned.
     pub fn lco(&self) -> &[Xid] {
-        &self.lco
+        &self.lco[self.lco_head..]
+    }
+
+    /// Commits ever appended to the LCO: one per writing commit, none per
+    /// forgotten or aborted transaction. Monotone, so it still counts
+    /// commits that pruning has since cut.
+    pub fn lco_appends(&self) -> u64 {
+        self.lco_appends
     }
 
     /// Global→local XID associations on this DN.
@@ -164,18 +185,26 @@ impl LocalTxnManager {
             .collect()
     }
 
-    /// Trim the LCO to its most recent `keep_last` entries.
+    /// Drop the LCO prefix before the first commit whose global XID is at
+    /// or above `horizon`; local commits and legs below `horizon` go.
+    /// Amortised O(1) per dropped entry.
     ///
-    /// DOWNGRADE only needs LCO entries that could be invisible in *some
-    /// currently-held* global snapshot. Global snapshots in this system are
-    /// statement-lived, so commits older than a generous horizon can never
-    /// be tainted again; the long-running cluster simulation prunes with a
-    /// horizon of thousands of commits to keep merges O(horizon) instead of
-    /// O(total history). Scripted anomaly scenarios never prune.
-    pub fn prune_lco(&mut self, keep_last: usize) {
-        if self.lco.len() > keep_last {
-            let cut = self.lco.len() - keep_last;
-            self.lco.drain(..cut);
+    /// DOWNGRADE starts its taint only at a commit whose global XID `g` is
+    /// active in the reader's global snapshot, and `Snapshot::is_active(g)`
+    /// implies `g >= xmin`. So when `horizon` is at most the `xmin` of
+    /// every global snapshot held now or handed out later, no dropped
+    /// commit can start a taint, none lies after a taint start, and every
+    /// merge over the cut LCO returns exactly what the full walk would.
+    pub fn prune_lco_below(&mut self, horizon: Xid) {
+        let live = &self.lco[self.lco_head..];
+        let cut = live
+            .iter()
+            .position(|l| self.gxid_of.get(l).is_some_and(|&g| g >= horizon))
+            .unwrap_or(live.len());
+        self.lco_head += cut;
+        if self.lco_head * 2 >= self.lco.len() {
+            self.lco.drain(..self.lco_head);
+            self.lco_head = 0;
         }
     }
 
@@ -298,19 +327,30 @@ mod tests {
     }
 
     #[test]
-    fn prune_lco_keeps_recent_suffix() {
+    fn prune_lco_below_cuts_up_to_the_first_leg_at_the_horizon() {
+        fn commit(m: &mut LocalTxnManager, gxid: Option<u64>) -> Xid {
+            let x = match gxid {
+                Some(g) => m.begin_global(Xid(g)),
+                None => m.begin_local(),
+            };
+            m.commit(x).unwrap();
+            x
+        }
         let mut m = LocalTxnManager::new();
-        let xids: Vec<Xid> = (0..10)
-            .map(|_| {
-                let x = m.begin_local();
-                m.commit(x).unwrap();
-                x
-            })
-            .collect();
-        m.prune_lco(3);
-        assert_eq!(m.lco(), &xids[7..]);
-        m.prune_lco(100); // no-op when shorter
-        assert_eq!(m.lco().len(), 3);
+        let _l1 = commit(&mut m, None);
+        let _g10 = commit(&mut m, Some(10));
+        let _l2 = commit(&mut m, None);
+        let g20 = commit(&mut m, Some(20));
+        let l3 = commit(&mut m, None);
+        m.prune_lco_below(Xid(11));
+        assert_eq!(m.lco(), &[g20, l3], "the cut stops at the first leg >= 11");
+        m.prune_lco_below(Xid(5));
+        assert_eq!(m.lco(), &[g20, l3], "a lower horizon restores nothing");
+        m.prune_lco_below(Xid(21));
+        assert!(m.lco().is_empty());
+        let l4 = commit(&mut m, None);
+        assert_eq!(m.lco(), &[l4]);
+        assert_eq!(m.lco_appends(), 6, "the append count survives pruning");
     }
 
     #[test]

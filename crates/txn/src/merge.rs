@@ -33,6 +33,14 @@
 //! start a taint that downgrades innocent later commits, and no tuple
 //! carries its XID, so dropping it changes no visibility decision except
 //! to stop those spurious downgrades.
+//!
+//! The LCO a merge walks is cut from the front: each DN drops the prefix
+//! before its first leg whose global XID is at or above the oldest `xmin`
+//! among the global snapshots still held or still to be handed out
+//! ([`crate::local::LocalTxnManager::prune_lco_below`]). The taint can only
+//! start at a leg whose global XID `g` the reader's snapshot calls active,
+//! and [`Snapshot::is_active`] implies `g >= xmin`, so a dropped commit can
+//! neither start a taint nor follow one: the outcome is the full walk's.
 
 use crate::snapshot::Snapshot;
 use hdm_common::Xid;

@@ -19,12 +19,13 @@ use huawei_dm::sql::{ExecOptions, QueryApi};
 
 const SHARDS: usize = 4;
 
-/// Per node `(lco, clog, xid_map)` lengths plus the shard log heads.
-fn traces(c: &Cluster) -> (Vec<(usize, usize, usize)>, Vec<u64>) {
+/// Per node the LCO append count and the clog and xidMap lengths, plus
+/// the shard log heads.
+fn traces(c: &Cluster) -> (Vec<(u64, usize, usize)>, Vec<u64>) {
     let per_node = (0..SHARDS)
         .map(|s| {
             let m = c.node(ShardId::new(s as u64)).mgr();
-            (m.lco().len(), m.clog().len(), m.xid_map().len())
+            (m.lco_appends(), m.clog().len(), m.xid_map().len())
         })
         .collect();
     (per_node, c.log_heads())
