@@ -8,7 +8,9 @@ use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::{Datum, Row};
 use huawei_dm::learnopt::SharedPlanStore;
 use huawei_dm::sql::{Database, QueryApi, QueryResult};
+use huawei_dm::telemetry::{RecorderConfig, SharedRecorder, VirtualClock};
 use huawei_dm::workloads::DistCorpus;
+use std::sync::Arc;
 
 const SHARDS: usize = 4;
 
@@ -156,6 +158,67 @@ fn profiled_prepared_matches_raw() {
             }
         }
     }
+}
+
+const PROFILES_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/profiles.jsonl");
+
+/// Every corpus statement's recorded profile, raw and prepared, is pinned
+/// byte for byte on both engines: labels, step kinds, canonical texts,
+/// estimates, rows, loops, shard legs and the scope/GTM/2PC footer. Two
+/// passes, so the second takes its estimates from the plan-store hints. A
+/// profile is the same whichever executor ran the statement: the tree
+/// walker, `CompiledProgram` or `FastSelect`.
+///
+/// Regenerate after an intentional change with
+/// `BLESS=1 cargo test --test prepared_equivalence`.
+#[test]
+fn recorded_profiles_match_the_golden_on_both_engines() {
+    let corpus = DistCorpus::default();
+    let (mut local, mut dist) = build_pair(&corpus);
+    let clock = Arc::new(VirtualClock::new());
+    let recorder = || {
+        SharedRecorder::new(RecorderConfig {
+            capacity: 1024,
+            slow_threshold_us: 50,
+        })
+    };
+    let (rec_l, rec_d) = (recorder(), recorder());
+    let (store_l, store_d) = (SharedPlanStore::default(), SharedPlanStore::default());
+    local.set_clock(clock.clone());
+    local.attach_recorder(rec_l.clone());
+    local.set_plan_store(store_l.hints(), store_l.observer());
+    dist.set_clock(clock.clone());
+    dist.attach_recorder(rec_d.clone());
+    dist.set_plan_store(store_d.hints(), store_d.observer());
+
+    let mut tick = 0;
+    for _pass in 0..2 {
+        for q in &corpus.queries() {
+            for prepared in [false, true] {
+                tick += 1;
+                clock.set(tick * 1_000);
+                if prepared {
+                    prepared_run(&mut local, q);
+                    prepared_run(&mut dist, q);
+                } else {
+                    local.execute(q).unwrap_or_else(|e| panic!("local {q}: {e}"));
+                    dist.execute(q).unwrap_or_else(|e| panic!("dist {q}: {e}"));
+                }
+            }
+        }
+    }
+    assert_eq!(rec_l.dropped() + rec_d.dropped(), 0, "the recorders keep every statement");
+    let out = rec_l.to_jsonl() + &rec_d.to_jsonl();
+    if std::env::var("BLESS").is_ok() {
+        std::fs::write(PROFILES_GOLDEN, &out).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(PROFILES_GOLDEN)
+        .expect("tests/golden/profiles.jsonl missing; run with BLESS=1");
+    for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "profile line {} drifted from the golden", i + 1);
+    }
+    assert_eq!(out, golden, "profile count drifted from the golden");
 }
 
 #[test]

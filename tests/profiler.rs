@@ -8,6 +8,7 @@
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::{Datum, Row};
 use huawei_dm::learnopt::SharedPlanStore;
+use huawei_dm::sql::{Database, ExecOptions, QueryApi};
 use huawei_dm::telemetry::{RecorderConfig, SharedRecorder, VirtualClock};
 use huawei_dm::workloads::DistCorpus;
 use std::sync::Arc;
@@ -132,30 +133,55 @@ fn flight_recorder_jsonl_is_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed + same clock schedule must dump identically");
 }
 
+/// The embedded twin of [`build_dist`], analyzed.
+fn build_local(corpus: &DistCorpus) -> Database {
+    let mut db = Database::new();
+    for ddl in DistCorpus::ddl() {
+        db.execute(ddl).unwrap();
+    }
+    for stmt in corpus.load_stmts() {
+        db.execute(&stmt).unwrap();
+    }
+    db.execute("analyze").unwrap();
+    db
+}
+
+/// Run `q` (and its plain `EXPLAIN`) on an unprofiled and a profiled
+/// engine: only the profile may differ.
+fn same_work<E: QueryApi>(plain: &mut E, profiled: &mut E, q: &str) {
+    let run = |db: &mut E, sql: &str| db.execute_opts(sql, ExecOptions::default()).unwrap();
+    let (a, b) = (run(plain, q), run(profiled, q));
+    assert!(a.profile.is_none() && b.profile.is_some());
+    let key = |rows: &[Row]| {
+        let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(key(&a.rows), key(&b.rows), "rows diverged for: {q}");
+    assert_eq!(a.steps, b.steps, "observations diverged for: {q}");
+    assert_eq!(a.planning, b.planning, "hint accounting diverged for: {q}");
+    // Plain EXPLAIN output is also untouched by the profiler.
+    let explain = format!("explain {q}");
+    let (ea, eb) = (run(plain, &explain), run(profiled, &explain));
+    assert_eq!(plan_lines(&ea.rows), plan_lines(&eb.rows));
+}
+
 #[test]
 fn profiling_on_changes_no_results_and_no_plan_store_contents() {
     let corpus = DistCorpus::default();
     let (mut plain, mut profiled) = (build_dist(&corpus, true), build_dist(&corpus, true));
+    let (mut plain_l, mut profiled_l) = (build_local(&corpus), build_local(&corpus));
     profiled.set_profiling(true);
-    let (store_plain, store_profiled) = (SharedPlanStore::default(), SharedPlanStore::default());
-    plain.set_plan_store(store_plain.hints(), store_plain.observer());
-    profiled.set_plan_store(store_profiled.hints(), store_profiled.observer());
+    profiled_l.set_profiling(true);
+    let stores: Vec<SharedPlanStore> = (0..4).map(|_| SharedPlanStore::default()).collect();
+    plain.set_plan_store(stores[0].hints(), stores[0].observer());
+    profiled.set_plan_store(stores[1].hints(), stores[1].observer());
+    plain_l.set_plan_store(stores[2].hints(), stores[2].observer());
+    profiled_l.set_plan_store(stores[3].hints(), stores[3].observer());
 
     for q in &corpus.queries() {
-        let a = plain.execute(q).unwrap();
-        let b = profiled.execute(q).unwrap();
-        assert!(a.profile.is_none() && b.profile.is_some());
-        let key = |rows: &[Row]| {
-            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(key(&a.rows), key(&b.rows), "rows diverged for: {q}");
-        assert_eq!(a.steps, b.steps, "observations diverged for: {q}");
-        // Plain EXPLAIN output is also untouched by the profiler.
-        let ea = plain.execute(&format!("explain {q}")).unwrap();
-        let eb = profiled.execute(&format!("explain {q}")).unwrap();
-        assert_eq!(plan_lines(&ea.rows), plan_lines(&eb.rows));
+        same_work(&mut plain, &mut profiled, q);
+        same_work(&mut plain_l, &mut profiled_l, q);
     }
 
     // Both feedback loops learned exactly the same store contents.
@@ -170,5 +196,13 @@ fn profiling_on_changes_no_results_and_no_plan_store_contents() {
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     };
-    assert_eq!(summarize(&store_plain), summarize(&store_profiled));
+    assert_eq!(summarize(&stores[0]), summarize(&stores[1]));
+    assert_eq!(summarize(&stores[2]), summarize(&stores[3]));
+    // The cluster did the same work: fragments, rows exchanged, probes,
+    // statement scopes and GTM round trips.
+    assert_eq!(plain.counters(), profiled.counters());
+    assert_eq!(
+        plain.cluster().counters().gtm_interactions,
+        profiled.cluster().counters().gtm_interactions
+    );
 }
