@@ -22,8 +22,6 @@
 //! assert_eq!(rows[0].get(0).unwrap().as_int(), Some(20));
 //! ```
 
-pub mod mpp;
-
 use hdm_cluster::{Cluster, ClusterConfig, Protocol};
 use hdm_common::Result;
 use hdm_learnopt::{PlanStoreStats, SharedPlanStore};
@@ -32,7 +30,6 @@ use hdm_sql::QueryResult;
 
 pub use hdm_cluster::{make_key, MergePolicy, TxnOptions};
 pub use hdm_learnopt::PlanStoreConfig;
-pub use mpp::{Distribution, MppDatabase};
 
 /// Configuration of an embedded FI-MPPDB instance.
 #[derive(Debug, Clone)]

@@ -7,12 +7,15 @@
 //! (SeqScan | IndexScan)` — into a [`CompiledProgram`]: a `Vec<Op>` over
 //! explicit register slots, with per-step canonical text and estimates
 //! frozen at compile time so executions still feed the plan store and the
-//! `sys.prepared` view. Anything non-linear (joins, aggregates, sorts, set
-//! ops) returns `None` and keeps using the tree executor.
+//! `sys.prepared` view. A profiled run fills the same operator profile the
+//! tree executor would, one op per chain node. Anything non-linear (joins,
+//! aggregates, sorts, set ops) returns `None` and keeps using the tree
+//! executor.
 
 use crate::backend::ExecBackend;
-use crate::expr::{BoundSchema, SExpr};
+use crate::expr::SExpr;
 use crate::plan::{eq_key_value, PlanNode, PlanOp, StepKind, StepObservation};
+use crate::profile::ChainProfiler;
 use hdm_common::{Datum, HdmError, Result, Row};
 
 /// One instruction. Expression operands index [`CompiledProgram::exprs`];
@@ -55,15 +58,14 @@ pub struct StepTemplate {
     pub op_index: usize,
 }
 
-/// A compiled statement body: ops, the shared (possibly parameterized)
-/// expression pool, and the output schema.
+/// A compiled statement body: one op per node of the plan chain, leaf
+/// first, and the shared (possibly parameterized) expression pool.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub ops: Vec<Op>,
     pub exprs: Vec<SExpr>,
     pub n_regs: usize,
     pub steps: Vec<StepTemplate>,
-    pub schema: BoundSchema,
 }
 
 /// Lower `plan` to a flat program, or `None` when the shape is not a linear
@@ -149,7 +151,6 @@ pub fn compile(plan: &PlanNode) -> Option<CompiledProgram> {
         exprs,
         n_regs: out_reg as usize + 1,
         steps,
-        schema: plan.schema.clone(),
     })
 }
 
@@ -159,16 +160,41 @@ impl CompiledProgram {
         self.ops.len()
     }
 
+    /// The tree a profile of one run mirrors: `plan`, the chain this
+    /// program was compiled from, with `params` bound and each step's
+    /// estimate set to its rehinted value in `ests`. That is the tree the
+    /// tree executor would run, built without consulting the plan store a
+    /// second time.
+    pub fn profile_plan(
+        &self,
+        plan: &PlanNode,
+        params: &[Datum],
+        ests: &[f64],
+    ) -> Result<PlanNode> {
+        let mut bound = plan.substitute_params(params)?;
+        for (st, &est) in self.steps.iter().zip(ests) {
+            // Op `i` runs the node `ops.len() - 1 - i` links below the root.
+            let mut node = &mut bound;
+            for _ in st.op_index + 1..self.ops.len() {
+                node = &mut node.children[0];
+            }
+            node.set_est_rows(est);
+        }
+        Ok(bound)
+    }
+
     /// Execute against `backend` with `params` bound into the expression
     /// pool. `ests` carries the per-step estimates (rehinted by the caller,
     /// parallel to [`Self::steps`]); observations land in `obs` in the same
-    /// post-order the tree executor produces.
+    /// post-order the tree executor produces. `prof`, opened over
+    /// [`Self::profile_plan`], closes one chain node per finished op.
     pub fn run(
         &self,
         params: &[Datum],
         ests: &[f64],
         backend: &mut dyn ExecBackend,
         obs: &mut Vec<StepObservation>,
+        mut prof: Option<&mut ChainProfiler<'_>>,
     ) -> Result<Vec<Row>> {
         let exprs: Vec<SExpr> = self
             .exprs
@@ -242,6 +268,9 @@ impl CompiledProgram {
                     out = *reg as usize;
                 }
             }
+            if let Some(p) = prof.as_deref_mut() {
+                p.exit_next(regs[out].len() as u64, Vec::new());
+            }
             for (si, st) in self.steps.iter().enumerate() {
                 if st.op_index == i {
                     obs.push(StepObservation {
@@ -296,7 +325,7 @@ mod tests {
         let rows = {
             let (catalog, mgr) = db.storage_parts();
             let mut be = crate::backend::LocalBackend::new(catalog, mgr);
-            prog.run(&[], &ests, &mut be, &mut obs).unwrap()
+            prog.run(&[], &ests, &mut be, &mut obs, None).unwrap()
         };
         assert_eq!(rows, expected.rows);
         assert_eq!(obs.len(), expected.steps.len());

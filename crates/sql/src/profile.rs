@@ -1,6 +1,7 @@
 //! The operator-level query profiler and its bridges.
 //!
-//! [`Profiler`] rides along with [`crate::exec::execute`],
+//! [`Profiler`] rides along with [`crate::exec::execute`] — and, through
+//! [`ChainProfiler`], with the flat programs that run cached linear chains —
 //! mirroring the plan tree into an [`OpProfile`] tree: per operator it
 //! records actual rows, inclusive time on a pluggable [`SharedClock`]
 //! (virtual in simulations, wall in real runs), and — for `Exchange`
@@ -121,6 +122,37 @@ impl Profiler {
     pub fn finish(mut self) -> Option<OpProfile> {
         debug_assert!(self.stack.is_empty(), "unbalanced profiler frames");
         self.roots.pop()
+    }
+}
+
+/// The profiler a flat program carries: it mirrors a linear plan chain
+/// (each node's first child is the next link) into the same frames the
+/// tree executor would open. [`Self::new`] enters every node, root first,
+/// as the tree's recursion does; the program then closes them leaf first,
+/// one per finished op, with [`Self::exit_next`].
+pub struct ChainProfiler<'a> {
+    ops: &'a mut Profiler,
+    /// The chain's nodes still open, root first.
+    open: Vec<&'a PlanNode>,
+}
+
+impl<'a> ChainProfiler<'a> {
+    pub fn new(ops: &'a mut Profiler, plan: &'a PlanNode) -> Self {
+        let mut open = vec![plan];
+        while let Some(child) = open[open.len() - 1].children.first() {
+            open.push(child);
+        }
+        for _ in &open {
+            ops.enter();
+        }
+        Self { ops, open }
+    }
+
+    /// Close the innermost open node with its rows out and, for an
+    /// `Exchange`, its per-shard legs.
+    pub fn exit_next(&mut self, rows_out: u64, shards: Vec<ShardLeg>) {
+        let node = self.open.pop().expect("chain profiler exit past the root");
+        self.ops.exit(node, rows_out, shards);
     }
 }
 

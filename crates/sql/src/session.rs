@@ -400,10 +400,10 @@ impl<P> Session<P> {
         }
     }
 
-    /// The tail of the plan-tree SELECT drivers: check a profile against
-    /// the executor's own observations, feed the plan store and the flight
-    /// recorder, and assemble the result. The flat fast paths skip it: they
-    /// never profile, so they only [`Self::observe`].
+    /// The tail of every SELECT driver, tree or flat program: check a
+    /// profile against the executor's own observations, feed the plan store
+    /// and the flight recorder, and assemble the result with `plan`'s
+    /// output columns.
     pub fn finish_select(
         &self,
         plan: &PlanNode,

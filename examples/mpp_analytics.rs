@@ -1,67 +1,73 @@
 //! The MPP analytics layer (Fig 1): scatter–gather SQL over sharded data
-//! nodes, the way FI-MPPDB actually runs reporting queries.
+//! nodes, the way FI-MPPDB runs reporting queries.
 //!
-//! Loads a star schema — a hash-distributed fact table and a replicated
-//! dimension — then runs reporting queries and shows the data-exchange
-//! accounting: partial aggregation ships a handful of rows per node where
-//! a naive gather would ship the whole table.
+//! Loads a star schema — a fact table and a dimension, each hash-distributed
+//! by its first column — into a 4-shard GTM-lite cluster, then runs a
+//! reporting query and shows its distributed plan, its rows and the
+//! data-exchange accounting. A point lookup on the fact table's key prunes
+//! to one shard leg and never touches the GTM.
 //!
 //! Run: `cargo run --example mpp_analytics`
 
-use huawei_dm::core::mpp::{compile, Distribution, MppDatabase};
-use hdm_sql::ast::Statement;
+use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
+use huawei_dm::common::{Datum, Result};
 
-fn main() -> hdm_common::Result<()> {
-    let mut mpp = MppDatabase::new(4);
-    println!("MPP cluster: {} data nodes\n", mpp.node_count());
+fn main() -> Result<()> {
+    let mut db = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(4)))?;
+    println!("MPP cluster: {} data nodes\n", db.cluster().shard_map().all().count());
 
-    // Star schema: sales distributed by sale_id, customers replicated.
-    mpp.create_table(
-        "create table sales (sale_id int, cust_id int, region int, amount int)",
-        Distribution::Hash("sale_id".into()),
-    )?;
-    mpp.create_table(
-        "create table customers (cust_id int, segment text)",
-        Distribution::Replicated,
-    )?;
+    // Star schema: sales distributed by sale_id, customers by cust_id.
+    db.execute("create table sales (sale_id int, cust_id int, region int, amount int)")?;
+    db.execute("create table customers (cust_id int, segment text)")?;
     let mut rows = Vec::new();
     for i in 0..20_000i64 {
         rows.push(format!("({i}, {}, {}, {})", i % 500, i % 8, (i * 13) % 1000));
         if rows.len() == 1000 {
-            mpp.insert(&format!("insert into sales values {}", rows.join(",")))?;
+            db.execute(&format!("insert into sales values {}", rows.join(",")))?;
             rows.clear();
         }
     }
     let dims: Vec<String> = (0..500)
         .map(|i| format!("({i}, 'segment-{}')", i % 4))
         .collect();
-    mpp.insert(&format!("insert into customers values {}", dims.join(",")))?;
-    mpp.analyze()?;
-    println!("loaded 20,000 fact rows (hash-distributed) + 500 dimension rows (replicated)");
+    db.execute(&format!("insert into customers values {}", dims.join(",")))?;
+    db.execute("analyze")?;
+    println!("loaded 20,000 fact rows + 500 dimension rows, hash-distributed over the shards");
 
-    // Show the two-phase compilation for a reporting query.
+    // The distributed plan: every base-table scan is an Exchange leaf that
+    // names the shards its fragments run on; the join and the aggregate run
+    // on the coordinator.
     let report = "select c.segment, count(*), sum(s.amount) \
                   from sales s, customers c \
                   where s.cust_id = c.cust_id and s.amount > 500 \
                   group by c.segment order by c.segment";
-    let Statement::Select(sel) = hdm_sql::parser::parse(report)? else {
-        unreachable!()
-    };
-    let plan = compile(&sel)?;
-    println!("\nreporting query:\n  {report}");
-    println!("\nnode query (scattered to every DN, partial aggregation):\n  {}", plan.node_sql);
-    println!("\nfinal query (coordinator, merging partials):\n  {}", plan.final_sql);
+    println!("\nreporting query:\n  {report}\n\nplan:");
+    for line in db.execute(&format!("explain {report}"))?.rows {
+        if let Some(Datum::Text(text)) = line.get(0) {
+            println!("  {text}");
+        }
+    }
 
-    let before = mpp.exchanged_rows();
-    let r = mpp.query(report)?;
+    let before = db.counters().rows_exchanged;
+    let r = db.execute(report)?;
     println!("\nresults:");
     for row in &r.rows {
         println!("  {row}");
     }
     println!(
-        "\ndata exchange: {} partial rows shipped to the coordinator \
-         (vs 20,000 for a naive gather)",
-        mpp.exchanged_rows() - before
+        "\ndata exchange: {} rows shipped from the data nodes to the coordinator",
+        db.counters().rows_exchanged - before
+    );
+
+    // A point lookup on the distribution key prunes to one shard leg and
+    // runs as a single-shard transaction: no GTM round trip at all.
+    let (counters, gtm) = (db.counters(), db.cluster().counters().gtm_interactions);
+    let hit = db.execute("select * from sales where sale_id = 4242")?;
+    println!(
+        "\npoint lookup sale_id = 4242: {} row(s), {} shard leg(s), {} GTM interaction(s)",
+        hit.rows.len(),
+        db.counters().fragments_run - counters.fragments_run,
+        db.cluster().counters().gtm_interactions - gtm
     );
     Ok(())
 }

@@ -270,20 +270,21 @@ proptest! {
     }
 }
 
-// ---------- MPP vs single-node differential testing ----------
+// ---------- distributed vs single-node differential testing ----------
 
 proptest! {
     /// Any aggregate reporting query over randomly generated data returns
-    /// identical results from the 4-node MPP path (partial + final
-    /// aggregation) and a single-node engine.
+    /// identical rows, in identical order, from a 4-shard distributed
+    /// engine (scatter legs, aggregation on the coordinator) and a
+    /// single-node engine.
     #[test]
-    fn mpp_agrees_with_single_node(
+    fn dist_agrees_with_single_node(
         seed in any::<u64>(),
         rows in 1usize..200,
         threshold in 0i64..100,
         group_mod in 1i64..8,
     ) {
-        use huawei_dm::core::mpp::{Distribution, MppDatabase};
+        use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
         use huawei_dm::sql::Database;
 
         let mut rng = SplitMix64::new(seed);
@@ -294,21 +295,16 @@ proptest! {
             .iter()
             .map(|(i, v)| format!("({i}, {}, {v})", i % group_mod))
             .collect();
+        let insert = format!("insert into t values {}", values.join(","));
 
         let mut single = Database::new();
         single.execute("create table t (id int, g int, v int)").unwrap();
-        single
-            .execute(&format!("insert into t values {}", values.join(",")))
-            .unwrap();
+        single.execute(&insert).unwrap();
 
-        let mut mpp = MppDatabase::new(4);
-        mpp.create_table(
-            "create table t (id int, g int, v int)",
-            Distribution::Hash("id".into()),
-        )
-        .unwrap();
-        mpp.insert(&format!("insert into t values {}", values.join(",")))
-            .unwrap();
+        // The first column, `id`, is the distribution key.
+        let mut dist = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(4))).unwrap();
+        dist.execute("create table t (id int, g int, v int)").unwrap();
+        dist.execute(&insert).unwrap();
 
         let queries = [
             format!("select count(*), sum(v), min(v), max(v) from t where v > {threshold}"),
@@ -321,7 +317,7 @@ proptest! {
         ];
         for q in &queries {
             let a = single.execute(q).unwrap().rows;
-            let b = mpp.query(q).unwrap().rows;
+            let b = dist.execute(q).unwrap().rows;
             prop_assert_eq!(&a, &b, "query {} diverged", q);
         }
     }
