@@ -22,20 +22,28 @@
 //! annotated scan renders as `EXCHANGE(SCAN(...), SHARDS(...))`, so captured
 //! cardinalities feed back into exactly the shard-pruned shape that produced
 //! them, never cross-contaminating single-node plans.
+//!
+//! The statement path (canonicalize, plan cache and drift check, bind,
+//! flat program or tree, EXPLAIN, DDL/DML binding) is
+//! [`hdm_sql::session::Facade`]'s, shared with the embedded engine.
+//! [`DistDb`] implements its hooks: planning and annotation, lowering to a
+//! [`FastSelect`], running trees and programs in the transaction their
+//! shards imply, routed DDL/DML, the cluster's `sys.*` rows, the history
+//! hook's journal, and the retry loop behind `execute_opts`.
 
 use crate::engine::{Cluster, Protocol, Txn, TxnOptions};
 use crate::node::{DataNode, TableId};
 use crate::retry::RetryPolicy;
 use crate::shard::key_prefix;
 use hdm_common::{Datum, HdmError, Result, Row, Schema, ShardId, Xid};
-use hdm_sql::ast::{BinOp, Expr, SelectStmt, Statement};
+use hdm_sql::ast::{BinOp, SelectStmt};
 use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver};
 use hdm_sql::expr::SExpr;
 use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
-use hdm_sql::prepared::{bind_slots, canonicalize, rehint_plan, ExecOptions, QueryApi, StmtHandle};
+use hdm_sql::prepared::ExecOptions;
 use hdm_sql::profile::ChainProfiler;
-use hdm_sql::session::{self, CachedPlan, EngineState, Session, StmtProfiler};
+use hdm_sql::session::{BoundSets, CachedPlan, EngineState, Facade, Session, StmtProfiler};
 use hdm_sql::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_sql::{Catalog, ExecBackend};
 use hdm_storage::heap::TupleId;
@@ -128,7 +136,7 @@ pub struct DistCounters {
 /// The statement's transaction scope, decided from the annotated plan (or
 /// the DML rows' routing): single-shard with its sharding prefix, or multi.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
+pub enum Scope {
     Single(u32),
     Multi,
 }
@@ -136,7 +144,7 @@ enum Scope {
 /// A compiled linear SELECT (`Project? → SeqScan` of one distributed
 /// table): everything the scatter/gather loop needs without walking a plan
 /// tree through the boxed executor.
-struct FastSelect {
+pub struct FastSelect {
     table: String,
     meta: DistMeta,
     /// Scan predicate template (may reference parameters).
@@ -175,7 +183,7 @@ pub struct DistDb {
     tel: Option<Telemetry>,
     counters: DistCounters,
     /// Backoff schedule for idempotent execution
-    /// ([`QueryApi::execute_opts`]); `None` (default) keeps the legacy
+    /// ([`QueryApi::execute_opts`](hdm_sql::QueryApi::execute_opts)); `None` (default) keeps the legacy
     /// fail-fast behaviour.
     retry: Option<RetryPolicy>,
     /// The statement id the currently-executing statement carries for
@@ -295,7 +303,7 @@ impl DistDb {
         self.tel = Some(tel.clone());
     }
 
-    /// Give the coordinator a retry loop: [`QueryApi::execute_opts`]
+    /// Give the coordinator a retry loop: [`QueryApi::execute_opts`](hdm_sql::QueryApi::execute_opts)
     /// retries `unavailable`/`txn_aborted` statements under this policy's
     /// backoff, failing crashed shards over to replicas between attempts.
     /// `None` (the default) preserves the legacy fail-fast behaviour.
@@ -344,17 +352,6 @@ impl DistDb {
         self.session.history()
     }
 
-    /// Per-statement history hook; see [`Session::maybe_capture_history`].
-    fn after_statement(&mut self) {
-        let found = self
-            .session
-            .maybe_capture_history(|| engine_state(self.tel.as_ref(), &self.cluster));
-        // Skipping the call when nothing was found is measurable on point reads.
-        if !found.is_empty() {
-            self.journal(found);
-        }
-    }
-
     /// Journal history regressions as `history.regression` events.
     fn journal(&mut self, regressions: Vec<Regression>) {
         for r in regressions {
@@ -370,12 +367,7 @@ impl DistDb {
     /// canonicalized (literals lifted to parameters) and served through the
     /// plan cache, skipping the parser and planner on repeats.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let result = match canonicalize(sql)? {
-            Some(c) => self.execute_canonical(&c.text, &c.slots, &[], sql),
-            None => self.execute_statement(&session::parse_rewritten(sql)?, Some(sql)),
-        }?;
-        self.after_statement();
-        Ok(result)
+        self.execute_sql(sql)
     }
 
     /// Idempotent retrying execution with an auto-assigned statement id.
@@ -457,7 +449,7 @@ impl DistDb {
         scope: Scope,
         shards: impl IntoIterator<Item = ShardId>,
         legs: impl FnOnce(&mut DistExec<'_>) -> Result<u64>,
-    ) -> Result<QueryResult> {
+    ) -> Result<u64> {
         let applied = self.cur_stmt.and_then(|sid| {
             shards
                 .into_iter()
@@ -465,10 +457,7 @@ impl DistDb {
         });
         if let Some(affected) = applied {
             self.counters.dedup_hits += 1;
-            return Ok(QueryResult {
-                affected,
-                ..Default::default()
-            });
+            return Ok(affected);
         }
         let mut txn = self.begin_scoped(scope)?;
         let affected = match legs(&mut self.dist_exec(&mut txn, false, None)) {
@@ -482,98 +471,7 @@ impl DistDb {
             self.cluster.tag_statement(&txn, sid, affected);
         }
         self.cluster.commit(txn)?;
-        Ok(QueryResult {
-            affected,
-            ..Default::default()
-        })
-    }
-
-    fn execute_statement(&mut self, stmt: &Statement, sql: Option<&str>) -> Result<QueryResult> {
-        match stmt {
-            Statement::CreateTable { name, columns } => self.run_create_table(name, columns),
-            Statement::CreateIndex { table, columns } => self.run_create_index(table, columns),
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => self.run_insert(table, columns.as_deref(), rows),
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => self.run_update(table, sets, where_clause.as_ref()),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.run_delete(table, where_clause.as_ref()),
-            Statement::Analyze { table } => self.run_analyze(table.as_deref()),
-            Statement::Select(s) => self.run_select(s, sql, self.session.profiling_enabled()),
-            Statement::Explain { analyze, stmt } => {
-                let s = session::explained(stmt)?;
-                if *analyze {
-                    // Execute for real (observing into the plan store as
-                    // usual) and render the annotated tree: per-operator
-                    // actuals, per-shard Exchange legs, GTM/2PC footer.
-                    let run = self.run_select(s, sql, true)?;
-                    return Ok(self.session.explain_analyze(run));
-                }
-                let sys_snap = self.sys_snapshot_for(s);
-                let (plan, planning, _) = self.plan_distributed(s, sys_snap.as_ref())?;
-                Ok(session::explain_plan(&plan, planning))
-            }
-        }
-    }
-
-    fn run_create_table(
-        &mut self,
-        name: &str,
-        columns: &[hdm_sql::ast::ColumnDef],
-    ) -> Result<QueryResult> {
-        let schema = session::table_schema(name, columns)?;
-        // Distribution column: the first column, hash-distributed by value.
-        match schema.columns().first().map(|c| c.data_type) {
-            Some(hdm_common::DataType::Int) => {}
-            _ => {
-                return Err(HdmError::Unsupported(format!(
-                    "distributed table {name} needs an INT first column (the distribution key)"
-                )))
-            }
-        }
-        self.shadow.create_table(name, schema.clone())?;
-        let canon = name.to_ascii_lowercase();
-        for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
-            // Routed through the cluster so the DDL also lands on the
-            // shard's replication log (replicas replay it before any rows).
-            self.cluster
-                .create_sql_table_on(shard, &canon, schema.clone())?;
-        }
-        self.meta.insert(
-            canon,
-            DistMeta {
-                shard_col: 0,
-                route: Route::HashValue,
-            },
-        );
-        self.session.cache.bump_epoch();
-        Ok(QueryResult::default())
-    }
-
-    /// Distributed CREATE INDEX: register the index on the CN's shadow
-    /// catalog (making it planner-visible) and create the backing index on
-    /// every shard's data node, routed through the cluster so the DDL also
-    /// lands on each shard's replication log — a promoted replica replays
-    /// it before any rows and keeps the probe path intact after failover.
-    fn run_create_index(&mut self, table: &str, columns: &[String]) -> Result<QueryResult> {
-        let (canon, _) = self.writable(table)?;
-        let t = self.shadow.get_mut(&canon)?;
-        let idxs = session::column_positions(table, t.schema(), columns)?;
-        t.create_index(idxs.clone())?;
-        for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
-            self.cluster.create_sql_index_on(shard, &canon, idxs.clone())?;
-        }
-        // A new access path changes plan choices; cached plans are stale.
-        self.session.cache.bump_epoch();
-        Ok(QueryResult::default())
+        Ok(affected)
     }
 
     /// The shard a distribution-column value routes to, with the sharding
@@ -592,9 +490,9 @@ impl DistDb {
     }
 
     /// The canonical name and distribution metadata of a table SQL may
-    /// write: `sys.` views and the built-in `kv` table are read-only.
+    /// write: the built-in `kv` table is read-only (the session has already
+    /// rejected `sys.` views).
     fn writable(&self, table: &str) -> Result<(String, DistMeta)> {
-        sys::check_read_only(table)?;
         let canon = table.to_ascii_lowercase();
         let meta = self.meta.get(&canon).copied().ok_or_else(|| {
             HdmError::Catalog(format!("{canon} is not a distributed table"))
@@ -605,76 +503,6 @@ impl DistDb {
             ));
         }
         Ok((canon, meta))
-    }
-
-    fn run_insert(
-        &mut self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
-    ) -> Result<QueryResult> {
-        let (canon, meta) = self.writable(table)?;
-        // Materialize every row CN-side before writing anything (same
-        // protocol as the embedded engine), then route each one.
-        let rows = session::insert_rows(table, self.shadow.get(table)?.schema(), columns, rows)?;
-        let routed = rows
-            .into_iter()
-            .map(|row| {
-                let Some(dv) = row.values()[meta.shard_col].as_int() else {
-                    return Err(HdmError::Execution(format!(
-                        "distribution column of {table} must be a non-null INT"
-                    )));
-                };
-                let (shard, prefix) = self.route_value(meta, dv);
-                Ok((shard, prefix, row))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let shards: BTreeSet<u64> = routed.iter().map(|(s, _, _)| s.raw()).collect();
-        let scope = match (shards.len(), routed.first()) {
-            (1, Some((_, prefix, _))) => Scope::Single(*prefix),
-            _ => Scope::Multi,
-        };
-        self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
-            let n = routed.len() as u64;
-            for (shard, _, row) in routed {
-                let (xid, _) = be.open_leg(shard)?;
-                let node = be.cluster.node_mut(shard);
-                node.sql_insert(node.table_id(&canon)?, xid, row)?;
-            }
-            Ok(n)
-        })
-    }
-
-    fn run_update(
-        &mut self,
-        table: &str,
-        sets: &[(String, Expr)],
-        where_clause: Option<&Expr>,
-    ) -> Result<QueryResult> {
-        let (canon, meta) = self.writable(table)?;
-        let schema = self.shadow.get(table)?.schema();
-        let (set_bound, pred) = session::bind_dml(table, schema, sets, where_clause)?;
-        if set_bound.iter().any(|(idx, _)| *idx == meta.shard_col) {
-            return Err(HdmError::Unsupported(format!(
-                "updating the distribution column of {table} would move rows between shards"
-            )));
-        }
-        self.run_dml_scan(&canon, meta, pred, move |node, table, xid, tid, old| {
-            let mut vals = old.into_values();
-            for (idx, e) in &set_bound {
-                vals[*idx] = e.eval(&vals)?;
-            }
-            node.sql_update(table, xid, tid, Row::new(vals)).map(|_| ())
-        })
-    }
-
-    fn run_delete(&mut self, table: &str, where_clause: Option<&Expr>) -> Result<QueryResult> {
-        let (canon, meta) = self.writable(table)?;
-        let schema = self.shadow.get(table)?.schema();
-        let (_, pred) = session::bind_dml(table, schema, &[], where_clause)?;
-        self.run_dml_scan(&canon, meta, pred, |node, table, xid, tid, _old| {
-            node.sql_delete(table, xid, tid)
-        })
     }
 
     /// Shared UPDATE/DELETE driver: prune target shards from the predicate,
@@ -688,7 +516,7 @@ impl DistDb {
         meta: DistMeta,
         pred: Option<SExpr>,
         write: impl Fn(&mut DataNode, TableId, hdm_common::Xid, TupleId, Row) -> Result<()>,
-    ) -> Result<QueryResult> {
+    ) -> Result<u64> {
         let (scope, shards) = match self.prune_shards(meta, pred.as_ref()) {
             Pruned::Single(shard, prefix) => (Scope::Single(prefix), vec![shard]),
             Pruned::All => (Scope::Multi, self.cluster.shard_map().all().collect()),
@@ -709,70 +537,6 @@ impl DistDb {
                 }
             }
             Ok(n)
-        })
-    }
-
-    /// Distributed ANALYZE: every up node recomputes its local statistics,
-    /// then the CN merges the per-shard blocks onto its shadow catalog so
-    /// the planner costs from data-node truth.
-    fn run_analyze(&mut self, table: Option<&str>) -> Result<QueryResult> {
-        let shards: Vec<ShardId> = self.cluster.shard_map().all().collect();
-        for &shard in &shards {
-            if self.cluster.is_node_up(shard) {
-                self.cluster.node_mut(shard).analyze_all();
-            }
-        }
-        let names: Vec<String> = match table {
-            Some(t) => vec![t.to_ascii_lowercase()],
-            None => self.meta.keys().cloned().collect(),
-        };
-        for name in names {
-            let mut per_shard: Vec<&TableStats> = Vec::new();
-            for &shard in &shards {
-                if !self.cluster.is_node_up(shard) {
-                    continue;
-                }
-                let node = self.cluster.node(shard);
-                if let Some(s) = node.sql_table(&name).ok().and_then(|t| t.stats()) {
-                    per_shard.push(s);
-                }
-            }
-            let merged = merge_stats(&per_shard);
-            self.shadow.get_mut(&name)?.set_stats(merged);
-        }
-        // Fresh merged statistics change plan choices; cached plans are stale.
-        self.session.cache.bump_epoch();
-        Ok(QueryResult::default())
-    }
-
-    /// Materialize the `sys.*` views a SELECT references, frozen from live
-    /// cluster state at statement start; see [`Session::sys_snapshot`].
-    fn sys_snapshot_for(&self, s: &SelectStmt) -> Option<SysSnapshot> {
-        self.session.sys_snapshot(s, |view| match view {
-            "sys.metrics" => {
-                // The journal always exists here, so `events.dropped` always
-                // rides along.
-                let tel = self.tel.as_ref();
-                let mut snap = tel.map(|t| t.metrics.snapshot()).unwrap_or_default();
-                snap.counters
-                    .insert("events.dropped".into(), self.cluster.events_dropped());
-                self.session.metric_rows(snap)
-            }
-            "sys.shards" => self.shard_rows(),
-            "sys.txns" => self
-                .cluster
-                .shard_map()
-                .all()
-                .flat_map(|s| {
-                    session::txn_rows(Datum::Int(s.raw() as i64), self.cluster.node(s).mgr())
-                })
-                .collect(),
-            "sys.events" => self.event_rows(),
-            "sys.indexes" => self.index_rows(),
-            "sys.config" => self
-                .session
-                .config_rows(self.cluster_config_rows(), Some(self.retry.is_some())),
-            _ => Vec::new(),
         })
     }
 
@@ -828,7 +592,7 @@ impl DistDb {
     fn index_rows(&self) -> Vec<Row> {
         let shards: Vec<ShardId> = self.cluster.shard_map().all().collect();
         let shard_list: Vec<String> = shards.iter().map(|s| s.raw().to_string()).collect();
-        session::index_rows(&self.shadow, &shard_list.join(","), |name, ix| {
+        sys::index_rows(&self.shadow, &shard_list.join(","), |name, ix| {
             let mut entries = 0i64;
             for &shard in &shards {
                 if !self.cluster.is_node_up(shard) {
@@ -863,25 +627,6 @@ impl DistDb {
             .collect()
     }
 
-    /// Plan a SELECT and annotate it for distribution. Returns the plan,
-    /// planning info (including distributed-key hint hits), and the
-    /// transaction scope the fragments imply.
-    fn plan_distributed(
-        &mut self,
-        s: &SelectStmt,
-        sys_snap: Option<&SysSnapshot>,
-    ) -> Result<(PlanNode, PlanningInfo, Scope)> {
-        // Materialize CTEs first, each as its own scoped statement.
-        let mut temp: TempRels = TempRels::new();
-        for (name, sub) in &s.with {
-            let (plan, _, scope) = self.plan_annotated(sub, &temp, sys_snap)?;
-            let info = PlanningInfo::default();
-            let rows = self.run_plan(&plan, info, scope, sys_snap, None)?.rows;
-            temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
-        }
-        self.plan_annotated(s, &temp, sys_snap)
-    }
-
     fn plan_annotated(
         &mut self,
         s: &SelectStmt,
@@ -889,7 +634,7 @@ impl DistDb {
         sys_snap: Option<&SysSnapshot>,
     ) -> Result<(PlanNode, PlanningInfo, Scope)> {
         let (mut plan, mut info) = self.plan_logical(s, temp, sys_snap)?;
-        let scope = self.annotate_plan(&mut plan, &mut info);
+        let scope = self.bind_tree(&mut plan, &mut info);
         Ok((plan, info, scope))
     }
 
@@ -961,20 +706,7 @@ impl DistDb {
             .collect()
     }
 
-    /// Annotate a logical plan for distribution — base-table scans become
-    /// pruned `Exchange` leaves — re-consult hints under the *distributed*
-    /// canonical keys (the plan store learns `EXCHANGE(...)` cardinalities
-    /// separately from local `SCAN(...)` ones), and derive the statement's
-    /// transaction scope.
-    fn annotate_plan(&self, plan: &mut PlanNode, info: &mut PlanningInfo) -> Scope {
-        let scope = self.distribute(plan);
-        if let Some(h) = &self.session.hints {
-            rehint_exchanges(plan, h.as_ref(), info);
-        }
-        scope
-    }
-
-    /// The annotation half of [`Self::annotate_plan`], with no hint lookup.
+    /// The annotation half of [`Facade::bind_tree`], with no hint lookup.
     fn distribute(&self, plan: &mut PlanNode) -> Scope {
         let mut single: Vec<(ShardId, u32)> = Vec::new();
         let mut scattered = false;
@@ -1018,22 +750,6 @@ impl DistDb {
         }
     }
 
-    /// Fetch (or build) the cache entry for canonical statement text. The
-    /// cached plan is logical and **un-annotated**: canonicalizable
-    /// statements reference no `sys.*` views and no CTEs, and pruning must
-    /// wait for bound parameter values anyway.
-    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan<FastSelect>>> {
-        if let Some(e) = self.session.cache.get(canonical) {
-            return Ok(e);
-        }
-        let (s, n_params) = session::parse_cacheable(canonical)?;
-        let (plan, _) = self.plan_logical(&s, &TempRels::new(), None)?;
-        let fast = self.compile_fast(&plan);
-        let drift = self.drift_probes_for(&plan);
-        let entry = CachedPlan::new(plan, n_params, fast, FastSelect::op_count, drift);
-        Ok(self.session.cache_insert(canonical, entry))
-    }
-
     /// Lower a cached plan to a [`FastSelect`] when the shape is a linear
     /// `Project? → SeqScan` over one distributed table. Anything else
     /// (joins, aggregates, sorts, limits, temp rels) keeps the tree
@@ -1075,57 +791,236 @@ impl DistDb {
         })
     }
 
-    /// Execute a canonicalized statement through the plan cache: bind the
-    /// lifted/user parameters, then either run the fast scatter/gather
-    /// program or substitute into the cached logical plan, re-prune, and run
-    /// the tree through [`Self::run_plan`]. A profiled statement runs on the
-    /// same executor as an unprofiled one: [`Self::run_fast`] fills the
-    /// profile the tree would, over the bound and annotated plan. Telemetry
-    /// and fault scripts ride on both — every leg ticks and spans in
-    /// [`DistExec::run_leg`].
-    fn execute_canonical(
-        &mut self,
-        text: &str,
-        slots: &[Option<Datum>],
-        user_params: &[Datum],
-        sql: &str,
-    ) -> Result<QueryResult> {
-        let mut cached = self.ensure_cached(text)?;
-        // Drift is judged under the distributed EXCHANGE keys the probes
-        // were expanded to, so a re-plan adopts the observed cardinalities.
-        let replans = self.session.evict_if_drifted(text, &cached);
-        if replans > 0 {
-            cached = self.ensure_cached(text)?;
-        }
-        let params = bind_slots(slots, &cached.param_types, user_params)?;
-        let profiled = self
-            .session
-            .profiling_enabled()
-            .then(|| (self.session.clock.now_us(), sql));
-        if let Some(fast) = &cached.program {
-            return self.run_fast(&cached.plan, fast, &params, replans, profiled);
-        }
-        let mut plan = cached.plan.substitute_params(&params)?;
-        let mut info = PlanningInfo {
-            replans,
-            ..Default::default()
+    /// The tree a profile of a [`FastSelect`] run mirrors: the cached
+    /// `plan` bound to `params` and annotated, with its Exchange estimate
+    /// set to `est`, the value the run has just rehinted, rather than
+    /// looked up in the plan store a second time.
+    fn profile_plan(&self, plan: &PlanNode, params: &[Datum], est: f64) -> Result<PlanNode> {
+        let mut bound = plan.substitute_params(params)?;
+        self.distribute(&mut bound);
+        let exchange = if bound.children.is_empty() {
+            &mut bound
+        } else {
+            &mut bound.children[0]
         };
-        if let Some(h) = &self.session.hints {
-            rehint_plan(&mut plan, h.as_ref(), &mut info);
+        exchange.set_est_rows(est);
+        Ok(bound)
+    }
+
+    /// Plan (and annotate) a SELECT without executing — exposes the
+    /// distributed shape to tests and the bench harness.
+    pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
+        self.plan_sql(sql)
+    }
+
+    fn begin_scoped(&mut self, scope: Scope) -> Result<Txn> {
+        match scope {
+            Scope::Single(prefix) => {
+                self.counters.single_shard_stmts += 1;
+                self.cluster.begin(TxnOptions::single(prefix))
+            }
+            Scope::Multi => {
+                self.counters.multi_shard_stmts += 1;
+                self.cluster.begin(TxnOptions::multi())
+            }
         }
-        let scope = self.annotate_plan(&mut plan, &mut info);
-        self.run_plan(&plan, info, scope, None, profiled)
+    }
+
+    /// Borrow the state one statement's legs run against.
+    fn dist_exec<'a>(
+        &'a mut self,
+        txn: &'a mut Txn,
+        profiled: bool,
+        sys: Option<&'a SysSnapshot>,
+    ) -> DistExec<'a> {
+        DistExec {
+            cluster: &mut self.cluster,
+            txn,
+            tel: self.tel.as_ref(),
+            counters: &mut self.counters,
+            clock: profiled.then_some(&*self.session.clock),
+            exchange_legs: Vec::new(),
+            cur_stmt: self.cur_stmt,
+            faults: self.faults.as_deref(),
+            sys,
+        }
+    }
+
+    /// A SELECT's commit: abort `txn` when its executor failed, else commit
+    /// it and close the statement's profile, if any, with the cluster's
+    /// footer — scope, GTM interactions since `gtm_before` (the commit's
+    /// included) and the 2PC legs the commit drove.
+    fn commit_select(
+        &mut self,
+        txn: Txn,
+        rows: Result<Vec<Row>>,
+        scope: Scope,
+        prof: Option<StmtProfiler<'_>>,
+        gtm_before: u64,
+    ) -> Result<(Vec<Row>, Option<StatementProfile>)> {
+        let rows = match rows {
+            Ok(rows) => rows,
+            Err(e) => {
+                self.cluster.abort(txn)?;
+                return Err(e);
+            }
+        };
+        let twopc_legs = match &prof {
+            Some(_) if !txn.is_single_shard() => txn.legs().len() as u64,
+            _ => 0,
+        };
+        self.cluster.commit(txn)?;
+        let profile = prof.map(|p| {
+            let gtm = self.cluster.counters().gtm_interactions.saturating_sub(gtm_before);
+            let scope = match scope {
+                Scope::Single(_) => "single",
+                Scope::Multi => "multi",
+            };
+            self.session.finish_profile(p, scope, rows.len(), gtm, twopc_legs)
+        });
+        Ok((rows, profile))
+    }
+
+    /// Shard pruning (the tentpole rule): walk the predicate's top-level AND
+    /// conjuncts; an equality between the distribution column and an INT
+    /// literal pins the scan to one shard. A top-level OR — or no usable
+    /// conjunct — scatters to every shard.
+    fn prune_shards(&self, meta: DistMeta, predicate: Option<&SExpr>) -> Pruned {
+        let Some(pred) = predicate else {
+            return Pruned::All;
+        };
+        let mut conjuncts = Vec::new();
+        collect_conjuncts(pred, &mut conjuncts);
+        for c in conjuncts {
+            if let SExpr::Binary(BinOp::Eq, l, r) = c {
+                let col_lit = match (l.as_ref(), r.as_ref()) {
+                    (SExpr::Col(c), SExpr::Lit(Datum::Int(v)))
+                    | (SExpr::Lit(Datum::Int(v)), SExpr::Col(c)) => Some((*c, *v)),
+                    _ => None,
+                };
+                if let Some((col, v)) = col_lit {
+                    if col == meta.shard_col {
+                        let (shard, prefix) = self.route_value(meta, v);
+                        return Pruned::Single(shard, prefix);
+                    }
+                }
+            }
+        }
+        Pruned::All
+    }
+}
+
+/// The distributed engine's hooks: plan against the shadow catalog,
+/// annotate for distribution, lower linear cached shapes to a
+/// [`FastSelect`], and run every statement in the transaction its shards
+/// imply.
+impl Facade for DistDb {
+    type Program = FastSelect;
+    type Scope = Scope;
+
+    fn session(&self) -> &Session<FastSelect> {
+        &self.session
+    }
+
+    fn session_mut(&mut self) -> &mut Session<FastSelect> {
+        &mut self.session
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.shadow
+    }
+
+    /// Plan a SELECT and annotate it for distribution. Returns the plan,
+    /// planning info (including distributed-key hint hits), and the
+    /// transaction scope the fragments imply.
+    fn plan_select(
+        &mut self,
+        s: &SelectStmt,
+        sys: Option<&SysSnapshot>,
+    ) -> Result<(PlanNode, PlanningInfo, Scope)> {
+        // Materialize CTEs first, each as its own scoped statement.
+        let mut temp: TempRels = TempRels::new();
+        for (name, sub) in &s.with {
+            let (plan, _, scope) = self.plan_annotated(sub, &temp, sys)?;
+            let info = PlanningInfo::default();
+            let rows = self.run_plan(&plan, info, scope, sys, None)?.rows;
+            temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
+        }
+        self.plan_annotated(s, &temp, sys)
+    }
+
+    /// The cached plan is logical and **un-annotated**: canonicalizable
+    /// statements reference no `sys.*` views and no CTEs, and pruning must
+    /// wait for bound parameter values anyway.
+    fn plan_cacheable(
+        &mut self,
+        s: &SelectStmt,
+        n_params: usize,
+    ) -> Result<CachedPlan<FastSelect>> {
+        let (plan, _) = self.plan_logical(s, &TempRels::new(), None)?;
+        let fast = self.compile_fast(&plan);
+        // Drift is judged under the distributed EXCHANGE keys the probes
+        // are expanded to, so a re-plan adopts the observed cardinalities.
+        let drift = self.drift_probes_for(&plan);
+        Ok(CachedPlan::new(
+            plan,
+            n_params,
+            fast,
+            FastSelect::op_count,
+            drift,
+        ))
+    }
+
+    /// Annotate a logical plan for distribution — base-table scans become
+    /// pruned `Exchange` leaves — re-consult hints under the *distributed*
+    /// canonical keys (the plan store learns `EXCHANGE(...)` cardinalities
+    /// separately from local `SCAN(...)` ones), and derive the statement's
+    /// transaction scope.
+    fn bind_tree(&self, plan: &mut PlanNode, info: &mut PlanningInfo) -> Scope {
+        let scope = self.distribute(plan);
+        if let Some(h) = &self.session.hints {
+            rehint_exchanges(plan, h.as_ref(), info);
+        }
+        scope
+    }
+
+    /// The tree SELECT driver: run an already-planned, annotated tree inside
+    /// the transaction its `scope` implies, commit, and feed the plan store.
+    /// `profiled` (statement start time + SQL text) makes the operator
+    /// profiler ride along — same plan, rows and observation list, plus a
+    /// [`StatementProfile`] carrying per-operator actuals, per-shard
+    /// Exchange legs, the statement's GTM-interaction delta (commit
+    /// included) and its 2PC leg count, which `EXPLAIN ANALYZE` renders and
+    /// the flight recorder keeps. Without it the clock is never read.
+    fn run_plan(
+        &mut self,
+        plan: &PlanNode,
+        planning: PlanningInfo,
+        scope: Scope,
+        sys: Option<&SysSnapshot>,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult> {
+        let gtm_before = self.cluster.counters().gtm_interactions;
+        let mut prof = self.session.profiler(profiled);
+        let mut txn = self.begin_scoped(scope)?;
+        let mut steps = Vec::new();
+        let rows = {
+            let mut be = self.dist_exec(&mut txn, prof.is_some(), sys);
+            hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))
+        };
+        let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
+        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
     }
 
     /// The compiled hot path: prune from the bound predicate, open the
     /// narrowest transaction, and scatter/gather through
-    /// [`DistExec::run_leg`] — the same leg the tree path dispatches, so
+    /// `DistExec::run_leg` — the same leg the tree path dispatches, so
     /// fault ticks, telemetry spans and counters are identical — with no
     /// plan tree and no boxed executor above it. Observations and hint
     /// accounting mirror the tree path exactly, and so does the profile
     /// when `profiled`: its operators are `plan`'s nodes, bound and
     /// annotated, and its legs come from the leg clock.
-    fn run_fast(
+    fn run_program(
         &mut self,
         plan: &PlanNode,
         fast: &FastSelect,
@@ -1257,196 +1152,178 @@ impl DistDb {
         Ok(self.session.finish_select(plan, rows, steps, planning, profile))
     }
 
-    /// The tree a profile of a [`FastSelect`] run mirrors: the cached
-    /// `plan` bound to `params` and annotated, with its Exchange estimate
-    /// set to `est`, the value the run has just rehinted, rather than
-    /// looked up in the plan store a second time.
-    fn profile_plan(&self, plan: &PlanNode, params: &[Datum], est: f64) -> Result<PlanNode> {
-        let mut bound = plan.substitute_params(params)?;
-        self.distribute(&mut bound);
-        let exchange = if bound.children.is_empty() {
-            &mut bound
-        } else {
-            &mut bound.children[0]
-        };
-        exchange.set_est_rows(est);
-        Ok(bound)
-    }
-
-    /// Plan a SELECT fresh and hand the annotated tree to
-    /// [`Self::run_plan`]; the statement clock starts before planning when
-    /// `profiled`.
-    fn run_select(
-        &mut self,
-        s: &SelectStmt,
-        sql: Option<&str>,
-        profiled: bool,
-    ) -> Result<QueryResult> {
-        let start = profiled.then(|| self.session.clock.now_us());
-        let sys_snap = self.sys_snapshot_for(s);
-        let (plan, planning, scope) = self.plan_distributed(s, sys_snap.as_ref())?;
-        let profiled = start.map(|t| (t, sql.unwrap_or("")));
-        self.run_plan(&plan, planning, scope, sys_snap.as_ref(), profiled)
-    }
-
-    /// Plan (and annotate) a SELECT without executing — exposes the
-    /// distributed shape to tests and the bench harness.
-    pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
-        let s = session::plan_only_select(sql)?;
-        let sys_snap = self.sys_snapshot_for(&s);
-        Ok(self.plan_distributed(&s, sys_snap.as_ref())?.0)
-    }
-
-    fn begin_scoped(&mut self, scope: Scope) -> Result<Txn> {
-        match scope {
-            Scope::Single(prefix) => {
-                self.counters.single_shard_stmts += 1;
-                self.cluster.begin(TxnOptions::single(prefix))
-            }
-            Scope::Multi => {
-                self.counters.multi_shard_stmts += 1;
-                self.cluster.begin(TxnOptions::multi())
+    fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
+        // Distribution column: the first column, hash-distributed by value.
+        match schema.columns().first().map(|c| c.data_type) {
+            Some(hdm_common::DataType::Int) => {}
+            _ => {
+                return Err(HdmError::Unsupported(format!(
+                    "distributed table {name} needs an INT first column (the distribution key)"
+                )))
             }
         }
-    }
-
-    /// Borrow the state one statement's legs run against.
-    fn dist_exec<'a>(
-        &'a mut self,
-        txn: &'a mut Txn,
-        profiled: bool,
-        sys: Option<&'a SysSnapshot>,
-    ) -> DistExec<'a> {
-        DistExec {
-            cluster: &mut self.cluster,
-            txn,
-            tel: self.tel.as_ref(),
-            counters: &mut self.counters,
-            clock: profiled.then_some(&*self.session.clock),
-            exchange_legs: Vec::new(),
-            cur_stmt: self.cur_stmt,
-            faults: self.faults.as_deref(),
-            sys,
+        self.shadow.create_table(name, schema.clone())?;
+        let canon = name.to_ascii_lowercase();
+        for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
+            // Routed through the cluster so the DDL also lands on the
+            // shard's replication log (replicas replay it before any rows).
+            self.cluster
+                .create_sql_table_on(shard, &canon, schema.clone())?;
         }
+        self.meta.insert(
+            canon,
+            DistMeta {
+                shard_col: 0,
+                route: Route::HashValue,
+            },
+        );
+        Ok(())
     }
 
-    /// The tree SELECT driver: run an already-planned, annotated tree inside
-    /// the transaction its `scope` implies, commit, and feed the plan store.
-    /// `profiled` (statement start time + SQL text) makes the operator
-    /// profiler ride along — same plan, rows and observation list, plus a
-    /// [`StatementProfile`] carrying per-operator actuals, per-shard
-    /// Exchange legs, the statement's GTM-interaction delta (commit
-    /// included) and its 2PC leg count, which `EXPLAIN ANALYZE` renders and
-    /// the flight recorder keeps. Without it the clock is never read.
-    fn run_plan(
-        &mut self,
-        plan: &PlanNode,
-        planning: PlanningInfo,
-        scope: Scope,
-        sys_snap: Option<&SysSnapshot>,
-        profiled: Option<(u64, &str)>,
-    ) -> Result<QueryResult> {
-        let gtm_before = self.cluster.counters().gtm_interactions;
-        let mut prof = self.session.profiler(profiled);
-        let mut txn = self.begin_scoped(scope)?;
-        let mut steps = Vec::new();
-        let rows = {
-            let mut be = self.dist_exec(&mut txn, prof.is_some(), sys_snap);
-            hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))
-        };
-        let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+    /// Register the index on the CN's shadow catalog (making it
+    /// planner-visible) and create the backing index on every shard's data
+    /// node, routed through the cluster so the DDL also lands on each
+    /// shard's replication log — a promoted replica replays it before any
+    /// rows and keeps the probe path intact after failover.
+    fn create_index(&mut self, table: &str, columns: Vec<usize>) -> Result<()> {
+        let (canon, _) = self.writable(table)?;
+        self.shadow.get_mut(&canon)?.create_index(columns.clone())?;
+        for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
+            self.cluster.create_sql_index_on(shard, &canon, columns.clone())?;
+        }
+        Ok(())
     }
 
-    /// A SELECT's commit: abort `txn` when its executor failed, else commit
-    /// it and close the statement's profile, if any, with the cluster's
-    /// footer — scope, GTM interactions since `gtm_before` (the commit's
-    /// included) and the 2PC legs the commit drove.
-    fn commit_select(
-        &mut self,
-        txn: Txn,
-        rows: Result<Vec<Row>>,
-        scope: Scope,
-        prof: Option<StmtProfiler<'_>>,
-        gtm_before: u64,
-    ) -> Result<(Vec<Row>, Option<StatementProfile>)> {
-        let rows = match rows {
-            Ok(rows) => rows,
-            Err(e) => {
-                self.cluster.abort(txn)?;
-                return Err(e);
-            }
-        };
-        let twopc_legs = match &prof {
-            Some(_) if !txn.is_single_shard() => txn.legs().len() as u64,
-            _ => 0,
-        };
-        self.cluster.commit(txn)?;
-        let profile = prof.map(|p| {
-            let gtm = self.cluster.counters().gtm_interactions.saturating_sub(gtm_before);
-            let scope = match scope {
-                Scope::Single(_) => "single",
-                Scope::Multi => "multi",
-            };
-            self.session.finish_profile(p, scope, rows.len(), gtm, twopc_legs)
-        });
-        Ok((rows, profile))
-    }
-
-    /// Shard pruning (the tentpole rule): walk the predicate's top-level AND
-    /// conjuncts; an equality between the distribution column and an INT
-    /// literal pins the scan to one shard. A top-level OR — or no usable
-    /// conjunct — scatters to every shard.
-    fn prune_shards(&self, meta: DistMeta, predicate: Option<&SExpr>) -> Pruned {
-        let Some(pred) = predicate else {
-            return Pruned::All;
-        };
-        let mut conjuncts = Vec::new();
-        collect_conjuncts(pred, &mut conjuncts);
-        for c in conjuncts {
-            if let SExpr::Binary(BinOp::Eq, l, r) = c {
-                let col_lit = match (l.as_ref(), r.as_ref()) {
-                    (SExpr::Col(c), SExpr::Lit(Datum::Int(v)))
-                    | (SExpr::Lit(Datum::Int(v)), SExpr::Col(c)) => Some((*c, *v)),
-                    _ => None,
+    /// Route each materialized row by its distribution column, then write
+    /// them all under `DistDb::run_write`.
+    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        let (canon, meta) = self.writable(table)?;
+        let routed = rows
+            .into_iter()
+            .map(|row| {
+                let Some(dv) = row.values()[meta.shard_col].as_int() else {
+                    return Err(HdmError::Execution(format!(
+                        "distribution column of {table} must be a non-null INT"
+                    )));
                 };
-                if let Some((col, v)) = col_lit {
-                    if col == meta.shard_col {
-                        let (shard, prefix) = self.route_value(meta, v);
-                        return Pruned::Single(shard, prefix);
-                    }
+                let (shard, prefix) = self.route_value(meta, dv);
+                Ok((shard, prefix, row))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let shards: BTreeSet<u64> = routed.iter().map(|(s, _, _)| s.raw()).collect();
+        let scope = match (shards.len(), routed.first()) {
+            (1, Some((_, prefix, _))) => Scope::Single(*prefix),
+            _ => Scope::Multi,
+        };
+        self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
+            let n = routed.len() as u64;
+            for (shard, _, row) in routed {
+                let (xid, _) = be.open_leg(shard)?;
+                let node = be.cluster.node_mut(shard);
+                node.sql_insert(node.table_id(&canon)?, xid, row)?;
+            }
+            Ok(n)
+        })
+    }
+
+    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64> {
+        let (canon, meta) = self.writable(table)?;
+        if sets.iter().any(|(idx, _)| *idx == meta.shard_col) {
+            return Err(HdmError::Unsupported(format!(
+                "updating the distribution column of {table} would move rows between shards"
+            )));
+        }
+        self.run_dml_scan(&canon, meta, pred, move |node, table, xid, tid, old| {
+            let mut vals = old.into_values();
+            for (idx, e) in &sets {
+                vals[*idx] = e.eval(&vals)?;
+            }
+            node.sql_update(table, xid, tid, Row::new(vals)).map(|_| ())
+        })
+    }
+
+    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64> {
+        let (canon, meta) = self.writable(table)?;
+        self.run_dml_scan(&canon, meta, pred, |node, table, xid, tid, _old| {
+            node.sql_delete(table, xid, tid)
+        })
+    }
+
+    /// Distributed ANALYZE: every up node recomputes its local statistics,
+    /// then the CN merges the per-shard blocks onto its shadow catalog so
+    /// the planner costs from data-node truth.
+    fn analyze(&mut self, table: Option<&str>) -> Result<()> {
+        let shards: Vec<ShardId> = self.cluster.shard_map().all().collect();
+        for &shard in &shards {
+            if self.cluster.is_node_up(shard) {
+                self.cluster.node_mut(shard).analyze_all();
+            }
+        }
+        let names: Vec<String> = match table {
+            Some(t) => vec![t.to_ascii_lowercase()],
+            None => self.meta.keys().cloned().collect(),
+        };
+        for name in names {
+            let mut per_shard: Vec<&TableStats> = Vec::new();
+            for &shard in &shards {
+                if !self.cluster.is_node_up(shard) {
+                    continue;
+                }
+                let node = self.cluster.node(shard);
+                if let Some(s) = node.sql_table(&name).ok().and_then(|t| t.stats()) {
+                    per_shard.push(s);
                 }
             }
+            let merged = merge_stats(&per_shard);
+            self.shadow.get_mut(&name)?.set_stats(merged);
         }
-        Pruned::All
+        Ok(())
     }
 
-}
-
-impl QueryApi for DistDb {
-    fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle> {
-        session::prepare(sql, |text| self.ensure_cached(text).map(drop))
-    }
-
-    fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult> {
-        let result = match handle {
-            StmtHandle::Cached {
-                canonical, slots, ..
-            } => self.execute_canonical(canonical, slots, params, canonical),
-            StmtHandle::Ast {
-                stmt,
-                n_params,
-                sql,
-            } => {
-                let bound = session::bind_ast(stmt, *n_params, params)?;
-                self.execute_statement(&bound, Some(sql))
+    /// The views answered from live cluster state, frozen at statement
+    /// start.
+    fn sys_rows(&self, view: &str) -> Vec<Row> {
+        match view {
+            "sys.metrics" => {
+                // The journal always exists here, so `events.dropped` always
+                // rides along.
+                let tel = self.tel.as_ref();
+                let mut snap = tel.map(|t| t.metrics.snapshot()).unwrap_or_default();
+                snap.counters
+                    .insert("events.dropped".into(), self.cluster.events_dropped());
+                self.session.metric_rows(snap)
             }
-        }?;
-        self.after_statement();
-        Ok(result)
+            "sys.shards" => self.shard_rows(),
+            "sys.txns" => self
+                .cluster
+                .shard_map()
+                .all()
+                .flat_map(|s| {
+                    sys::txn_rows(Datum::Int(s.raw() as i64), self.cluster.node(s).mgr())
+                })
+                .collect(),
+            "sys.events" => self.event_rows(),
+            "sys.indexes" => self.index_rows(),
+            "sys.config" => self
+                .session
+                .config_rows(self.cluster_config_rows(), Some(self.retry.is_some())),
+            _ => Vec::new(),
+        }
     }
 
-    fn execute_opts(&mut self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
+    /// Regressions the history hook finds are journaled as
+    /// `history.regression` events.
+    fn after_statement(&mut self) {
+        let found = self
+            .session
+            .maybe_capture_history(|| engine_state(self.tel.as_ref(), &self.cluster));
+        // Skipping the call when nothing was found is measurable on point reads.
+        if !found.is_empty() {
+            self.journal(found);
+        }
+    }
+
+    fn run_opts(&mut self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
         match opts.stmt_id {
             Some(id) => self.run_idempotent(sql, id),
             None if opts.retry || opts.idempotent => self.run_retrying(sql),
@@ -1955,33 +1832,6 @@ impl ExecBackend for DistExec<'_> {
 
     fn take_exchange_profile(&mut self) -> Vec<ShardLeg> {
         std::mem::take(&mut self.exchange_legs)
-    }
-
-    fn insert(&mut self, table: &str, _rows: Vec<Row>) -> Result<u64> {
-        Err(HdmError::Plan(format!(
-            "DML on {table} must route through DistDb, not the executor"
-        )))
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        _sets: &[(usize, SExpr)],
-        _predicate: Option<&SExpr>,
-    ) -> Result<u64> {
-        Err(HdmError::Plan(format!(
-            "DML on {table} must route through DistDb, not the executor"
-        )))
-    }
-
-    fn delete(&mut self, table: &str, _predicate: Option<&SExpr>) -> Result<u64> {
-        Err(HdmError::Plan(format!(
-            "DML on {table} must route through DistDb, not the executor"
-        )))
-    }
-
-    fn stats(&self, _table: &str) -> Option<TableStats> {
-        None
     }
 }
 

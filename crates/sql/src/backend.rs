@@ -20,13 +20,12 @@ use crate::catalog::Catalog;
 use crate::expr::SExpr;
 use crate::sys::{self, SysSnapshot};
 use hdm_common::{Datum, Result, Row};
-use hdm_storage::TableStats;
 use hdm_telemetry::ShardLeg;
 use hdm_txn::{LocalTxnManager, MemoVisibility, Snapshot, SnapshotVisibility};
 
-/// Storage access for the executor: scans and point gets under the backend's
-/// statement snapshot, DML as autocommitted transactions, and a statistics
-/// handle for planners that want backend-truth row counts.
+/// Read access for the executor: scans, index probes and `Exchange`
+/// fragments under the backend's statement snapshot. Writes do not cross
+/// this seam: each facade applies its own DML.
 ///
 /// Scans are visitors: [`Self::scan`] and [`Self::scan_shards`] hand each
 /// surviving row to `emit` by reference, straight out of storage, and
@@ -99,25 +98,6 @@ pub trait ExecBackend {
         self.scan(table, predicate, emit)
     }
 
-    /// Insert pre-materialized rows as one autocommitted transaction.
-    /// Returns the number of rows inserted.
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64>;
-
-    /// Update rows matching `predicate`, assigning each `(column, expr)` in
-    /// `sets` (exprs evaluated over the old row). Returns rows updated.
-    fn update(
-        &mut self,
-        table: &str,
-        sets: &[(usize, SExpr)],
-        predicate: Option<&SExpr>,
-    ) -> Result<u64>;
-
-    /// Delete rows matching `predicate`. Returns rows deleted.
-    fn delete(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<u64>;
-
-    /// Optimizer statistics for `table`, if the backend has any.
-    fn stats(&self, table: &str) -> Option<TableStats>;
-
     /// Drain the per-shard breakdown of the most recent [`Self::scan_shards`]
     /// call, for the query profiler. Distributed backends fill one
     /// [`ShardLeg`] per fragment; backends without placement (or with
@@ -128,8 +108,8 @@ pub trait ExecBackend {
 }
 
 /// The embedded single-node backend: the catalog's heap judged by one
-/// statement snapshot taken at construction, with DML running exactly the
-/// autocommit protocol `Database` always used (begin local → write →
+/// statement snapshot taken at construction. Its inherent DML methods run
+/// the embedded engine's autocommit protocol (begin local → write →
 /// undo-on-error → commit).
 pub struct LocalBackend<'a> {
     catalog: &'a mut Catalog,
@@ -157,6 +137,108 @@ impl<'a> LocalBackend<'a> {
     pub fn with_sys(mut self, snapshot: Option<&'a SysSnapshot>) -> Self {
         self.sys = snapshot;
         self
+    }
+
+    /// Insert pre-materialized rows as one autocommitted transaction.
+    /// Returns the number of rows inserted.
+    pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        let xid = self.mgr.begin_local();
+        let t = self.catalog.get_mut(table)?;
+        let mut inserted = Vec::new();
+        for row in rows {
+            match t.insert(xid, row) {
+                Ok(tid) => inserted.push(tid),
+                Err(e) => {
+                    for tid in inserted {
+                        t.undo_insert(xid, tid)?;
+                    }
+                    self.mgr.abort(xid)?;
+                    return Err(e);
+                }
+            }
+        }
+        self.mgr.commit(xid)?;
+        Ok(inserted.len() as u64)
+    }
+
+    /// Update rows matching `predicate`, assigning each `(column, expr)` in
+    /// `sets` (exprs evaluated over the old row). Returns rows updated.
+    pub fn update(
+        &mut self,
+        table: &str,
+        sets: &[(usize, SExpr)],
+        predicate: Option<&SExpr>,
+    ) -> Result<u64> {
+        let xid = self.mgr.begin_local();
+        let snap = self.mgr.local_snapshot();
+        // Collect targets first (snapshot view), then write.
+        let targets: Vec<(hdm_storage::heap::TupleId, Row)> = {
+            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
+            let t = self.catalog.get(table)?;
+            let mut v = Vec::new();
+            for (tid, row) in t.scan(&judge) {
+                let hit = match predicate {
+                    None => true,
+                    Some(p) => p.eval_filter(row.values())?,
+                };
+                if hit {
+                    v.push((tid, row.clone()));
+                }
+            }
+            v
+        };
+        let t = self.catalog.get_mut(table)?;
+        let mut n = 0;
+        for (tid, old) in targets {
+            let mut vals = old.into_values();
+            for (idx, e) in sets {
+                vals[*idx] = e.eval(&vals)?;
+            }
+            match t.update(xid, tid, Row::new(vals)) {
+                Ok(_) => n += 1,
+                Err(e) => {
+                    // Write-write conflict mid-statement: abort the lot.
+                    self.mgr.abort(xid)?;
+                    return Err(e);
+                }
+            }
+        }
+        self.mgr.commit(xid)?;
+        Ok(n)
+    }
+
+    /// Delete rows matching `predicate`. Returns rows deleted.
+    pub fn delete(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<u64> {
+        let xid = self.mgr.begin_local();
+        let snap = self.mgr.local_snapshot();
+        let targets: Vec<hdm_storage::heap::TupleId> = {
+            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
+            let t = self.catalog.get(table)?;
+            let mut v = Vec::new();
+            for (tid, row) in t.scan(&judge) {
+                let hit = match predicate {
+                    None => true,
+                    Some(p) => p.eval_filter(row.values())?,
+                };
+                if hit {
+                    v.push(tid);
+                }
+            }
+            v
+        };
+        let t = self.catalog.get_mut(table)?;
+        let mut n = 0;
+        for tid in targets {
+            match t.delete(xid, tid) {
+                Ok(()) => n += 1,
+                Err(e) => {
+                    self.mgr.abort(xid)?;
+                    return Err(e);
+                }
+            }
+        }
+        self.mgr.commit(xid)?;
+        Ok(n)
     }
 }
 
@@ -277,107 +359,6 @@ impl ExecBackend for LocalBackend<'_> {
         // Index order → heap order, matching the sequential plan's output.
         hits.sort_unstable_by_key(|&(tid, _)| tid);
         collect_matching(hits.into_iter().map(|(_tid, row)| row), residual)
-    }
-
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        let xid = self.mgr.begin_local();
-        let t = self.catalog.get_mut(table)?;
-        let mut inserted = Vec::new();
-        for row in rows {
-            match t.insert(xid, row) {
-                Ok(tid) => inserted.push(tid),
-                Err(e) => {
-                    for tid in inserted {
-                        t.undo_insert(xid, tid)?;
-                    }
-                    self.mgr.abort(xid)?;
-                    return Err(e);
-                }
-            }
-        }
-        self.mgr.commit(xid)?;
-        Ok(inserted.len() as u64)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        sets: &[(usize, SExpr)],
-        predicate: Option<&SExpr>,
-    ) -> Result<u64> {
-        let xid = self.mgr.begin_local();
-        let snap = self.mgr.local_snapshot();
-        // Collect targets first (snapshot view), then write.
-        let targets: Vec<(hdm_storage::heap::TupleId, Row)> = {
-            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
-            let t = self.catalog.get(table)?;
-            let mut v = Vec::new();
-            for (tid, row) in t.scan(&judge) {
-                let hit = match predicate {
-                    None => true,
-                    Some(p) => p.eval_filter(row.values())?,
-                };
-                if hit {
-                    v.push((tid, row.clone()));
-                }
-            }
-            v
-        };
-        let t = self.catalog.get_mut(table)?;
-        let mut n = 0;
-        for (tid, old) in targets {
-            let mut vals = old.into_values();
-            for (idx, e) in sets {
-                vals[*idx] = e.eval(&vals)?;
-            }
-            match t.update(xid, tid, Row::new(vals)) {
-                Ok(_) => n += 1,
-                Err(e) => {
-                    // Write-write conflict mid-statement: abort the lot.
-                    self.mgr.abort(xid)?;
-                    return Err(e);
-                }
-            }
-        }
-        self.mgr.commit(xid)?;
-        Ok(n)
-    }
-
-    fn delete(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<u64> {
-        let xid = self.mgr.begin_local();
-        let snap = self.mgr.local_snapshot();
-        let targets: Vec<hdm_storage::heap::TupleId> = {
-            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
-            let t = self.catalog.get(table)?;
-            let mut v = Vec::new();
-            for (tid, row) in t.scan(&judge) {
-                let hit = match predicate {
-                    None => true,
-                    Some(p) => p.eval_filter(row.values())?,
-                };
-                if hit {
-                    v.push(tid);
-                }
-            }
-            v
-        };
-        let t = self.catalog.get_mut(table)?;
-        let mut n = 0;
-        for tid in targets {
-            match t.delete(xid, tid) {
-                Ok(()) => n += 1,
-                Err(e) => {
-                    self.mgr.abort(xid)?;
-                    return Err(e);
-                }
-            }
-        }
-        self.mgr.commit(xid)?;
-        Ok(n)
-    }
-
-    fn stats(&self, table: &str) -> Option<TableStats> {
-        self.catalog.get(table).ok().and_then(|t| t.stats().cloned())
     }
 }
 

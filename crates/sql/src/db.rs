@@ -1,25 +1,30 @@
 //! The embedded database facade: parse → plan → execute with autocommit
 //! transactions, plus the three extension hooks the rest of the workspace
-//! plugs into (plan store consumer/producer, table functions). The
-//! statement plumbing it shares with the distributed engine lives in the
-//! [`Session`].
+//! plugs into (plan store consumer/producer, table functions).
+//!
+//! The statement path itself is [`Facade`]'s, shared with the distributed
+//! engine. [`Database`] supplies only its backend: planning against its
+//! catalog (CTEs materialized first), lowering cached chains to a
+//! [`CompiledProgram`], running trees and programs on the [`LocalBackend`],
+//! autocommitted DDL/DML, its `sys.*` rows and its history hook.
 
-use crate::ast::{Expr, SelectStmt, Statement};
-use crate::backend::{ExecBackend, LocalBackend};
+use crate::ast::SelectStmt;
+use crate::backend::LocalBackend;
 use crate::catalog::Catalog;
 use crate::compile::{compile, CompiledProgram, StepTemplate};
 use crate::exec::execute;
+use crate::expr::SExpr;
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::{Planner, PlanningInfo, TempRels};
-use crate::prepared::{bind_slots, canonicalize, ExecOptions, QueryApi, StmtHandle};
 use crate::profile::ChainProfiler;
-use crate::session::{self, CachedPlan, EngineState, Session};
+use crate::session::{BoundSets, CachedPlan, EngineState, Facade, Session};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Datum, Result, Row, Schema};
 use hdm_telemetry::{MetricsRegistry, SharedClock, SharedHistory, SharedRecorder, StatementProfile};
 use hdm_txn::{LocalTxnManager, SnapshotVisibility};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Plan-store *consumer* hook: the optimizer asks for the actual cardinality
 /// of a canonical step before trusting its own estimate (§II-C).
@@ -62,7 +67,7 @@ pub struct QueryResult {
     pub planning: PlanningInfo,
     /// Runtime profile of the statement (present when profiling is on or a
     /// flight recorder is attached; always present for `EXPLAIN ANALYZE`).
-    pub profile: Option<StatementProfile>,
+    pub profile: Option<Arc<StatementProfile>>,
 }
 
 impl QueryResult {
@@ -148,12 +153,6 @@ impl Database {
         self.session.capture_history_now(|| engine_state(self.metrics.as_ref()));
     }
 
-    /// Per-statement history hook (the embedded engine has no event journal
-    /// to record regressions in).
-    fn after_statement(&mut self) {
-        self.session.maybe_capture_history(|| engine_state(self.metrics.as_ref()));
-    }
-
     /// Profile every SELECT even without a recorder attached, surfacing
     /// [`QueryResult::profile`].
     pub fn set_profiling(&mut self, on: bool) {
@@ -194,17 +193,9 @@ impl Database {
         &mut self.catalog
     }
 
-    /// Execute one SQL statement (rewritten before planning). Cacheable
-    /// SELECTs are canonicalized and served through the prepared-statement
-    /// plan cache, so repeat statements that differ only in literal values
-    /// skip the parser and planner entirely.
+    /// Execute one SQL statement; see [`Facade::execute_sql`].
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let result = match canonicalize(sql)? {
-            Some(c) => self.execute_canonical(&c.text, &c.slots, &[], sql),
-            None => self.execute_statement_inner(&session::parse_rewritten(sql)?, Some(sql)),
-        }?;
-        self.after_statement();
-        Ok(result)
+        self.execute_sql(sql)
     }
 
     /// Convenience: execute and return rows.
@@ -212,244 +203,10 @@ impl Database {
         Ok(self.execute(sql)?.rows)
     }
 
-    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.execute_statement_inner(stmt, None)
-    }
-
-    fn execute_statement_inner(&mut self, stmt: &Statement, sql: Option<&str>) -> Result<QueryResult> {
-        match stmt {
-            Statement::CreateTable { name, columns } => {
-                self.catalog.create_table(name, session::table_schema(name, columns)?)?;
-                self.session.cache.bump_epoch();
-                Ok(QueryResult::default())
-            }
-            Statement::CreateIndex { table, columns } => {
-                let t = self.catalog.get_mut(table)?;
-                t.create_index(session::column_positions(table, t.schema(), columns)?)?;
-                self.session.cache.bump_epoch();
-                Ok(QueryResult::default())
-            }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                sys::check_read_only(table)?;
-                let schema = self.catalog.get(table)?.schema();
-                let rows = session::insert_rows(table, schema, columns.as_deref(), rows)?;
-                let affected =
-                    LocalBackend::new(&mut self.catalog, &mut self.mgr).insert(table, rows)?;
-                Ok(QueryResult {
-                    affected,
-                    ..Default::default()
-                })
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => self.run_dml(table, Some(sets), where_clause.as_ref()),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.run_dml(table, None, where_clause.as_ref()),
-            Statement::Analyze { table } => {
-                let snap = self.mgr.local_snapshot();
-                let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), None);
-                match table {
-                    Some(t) => self.catalog.get_mut(t)?.analyze(&judge),
-                    None => {
-                        for t in self.catalog.tables_mut() {
-                            t.analyze(&judge);
-                        }
-                    }
-                }
-                // Fresh statistics change plan choices; cached plans are stale.
-                self.session.cache.bump_epoch();
-                Ok(QueryResult::default())
-            }
-            Statement::Select(s) => self.run_select(s, sql, self.session.profiling_enabled()),
-            Statement::Explain { analyze, stmt } => {
-                let s = session::explained(stmt)?;
-                if *analyze {
-                    // Execute for real (observing into the plan store as
-                    // usual) and render the annotated tree.
-                    let run = self.run_select(s, sql, true)?;
-                    return Ok(self.session.explain_analyze(run));
-                }
-                let sys_snap = self.sys_snapshot_for(s);
-                let (plan, planning) = self.plan_with_ctes(s, sys_snap.as_ref())?;
-                Ok(session::explain_plan(&plan, planning))
-            }
-        }
-    }
-
-    /// UPDATE (`sets` given) or DELETE through the local backend.
-    fn run_dml(
-        &mut self,
-        table: &str,
-        sets: Option<&[(String, Expr)]>,
-        where_clause: Option<&Expr>,
-    ) -> Result<QueryResult> {
-        sys::check_read_only(table)?;
-        let schema = self.catalog.get(table)?.schema();
-        let (set_bound, pred) =
-            session::bind_dml(table, schema, sets.unwrap_or_default(), where_clause)?;
-        let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
-        let affected = match sets {
-            Some(_) => be.update(table, &set_bound, pred.as_ref())?,
-            None => be.delete(table, pred.as_ref())?,
-        };
-        Ok(QueryResult {
-            affected,
-            ..Default::default()
-        })
-    }
-
-    /// Freeze the statement-start state of every `sys.*` view `s`
-    /// references; see [`Session::sys_snapshot`].
-    fn sys_snapshot_for(&self, s: &SelectStmt) -> Option<SysSnapshot> {
-        self.session.sys_snapshot(s, |view| match view {
-            "sys.metrics" if self.metrics.is_some() || self.session.recorder.is_some() => {
-                let snap = self.metrics.as_ref().map(MetricsRegistry::snapshot);
-                self.session.metric_rows(snap.unwrap_or_default())
-            }
-            "sys.txns" => session::txn_rows(Datum::Null, &self.mgr),
-            // No shards here: the backing shard set renders as `-`.
-            "sys.indexes" => session::index_rows(&self.catalog, "-", |_, ix| ix.len() as i64),
-            "sys.config" => self.session.config_rows(Vec::new(), None),
-            // The embedded engine has no shards, replicas, or event journal:
-            // those views exist (same schema as distributed) but scan empty.
-            _ => Vec::new(),
-        })
-    }
-
-    fn plan_with_ctes(
-        &mut self,
-        s: &SelectStmt,
-        sys_snap: Option<&SysSnapshot>,
-    ) -> Result<(PlanNode, PlanningInfo)> {
-        // Materialize CTEs in order; later CTEs may reference earlier ones.
-        let mut temp: TempRels = TempRels::new();
-        for (name, sub) in &s.with {
-            let plan = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
-                .with_sys(sys_snap)
-                .plan_select(sub, &temp)?;
-            let mut obs = Vec::new();
-            let rows = {
-                let mut be =
-                    LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
-                execute(&plan, &mut be, &mut obs, None)?
-            };
-            self.session.observe(&obs);
-            temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
-        }
-        let mut p = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
-            .with_sys(sys_snap);
-        let plan = p.plan_select(s, &temp)?;
-        Ok((plan, p.info))
-    }
-
-    /// Plan a SELECT fresh and hand the tree to [`Self::run_plan`]; the
-    /// statement clock starts before planning when `profiled`.
-    fn run_select(
-        &mut self,
-        s: &SelectStmt,
-        sql: Option<&str>,
-        profiled: bool,
-    ) -> Result<QueryResult> {
-        let start = profiled.then(|| self.session.clock.now_us());
-        let sys_snap = self.sys_snapshot_for(s);
-        let (plan, planning) = self.plan_with_ctes(s, sys_snap.as_ref())?;
-        let profiled = start.map(|t| (t, sql.unwrap_or("")));
-        self.run_plan(&plan, planning, sys_snap.as_ref(), profiled)
-    }
-
-    /// The tree SELECT driver: run an already-planned tree and feed the plan
-    /// store. `profiled` (statement start time + SQL text) makes the
-    /// profiler ride along — same plan, rows and observation list, plus a
-    /// [`StatementProfile`] mirroring the plan tree that `EXPLAIN ANALYZE`
-    /// renders and the flight recorder keeps. Without it the clock is never
-    /// read.
-    fn run_plan(
-        &mut self,
-        plan: &PlanNode,
-        planning: PlanningInfo,
-        sys_snap: Option<&SysSnapshot>,
-        profiled: Option<(u64, &str)>,
-    ) -> Result<QueryResult> {
-        let mut prof = self.session.profiler(profiled);
-        let mut steps = Vec::new();
-        let rows = {
-            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
-            execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))?
-        };
-        let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
-    }
-
-    /// Fetch (or build) the cache entry for canonical statement text.
-    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan<CompiledProgram>>> {
-        if let Some(e) = self.session.cache.get(canonical) {
-            return Ok(e);
-        }
-        let (s, n_params) = session::parse_cacheable(canonical)?;
-        let (plan, _) = self.plan_with_ctes(&s, None)?;
-        let program = compile(&plan);
-        let drift = crate::prepared::drift_probes(&plan);
-        let entry = CachedPlan::new(plan, n_params, program, CompiledProgram::op_count, drift);
-        Ok(self.session.cache_insert(canonical, entry))
-    }
-
-    /// Execute a canonicalized statement through the plan cache: bind the
-    /// lifted/user parameters, rehint estimates against the plan store, and
-    /// run the compiled op-array, or — for shapes the compiler does not
-    /// cover — the substituted plan tree through [`Self::run_plan`]. A
-    /// profiled statement runs on the same executor as an unprofiled one:
-    /// the op-array fills the profile the tree would, over the bound plan.
-    fn execute_canonical(
-        &mut self,
-        text: &str,
-        slots: &[Option<Datum>],
-        user_params: &[Datum],
-        sql: &str,
-    ) -> Result<QueryResult> {
-        let mut cached = self.ensure_cached(text)?;
-        let replans = self.session.evict_if_drifted(text, &cached);
-        if replans > 0 {
-            cached = self.ensure_cached(text)?;
-        }
-        let params = bind_slots(slots, &cached.param_types, user_params)?;
-        let profiled = self
-            .session
-            .profiling_enabled()
-            .then(|| (self.session.clock.now_us(), sql));
-        let Some(prog) = &cached.program else {
-            let mut plan = cached.plan.substitute_params(&params)?;
-            let mut planning = PlanningInfo {
-                replans,
-                ..Default::default()
-            };
-            if let Some(hints) = self.session.hints.as_deref() {
-                crate::prepared::rehint_plan(&mut plan, hints, &mut planning);
-            }
-            return self.run_plan(&plan, planning, None, profiled);
-        };
-        let (ests, mut planning) = self.rehint_steps(&prog.steps);
-        planning.replans = replans;
-        let bound = profiled.map(|_| prog.profile_plan(&cached.plan, &params, &ests)).transpose()?;
-        let mut prof = self.session.profiler(profiled);
-        let mut steps = Vec::new();
-        let rows = {
-            let mut chain = prof
-                .as_mut()
-                .zip(bound.as_ref())
-                .map(|(p, plan)| ChainProfiler::new(&mut p.ops, plan));
-            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
-            prog.run(&params, &ests, &mut be, &mut steps, chain.as_mut())?
-        };
-        let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
-        Ok(self.session.finish_select(&cached.plan, rows, steps, planning, profile))
+    /// Parse + plan a SELECT and return the plan without executing —
+    /// exposes estimates to tests and the Table I harness.
+    pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
+        self.plan_sql(sql)
     }
 
     /// Rehint the step templates of a compiled program (same hit/miss
@@ -477,14 +234,6 @@ impl Database {
     pub(crate) fn storage_parts(&mut self) -> (&mut Catalog, &mut LocalTxnManager) {
         (&mut self.catalog, &mut self.mgr)
     }
-
-    /// Parse + plan a SELECT and return the plan without executing —
-    /// exposes estimates to tests and the Table I harness.
-    pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
-        let s = session::plan_only_select(sql)?;
-        let sys_snap = self.sys_snapshot_for(&s);
-        Ok(self.plan_with_ctes(&s, sys_snap.as_ref())?.0)
-    }
 }
 
 /// The embedded engine's share of a history capture: the attached registry's
@@ -493,33 +242,173 @@ fn engine_state(metrics: Option<&MetricsRegistry>) -> EngineState {
     (metrics.map(MetricsRegistry::snapshot), Vec::new())
 }
 
-impl QueryApi for Database {
-    fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle> {
-        session::prepare(sql, |text| self.ensure_cached(text).map(drop))
+/// The embedded engine's hooks: plan against the catalog, lower cached
+/// chains to a [`CompiledProgram`], run everything on the [`LocalBackend`]
+/// under autocommit. Every statement runs in the same local scope.
+impl Facade for Database {
+    type Program = CompiledProgram;
+    type Scope = ();
+
+    fn session(&self) -> &Session<CompiledProgram> {
+        &self.session
     }
 
-    fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult> {
-        let result = match handle {
-            StmtHandle::Cached {
-                canonical, slots, ..
-            } => self.execute_canonical(canonical, slots, params, canonical),
-            StmtHandle::Ast {
-                stmt,
-                n_params,
-                sql,
-            } => {
-                let bound = session::bind_ast(stmt, *n_params, params)?;
-                self.execute_statement_inner(&bound, Some(sql))
+    fn session_mut(&mut self) -> &mut Session<CompiledProgram> {
+        &mut self.session
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn plan_select(
+        &mut self,
+        s: &SelectStmt,
+        sys_snap: Option<&SysSnapshot>,
+    ) -> Result<(PlanNode, PlanningInfo, ())> {
+        // Materialize CTEs in order; later CTEs may reference earlier ones.
+        let mut temp: TempRels = TempRels::new();
+        for (name, sub) in &s.with {
+            let plan = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
+                .with_sys(sys_snap)
+                .plan_select(sub, &temp)?;
+            let mut obs = Vec::new();
+            let rows = {
+                let mut be =
+                    LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
+                execute(&plan, &mut be, &mut obs, None)?
+            };
+            self.session.observe(&obs);
+            temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
+        }
+        let mut p = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
+            .with_sys(sys_snap);
+        let plan = p.plan_select(s, &temp)?;
+        Ok((plan, p.info, ()))
+    }
+
+    fn plan_cacheable(
+        &mut self,
+        s: &SelectStmt,
+        n_params: usize,
+    ) -> Result<CachedPlan<CompiledProgram>> {
+        let (plan, _, ()) = self.plan_select(s, None)?;
+        let program = compile(&plan);
+        let drift = crate::prepared::drift_probes(&plan);
+        Ok(CachedPlan::new(
+            plan,
+            n_params,
+            program,
+            CompiledProgram::op_count,
+            drift,
+        ))
+    }
+
+    /// A substituted, rehinted cached tree runs as it is.
+    fn bind_tree(&self, _: &mut PlanNode, _: &mut PlanningInfo) {}
+
+    /// The tree SELECT driver: same plan, rows and observation list whether
+    /// profiled or not, plus, when profiled, a [`StatementProfile`]
+    /// mirroring the plan tree that `EXPLAIN ANALYZE` renders and the
+    /// flight recorder keeps.
+    fn run_plan(
+        &mut self,
+        plan: &PlanNode,
+        planning: PlanningInfo,
+        _: (),
+        sys: Option<&SysSnapshot>,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult> {
+        let mut prof = self.session.profiler(profiled);
+        let mut steps = Vec::new();
+        let rows = {
+            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys);
+            execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))?
+        };
+        let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
+        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+    }
+
+    /// Rehint the program's step estimates against the plan store and run
+    /// the compiled op-array.
+    fn run_program(
+        &mut self,
+        plan: &PlanNode,
+        prog: &CompiledProgram,
+        params: &[Datum],
+        replans: u64,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult> {
+        let (ests, mut planning) = self.rehint_steps(&prog.steps);
+        planning.replans = replans;
+        let bound = profiled.map(|_| prog.profile_plan(plan, params, &ests)).transpose()?;
+        let mut prof = self.session.profiler(profiled);
+        let mut steps = Vec::new();
+        let rows = {
+            let mut chain = prof
+                .as_mut()
+                .zip(bound.as_ref())
+                .map(|(p, plan)| ChainProfiler::new(&mut p.ops, plan));
+            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
+            prog.run(params, &ests, &mut be, &mut steps, chain.as_mut())?
+        };
+        let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
+        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+    }
+
+    fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
+        self.catalog.create_table(name, schema)
+    }
+
+    fn create_index(&mut self, table: &str, columns: Vec<usize>) -> Result<()> {
+        self.catalog.get_mut(table)?.create_index(columns).map(drop)
+    }
+
+    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        LocalBackend::new(&mut self.catalog, &mut self.mgr).insert(table, rows)
+    }
+
+    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64> {
+        LocalBackend::new(&mut self.catalog, &mut self.mgr).update(table, &sets, pred.as_ref())
+    }
+
+    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64> {
+        LocalBackend::new(&mut self.catalog, &mut self.mgr).delete(table, pred.as_ref())
+    }
+
+    fn analyze(&mut self, table: Option<&str>) -> Result<()> {
+        let snap = self.mgr.local_snapshot();
+        let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), None);
+        match table {
+            Some(t) => self.catalog.get_mut(t)?.analyze(&judge),
+            None => {
+                for t in self.catalog.tables_mut() {
+                    t.analyze(&judge);
+                }
             }
-        }?;
-        self.after_statement();
-        Ok(result)
+        }
+        Ok(())
     }
 
-    /// The embedded engine has no replication to retry against; options are
-    /// accepted for API parity with the distributed engine.
-    fn execute_opts(&mut self, sql: &str, _opts: ExecOptions) -> Result<QueryResult> {
-        self.execute(sql)
+    fn sys_rows(&self, view: &str) -> Vec<Row> {
+        match view {
+            "sys.metrics" if self.metrics.is_some() || self.session.recorder.is_some() => {
+                let snap = self.metrics.as_ref().map(MetricsRegistry::snapshot);
+                self.session.metric_rows(snap.unwrap_or_default())
+            }
+            "sys.txns" => sys::txn_rows(Datum::Null, &self.mgr),
+            // No shards here: the backing shard set renders as `-`.
+            "sys.indexes" => sys::index_rows(&self.catalog, "-", |_, ix| ix.len() as i64),
+            "sys.config" => self.session.config_rows(Vec::new(), None),
+            // The embedded engine has no shards, replicas, or event journal:
+            // those views exist (same schema as distributed) but scan empty.
+            _ => Vec::new(),
+        }
+    }
+
+    /// The embedded engine has no event journal to record regressions in.
+    fn after_statement(&mut self) {
+        self.session.maybe_capture_history(|| engine_state(self.metrics.as_ref()));
     }
 }
 

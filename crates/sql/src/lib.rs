@@ -23,9 +23,13 @@
 //! [`session::Session`] is the SQL session both facades hold — the embedded
 //! [`Database`] here and the distributed `DistDb` in `hdm-cluster`: the
 //! plan cache and its drift check, the plan-store hooks, profiler and
-//! flight-recorder wiring, the workload-history hook, the `sys.*` views
-//! that do not depend on placement, and EXPLAIN rendering. Each facade adds
-//! only its backend.
+//! flight-recorder wiring, the workload-history hook and the `sys.*` views
+//! that do not depend on placement. [`session::Facade`] is the one
+//! statement path both run — canonicalize, plan cache, drift check, bind,
+//! flat program or tree, EXPLAIN, DDL/DML binding — and [`QueryApi`] is
+//! implemented once on top of it. Each facade adds only its backend: how it
+//! plans, lowers and runs, how it applies DDL/DML, and the views only it
+//! can answer.
 //!
 //! Extension hooks:
 //! * [`db::CardinalityHints`] — the optimizer consults it before using its

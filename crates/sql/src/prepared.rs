@@ -10,10 +10,11 @@
 //! 2. [`PlanCache`] maps canonical text to an engine-defined payload (the
 //!    parameterized plan plus whatever the engine compiles from it) under a
 //!    bounded LRU with epoch-based invalidation on DDL / ANALYZE.
-//! 3. [`QueryApi`] is the statement surface both engines implement:
+//! 3. [`QueryApi`] is the statement surface of both engines:
 //!    `prepare` → [`Prepared`] → `execute(params)`, with `execute_opts`
 //!    collapsing the old retry/idempotency method family into
-//!    [`ExecOptions`].
+//!    [`ExecOptions`]. It is implemented once, for every
+//!    [`Facade`](crate::session::Facade).
 
 use crate::ast::{Expr, SelectStmt, Statement, TableRef};
 use crate::db::{CardinalityHints, QueryResult};
@@ -864,7 +865,8 @@ impl ExecOptions {
     }
 }
 
-/// The unified statement API both engines implement.
+/// The unified statement API of both engines, implemented once for every
+/// [`Facade`](crate::session::Facade).
 pub trait QueryApi {
     /// Parse, canonicalize and validate `sql`, returning a reusable handle.
     /// For cacheable statements this also warms the plan cache.

@@ -1,18 +1,20 @@
 //! The SQL session both facades share (paper §II: FI-MPPDB's coordinator is
 //! one SQL front end whatever the rows' placement).
 //!
-//! [`Session`] owns what the embedded [`crate::Database`] and the
-//! distributed `DistDb` do identically above their
+//! [`Session`] holds the state the embedded [`crate::Database`] and the
+//! distributed `DistDb` share above their
 //! [`ExecBackend`](crate::backend::ExecBackend): the plan-store hooks, the
 //! profiler clock, flight recorder and profiling switch, the
 //! prepared-statement plan cache with its re-plan-on-drift check, the
 //! workload-history hook, the `sys.*` views that do not depend on where rows
-//! live, the tail of the SELECT driver, and EXPLAIN rendering. Each facade
-//! keeps a `session` field plus its backend: planning, the executor choice,
-//! DDL/DML routing and the views only it can answer.
+//! live, and the tail of the SELECT driver.
 //!
-//! The free functions are the statement-path and DDL/DML binding steps both
-//! facades run before their backends diverge.
+//! [`Facade`] is the statement path itself, written once: canonicalize,
+//! plan cache, drift check, bind, flat program or tree, EXPLAIN, DDL/DML
+//! binding. Each facade implements its hooks (planning and lowering,
+//! running a tree or a flat program against its backend, applying DDL and
+//! DML, its own `sys.*` rows, its after-statement hook) and gets
+//! [`QueryApi`] from it.
 
 use crate::ast::{ColumnDef, Expr, SelectStmt, Statement};
 use crate::catalog::Catalog;
@@ -21,18 +23,16 @@ use crate::expr::{bind, BoundSchema, SExpr};
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::PlanningInfo;
 use crate::prepared::{
-    canonicalize, collect_param_types, count_params, drift_exceeds, substitute_statement_params,
-    PlanCache, StmtHandle, PLAN_CACHE_CAP,
+    bind_slots, canonicalize, collect_param_types, count_params, drift_exceeds, rehint_plan,
+    substitute_statement_params, ExecOptions, PlanCache, QueryApi, StmtHandle, PLAN_CACHE_CAP,
 };
 use crate::profile::{observations, render_analyze, Profiler};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Column, DataType, Datum, HdmError, Result, Row, Schema};
-use hdm_storage::index::OrderedIndex;
 use hdm_telemetry::{
     CaptureInput, MetricsSnapshot, Regression, ShardWindowStat, SharedClock, SharedHistory,
     SharedRecorder, StatementProfile, WallClock,
 };
-use hdm_txn::{LocalTxnManager, TxnStatus};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -229,49 +229,6 @@ impl<P> Session<P> {
         })
     }
 
-    /// Freeze the statement-start state of every `sys.*` view `s`
-    /// references. The session answers the views it owns; `facade` answers
-    /// the rest (`sys.metrics`, `sys.shards`, `sys.txns`, `sys.events`,
-    /// `sys.indexes`, `sys.config`) and returns no rows for views it lacks.
-    /// `None` — the common case — means the statement never touches the
-    /// introspection plane and pays nothing.
-    pub fn sys_snapshot(
-        &self,
-        s: &SelectStmt,
-        facade: impl Fn(&str) -> Vec<Row>,
-    ) -> Option<SysSnapshot> {
-        let wanted = sys::referenced_views_in_select(s);
-        if wanted.is_empty() {
-            return None;
-        }
-        let history = |rows: fn(&SharedHistory) -> Vec<Row>| {
-            self.history.as_ref().map(rows).unwrap_or_default()
-        };
-        let mut snap = SysSnapshot::new();
-        for view in wanted {
-            let rows = match view.as_str() {
-                "sys.statements" => self
-                    .recorder
-                    .as_ref()
-                    .map(sys::statement_rows)
-                    .unwrap_or_default(),
-                "sys.plan_store" => self
-                    .sys_plan_store
-                    .as_ref()
-                    .map(|d| sys::plan_store_rows(d.as_ref()))
-                    .unwrap_or_default(),
-                "sys.prepared" => self.prepared_rows(),
-                "sys.history_windows" => history(sys::history_window_rows),
-                "sys.history_metrics" => history(sys::history_metric_rows),
-                "sys.history_statements" => history(sys::history_statement_rows),
-                "sys.history_coaccess" => history(sys::history_coaccess_rows),
-                other => facade(other),
-            };
-            snap.insert(&view, rows);
-        }
-        Some(snap)
-    }
-
     /// `sys.metrics` rows: the facade's registry snapshot plus the synthetic
     /// `recorder.dropped` ring-eviction counter when a recorder is attached
     /// (the registry itself is untouched, so telemetry exports stay
@@ -328,13 +285,6 @@ impl<P> Session<P> {
                 ])
             })
             .collect()
-    }
-
-    /// Cache a freshly planned entry under its canonical text.
-    pub fn cache_insert(&mut self, canonical: &str, entry: CachedPlan<P>) -> Rc<CachedPlan<P>> {
-        let entry = Rc::new(entry);
-        self.cache.insert(canonical.to_string(), Rc::clone(&entry));
-        entry
     }
 
     /// Re-plan on drift: when the plan store's captured actuals diverge from
@@ -420,8 +370,10 @@ impl<P> Session<P> {
             );
         }
         self.observe(&steps);
+        // The recorder shares the result's profile rather than copying it.
+        let profile = profile.map(Arc::new);
         if let (Some(r), Some(p)) = (&self.recorder, &profile) {
-            r.record(p.clone());
+            r.record(Arc::clone(p));
         }
         QueryResult {
             columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
@@ -432,24 +384,379 @@ impl<P> Session<P> {
             ..Default::default()
         }
     }
+}
 
-    /// `EXPLAIN ANALYZE`: render a profiled run's annotated tree (actuals
-    /// per operator, per-shard Exchange legs, GTM/2PC footer, misestimate
-    /// flags) in place of its rows.
-    pub fn explain_analyze(&self, run: QueryResult) -> QueryResult {
-        let profile = run.profile.expect("profiled select carries a profile");
-        let lines = render_analyze(&profile, self.misestimate_ratio);
-        QueryResult {
-            profile: Some(profile),
-            ..plan_rows(lines, run.steps, run.planning)
+/// The statement protocol both SQL facades run, written once:
+/// canonicalize (or parse and rewrite), serve a cacheable SELECT through
+/// the plan cache with its re-plan-on-drift check, bind its parameters and
+/// run the cached shape's flat program when it has one, else the bound
+/// tree; plan a fresh SELECT, render EXPLAIN, bind DDL and DML, and run the
+/// history hook after every statement. [`QueryApi`] is implemented once on
+/// top of it.
+///
+/// A facade supplies only what differs between the embedded and the
+/// distributed engine: the required methods below, which say how it plans
+/// and lowers, how it runs a tree or a flat program against its backend,
+/// how it applies DDL and DML, its own `sys.*` rows and its
+/// after-statement hook. The provided methods are the protocol.
+pub trait Facade {
+    /// The flat program a cached shape lowers to.
+    type Program;
+    /// The transaction scope a planned tree runs under.
+    type Scope;
+
+    fn session(&self) -> &Session<Self::Program>;
+
+    fn session_mut(&mut self) -> &mut Session<Self::Program>;
+
+    /// The catalog DDL and DML bind against. It carries schemas and
+    /// statistics; it need not hold the rows.
+    fn catalog(&self) -> &Catalog;
+
+    /// Plan a SELECT whose `sys.*` views are frozen in `sys`: the plan, its
+    /// planning info and the scope it runs under.
+    fn plan_select(
+        &mut self,
+        s: &SelectStmt,
+        sys: Option<&SysSnapshot>,
+    ) -> Result<(PlanNode, PlanningInfo, Self::Scope)>;
+
+    /// Plan and lower a cacheable SELECT with `n_params` parameters into
+    /// its plan-cache entry.
+    fn plan_cacheable(
+        &mut self,
+        s: &SelectStmt,
+        n_params: usize,
+    ) -> Result<CachedPlan<Self::Program>>;
+
+    /// Bind a cached tree whose parameters are substituted and whose
+    /// estimates are rehinted, returning the scope it runs under.
+    fn bind_tree(&self, plan: &mut PlanNode, planning: &mut PlanningInfo) -> Self::Scope;
+
+    /// Run a planned tree and finish it through [`Session::finish_select`].
+    /// `profiled` (statement start time + SQL text) makes the operator
+    /// profiler ride along; without it the clock is never read.
+    fn run_plan(
+        &mut self,
+        plan: &PlanNode,
+        planning: PlanningInfo,
+        scope: Self::Scope,
+        sys: Option<&SysSnapshot>,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult>;
+
+    /// Run `program`, lowered from the cached `plan`, with `params` bound.
+    /// A profiled run fills the profile the tree would, over the bound plan.
+    fn run_program(
+        &mut self,
+        plan: &PlanNode,
+        program: &Self::Program,
+        params: &[Datum],
+        replans: u64,
+        profiled: Option<(u64, &str)>,
+    ) -> Result<QueryResult>;
+
+    fn create_table(&mut self, name: &str, schema: Schema) -> Result<()>;
+
+    /// CREATE INDEX on the column positions `columns`.
+    fn create_index(&mut self, table: &str, columns: Vec<usize>) -> Result<()>;
+
+    /// INSERT full-width rows; returns the rows written.
+    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64>;
+
+    /// UPDATE the rows `pred` matches; returns the rows written.
+    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64>;
+
+    /// DELETE the rows `pred` matches; returns the rows deleted.
+    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64>;
+
+    /// ANALYZE one table, or every table when `None`.
+    fn analyze(&mut self, table: Option<&str>) -> Result<()>;
+
+    /// Rows of a `sys.*` view the session does not answer itself
+    /// (`sys.metrics`, `sys.shards`, `sys.txns`, `sys.events`,
+    /// `sys.indexes`, `sys.config`); none for a view the facade lacks.
+    fn sys_rows(&self, view: &str) -> Vec<Row>;
+
+    /// Runs after every statement `execute` or `execute_prepared` completes.
+    fn after_statement(&mut self);
+
+    /// [`QueryApi::execute_opts`]. By default options are accepted for API
+    /// parity and the statement runs once.
+    fn run_opts(&mut self, sql: &str, _opts: ExecOptions) -> Result<QueryResult> {
+        self.execute_sql(sql)
+    }
+
+    /// Execute one SQL statement (rewritten before planning). Cacheable
+    /// SELECTs are canonicalized and served through the plan cache, so
+    /// repeat statements that differ only in literal values skip the parser
+    /// and planner.
+    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult> {
+        let result = match canonicalize(sql)? {
+            Some(c) => self.execute_canonical(&c.text, &c.slots, &[], sql),
+            None => self.execute_parsed(&parse_rewritten(sql)?, sql),
+        }?;
+        self.after_statement();
+        Ok(result)
+    }
+
+    /// Parse and plan a SELECT without executing it.
+    fn plan_sql(&mut self, sql: &str) -> Result<PlanNode> {
+        let Statement::Select(s) = parse_rewritten(sql)? else {
+            return Err(HdmError::Plan("plan_only expects SELECT".into()));
+        };
+        let sys = self.sys_snapshot_for(&s);
+        Ok(self.plan_select(&s, sys.as_ref())?.0)
+    }
+
+    /// Freeze the statement-start state of every `sys.*` view `s`
+    /// references. The session answers the views it owns and
+    /// [`Self::sys_rows`] the rest. `None` — the common case — means the
+    /// statement never touches the introspection plane and pays nothing.
+    fn sys_snapshot_for(&self, s: &SelectStmt) -> Option<SysSnapshot> {
+        let wanted = sys::referenced_views_in_select(s);
+        if wanted.is_empty() {
+            return None;
         }
+        let session = self.session();
+        let history = |rows: fn(&SharedHistory) -> Vec<Row>| {
+            session.history.as_ref().map(rows).unwrap_or_default()
+        };
+        let mut snap = SysSnapshot::new();
+        for view in wanted {
+            let rows = match view.as_str() {
+                "sys.statements" => session
+                    .recorder
+                    .as_ref()
+                    .map(sys::statement_rows)
+                    .unwrap_or_default(),
+                "sys.plan_store" => session
+                    .sys_plan_store
+                    .as_ref()
+                    .map(|d| sys::plan_store_rows(d.as_ref()))
+                    .unwrap_or_default(),
+                "sys.prepared" => session.prepared_rows(),
+                "sys.history_windows" => history(sys::history_window_rows),
+                "sys.history_metrics" => history(sys::history_metric_rows),
+                "sys.history_statements" => history(sys::history_statement_rows),
+                "sys.history_coaccess" => history(sys::history_coaccess_rows),
+                other => self.sys_rows(other),
+            };
+            snap.insert(&view, rows);
+        }
+        Some(snap)
+    }
+
+    /// Plan a SELECT fresh and run the tree; the statement clock starts
+    /// before planning when `profiled`.
+    fn run_select(&mut self, s: &SelectStmt, sql: &str, profiled: bool) -> Result<QueryResult> {
+        let start = profiled.then(|| self.session().clock.now_us());
+        let sys = self.sys_snapshot_for(s);
+        let (plan, planning, scope) = self.plan_select(s, sys.as_ref())?;
+        self.run_plan(
+            &plan,
+            planning,
+            scope,
+            sys.as_ref(),
+            start.map(|t| (t, sql)),
+        )
+    }
+
+    /// Run one parsed statement the plan cache does not serve: a SELECT or
+    /// EXPLAIN is planned fresh, DDL and DML are bound here and applied by
+    /// the facade. DDL and ANALYZE change plan choices, so they drop every
+    /// cached plan.
+    fn execute_parsed(&mut self, stmt: &Statement, sql: &str) -> Result<QueryResult> {
+        let affected = match stmt {
+            Statement::Select(s) => {
+                let profiled = self.session().profiling_enabled();
+                return self.run_select(s, sql, profiled);
+            }
+            Statement::Explain { analyze, stmt } => {
+                let Statement::Select(s) = stmt.as_ref() else {
+                    return Err(HdmError::Unsupported("EXPLAIN supports SELECT only".into()));
+                };
+                if !*analyze {
+                    let sys = self.sys_snapshot_for(s);
+                    let (plan, planning, _) = self.plan_select(s, sys.as_ref())?;
+                    let text = plan.explain();
+                    return Ok(plan_rows(
+                        text.lines().map(str::to_string),
+                        Vec::new(),
+                        planning,
+                    ));
+                }
+                // Execute for real (observing into the plan store as usual)
+                // and render the annotated tree in place of the rows:
+                // per-operator actuals, per-shard Exchange legs, the GTM/2PC
+                // footer and misestimate flags.
+                let run = self.run_select(s, sql, true)?;
+                let profile = run.profile.expect("profiled select carries a profile");
+                let lines = render_analyze(&profile, self.session().misestimate_ratio);
+                return Ok(QueryResult {
+                    profile: Some(profile),
+                    ..plan_rows(lines, run.steps, run.planning)
+                });
+            }
+            Statement::CreateTable { name, columns } => {
+                self.create_table(name, table_schema(name, columns)?)?;
+                self.session_mut().cache.bump_epoch();
+                0
+            }
+            Statement::CreateIndex { table, columns } => {
+                let schema = writable_schema(self.catalog(), table)?;
+                let columns = column_positions(table, schema, columns)?;
+                self.create_index(table, columns)?;
+                self.session_mut().cache.bump_epoch();
+                0
+            }
+            Statement::Insert {
+                table,
+                columns,
+                rows,
+            } => {
+                let schema = writable_schema(self.catalog(), table)?;
+                let rows = insert_rows(table, schema, columns.as_deref(), rows)?;
+                self.insert(table, rows)?
+            }
+            Statement::Update {
+                table,
+                sets,
+                where_clause,
+            } => {
+                let schema = writable_schema(self.catalog(), table)?;
+                let (sets, pred) = bind_dml(table, schema, sets, where_clause.as_ref())?;
+                self.update(table, sets, pred)?
+            }
+            Statement::Delete {
+                table,
+                where_clause,
+            } => {
+                let schema = writable_schema(self.catalog(), table)?;
+                let (_, pred) = bind_dml(table, schema, &[], where_clause.as_ref())?;
+                self.delete(table, pred)?
+            }
+            Statement::Analyze { table } => {
+                self.analyze(table.as_deref())?;
+                self.session_mut().cache.bump_epoch();
+                0
+            }
+        };
+        Ok(QueryResult {
+            affected,
+            ..Default::default()
+        })
+    }
+
+    /// Fetch the plan-cache entry for canonical statement text, planning
+    /// and lowering it on a miss.
+    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan<Self::Program>>> {
+        if let Some(e) = self.session_mut().cache.get(canonical) {
+            return Ok(e);
+        }
+        let stmt = parse_rewritten(canonical)?;
+        let n_params = count_params(&stmt);
+        let Statement::Select(s) = stmt else {
+            return Err(HdmError::Plan(
+                "plan cache holds SELECT statements only".into(),
+            ));
+        };
+        let entry = Rc::new(self.plan_cacheable(&s, n_params)?);
+        self.session_mut()
+            .cache
+            .insert(canonical.to_string(), Rc::clone(&entry));
+        Ok(entry)
+    }
+
+    /// Execute a canonicalized statement through the plan cache: re-plan on
+    /// drift, bind the lifted and user parameters, then run the cached
+    /// shape's flat program, or substitute them into the cached tree,
+    /// rehint its estimates against the plan store and bind it. A profiled
+    /// statement runs on the same executor as an unprofiled one.
+    fn execute_canonical(
+        &mut self,
+        text: &str,
+        slots: &[Option<Datum>],
+        user_params: &[Datum],
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let mut cached = self.ensure_cached(text)?;
+        let replans = self.session_mut().evict_if_drifted(text, &cached);
+        if replans > 0 {
+            cached = self.ensure_cached(text)?;
+        }
+        let params = bind_slots(slots, &cached.param_types, user_params)?;
+        let session = self.session();
+        let profiled = session
+            .profiling_enabled()
+            .then(|| (session.clock.now_us(), sql));
+        if let Some(program) = &cached.program {
+            return self.run_program(&cached.plan, program, &params, replans, profiled);
+        }
+        let mut plan = cached.plan.substitute_params(&params)?;
+        let mut planning = PlanningInfo {
+            replans,
+            ..Default::default()
+        };
+        if let Some(hints) = self.session().hints.as_deref() {
+            rehint_plan(&mut plan, hints, &mut planning);
+        }
+        let scope = self.bind_tree(&mut plan, &mut planning);
+        self.run_plan(&plan, planning, scope, None, profiled)
     }
 }
 
-/// `EXPLAIN`: the plan text, one row per line.
-pub fn explain_plan(plan: &PlanNode, planning: PlanningInfo) -> QueryResult {
-    let text = plan.explain();
-    plan_rows(text.lines().map(str::to_string), Vec::new(), planning)
+impl<F: Facade> QueryApi for F {
+    /// A cacheable statement keeps only its canonical text and is planned
+    /// once now, so unknown tables and columns surface at prepare time;
+    /// anything else keeps its rewritten AST.
+    fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle> {
+        if let Some(c) = canonicalize(sql)? {
+            self.ensure_cached(&c.text)?;
+            let n_open = c.open_params();
+            return Ok(StmtHandle::Cached {
+                canonical: c.text,
+                slots: c.slots,
+                n_open,
+            });
+        }
+        let stmt = parse_rewritten(sql)?;
+        let n_params = count_params(&stmt);
+        Ok(StmtHandle::Ast {
+            stmt: Box::new(stmt),
+            n_params,
+            sql: sql.to_string(),
+        })
+    }
+
+    /// An AST handle binds its parameters at the AST level, after checking
+    /// their count.
+    fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult> {
+        let result = match handle {
+            StmtHandle::Cached {
+                canonical, slots, ..
+            } => self.execute_canonical(canonical, slots, params, canonical),
+            StmtHandle::Ast {
+                stmt,
+                n_params,
+                sql,
+            } => {
+                if params.len() != *n_params {
+                    return Err(HdmError::Execution(format!(
+                        "statement has {n_params} parameters; got {}",
+                        params.len()
+                    )));
+                }
+                self.execute_parsed(&substitute_statement_params(stmt, params)?, sql)
+            }
+        }?;
+        self.after_statement();
+        Ok(result)
+    }
+
+    fn execute_opts(&mut self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
+        self.run_opts(sql, opts)
+    }
 }
 
 fn plan_rows(
@@ -469,78 +776,22 @@ fn plan_rows(
     }
 }
 
-/// The SELECT an `EXPLAIN` wraps.
-pub fn explained(stmt: &Statement) -> Result<&SelectStmt> {
-    match stmt {
-        Statement::Select(s) => Ok(s),
-        _ => Err(HdmError::Unsupported("EXPLAIN supports SELECT only".into())),
-    }
-}
-
 /// Parse one statement and run the rewrite engine over it.
-pub fn parse_rewritten(sql: &str) -> Result<Statement> {
+fn parse_rewritten(sql: &str) -> Result<Statement> {
     let mut stmt = crate::parser::parse(sql)?;
     crate::rewrite::rewrite_statement(&mut stmt);
     Ok(stmt)
 }
 
-/// The SELECT `plan_only` plans without executing.
-pub fn plan_only_select(sql: &str) -> Result<SelectStmt> {
-    match parse_rewritten(sql)? {
-        Statement::Select(s) => Ok(s),
-        _ => Err(HdmError::Plan("plan_only expects SELECT".into())),
-    }
-}
-
-/// Parse canonical text on a plan-cache miss: the SELECT for the facade to
-/// plan, and its parameter count.
-pub fn parse_cacheable(canonical: &str) -> Result<(SelectStmt, usize)> {
-    let stmt = parse_rewritten(canonical)?;
-    let n_params = count_params(&stmt);
-    match stmt {
-        Statement::Select(s) => Ok((s, n_params)),
-        _ => Err(HdmError::Plan(
-            "plan cache holds SELECT statements only".into(),
-        )),
-    }
-}
-
-/// Prepare `sql`. A cacheable statement keeps only its canonical text, and
-/// `warm` plans it once so unknown tables and columns surface at prepare
-/// time; anything else keeps its rewritten AST.
-pub fn prepare(sql: &str, warm: impl FnOnce(&str) -> Result<()>) -> Result<StmtHandle> {
-    if let Some(c) = canonicalize(sql)? {
-        warm(&c.text)?;
-        let n_open = c.open_params();
-        return Ok(StmtHandle::Cached {
-            canonical: c.text,
-            slots: c.slots,
-            n_open,
-        });
-    }
-    let stmt = parse_rewritten(sql)?;
-    let n_params = count_params(&stmt);
-    Ok(StmtHandle::Ast {
-        stmt: Box::new(stmt),
-        n_params,
-        sql: sql.to_string(),
-    })
-}
-
-/// Bind an AST handle's parameters at the AST level, after checking their
-/// count.
-pub fn bind_ast(stmt: &Statement, n_params: usize, params: &[Datum]) -> Result<Statement> {
-    if params.len() != n_params {
-        return Err(HdmError::Execution(format!(
-            "statement has {n_params} parameters; got {}",
-            params.len()
-        )));
-    }
-    substitute_statement_params(stmt, params)
+/// The schema DML and CREATE INDEX bind against; `sys.*` views are
+/// read-only.
+fn writable_schema<'a>(catalog: &'a Catalog, table: &str) -> Result<&'a Schema> {
+    sys::check_read_only(table)?;
+    Ok(catalog.get(table)?.schema())
 }
 
 /// CREATE TABLE's schema; names in the `sys.` namespace are rejected.
-pub fn table_schema(name: &str, columns: &[ColumnDef]) -> Result<Schema> {
+fn table_schema(name: &str, columns: &[ColumnDef]) -> Result<Schema> {
     if sys::is_sys_name(name) {
         return Err(HdmError::Catalog(format!(
             "the sys. namespace is reserved for system views (cannot create {name})"
@@ -563,7 +814,7 @@ pub fn table_schema(name: &str, columns: &[ColumnDef]) -> Result<Schema> {
 
 /// Resolve column names to positions in `table`'s schema (CREATE INDEX
 /// keys, INSERT column lists).
-pub fn column_positions(table: &str, schema: &Schema, columns: &[String]) -> Result<Vec<usize>> {
+fn column_positions(table: &str, schema: &Schema, columns: &[String]) -> Result<Vec<usize>> {
     columns
         .iter()
         .map(|c| column_position(table, schema, c))
@@ -578,7 +829,7 @@ fn column_position(table: &str, schema: &Schema, column: &str) -> Result<usize> 
 
 /// Evaluate INSERT's VALUES into full-width rows (unlisted columns NULL)
 /// before anything is written.
-pub fn insert_rows(
+fn insert_rows(
     table: &str,
     schema: &Schema,
     columns: Option<&[String]>,
@@ -613,7 +864,7 @@ pub type BoundSets = Vec<(usize, SExpr)>;
 
 /// Bind UPDATE/DELETE against `table`: the SET list (empty for DELETE) and
 /// the WHERE predicate.
-pub fn bind_dml(
+fn bind_dml(
     table: &str,
     schema: &Schema,
     sets: &[(String, Expr)],
@@ -627,63 +878,4 @@ pub fn bind_dml(
         .map(|(c, e)| Ok((column_position(table, schema, c)?, bind(e, &scope)?)))
         .collect::<Result<_>>()?;
     Ok((sets, pred))
-}
-
-/// `sys.txns` rows for one transaction manager's active transactions, with
-/// their 2PC state and global id (`shard` is NULL on the embedded engine).
-pub fn txn_rows(shard: Datum, mgr: &LocalTxnManager) -> Vec<Row> {
-    mgr.local_snapshot()
-        .active
-        .iter()
-        .map(|xid| {
-            let state = match mgr.status(*xid) {
-                TxnStatus::InProgress => "in_progress",
-                TxnStatus::Prepared => "prepared",
-                TxnStatus::Committed => "committed",
-                TxnStatus::Aborted => "aborted",
-            };
-            let gxid = mgr
-                .gxid_of(*xid)
-                .map_or(Datum::Null, |g| Datum::Int(g.raw() as i64));
-            Row::new(vec![
-                shard.clone(),
-                Datum::Int(xid.raw() as i64),
-                gxid,
-                Datum::Text(state.into()),
-            ])
-        })
-        .collect()
-}
-
-/// `sys.indexes` rows: one per secondary index in `catalog`, sorted by table
-/// name then index id. `entries` counts an index's entries; `shards` names
-/// the backing shard set.
-pub fn index_rows(
-    catalog: &Catalog,
-    shards: &str,
-    entries: impl Fn(&str, &OrderedIndex) -> i64,
-) -> Vec<Row> {
-    let mut names: Vec<&str> = catalog.names().collect();
-    names.sort_unstable();
-    let mut rows = Vec::new();
-    for name in names {
-        let Ok(t) = catalog.get(name) else {
-            continue;
-        };
-        for (ix_id, ix) in t.indexes().iter().enumerate() {
-            let cols: Vec<&str> = ix
-                .key_columns()
-                .iter()
-                .map(|&c| t.schema().columns()[c].name.as_str())
-                .collect();
-            rows.push(Row::new(vec![
-                Datum::Text(format!("{name}_ix{ix_id}")),
-                Datum::Text(name.to_string()),
-                Datum::Text(cols.join(",")),
-                Datum::Int(entries(name, ix)),
-                Datum::Text(shards.to_string()),
-            ]));
-        }
-    }
-    rows
 }

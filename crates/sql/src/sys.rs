@@ -26,8 +26,11 @@
 //! CREATE TABLE of a `sys.`-prefixed name are rejected by both engines.
 
 use crate::ast::{SelectStmt, Statement, TableRef};
+use crate::catalog::Catalog;
 use hdm_common::{Column, DataType, Datum, Row, Schema};
+use hdm_storage::index::OrderedIndex;
 use hdm_telemetry::{MetricsSnapshot, SharedHistory, SharedRecorder, StatementProfile};
+use hdm_txn::{LocalTxnManager, TxnStatus};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Reserved prefix for system views (and rejected for user table names).
@@ -497,6 +500,65 @@ pub fn history_coaccess_rows(h: &SharedHistory) -> Vec<Row> {
         }
         rows
     })
+}
+
+/// `sys.txns` rows for one transaction manager's active transactions, with
+/// their 2PC state and global id (`shard` is NULL on the embedded engine).
+pub fn txn_rows(shard: Datum, mgr: &LocalTxnManager) -> Vec<Row> {
+    mgr.local_snapshot()
+        .active
+        .iter()
+        .map(|xid| {
+            let state = match mgr.status(*xid) {
+                TxnStatus::InProgress => "in_progress",
+                TxnStatus::Prepared => "prepared",
+                TxnStatus::Committed => "committed",
+                TxnStatus::Aborted => "aborted",
+            };
+            let gxid = mgr
+                .gxid_of(*xid)
+                .map_or(Datum::Null, |g| Datum::Int(g.raw() as i64));
+            Row::new(vec![
+                shard.clone(),
+                Datum::Int(xid.raw() as i64),
+                gxid,
+                Datum::Text(state.into()),
+            ])
+        })
+        .collect()
+}
+
+/// `sys.indexes` rows: one per secondary index in `catalog`, sorted by table
+/// name then index id. `entries` counts an index's entries; `shards` names
+/// the backing shard set.
+pub fn index_rows(
+    catalog: &Catalog,
+    shards: &str,
+    entries: impl Fn(&str, &OrderedIndex) -> i64,
+) -> Vec<Row> {
+    let mut names: Vec<&str> = catalog.names().collect();
+    names.sort_unstable();
+    let mut rows = Vec::new();
+    for name in names {
+        let Ok(t) = catalog.get(name) else {
+            continue;
+        };
+        for (ix_id, ix) in t.indexes().iter().enumerate() {
+            let cols: Vec<&str> = ix
+                .key_columns()
+                .iter()
+                .map(|&c| t.schema().columns()[c].name.as_str())
+                .collect();
+            rows.push(Row::new(vec![
+                Datum::Text(format!("{name}_ix{ix_id}")),
+                Datum::Text(name.to_string()),
+                Datum::Text(cols.join(",")),
+                Datum::Int(entries(name, ix)),
+                Datum::Text(shards.to_string()),
+            ]));
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

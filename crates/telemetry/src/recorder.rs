@@ -129,7 +129,9 @@ impl Default for RecorderConfig {
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     cfg: RecorderConfig,
-    ring: VecDeque<(u64, StatementProfile)>,
+    /// Profiles are shared with the statement results that carry them, so
+    /// recording one is a reference-count bump, not a copy.
+    ring: VecDeque<(u64, Arc<StatementProfile>)>,
     /// Statements ever recorded (monotonic; entries keep their seq after
     /// older ones are evicted).
     next_seq: u64,
@@ -154,7 +156,7 @@ impl FlightRecorder {
     }
 
     /// Record one statement profile, evicting the oldest beyond capacity.
-    pub fn record(&mut self, profile: StatementProfile) {
+    pub fn record(&mut self, profile: impl Into<Arc<StatementProfile>>) {
         if self.cfg.capacity == 0 {
             self.next_seq += 1;
             self.dropped += 1;
@@ -164,7 +166,7 @@ impl FlightRecorder {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back((self.next_seq, profile));
+        self.ring.push_back((self.next_seq, profile.into()));
         self.next_seq += 1;
     }
 
@@ -189,7 +191,7 @@ impl FlightRecorder {
 
     /// Retained profiles, oldest first, with their sequence numbers.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &StatementProfile)> {
-        self.ring.iter().map(|(seq, p)| (*seq, p))
+        self.ring.iter().map(|(seq, p)| (*seq, &**p))
     }
 
     /// Retained profiles at or above the slow-statement threshold.
@@ -274,7 +276,7 @@ impl SharedRecorder {
         Self(Arc::new(Mutex::new(FlightRecorder::new(cfg))))
     }
 
-    pub fn record(&self, profile: StatementProfile) {
+    pub fn record(&self, profile: impl Into<Arc<StatementProfile>>) {
         self.0.lock().expect("recorder lock").record(profile);
     }
 

@@ -355,3 +355,62 @@ fn parameter_binding_errors_are_pinned() {
     }
     assert!(!all.is_empty());
 }
+
+/// Re-plan on drift, pinned on both engines. Without ANALYZE the planner
+/// guesses 100 of the 1 000 rows that match `b = 1`. The first run captures
+/// the actual into the plan store; the second finds its cached plan drifted,
+/// evicts it and re-plans against the captured cardinality; later runs keep
+/// the new plan. A prepared handle runs the same sequence.
+#[test]
+fn drift_replans_once_on_both_engines() {
+    const ROWS: i64 = 1_000;
+    let setup = || {
+        let mut local = Database::new();
+        let mut dist = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(SHARDS))).unwrap();
+        let stores = [SharedPlanStore::default(), SharedPlanStore::default()];
+        local.set_plan_store(stores[0].hints(), stores[0].observer());
+        dist.set_plan_store(stores[1].hints(), stores[1].observer());
+        let values: Vec<String> = (0..ROWS).map(|i| format!("({i}, 1)")).collect();
+        let insert = format!("insert into t values {}", values.join(", "));
+        for sql in ["create table t (a int, b int)", insert.as_str()] {
+            local.execute(sql).unwrap();
+            dist.execute(sql).unwrap();
+        }
+        (local, dist)
+    };
+    // (replans, scan estimate, rows) of one run.
+    let run = |r: QueryResult| {
+        let scan = r.steps.first().expect("a scan step");
+        (r.planning.replans, scan.estimated, sorted(r.rows))
+    };
+    let q = "select * from t where b = 1";
+    let want = [(0, 100.0), (1, 1_000.0), (0, 1_000.0), (0, 1_000.0)];
+
+    let (mut local, mut dist) = setup();
+    for (i, &(replans, est)) in want.iter().enumerate() {
+        let (l, d) = (
+            run(local.execute(q).unwrap()),
+            run(dist.execute(q).unwrap()),
+        );
+        assert_eq!((l.0, l.1), (replans, est), "local run {i}");
+        assert_eq!((d.0, d.1), (replans, est), "dist run {i}");
+        assert_eq!(l.2.len(), ROWS as usize, "local run {i}");
+        assert_eq!(l.2, d.2, "run {i}: both engines return the same rows");
+    }
+
+    let (mut local, mut dist) = setup();
+    let (hl, hd) = (
+        local.prepare_handle(q).unwrap(),
+        dist.prepare_handle(q).unwrap(),
+    );
+    for (i, &(replans, est)) in want.iter().enumerate() {
+        let l = run(local.execute_prepared(&hl, &[]).unwrap());
+        let d = run(dist.execute_prepared(&hd, &[]).unwrap());
+        assert_eq!((l.0, l.1), (replans, est), "local prepared run {i}");
+        assert_eq!((d.0, d.1), (replans, est), "dist prepared run {i}");
+        assert_eq!(
+            l.2, d.2,
+            "prepared run {i}: both engines return the same rows"
+        );
+    }
+}
