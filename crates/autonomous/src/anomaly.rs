@@ -114,10 +114,13 @@ impl AnomalyManager {
 
     /// Feed one disk-latency sample (ms); spikes raise `SlowDisk`.
     pub fn observe_disk_latency(&mut self, disk: &str, tick: u64, latency_ms: f64) {
-        let st = self.latency.entry(disk.to_string()).or_insert_with(|| LatencyState {
-            ewma: Ewma::new(0.2),
-            var_ewma: Ewma::new(0.2),
-        });
+        let st = self
+            .latency
+            .entry(disk.to_string())
+            .or_insert_with(|| LatencyState {
+                ewma: Ewma::new(0.2),
+                var_ewma: Ewma::new(0.2),
+            });
         let mean = st.ewma.value().unwrap_or(latency_ms);
         let var = st.var_ewma.value().unwrap_or(0.0);
         let sd = var.sqrt().max(mean.abs() * 0.05).max(1e-6);
@@ -202,10 +205,7 @@ mod tests {
         assert_eq!(events[0].subject, "dn1");
         // Second scan: dn1 already removed, no duplicate.
         m.check_heartbeats(20);
-        assert!(m
-            .take_events()
-            .iter()
-            .all(|e| e.subject != "dn1"));
+        assert!(m.take_events().iter().all(|e| e.subject != "dn1"));
     }
 
     #[test]

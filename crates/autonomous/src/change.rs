@@ -148,6 +148,12 @@ mod tests {
     #[test]
     fn initial_value_must_validate() {
         let mut m = ChangeManager::new();
-        assert!(m.define("x", -1.0, |v| if v >= 0.0 { Ok(()) } else { Err("neg".into()) }).is_err());
+        assert!(m
+            .define("x", -1.0, |v| if v >= 0.0 {
+                Ok(())
+            } else {
+                Err("neg".into())
+            })
+            .is_err());
     }
 }

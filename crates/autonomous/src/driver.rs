@@ -181,7 +181,11 @@ mod tests {
             if self.die_at.map(|d| tick < d).unwrap_or(true) {
                 heartbeats.push("dn1".to_string());
             }
-            let disk = if self.spike_at == Some(tick) { 200.0 } else { 4.0 };
+            let disk = if self.spike_at == Some(tick) {
+                200.0
+            } else {
+                4.0
+            };
             TickMetrics {
                 responses_ms: vec![resp; n],
                 concurrency: n as f64,
@@ -223,8 +227,7 @@ mod tests {
 
     #[test]
     fn loop_detects_node_death_and_disk_spike() {
-        let mut driver =
-            AutonomousDriver::new(SlaPolicy::default(), 4).unwrap();
+        let mut driver = AutonomousDriver::new(SlaPolicy::default(), 4).unwrap();
         let mut db = FakeDb {
             slope: 1.0,
             die_at: Some(30),

@@ -69,8 +69,7 @@ impl InformationStore {
     /// Paired samples of two metrics joined on tick (training data for the
     /// in-DB ML component).
     pub fn joined(&self, x_metric: &str, y_metric: &str) -> Vec<(f64, f64)> {
-        let (Some(xs), Some(ys)) = (self.series.get(x_metric), self.series.get(y_metric))
-        else {
+        let (Some(xs), Some(ys)) = (self.series.get(x_metric), self.series.get(y_metric)) else {
             return vec![];
         };
         let y_by_tick: BTreeMap<u64, f64> = ys.iter().copied().collect();

@@ -26,8 +26,8 @@ pub mod ml;
 pub mod workload;
 
 pub use anomaly::{Anomaly, AnomalyClass, AnomalyManager};
-pub use driver::{AutonomousDriver, Managed, TickMetrics, TickReport};
 pub use change::ChangeManager;
+pub use driver::{AutonomousDriver, Managed, TickMetrics, TickReport};
 pub use infostore::InformationStore;
 pub use ml::{KnnClassifier, LinearRegression};
 pub use workload::{SlaPolicy, WorkloadManager};

@@ -169,7 +169,10 @@ mod tests {
             tail.iter().all(|&l| (5..=11).contains(&l)),
             "limits escaped the AIMD band: {tail:?}"
         );
-        assert!(tail.contains(&10), "band must touch the equilibrium: {tail:?}");
+        assert!(
+            tail.contains(&10),
+            "band must touch the equilibrium: {tail:?}"
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@ fn bench_sync_backlog(c: &mut Criterion) {
                     let mut a = Replica::new(DeviceId::new(1), Role::Device);
                     let b = Replica::new(DeviceId::new(2), Role::Device);
                     for i in 0..n {
-                        a.write(100 + i as u64, &format!("k{i}"), Some("v")).unwrap();
+                        a.write(100 + i as u64, &format!("k{i}"), Some("v"))
+                            .unwrap();
                     }
                     (a, b)
                 },

@@ -28,12 +28,8 @@ fn bench_merge_snapshot(c: &mut Criterion) {
         let local = mgr.local_snapshot();
         g.bench_with_input(BenchmarkId::from_parameter(lco_len), &lco_len, |b, _| {
             b.iter(|| {
-                let out = merge_with_manager(
-                    black_box(&global),
-                    black_box(&local),
-                    &mgr,
-                    |_| false,
-                );
+                let out =
+                    merge_with_manager(black_box(&global), black_box(&local), &mgr, |_| false);
                 black_box(out)
             })
         });

@@ -23,7 +23,11 @@ fn bench_conversion_hops(c: &mut Criterion) {
     let mut rng = SplitMix64::new(1);
     let obj = generate_session(&mut rng, 3, &MmeConfig::default());
     let mut g = c.benchmark_group("conversion");
-    for (label, to) in [("1_hop_v3_to_v5", 5u32), ("2_hops_v3_to_v6", 6), ("4_hops_v3_to_v8", 8)] {
+    for (label, to) in [
+        ("1_hop_v3_to_v5", 5u32),
+        ("2_hops_v3_to_v6", 6),
+        ("4_hops_v3_to_v8", 8),
+    ] {
         g.bench_function(label, |b| {
             b.iter(|| black_box(reg.convert("mme_session", black_box(&obj), 3, to).unwrap()))
         });
@@ -49,9 +53,7 @@ fn bench_delta(c: &mut Criterion) {
             black_box(t)
         })
     });
-    g.bench_function("wire_encode", |b| {
-        b.iter(|| black_box(delta.wire_format()))
-    });
+    g.bench_function("wire_encode", |b| b.iter(|| black_box(delta.wire_format())));
     g.finish();
 }
 

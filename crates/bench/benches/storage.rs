@@ -60,7 +60,8 @@ fn bench_scan_paths(c: &mut Criterion) {
     g.bench_function("column_store", |b| {
         b.iter(|| {
             let mut sum = 0i64;
-            col.scan_column(2, |_, v| sum += v.as_int().unwrap()).unwrap();
+            col.scan_column(2, |_, v| sum += v.as_int().unwrap())
+                .unwrap();
             black_box(sum)
         })
     });

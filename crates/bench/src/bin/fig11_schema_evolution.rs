@@ -24,7 +24,10 @@ use hdm_workloads::mme::{generate_session, mme_schema_chain, MmeConfig};
 use serde_json::json;
 
 fn kops(n: u64, elapsed_us: u64) -> String {
-    format!("{:.1} kops/s", n as f64 / (elapsed_us.max(1) as f64 / 1e6) / 1_000.0)
+    format!(
+        "{:.1} kops/s",
+        n as f64 / (elapsed_us.max(1) as f64 / 1e6) / 1_000.0
+    )
 }
 
 /// Ops per second over an interval measured in µs on the shared clock.
@@ -44,7 +47,9 @@ fn main() {
         .unwrap_or(2);
 
     println!("=== Fig 11: GMDB online schema evolution performance ===");
-    println!("{sessions} MME sessions (5-10KB), {ops} ops per measurement, {workers} fiber workers\n");
+    println!(
+        "{sessions} MME sessions (5-10KB), {ops} ops per measurement, {workers} fiber workers\n"
+    );
 
     let mut rt = GmdbRuntime::new(workers);
     for s in mme_schema_chain() {
@@ -155,7 +160,11 @@ fn main() {
         "-".into(),
     ]);
     println!("{}", render_table(&rows));
-    println!("load: {} sessions in {}", sessions, kops(sessions as u64, load_el));
+    println!(
+        "load: {} sessions in {}",
+        sessions,
+        kops(sessions as u64, load_el)
+    );
 
     // Sync bandwidth: delta vs whole under a subscriber.
     let sub = ClientId::new(1);

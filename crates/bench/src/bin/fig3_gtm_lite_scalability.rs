@@ -39,7 +39,12 @@ struct Knobs {
     snapshot_cache: bool,
 }
 
-fn run_with(nodes: usize, protocol: Protocol, mix: WorkloadMix, k: Knobs) -> hdm_cluster::SimReport {
+fn run_with(
+    nodes: usize,
+    protocol: Protocol,
+    mix: WorkloadMix,
+    k: Knobs,
+) -> hdm_cluster::SimReport {
     let mut cfg = SimConfig::new(nodes, protocol, mix);
     cfg.horizon = SimDuration::from_millis(k.horizon_ms);
     cfg.clients_per_node = k.clients;
@@ -109,7 +114,10 @@ fn main() {
     println!(
         "GTM-Lite MS @8 nodes: {} GTM interactions, {} merges, \
          {} downgrades, {} upgrade-waits, p99 latency {}us",
-        lite.gtm_interactions, lite.merges, lite.downgrades, lite.upgrade_waits,
+        lite.gtm_interactions,
+        lite.merges,
+        lite.downgrades,
+        lite.upgrade_waits,
         lite.p99_latency_us
     );
     let base = run(8, Protocol::Baseline, WorkloadMix::ms());
@@ -279,8 +287,12 @@ fn main() {
             "Anomaly 2 (Fig 2, T2 sees T3 without T1):\n\
              naive merge: a versions {:?}, b={:?} consistent={}\n\
              Algorithm 1: a versions {:?}, b={:?} consistent={} (DOWNGRADE)",
-            naive2.a_versions, naive2.b, naive2.consistent,
-            full2.a_versions, full2.b, full2.consistent
+            naive2.a_versions,
+            naive2.b,
+            naive2.consistent,
+            full2.a_versions,
+            full2.b,
+            full2.consistent
         );
     }
 }

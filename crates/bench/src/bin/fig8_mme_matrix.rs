@@ -48,9 +48,7 @@ fn main() {
             } else {
                 // And that non-adjacent direct conversion is rejected.
                 let obj = generate_session(&mut rng, from, &cfg);
-                assert!(reg
-                    .convert_adjacent("mme_session", &obj, from, to)
-                    .is_err());
+                assert!(reg.convert_adjacent("mme_session", &obj, from, to).is_err());
                 "X".to_string()
             };
             row.push(cell);

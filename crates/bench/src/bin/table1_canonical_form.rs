@@ -58,7 +58,11 @@ fn main() {
 
     // Producer pass: execute, capture big-differential steps.
     let r1 = db.execute(QUERY).unwrap();
-    println!("cold run: {} rows, hint hits {}\n", r1.rows.len(), r1.planning.hint_hits);
+    println!(
+        "cold run: {} rows, hint hits {}\n",
+        r1.rows.len(),
+        r1.planning.hint_hits
+    );
 
     println!("--- Table I: captured steps ---");
     let mut rows = vec![vec![

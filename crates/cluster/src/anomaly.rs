@@ -218,6 +218,10 @@ mod tests {
         // The paper's tuple table verbatim: tuple1 (a=0, pre-T1) and tuple3
         // (a=2, T3's update) both visible; tuple2 (T1's write) is not.
         assert_eq!(obs.a_versions, vec![0, 2]);
-        assert_eq!(obs.b, Some(0), "T1's write on DN2 invisible (global active)");
+        assert_eq!(
+            obs.b,
+            Some(0),
+            "T1's write on DN2 invisible (global active)"
+        );
     }
 }

@@ -280,7 +280,11 @@ fn txn_start(sim: &mut S, w: &mut World, cid: usize) {
         tel.tracer.field(
             span,
             "kind",
-            if t.single_prefix.is_some() { "single" } else { "cross" },
+            if t.single_prefix.is_some() {
+                "single"
+            } else {
+                "cross"
+            },
         );
         span
     });
@@ -623,12 +627,7 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         events: sim.executed(),
         counters: world.cluster.counters(),
         message_stats: world.plan.message_stats(),
-        final_total: world
-            .cluster
-            .snapshot_all()
-            .iter()
-            .map(|(_, v)| *v)
-            .sum(),
+        final_total: world.cluster.snapshot_all().iter().map(|(_, v)| *v).sum(),
         violations: world.violations,
         metrics: world.tel.as_ref().map(|tel| tel.metrics.snapshot()),
     }
@@ -657,7 +656,8 @@ fn audit(w: &mut World) {
     for s in 0..cfg.shards as u64 {
         let shard = ShardId::new(s);
         if !w.cluster.is_node_up(shard) {
-            w.violations.push(format!("{shard} still down at quiescence"));
+            w.violations
+                .push(format!("{shard} still down at quiescence"));
         }
         let node = w.cluster.node(shard);
         if node.mgr().active_count() != 0 {
@@ -774,7 +774,10 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.metrics, b.metrics, "same seed must yield identical metrics");
+        assert_eq!(
+            a.metrics, b.metrics,
+            "same seed must yield identical metrics"
+        );
         assert_eq!(a, b);
     }
 

@@ -28,8 +28,8 @@ use crate::dist::{DistDb, FaultOp, FaultScript};
 use crate::engine::{Cluster, ClusterConfig};
 use crate::retry::RetryPolicy;
 use hdm_common::{Result, Row, SplitMix64};
-use hdm_sql::prepared::{ExecOptions, QueryApi};
 use hdm_simnet::CrashTarget;
+use hdm_sql::prepared::{ExecOptions, QueryApi};
 use hdm_telemetry::{
     HistoryConfig, RecorderConfig, SharedHistory, SharedRecorder, Telemetry, WorkloadSnapshot,
 };
@@ -241,7 +241,10 @@ fn build_script(cfg: &ChaosDistConfig) -> Vec<Stmt> {
                         )
                     })
                     .collect();
-                (format!("insert into orders values {}", vals.join(",")), true)
+                (
+                    format!("insert into orders values {}", vals.join(",")),
+                    true,
+                )
             }
             8 => {
                 let k = rng.next_below(custs);
@@ -304,7 +307,9 @@ fn build_db(cfg: &ChaosDistConfig, script: Rc<RefCell<FaultScript>>) -> Result<D
     if !batch.is_empty() {
         db.execute(&format!("insert into orders values {}", batch.join(",")))?;
     }
-    let custs: Vec<String> = (0..cfg.custs).map(|i| format!("({i}, {})", i % 3)).collect();
+    let custs: Vec<String> = (0..cfg.custs)
+        .map(|i| format!("({i}, {})", i % 3))
+        .collect();
     db.execute(&format!("insert into custs values {}", custs.join(",")))?;
     db.execute("analyze")?;
     // Catch followers fully up before the corpus phase: the fault window
@@ -375,8 +380,14 @@ fn schedule_in_ticks(
         // A restart strictly after its crash, even when both round to the
         // same tick.
         let back = to_tick(ev.restart_at.micros()).max(at + 1);
-        schedule.entry(at).or_default().push(FaultOp::Crash(n as u64));
-        schedule.entry(back).or_default().push(FaultOp::Restart(n as u64));
+        schedule
+            .entry(at)
+            .or_default()
+            .push(FaultOp::Crash(n as u64));
+        schedule
+            .entry(back)
+            .or_default()
+            .push(FaultOp::Restart(n as u64));
         crashes += 1;
         restarts += 1;
     }
@@ -411,10 +422,7 @@ pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
     let (schedule, crashes, restarts) = schedule_in_ticks(&builder, cfg.shards, ticks);
     report.crashes = crashes;
     report.restarts = restarts;
-    let fault_script = Rc::new(RefCell::new(FaultScript {
-        schedule,
-        tick: 0,
-    }));
+    let fault_script = Rc::new(RefCell::new(FaultScript { schedule, tick: 0 }));
     let mut db = build_db(cfg, fault_script.clone())?;
     let fault_start = Instant::now();
     let actual = run_script(&mut db, &stmts, &mut report, true);
@@ -505,7 +513,10 @@ mod tests {
         on.history = true;
         let mut r_on = run_chaos_dist(&on).unwrap();
         let r_off = run_chaos_dist(&off).unwrap();
-        assert!(!r_on.history_windows.is_empty(), "history-on run captured nothing");
+        assert!(
+            !r_on.history_windows.is_empty(),
+            "history-on run captured nothing"
+        );
         r_on.history_windows.clear();
         assert_eq!(r_on, r_off, "history capture perturbed the sweep");
     }

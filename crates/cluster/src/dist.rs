@@ -49,7 +49,7 @@ use hdm_sql::{Catalog, ExecBackend};
 use hdm_storage::heap::TupleId;
 use hdm_storage::{ColumnStats, TableStats};
 use hdm_telemetry::{
-    Clock, Regression, ShardLeg, SharedClock, SharedHistory, SharedRecorder, ShardWindowStat,
+    Clock, Regression, ShardLeg, ShardWindowStat, SharedClock, SharedHistory, SharedRecorder,
     StatementProfile, Telemetry,
 };
 use hdm_txn::{MemoVisibility, SnapshotVisibility};
@@ -494,9 +494,11 @@ impl DistDb {
     /// rejected `sys.` views).
     fn writable(&self, table: &str) -> Result<(String, DistMeta)> {
         let canon = table.to_ascii_lowercase();
-        let meta = self.meta.get(&canon).copied().ok_or_else(|| {
-            HdmError::Catalog(format!("{canon} is not a distributed table"))
-        })?;
+        let meta = self
+            .meta
+            .get(&canon)
+            .copied()
+            .ok_or_else(|| HdmError::Catalog(format!("{canon} is not a distributed table")))?;
         if meta.route == Route::PackedKey {
             return Err(HdmError::Unsupported(
                 "the built-in kv table is read-only through SQL".into(),
@@ -552,8 +554,16 @@ impl DistDb {
             row("cluster.protocol", text(&cc.protocol), "text"),
             row("cluster.replicas", cc.replicas.to_string(), "int"),
             row("cluster.shards", cc.shards.to_string(), "int"),
-            row("cluster.snapshot_cache", cc.snapshot_cache.to_string(), "bool"),
-            row("events.capacity", crate::health::EVENT_JOURNAL_CAP.to_string(), "int"),
+            row(
+                "cluster.snapshot_cache",
+                cc.snapshot_cache.to_string(),
+                "bool",
+            ),
+            row(
+                "events.capacity",
+                crate::health::EVENT_JOURNAL_CAP.to_string(),
+                "int",
+            ),
         ]
     }
 
@@ -871,12 +881,17 @@ impl DistDb {
         };
         self.cluster.commit(txn)?;
         let profile = prof.map(|p| {
-            let gtm = self.cluster.counters().gtm_interactions.saturating_sub(gtm_before);
+            let gtm = self
+                .cluster
+                .counters()
+                .gtm_interactions
+                .saturating_sub(gtm_before);
             let scope = match scope {
                 Scope::Single(_) => "single",
                 Scope::Multi => "multi",
             };
-            self.session.finish_profile(p, scope, rows.len(), gtm, twopc_legs)
+            self.session
+                .finish_profile(p, scope, rows.len(), gtm, twopc_legs)
         });
         Ok((rows, profile))
     }
@@ -1009,7 +1024,9 @@ impl Facade for DistDb {
             hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))
         };
         let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+        Ok(self
+            .session
+            .finish_select(plan, rows, steps, planning, profile))
     }
 
     /// The compiled hot path: prune from the bound predicate, open the
@@ -1102,7 +1119,9 @@ impl Facade for DistDb {
                 est = v as f64;
             }
         }
-        let bound = profiled.map(|_| self.profile_plan(plan, params, est)).transpose()?;
+        let bound = profiled
+            .map(|_| self.profile_plan(plan, params, est))
+            .transpose()?;
         let gtm_before = self.cluster.counters().gtm_interactions;
         let mut prof = self.session.profiler(profiled);
         let mut txn = self.begin_scoped(scope)?;
@@ -1113,10 +1132,17 @@ impl Facade for DistDb {
         let mut scan_rows: Vec<Row> = Vec::new();
         let mut be = self.dist_exec(&mut txn, chain.is_some(), None);
         let scanned = shards.iter().try_for_each(|&raw| {
-            be.run_leg(&fast.table, ShardId::new(raw), None, eq, pred.as_ref(), |_, row| {
-                scan_rows.push(row.clone());
-                Ok(())
-            })
+            be.run_leg(
+                &fast.table,
+                ShardId::new(raw),
+                None,
+                eq,
+                pred.as_ref(),
+                |_, row| {
+                    scan_rows.push(row.clone());
+                    Ok(())
+                },
+            )
             .map(drop)
         });
         let legs = be.take_exchange_profile();
@@ -1149,7 +1175,9 @@ impl Facade for DistDb {
             estimated: est,
             actual,
         }];
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+        Ok(self
+            .session
+            .finish_select(plan, rows, steps, planning, profile))
     }
 
     fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
@@ -1189,7 +1217,8 @@ impl Facade for DistDb {
         let (canon, _) = self.writable(table)?;
         self.shadow.get_mut(&canon)?.create_index(columns.clone())?;
         for shard in self.cluster.shard_map().all().collect::<Vec<_>>() {
-            self.cluster.create_sql_index_on(shard, &canon, columns.clone())?;
+            self.cluster
+                .create_sql_index_on(shard, &canon, columns.clone())?;
         }
         Ok(())
     }
@@ -1298,9 +1327,7 @@ impl Facade for DistDb {
                 .cluster
                 .shard_map()
                 .all()
-                .flat_map(|s| {
-                    sys::txn_rows(Datum::Int(s.raw() as i64), self.cluster.node(s).mgr())
-                })
+                .flat_map(|s| sys::txn_rows(Datum::Int(s.raw() as i64), self.cluster.node(s).mgr()))
                 .collect(),
             "sys.events" => self.event_rows(),
             "sys.indexes" => self.index_rows(),
@@ -1559,9 +1586,10 @@ impl CardinalityHints for DistHints<'_> {
         if !step_text.starts_with("SCAN(") {
             return None;
         }
-        self.shard_sets
-            .iter()
-            .find_map(|s| self.inner.lookup(&format!("EXCHANGE({step_text}, SHARDS({s}))")))
+        self.shard_sets.iter().find_map(|s| {
+            self.inner
+                .lookup(&format!("EXCHANGE({step_text}, SHARDS({s}))"))
+        })
     }
 }
 
@@ -1600,7 +1628,9 @@ fn merge_stats(per_shard: &[&TableStats]) -> TableStats {
     for s in per_shard {
         merged.row_count += s.row_count;
         if merged.columns.len() < s.columns.len() {
-            merged.columns.resize_with(s.columns.len(), ColumnStats::default);
+            merged
+                .columns
+                .resize_with(s.columns.len(), ColumnStats::default);
         }
         for (m, c) in merged.columns.iter_mut().zip(&s.columns) {
             m.distinct += c.distinct;
@@ -1822,10 +1852,17 @@ impl ExecBackend for DistExec<'_> {
         self.exchange_legs.clear();
         let mut n = 0;
         for &raw in shards {
-            self.run_leg(table, ShardId::new(raw), probe, None, predicate, |_, row| {
-                n += 1;
-                emit(row)
-            })?;
+            self.run_leg(
+                table,
+                ShardId::new(raw),
+                probe,
+                None,
+                predicate,
+                |_, row| {
+                    n += 1;
+                    emit(row)
+                },
+            )?;
         }
         Ok(n)
     }
@@ -1870,10 +1907,7 @@ mod tests {
     fn create_insert_select_roundtrip() {
         let mut db = dist(4);
         seed_orders(&mut db);
-        let total = db
-            .execute("select count(*) from orders")
-            .unwrap()
-            .rows[0]
+        let total = db.execute("select count(*) from orders").unwrap().rows[0]
             .get(0)
             .and_then(Datum::as_int);
         assert_eq!(total, Some(200));
@@ -1904,7 +1938,9 @@ mod tests {
     fn shard_key_equality_prunes_to_one_leg() {
         let mut db = dist(4);
         seed_orders(&mut db);
-        let plan = db.plan_only("select amount from orders where cust = 3").unwrap();
+        let plan = db
+            .plan_only("select amount from orders where cust = 3")
+            .unwrap();
         let text = plan.explain();
         assert!(text.contains("Exchange"), "no exchange in:\n{text}");
         let before = db.cluster().counters().gtm_interactions;
@@ -1945,7 +1981,9 @@ mod tests {
         seed_orders(&mut db);
         let expected = (0..200i64).filter(|i| i % 16 == 5).count() as u64;
         let probes = db.counters().index_probes;
-        let r = db.execute("update orders set amount = 1 where cust = 5").unwrap();
+        let r = db
+            .execute("update orders set amount = 1 where cust = 5")
+            .unwrap();
         assert_eq!(r.affected, expected);
         let rows = db
             .execute("select sum(amount) from orders where cust = 5")
@@ -1989,7 +2027,11 @@ mod tests {
             let want = local.execute(dml).unwrap().affected;
             assert_eq!(db.execute(dml).unwrap().affected, want, "{dml}");
         }
-        assert_eq!(db.counters().index_probes, probes, "none of these may probe");
+        assert_eq!(
+            db.counters().index_probes,
+            probes,
+            "none of these may probe"
+        );
         let q = "select cust, amount from orders order by cust, amount";
         assert_eq!(db.execute(q).unwrap().rows, local.execute(q).unwrap().rows);
     }
@@ -1997,8 +2039,10 @@ mod tests {
     #[test]
     fn dml_abort_rolls_back_every_leg() {
         let mut db = dist(4);
-        db.execute("create table t (k int, v int not null)").unwrap();
-        db.execute("insert into t values (1, 10), (2, 20), (3, 30)").unwrap();
+        db.execute("create table t (k int, v int not null)")
+            .unwrap();
+        db.execute("insert into t values (1, 10), (2, 20), (3, 30)")
+            .unwrap();
         // NULL into a NOT NULL column fails row 3 of 3 after earlier writes.
         let err = db.execute("insert into t values (4, 40), (5, null)");
         assert!(err.is_err());
@@ -2013,9 +2057,16 @@ mod tests {
         db.execute("analyze").unwrap();
         let stats = db.shadow.get("orders").unwrap().stats().unwrap().clone();
         assert_eq!(stats.row_count, 200);
-        assert_eq!(stats.columns[0].distinct, 16, "hash-partitioned NDV is exact");
+        assert_eq!(
+            stats.columns[0].distinct, 16,
+            "hash-partitioned NDV is exact"
+        );
         let plan = db.plan_only("select * from orders").unwrap();
-        assert_eq!(plan.est_rows(), 200.0, "planner estimates from merged stats");
+        assert_eq!(
+            plan.est_rows(),
+            200.0,
+            "planner estimates from merged stats"
+        );
     }
 
     #[test]

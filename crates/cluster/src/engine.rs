@@ -354,7 +354,10 @@ impl Cluster {
                 node.set_record_redo(true);
             }
         }
-        let replicas = map.all().map(|s| ReplicaSet::new(s, cfg.replicas)).collect();
+        let replicas = map
+            .all()
+            .map(|s| ReplicaSet::new(s, cfg.replicas))
+            .collect();
         let down = vec![false; nodes.len()];
         let epochs = vec![0; nodes.len()];
         let rejoining = (0..nodes.len()).map(|_| None).collect();
@@ -409,8 +412,7 @@ impl Cluster {
             snap_cache_miss: m.counter("gtm.snapshot_cache", &[("result", "miss")]),
             promote: (self.cfg.replicas > 0).then(|| m.counter("replica.promote", &[])),
             rejoin: (self.cfg.replicas > 0).then(|| m.counter("replica.rejoin", &[])),
-            replica_apply: (self.cfg.replicas > 0)
-                .then(|| m.counter("replica.apply", &[])),
+            replica_apply: (self.cfg.replicas > 0).then(|| m.counter("replica.apply", &[])),
             replica_lag: (self.cfg.replicas > 0).then(|| m.gauge("replica.lag", &[])),
             shard_lag: (self.cfg.replicas > 0).then(|| {
                 self.map
@@ -855,7 +857,9 @@ impl Cluster {
     /// surviving leg can answer a duplicate in full.
     pub(crate) fn tag_statement(&mut self, txn: &Txn, stmt_id: u64, rows: u64) {
         match &txn.kind {
-            TxnKind::LiteSingle { shard, xid, epoch, .. } => {
+            TxnKind::LiteSingle {
+                shard, xid, epoch, ..
+            } => {
                 let i = shard.raw() as usize;
                 if !self.down[i] && self.epochs[i] == *epoch {
                     self.nodes[i].tag_statement(*xid, stmt_id, rows);
@@ -920,8 +924,9 @@ impl Cluster {
         let table = node.table_id(name)?;
         node.create_sql_index(table, columns.clone())?;
         if self.cfg.replicas > 0 {
-            self.replicas[shard.raw() as usize]
-                .append(LogRecord::Ddl { op: ReplOp::CreateSqlIndex { table, columns } });
+            self.replicas[shard.raw() as usize].append(LogRecord::Ddl {
+                op: ReplOp::CreateSqlIndex { table, columns },
+            });
         }
         Ok(())
     }
@@ -937,9 +942,7 @@ impl Cluster {
                 if opts.retry_on_unavailable {
                     match self.cfg.protocol {
                         Protocol::Baseline => self.check_gtm()?,
-                        Protocol::GtmLite => {
-                            self.check_node(self.map.shard_of_prefix(prefix))?
-                        }
+                        Protocol::GtmLite => self.check_node(self.map.shard_of_prefix(prefix))?,
                     }
                 }
                 if let Some(t) = &self.tel {
@@ -954,7 +957,12 @@ impl Cluster {
                         let xid = node.mgr_mut().begin_local();
                         let snap = node.local_snapshot();
                         Txn {
-                            kind: TxnKind::LiteSingle { shard, xid, snap, epoch },
+                            kind: TxnKind::LiteSingle {
+                                shard,
+                                xid,
+                                snap,
+                                epoch,
+                            },
                         }
                     }
                 })
@@ -1251,8 +1259,7 @@ impl Cluster {
                 let (ops, stmt) = node.commit_local(xid)?;
                 self.prune_lco(shard);
                 if self.cfg.replicas > 0 && (!ops.is_empty() || stmt.is_some()) {
-                    self.replicas[shard.raw() as usize]
-                        .append(LogRecord::Commit { ops, stmt });
+                    self.replicas[shard.raw() as usize].append(LogRecord::Commit { ops, stmt });
                 }
                 self.counters.single_shard_commits += 1;
                 if let Some(t) = &self.tel {
@@ -1308,8 +1315,7 @@ impl Cluster {
         if legs.is_empty() {
             return Ok(());
         }
-        let participants: Vec<ShardId> =
-            legs.keys().map(|&s| ShardId::new(s)).collect();
+        let participants: Vec<ShardId> = legs.keys().map(|&s| ShardId::new(s)).collect();
         let mut coord = TwoPcCoordinator::new(participants.clone());
         for (&s, leg) in legs {
             // A down (or fenced — its primary was replaced mid-transaction)
@@ -1342,9 +1348,7 @@ impl Cluster {
                 }
             }
             if let Some(Decision::Abort) = coord.vote(ShardId::new(s), vote_yes)? {
-                return Err(HdmError::TxnAborted(format!(
-                    "prepare failed on shard {s}"
-                )));
+                return Err(HdmError::TxnAborted(format!("prepare failed on shard {s}")));
             }
         }
         Ok(())
@@ -1840,7 +1844,10 @@ mod tests {
 
         c.crash_gtm();
         assert!(!c.is_gtm_up());
-        assert_eq!(c.begin(TxnOptions::multi()).unwrap_err().class(), "unavailable");
+        assert_eq!(
+            c.begin(TxnOptions::multi()).unwrap_err().class(),
+            "unavailable"
+        );
         c.restart_gtm();
 
         // The recovered GTM remembers the commit and never reuses the gxid.
@@ -1902,7 +1909,10 @@ mod tests {
         let gxid = t.gxid().unwrap();
 
         c.crash_gtm();
-        assert_eq!(c.multi_commit_at_gtm(&t).unwrap_err().class(), "unavailable");
+        assert_eq!(
+            c.multi_commit_at_gtm(&t).unwrap_err().class(),
+            "unavailable"
+        );
         c.restart_gtm();
 
         // The recovered GTM observed only prepared legs: presumed abort.
@@ -2007,8 +2017,12 @@ mod tests {
         );
         // Crash + restart landed in the trace as instantaneous spans.
         let spans = tel.tracer.finished();
-        assert!(spans.iter().any(|s| s.name == "crash" && s.field("target") == Some("gtm")));
-        assert!(spans.iter().any(|s| s.name == "restart" && s.field("target") == Some("gtm")));
+        assert!(spans
+            .iter()
+            .any(|s| s.name == "crash" && s.field("target") == Some("gtm")));
+        assert!(spans
+            .iter()
+            .any(|s| s.name == "restart" && s.field("target") == Some("gtm")));
     }
 
     /// `(lco appends, clog, xid_map, log head)` of shard `s`: what a

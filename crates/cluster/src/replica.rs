@@ -281,9 +281,10 @@ fn find_target(
     table: TableId,
     row: &Row,
 ) -> Result<TupleId> {
-    node.sql_find_row(table, snap, Some(xid), row)?.ok_or_else(|| {
-        HdmError::TxnState(format!("replica divergence: no row {row:?} in {table:?}"))
-    })
+    node.sql_find_row(table, snap, Some(xid), row)?
+        .ok_or_else(|| {
+            HdmError::TxnState(format!("replica divergence: no row {row:?} in {table:?}"))
+        })
 }
 
 /// One shard's replication group: the shared log plus its followers.
@@ -372,8 +373,7 @@ mod tests {
 
     fn visible_rows(node: &DataNode, table: &str) -> Vec<Row> {
         let snap = node.local_snapshot();
-        let judge =
-            hdm_txn::SnapshotVisibility::new(&snap, node.mgr().clog(), None);
+        let judge = hdm_txn::SnapshotVisibility::new(&snap, node.mgr().clog(), None);
         let mut out: Vec<Row> = node
             .sql_table(table)
             .unwrap()
@@ -408,25 +408,15 @@ mod tests {
     }
 
     fn ins(row: Row) -> ReplOp {
-        ReplOp::SqlInsert {
-            table: T,
-            row,
-        }
+        ReplOp::SqlInsert { table: T, row }
     }
 
     fn upd(old: Row, new: Row) -> ReplOp {
-        ReplOp::SqlUpdate {
-            table: T,
-            old,
-            new,
-        }
+        ReplOp::SqlUpdate { table: T, old, new }
     }
 
     fn del(row: Row) -> ReplOp {
-        ReplOp::SqlDelete {
-            table: T,
-            row,
-        }
+        ReplOp::SqlDelete { table: T, row }
     }
 
     fn kv_get(node: &DataNode, key: i64) -> Option<i64> {
@@ -586,7 +576,10 @@ mod tests {
         });
         rs.pump(100).unwrap();
         let f = &rs.followers[0];
-        assert!(visible_rows(&f.node, "t").is_empty(), "prepared is invisible");
+        assert!(
+            visible_rows(&f.node, "t").is_empty(),
+            "prepared is invisible"
+        );
         assert_eq!(
             f.node.in_doubt_legs(),
             vec![(f.node.mgr().local_of(Xid(9000)).unwrap(), Some(Xid(9000)))],
@@ -650,7 +643,10 @@ mod tests {
         let mut rs = ReplicaSet::new(shard(), 2);
         for i in 0..6 {
             rs.append(LogRecord::Commit {
-                ops: vec![ReplOp::Put { key: i, val: i * 10 }],
+                ops: vec![ReplOp::Put {
+                    key: i,
+                    val: i * 10,
+                }],
                 stmt: None,
             });
         }

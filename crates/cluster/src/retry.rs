@@ -82,7 +82,9 @@ impl RetryPolicy {
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.cap.micros());
         let jitter = 0.5 + 0.5 * self.rng.next_f64();
-        SimDuration::from_micros(doubled).mul_f64(jitter).max(self.base)
+        SimDuration::from_micros(doubled)
+            .mul_f64(jitter)
+            .max(self.base)
     }
 }
 

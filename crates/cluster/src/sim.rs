@@ -389,7 +389,10 @@ impl World {
     fn run_functional(&mut self, home_wh: u32, single: bool) -> (bool, Vec<usize>, Option<Xid>) {
         let mix = self.cfg.mix;
         if single {
-            let mut txn = self.cluster.begin(TxnOptions::single(home_wh).retry_on_unavailable(false)).expect("unchecked begin is infallible");
+            let mut txn = self
+                .cluster
+                .begin(TxnOptions::single(home_wh).retry_on_unavailable(false))
+                .expect("unchecked begin is infallible");
             let mut ok = true;
             for _ in 0..mix.reads_per_txn {
                 let k = self.pick_key(home_wh);
@@ -428,7 +431,10 @@ impl World {
                     whs.push(w);
                 }
             }
-            let mut txn = self.cluster.begin(TxnOptions::multi().retry_on_unavailable(false)).expect("unchecked begin is infallible");
+            let mut txn = self
+                .cluster
+                .begin(TxnOptions::multi().retry_on_unavailable(false))
+                .expect("unchecked begin is infallible");
             let mut ok = true;
             'work: for (i, &w) in whs.iter().enumerate() {
                 let reads = if i == 0 { mix.reads_per_txn } else { 0 };
@@ -610,8 +616,8 @@ fn single_dn_arrive(sim: &mut S, w: &mut World, id: usize) {
     let txn = w.txns[id].as_ref().expect("in-flight");
     let shard = txn.shards[0];
     let ops = (w.cfg.mix.reads_per_txn + w.cfg.mix.writes_per_txn) as u64;
-    let svc = SimDuration::from_micros(w.cfg.dn_service_per_op.micros() * ops)
-        + w.cfg.dn_commit_service;
+    let svc =
+        SimDuration::from_micros(w.cfg.dn_service_per_op.micros() * ops) + w.cfg.dn_commit_service;
     let grant = w.dns[shard].request(sim.now(), svc);
     let back = w.hop();
     sim.schedule_at(grant.end + back, move |sim, w| match w.cfg.protocol {
@@ -662,8 +668,7 @@ fn fan_out(sim: &mut S, w: &mut World, id: usize, phase: Phase) {
                     } else {
                         1
                     };
-                    let mut svc =
-                        SimDuration::from_micros(w.cfg.dn_service_per_op.micros() * ops);
+                    let mut svc = SimDuration::from_micros(w.cfg.dn_service_per_op.micros() * ops);
                     if matches!(w.cfg.protocol, Protocol::GtmLite) {
                         svc += w.cfg.merge_service;
                     }
@@ -674,7 +679,9 @@ fn fan_out(sim: &mut S, w: &mut World, id: usize, phase: Phase) {
             };
             let grant = w.dns[shard].request(sim.now(), svc);
             let back = w.hop();
-            sim.schedule_at(grant.end + back, move |sim, w| leg_joined(sim, w, id, phase));
+            sim.schedule_at(grant.end + back, move |sim, w| {
+                leg_joined(sim, w, id, phase)
+            });
         });
     }
 }
@@ -876,7 +883,10 @@ mod tests {
         });
         let faulty = run_sim(cfg);
         let (msgs, drops, _, delays) = faulty.net_fault_stats;
-        assert!(msgs > 0 && drops > 0 && delays > 0, "faults fired: {msgs} msgs");
+        assert!(
+            msgs > 0 && drops > 0 && delays > 0,
+            "faults fired: {msgs} msgs"
+        );
         assert!(faulty.committed > 0);
         // Lossy hops slow the closed loop down, they don't break it.
         assert!(faulty.p99_latency_us >= clean.p99_latency_us);
@@ -912,7 +922,10 @@ mod tests {
 
         let spans = tel.tracer.finished();
         let report = hdm_telemetry::timeline::decompose(&spans, "txn");
-        let single = report.paths.get("single").expect("single-shard path traced");
+        let single = report
+            .paths
+            .get("single")
+            .expect("single-shard path traced");
         let multi = report
             .paths
             .get("distributed")

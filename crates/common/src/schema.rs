@@ -41,10 +41,7 @@ impl Schema {
     /// Convenience constructor from `(name, type)` pairs.
     pub fn from_pairs(pairs: &[(&str, DataType)]) -> Self {
         Self {
-            columns: pairs
-                .iter()
-                .map(|(n, t)| Column::new(*n, *t))
-                .collect(),
+            columns: pairs.iter().map(|(n, t)| Column::new(*n, *t)).collect(),
         }
     }
 

@@ -135,9 +135,7 @@ impl Histogram {
     }
 
     pub fn record(&mut self, value_us: u64) {
-        let idx = self
-            .bounds
-            .partition_point(|&bound| bound < value_us);
+        let idx = self.bounds.partition_point(|&bound| bound < value_us);
         self.counts[idx] += 1;
         self.total += 1;
     }

@@ -128,9 +128,7 @@ impl FiMppDb {
         for chunk in rows.chunks(500) {
             let values: Vec<String> = chunk
                 .iter()
-                .map(|(k, v)| {
-                    format!("({}, {k}, {v})", map.shard_of_key(*k).raw())
-                })
+                .map(|(k, v)| format!("({}, {k}, {v})", map.shard_of_key(*k).raw()))
                 .collect();
             if !values.is_empty() {
                 n += db
@@ -144,9 +142,7 @@ impl FiMppDb {
 
     /// Plan-store statistics, when the learning optimizer is on.
     pub fn plan_store_stats(&self) -> Option<PlanStoreStats> {
-        self.plan_store
-            .as_ref()
-            .map(|s| s.inner().borrow().stats())
+        self.plan_store.as_ref().map(|s| s.inner().borrow().stats())
     }
 
     /// Stored plan-store steps (Table I reporting).
@@ -166,7 +162,8 @@ mod tests {
     fn relational_quickstart() {
         let mut db = FiMppDb::new(FiConfig::default());
         db.sql("create table t (a int, b int)").unwrap();
-        db.sql("insert into t values (1, 10), (2, 20), (3, 30)").unwrap();
+        db.sql("insert into t values (1, 10), (2, 20), (3, 30)")
+            .unwrap();
         let r = db.sql("select sum(b) from t where a >= 2").unwrap();
         assert_eq!(r.rows[0].get(0).unwrap().as_int(), Some(50));
     }
@@ -176,7 +173,8 @@ mod tests {
         let mut db = FiMppDb::new(FiConfig::default());
         db.sql("create table t (a int)").unwrap();
         let vals: Vec<String> = (0..500).map(|_| "(1)".to_string()).collect();
-        db.sql(&format!("insert into t values {}", vals.join(","))).unwrap();
+        db.sql(&format!("insert into t values {}", vals.join(",")))
+            .unwrap();
         // No ANALYZE: the default estimate (1000 rows / NDV 10 = 100) is 5x
         // off the actual 500, so the step is captured.
         db.sql("select * from t where a = 1").unwrap();
@@ -206,12 +204,21 @@ mod tests {
         let k = make_key(3, 7);
         db.oltp().bump(Some(3), k, 42).unwrap();
         assert_eq!(db.oltp().bump(Some(3), k, 0).unwrap(), 42);
-        assert_eq!(db.oltp().counters().gtm_interactions, 0, "GTM-lite fast path");
+        assert_eq!(
+            db.oltp().counters().gtm_interactions,
+            0,
+            "GTM-lite fast path"
+        );
         // The analytical side is unaffected.
         db.sql("create table r (x int)").unwrap();
         db.sql("insert into r values (1)").unwrap();
-        assert_eq!(db.sql("select count(*) from r").unwrap().rows[0]
-            .get(0).unwrap().as_int(), Some(1));
+        assert_eq!(
+            db.sql("select count(*) from r").unwrap().rows[0]
+                .get(0)
+                .unwrap()
+                .as_int(),
+            Some(1)
+        );
     }
 
     #[test]
@@ -220,7 +227,9 @@ mod tests {
         // Transactional writes across warehouses.
         for w in 0..4u32 {
             for i in 0..10u32 {
-                db.oltp().bump(Some(w), make_key(w, i), (w * 10 + i) as i64).unwrap();
+                db.oltp()
+                    .bump(Some(w), make_key(w, i), (w * 10 + i) as i64)
+                    .unwrap();
             }
         }
         let n = db.sync_htap_replica("oltp_snapshot").unwrap();
@@ -228,7 +237,9 @@ mod tests {
         let r = db
             .sql("select count(*), sum(v) from oltp_snapshot")
             .unwrap();
-        let expected_sum: i64 = (0..4).flat_map(|w| (0..10).map(move |i| (w * 10 + i) as i64)).sum();
+        let expected_sum: i64 = (0..4)
+            .flat_map(|w| (0..10).map(move |i| (w * 10 + i) as i64))
+            .sum();
         assert_eq!(r.rows[0].get(0).unwrap().as_int(), Some(40));
         assert_eq!(r.rows[0].get(1).unwrap().as_int(), Some(expected_sum));
         // Fresh writes appear after the next sync (no ETL pipeline).
@@ -251,7 +262,9 @@ mod tests {
         let mut db = FiMppDb::new(FiConfig::default());
         db.models().create_grid("cars", 1.0);
         db.models().place("cars", 1, 2.0, 3.0).unwrap();
-        let r = db.sql("select id from gknn('cars', 0.0, 0.0, 1) k").unwrap();
+        let r = db
+            .sql("select id from gknn('cars', 0.0, 0.0, 1) k")
+            .unwrap();
         assert_eq!(r.rows[0].get(0).unwrap().as_int(), Some(1));
     }
 

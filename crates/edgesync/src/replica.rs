@@ -106,9 +106,7 @@ impl Replica {
 
     /// Read the resolved value.
     pub fn read(&self, key: &str) -> Option<&str> {
-        self.state
-            .get(key)
-            .and_then(|c| c.value.as_deref())
+        self.state.get(key).and_then(|c| c.value.as_deref())
     }
 
     /// All live keys (deterministic order).
@@ -154,7 +152,11 @@ impl Replica {
                 },
             );
         }
-        if self.subscriptions.iter().any(|p| op.key.starts_with(p.as_str())) {
+        if self
+            .subscriptions
+            .iter()
+            .any(|p| op.key.starts_with(p.as_str()))
+        {
             self.events.push(op.clone());
         }
         Ok(())
@@ -244,7 +246,11 @@ mod tests {
         a.write(100, "k", Some("v")).unwrap();
         sync_pair(&mut a, &mut b, 150).unwrap();
         let second = sync_pair(&mut a, &mut b, 200).unwrap();
-        assert_eq!(second.ops_sent + second.ops_received, 0, "no redundant data");
+        assert_eq!(
+            second.ops_sent + second.ops_received,
+            0,
+            "no redundant data"
+        );
     }
 
     #[test]

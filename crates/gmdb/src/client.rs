@@ -62,7 +62,9 @@ impl<'rt> GmdbClient<'rt> {
 
     /// Create an object (in this client's version) and cache it.
     pub fn create(&mut self, value: Value) -> Result<String> {
-        let key = self.runtime.put(&self.schema, self.version, value.clone())?;
+        let key = self
+            .runtime
+            .put(&self.schema, self.version, value.clone())?;
         self.stats.writes += 1;
         self.cache.insert(key.clone(), (value, 1));
         // Keep the cache coherent against other writers.

@@ -287,7 +287,10 @@ mod tests {
         let mut shrunk = session();
         shrunk["bearers"].as_array_mut().unwrap().truncate(1);
         let d = Delta::compute(&old, &shrunk);
-        assert!(d.ops.iter().any(|o| matches!(o, DeltaOp::Truncate { len: 1, .. })));
+        assert!(d
+            .ops
+            .iter()
+            .any(|o| matches!(o, DeltaOp::Truncate { len: 1, .. })));
         let mut t = old;
         d.apply(&mut t).unwrap();
         assert_eq!(t, shrunk);

@@ -51,8 +51,7 @@ impl SchemaRegistry {
                     schema.name, schema.version
                 )));
             }
-            check_legal_evolution(&prev.root, &schema.root)
-                .map_err(|e| prefix_err(&schema, e))?;
+            check_legal_evolution(&prev.root, &schema.root).map_err(|e| prefix_err(&schema, e))?;
             if prev.primary_key != schema.primary_key {
                 return Err(HdmError::SchemaEvolution(format!(
                     "{} v{}: primary key may not change",
@@ -68,9 +67,7 @@ impl SchemaRegistry {
         self.chains
             .get(name)
             .and_then(|c| c.get(&version))
-            .ok_or_else(|| {
-                HdmError::SchemaEvolution(format!("unknown schema {name} v{version}"))
-            })
+            .ok_or_else(|| HdmError::SchemaEvolution(format!("unknown schema {name} v{version}")))
     }
 
     /// Latest registered version of a schema name.
@@ -92,9 +89,7 @@ impl SchemaRegistry {
     pub fn is_adjacent(&self, name: &str, from: u32, to: u32) -> bool {
         let versions = self.versions(name);
         let (lo, hi) = (from.min(to), from.max(to));
-        versions
-            .windows(2)
-            .any(|w| w[0] == lo && w[1] == hi)
+        versions.windows(2).any(|w| w[0] == lo && w[1] == hi)
     }
 
     /// Convert an object between two registered versions, composing
@@ -206,9 +201,9 @@ fn convert_record(obj: &Value, target: &RecordSchema) -> Value {
     for f in &target.fields {
         let val = src.and_then(|m| m.get(&f.name));
         let converted = match (val, &f.ftype) {
-            (Some(Value::Array(items)), FieldType::Record(sub)) => Value::Array(
-                items.iter().map(|i| convert_record(i, sub)).collect(),
-            ),
+            (Some(Value::Array(items)), FieldType::Record(sub)) => {
+                Value::Array(items.iter().map(|i| convert_record(i, sub)).collect())
+            }
             (Some(v), _) => v.clone(),
             (None, _) => f.default_value(),
         };
@@ -233,17 +228,28 @@ mod tests {
         let mut fields = base;
         for (version, new_field) in [
             (3u32, None),
-            (5, Some(FieldDef::new("apn", FieldType::Str).with_default(json!("default-apn")))),
-            (6, Some(FieldDef::new("qos", FieldType::Int).with_default(json!(9)))),
-            (7, Some(FieldDef::new("roaming", FieldType::Bool).with_default(json!(false)))),
-            (8, Some(FieldDef::new("slice_id", FieldType::Int).with_default(json!(0)))),
+            (
+                5,
+                Some(FieldDef::new("apn", FieldType::Str).with_default(json!("default-apn"))),
+            ),
+            (
+                6,
+                Some(FieldDef::new("qos", FieldType::Int).with_default(json!(9))),
+            ),
+            (
+                7,
+                Some(FieldDef::new("roaming", FieldType::Bool).with_default(json!(false))),
+            ),
+            (
+                8,
+                Some(FieldDef::new("slice_id", FieldType::Int).with_default(json!(0))),
+            ),
         ] {
             if let Some(f) = new_field {
                 fields.push(f);
             }
             reg.register(
-                ObjectSchema::new("mme", version, RecordSchema::new(fields.clone()), "id")
-                    .unwrap(),
+                ObjectSchema::new("mme", version, RecordSchema::new(fields.clone()), "id").unwrap(),
             )
             .unwrap();
         }
@@ -303,11 +309,7 @@ mod tests {
         for (i, &a) in versions.iter().enumerate() {
             for (j, &b) in versions.iter().enumerate() {
                 let expect = i.abs_diff(j) == 1;
-                assert_eq!(
-                    reg.is_adjacent("mme", a, b),
-                    expect,
-                    "adjacency({a},{b})"
-                );
+                assert_eq!(reg.is_adjacent("mme", a, b), expect, "adjacency({a},{b})");
                 if a != b {
                     let direct = reg.convert_adjacent("mme", &v3_object(), a, b);
                     assert_eq!(direct.is_ok(), expect, "direct({a},{b})");

@@ -68,8 +68,7 @@ impl GmdbRuntime {
                             let _ = reply.send(store.get(&schema, &key, version));
                         }
                         Op::UpdateDelta(schema, key, version, delta, reply) => {
-                            let _ =
-                                reply.send(store.update_delta(&schema, &key, version, &delta));
+                            let _ = reply.send(store.update_delta(&schema, &key, version, &delta));
                         }
                         Op::Subscribe(schema, key, client, version, reply) => {
                             let _ = reply.send(store.subscribe(&schema, &key, client, version));
@@ -148,26 +147,14 @@ impl GmdbRuntime {
     }
 
     /// Apply a delta as a single-object transaction.
-    pub fn update_delta(
-        &self,
-        schema: &str,
-        key: &str,
-        version: u32,
-        delta: Delta,
-    ) -> Result<u64> {
+    pub fn update_delta(&self, schema: &str, key: &str, version: u32, delta: Delta) -> Result<u64> {
         let w = self.shard_of(key);
         self.call(w, |tx| {
             Op::UpdateDelta(schema.to_string(), key.to_string(), version, delta, tx)
         })?
     }
 
-    pub fn subscribe(
-        &self,
-        schema: &str,
-        key: &str,
-        client: ClientId,
-        version: u32,
-    ) -> Result<()> {
+    pub fn subscribe(&self, schema: &str, key: &str, client: ClientId, version: u32) -> Result<()> {
         let w = self.shard_of(key);
         self.call(w, |tx| {
             Op::Subscribe(schema.to_string(), key.to_string(), client, version, tx)
@@ -210,10 +197,7 @@ impl GmdbRuntime {
     }
 
     /// Import objects, routing each to its partition (recovery).
-    pub fn import_all(
-        &self,
-        objects: Vec<ObjectRow>,
-    ) -> Result<()> {
+    pub fn import_all(&self, objects: Vec<ObjectRow>) -> Result<()> {
         let mut per_worker: Vec<Vec<_>> = vec![Vec::new(); self.senders.len()];
         for o in objects {
             let w = self.shard_of(&o.1);

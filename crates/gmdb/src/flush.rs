@@ -47,15 +47,15 @@ fn decode_row(line: &str) -> Result<ObjectRow> {
         .get("revision")
         .and_then(Value::as_u64)
         .ok_or_else(|| bad("missing revision"))?;
-    let value = v.get("value").cloned().ok_or_else(|| bad("missing value"))?;
+    let value = v
+        .get("value")
+        .cloned()
+        .ok_or_else(|| bad("missing value"))?;
     Ok((schema, key, version, value, revision))
 }
 
 /// Write one snapshot of all objects to `path` (atomic rename).
-pub fn write_snapshot(
-    objects: &[ObjectRow],
-    path: &Path,
-) -> Result<usize> {
+pub fn write_snapshot(objects: &[ObjectRow], path: &Path) -> Result<usize> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
@@ -120,7 +120,8 @@ impl PeriodicFlusher {
 
     /// Stop the flusher (no final flush; the caller may snapshot manually).
     pub fn stop(mut self) {
-        self.stop.store(Ordering::SeqCst as u8 != 0, Ordering::SeqCst);
+        self.stop
+            .store(Ordering::SeqCst as u8 != 0, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -168,8 +169,20 @@ mod tests {
     #[test]
     fn snapshot_round_trip() {
         let objects = vec![
-            ("s".to_string(), "a".to_string(), 1u32, json!({"id":"a","n":1}), 1u64),
-            ("s".to_string(), "b".to_string(), 1, json!({"id":"b","n":2}), 3),
+            (
+                "s".to_string(),
+                "a".to_string(),
+                1u32,
+                json!({"id":"a","n":1}),
+                1u64,
+            ),
+            (
+                "s".to_string(),
+                "b".to_string(),
+                1,
+                json!({"id":"b","n":2}),
+                3,
+            ),
         ];
         let path = tempdir().join("snap1.jsonl");
         assert_eq!(write_snapshot(&objects, &path).unwrap(), 2);
@@ -182,7 +195,8 @@ mod tests {
         let mut rt = GmdbRuntime::new(2);
         rt.register(schema()).unwrap();
         for i in 0..20 {
-            rt.put("s", 1, json!({"id": format!("k{i}"), "n": i})).unwrap();
+            rt.put("s", 1, json!({"id": format!("k{i}"), "n": i}))
+                .unwrap();
         }
         let path = tempdir().join("snap2.jsonl");
         write_snapshot(&rt.export_all().unwrap(), &path).unwrap();
@@ -203,8 +217,7 @@ mod tests {
         rt.put("s", 1, json!({"id": "x", "n": 7})).unwrap();
         let rt = Arc::new(rt);
         let path = tempdir().join("snap3.jsonl");
-        let flusher =
-            PeriodicFlusher::start(rt.clone(), path.clone(), Duration::from_millis(10));
+        let flusher = PeriodicFlusher::start(rt.clone(), path.clone(), Duration::from_millis(10));
         // Wait for at least one flush.
         for _ in 0..100 {
             if path.exists() {

@@ -6,9 +6,9 @@
 //! fields is an illegal schema change (§III-B) — where each field is a
 //! primitive or an array of sub-records.
 
+use hdm_common::{HdmError, Result};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use hdm_common::{HdmError, Result};
 
 /// Type of one field.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -182,7 +182,14 @@ impl GmdbStore {
         );
         self.stats.writes += 1;
         self.stats.delta_writes += 1;
-        self.notify(schema, key, Some(&stored), client_version, &working, revision)?;
+        self.notify(
+            schema,
+            key,
+            Some(&stored),
+            client_version,
+            &working,
+            revision,
+        )?;
         Ok(revision)
     }
 
@@ -222,10 +229,7 @@ impl GmdbStore {
     }
 
     /// Import objects (recovery). Existing entries are replaced.
-    pub fn import_objects(
-        &mut self,
-        objects: impl IntoIterator<Item = ObjectRow>,
-    ) {
+    pub fn import_objects(&mut self, objects: impl IntoIterator<Item = ObjectRow>) {
         for (schema, key, version, value, revision) in objects {
             self.objects.insert(
                 (schema, key),
@@ -274,7 +278,9 @@ impl GmdbStore {
                 continue;
             }
             let delta_bytes = delta.byte_size();
-            let whole_bytes = serde_json::to_string(&new_sub).map(|s| s.len()).unwrap_or(0);
+            let whole_bytes = serde_json::to_string(&new_sub)
+                .map(|s| s.len())
+                .unwrap_or(0);
             self.stats.notifications += 1;
             self.stats.delta_bytes_sent += delta_bytes as u64;
             self.stats.whole_bytes_equivalent += whole_bytes as u64;
@@ -378,7 +384,10 @@ mod tests {
         let y = ClientId::new(7);
         store.subscribe("d", "Jane", y, 2).unwrap();
         store.put("d", 1, json!({"id": "Jane"})).unwrap(); // no-op: same content
-        assert!(store.take_notifications(y).is_empty(), "no-change writes are silent");
+        assert!(
+            store.take_notifications(y).is_empty(),
+            "no-change writes are silent"
+        );
 
         // An actual change: v1 has only `id`, but Y's delta is in v2 form.
         let mut obj = json!({"id": "Jane"});
@@ -421,9 +430,7 @@ mod tests {
         store.put("d", 2, json!({"id": "k", "age": 0})).unwrap();
         store.subscribe("d", "k", y, 2).unwrap();
         for age in 1..=10 {
-            store
-                .put("d", 2, json!({"id": "k", "age": age}))
-                .unwrap();
+            store.put("d", 2, json!({"id": "k", "age": age})).unwrap();
         }
         let s = store.stats();
         assert_eq!(s.notifications, 10);

@@ -60,13 +60,20 @@ mod integration_tests {
         // Cold: estimates are off, steps get captured.
         let r1 = db.execute(q).unwrap();
         assert_eq!(r1.planning.hint_hits, 0);
-        assert!(!store.inner().borrow().is_empty(), "differential steps stored");
+        assert!(
+            !store.inner().borrow().is_empty(),
+            "differential steps stored"
+        );
 
         // Warm: the same canonical steps now plan with actual counts.
         let r2 = db.execute(q).unwrap();
         assert!(r2.planning.hint_hits >= 2, "scan and join hinted");
         let plan = db.plan_only(q).unwrap();
-        assert_eq!(plan.est_rows(), r1.rows.len() as f64, "join estimate = actual");
+        assert_eq!(
+            plan.est_rows(),
+            r1.rows.len() as f64,
+            "join estimate = actual"
+        );
     }
 
     /// The rewrite engine normalizes spellings, so a *differently written*
@@ -77,7 +84,8 @@ mod integration_tests {
         let mut db = Database::new();
         db.execute("create table t (a int)").unwrap();
         let vals: Vec<String> = (0..400).map(|_| "(20)".to_string()).collect();
-        db.execute(&format!("insert into t values {}", vals.join(","))).unwrap();
+        db.execute(&format!("insert into t values {}", vals.join(",")))
+            .unwrap();
         let store = SharedPlanStore::default();
         db.set_plan_store(store.hints(), store.observer());
 

@@ -175,11 +175,7 @@ impl PlanStore {
     }
 
     fn evict_lru(&mut self) {
-        if let Some((&key, _)) = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-        {
+        if let Some((&key, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
             self.entries.remove(&key);
             self.stats.evictions += 1;
         }
@@ -310,7 +306,11 @@ mod tests {
         let local = "SCAN(ORDERS, PREDICATE(ORDERS.CUST = 3))";
         let dist = "EXCHANGE(SCAN(ORDERS, PREDICATE(ORDERS.CUST = 3)), SHARDS(2))";
         let scatter = "EXCHANGE(SCAN(ORDERS, PREDICATE(ORDERS.CUST = 3)), SHARDS(0,1,2,3))";
-        s.capture(&[obs(local, 1.0, 100), obs(dist, 1.0, 25), obs(scatter, 1.0, 40)]);
+        s.capture(&[
+            obs(local, 1.0, 100),
+            obs(dist, 1.0, 25),
+            obs(scatter, 1.0, 40),
+        ]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.lookup(local), Some(100));
         assert_eq!(s.lookup(dist), Some(25));

@@ -90,11 +90,7 @@ impl PropertyGraph {
         let mut vrows = Vec::new();
         for (id, props) in &self.vertices {
             if props.is_empty() {
-                vrows.push(Row::new(vec![
-                    Datum::Int(*id),
-                    Datum::Null,
-                    Datum::Null,
-                ]));
+                vrows.push(Row::new(vec![Datum::Int(*id), Datum::Null, Datum::Null]));
             }
             let mut keys: Vec<&String> = props.keys().collect();
             keys.sort();
@@ -148,9 +144,9 @@ impl PropertyGraph {
         Ok(match state {
             Traversers::Start => GremlinResult::Vertices(vec![]),
             Traversers::Vertices(v) => GremlinResult::Vertices(v),
-            Traversers::Edges(e) => GremlinResult::Edges(
-                e.into_iter().map(|i| self.edges[i].clone()).collect(),
-            ),
+            Traversers::Edges(e) => {
+                GremlinResult::Edges(e.into_iter().map(|i| self.edges[i].clone()).collect())
+            }
             Traversers::Values(v) => GremlinResult::Values(v),
             Traversers::Bool(b) => GremlinResult::Bool(b),
         })
@@ -200,12 +196,8 @@ impl PropertyGraph {
             }
             (Vertices(v), Step::OutE(label)) => Edges(self.hop_idx(&v, label, true)),
             (Vertices(v), Step::InE(label)) => Edges(self.hop_idx(&v, label, false)),
-            (Edges(e), Step::OutV) => {
-                Vertices(e.into_iter().map(|i| self.edges[i].src).collect())
-            }
-            (Edges(e), Step::InV) => {
-                Vertices(e.into_iter().map(|i| self.edges[i].dst).collect())
-            }
+            (Edges(e), Step::OutV) => Vertices(e.into_iter().map(|i| self.edges[i].src).collect()),
+            (Edges(e), Step::InV) => Vertices(e.into_iter().map(|i| self.edges[i].dst).collect()),
             (Vertices(v), Step::Values(key)) => Values(
                 v.into_iter()
                     .filter_map(|id| self.vertex_prop(id, key).cloned())
@@ -227,9 +219,7 @@ impl PropertyGraph {
                 let mut seen = HashSet::new();
                 Edges(e.into_iter().filter(|x| seen.insert(*x)).collect())
             }
-            (Vertices(v), Step::Limit(n)) => {
-                Vertices(v.into_iter().take(*n as usize).collect())
-            }
+            (Vertices(v), Step::Limit(n)) => Vertices(v.into_iter().take(*n as usize).collect()),
             (Edges(e), Step::Limit(n)) => Edges(e.into_iter().take(*n as usize).collect()),
             (Values(v), Step::Limit(n)) => Values(v.into_iter().take(*n as usize).collect()),
             (Vertices(v), Step::Where(sub)) => {
@@ -266,7 +256,9 @@ impl PropertyGraph {
         label: &'a Option<String>,
         out: bool,
     ) -> impl Iterator<Item = &'a Edge> + 'a {
-        self.hop_idx(from, label, out).into_iter().map(|i| &self.edges[i])
+        self.hop_idx(from, label, out)
+            .into_iter()
+            .map(|i| &self.edges[i])
     }
 
     fn hop_idx(&self, from: &[i64], label: &Option<String>, out: bool) -> Vec<usize> {
@@ -520,9 +512,7 @@ fn split_calls(s: &str) -> Result<Vec<(String, String)>> {
         // Expect `.` or end.
         if i < bytes.len() {
             if bytes[i] != b'.' {
-                return Err(HdmError::Parse(format!(
-                    "gremlin: expected . at byte {i}"
-                )));
+                return Err(HdmError::Parse(format!("gremlin: expected . at byte {i}")));
             }
             i += 1;
         }
@@ -631,9 +621,7 @@ mod tests {
             .unwrap();
         assert_eq!(r, GremlinResult::Values(vec![Datum::Int(4)]));
         let r = g
-            .run_gremlin(
-                "g.V().has('cid',11111).inE('call').has('time', gt(100)).count().gt(3)",
-            )
+            .run_gremlin("g.V().has('cid',11111).inE('call').has('time', gt(100)).count().gt(3)")
             .unwrap();
         assert_eq!(r, GremlinResult::Bool(true));
     }
@@ -656,7 +644,9 @@ mod tests {
         let r = g
             .run_gremlin("g.V(1).inE('call').has('time', gt(100)).outV().dedup().values('cid')")
             .unwrap();
-        let GremlinResult::Values(v) = r else { panic!() };
+        let GremlinResult::Values(v) = r else {
+            panic!()
+        };
         assert_eq!(v.len(), 4);
         assert!(v.contains(&Datum::Int(11112)));
     }
@@ -695,9 +685,7 @@ mod tests {
     fn bare_identifier_args_accepted() {
         // The paper writes has(cid,11111) without quotes.
         let g = call_graph();
-        let r = g
-            .run_gremlin("g.V().has(cid, 11111).count()")
-            .unwrap();
+        let r = g.run_gremlin("g.V().has(cid, 11111).count()").unwrap();
         assert_eq!(r, GremlinResult::Values(vec![Datum::Int(1)]));
     }
 }

@@ -93,7 +93,10 @@ impl GridIndex {
                 v.retain(|(i, _)| *i != id);
             }
         }
-        self.cells.entry(self.cell_of(&p)).or_default().push((id, p));
+        self.cells
+            .entry(self.cell_of(&p))
+            .or_default()
+            .push((id, p));
         Ok(())
     }
 
@@ -180,7 +183,10 @@ impl GridIndex {
             // Stop when we have k and the next ring cannot contain closer
             // points: the ring's inner boundary is `ring * cell_size` away.
             let ring_floor = ring as f64 * self.cell_size;
-            let kth = best.last().map(|(d, _, _)| d.sqrt()).unwrap_or(f64::INFINITY);
+            let kth = best
+                .last()
+                .map(|(d, _, _)| d.sqrt())
+                .unwrap_or(f64::INFINITY);
             if (best.len() == k && kth <= ring_floor) || ring > max_ring {
                 break;
             }

@@ -189,7 +189,11 @@ impl TimeSeriesStore {
         self.range(t0, t1)
             .into_iter()
             .map(|(ts, tag, v)| {
-                Row::new(vec![Datum::Timestamp(ts), Datum::Text(tag), Datum::Float(v)])
+                Row::new(vec![
+                    Datum::Timestamp(ts),
+                    Datum::Text(tag),
+                    Datum::Float(v),
+                ])
             })
             .collect()
     }
@@ -208,7 +212,8 @@ mod tests {
         let mut s = TimeSeriesStore::new("speed", 1_000);
         // 10 segments of 10 points each: ts = 0,100,...,9900.
         for i in 0..100i64 {
-            s.ingest(i * 100, &format!("car-{}", i % 4), i as f64).unwrap();
+            s.ingest(i * 100, &format!("car-{}", i % 4), i as f64)
+                .unwrap();
         }
         s
     }

@@ -243,7 +243,9 @@ impl TableFunction for GGraph {
         Ok(match result {
             GremlinResult::Vertices(v) => (
                 Schema::from_pairs(&[("v", DataType::Int)]),
-                v.into_iter().map(|id| Row::new(vec![Datum::Int(id)])).collect(),
+                v.into_iter()
+                    .map(|id| Row::new(vec![Datum::Int(id)]))
+                    .collect(),
             ),
             GremlinResult::Edges(es) => (
                 Schema::from_pairs(&[
@@ -473,9 +475,10 @@ mod tests {
             .map(|row| row.get(0).unwrap().as_int().unwrap())
             .collect();
         assert!(cids.contains(&11111));
-        assert!(r.rows.iter().all(|row| {
-            row.get(2).unwrap().as_text() == Some("car-7")
-        }));
+        assert!(r
+            .rows
+            .iter()
+            .all(|row| { row.get(2).unwrap().as_text() == Some("car-7") }));
     }
 
     #[test]
@@ -561,7 +564,8 @@ mod tests {
             )
             .unwrap();
         }
-        m.sql("create table frames (frame int, location text)").unwrap();
+        m.sql("create table frames (frame int, location text)")
+            .unwrap();
         for f in 1..=4 {
             m.sql(&format!("insert into frames values ({f}, 'junction-{f}')"))
                 .unwrap();

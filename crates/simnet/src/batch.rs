@@ -157,27 +157,29 @@ mod tests {
 
     #[test]
     fn first_join_opens_later_joins_board() {
-        let mut b: Batcher<u32> = Batcher::new(
-            SimDuration::from_micros(10),
-            SimDuration::from_micros(2),
-        );
+        let mut b: Batcher<u32> =
+            Batcher::new(SimDuration::from_micros(10), SimDuration::from_micros(2));
         assert_eq!(
             b.join(SimInstant(100), SimDuration::from_micros(1), 1),
             Some(SimInstant(110)),
             "first join opens the window"
         );
-        assert_eq!(b.join(SimInstant(104), SimDuration::from_micros(1), 2), None);
-        assert_eq!(b.join(SimInstant(109), SimDuration::from_micros(1), 3), None);
+        assert_eq!(
+            b.join(SimInstant(104), SimDuration::from_micros(1), 2),
+            None
+        );
+        assert_eq!(
+            b.join(SimInstant(109), SimDuration::from_micros(1), 3),
+            None
+        );
         assert!(b.is_open());
         assert_eq!(b.pending(), 3);
     }
 
     #[test]
     fn close_amortizes_service_and_preserves_join_order() {
-        let mut b: Batcher<&str> = Batcher::new(
-            SimDuration::from_micros(10),
-            SimDuration::from_micros(4),
-        );
+        let mut b: Batcher<&str> =
+            Batcher::new(SimDuration::from_micros(10), SimDuration::from_micros(4));
         let mut gtm = Resource::new("gtm", 1);
         b.join(SimInstant(0), SimDuration::from_micros(1), "a");
         b.join(SimInstant(3), SimDuration::from_micros(2), "b");
@@ -198,10 +200,8 @@ mod tests {
 
     #[test]
     fn next_join_after_close_opens_a_fresh_window() {
-        let mut b: Batcher<u32> = Batcher::new(
-            SimDuration::from_micros(5),
-            SimDuration::from_micros(2),
-        );
+        let mut b: Batcher<u32> =
+            Batcher::new(SimDuration::from_micros(5), SimDuration::from_micros(2));
         let mut gtm = Resource::new("gtm", 1);
         b.join(SimInstant(0), SimDuration::ZERO, 1);
         b.close(SimInstant(5), &mut gtm);
@@ -214,10 +214,8 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut b: Batcher<u32> = Batcher::new(
-            SimDuration::from_micros(5),
-            SimDuration::from_micros(2),
-        );
+        let mut b: Batcher<u32> =
+            Batcher::new(SimDuration::from_micros(5), SimDuration::from_micros(2));
         let mut gtm = Resource::new("gtm", 1);
         b.join(SimInstant(0), SimDuration::ZERO, 1);
         b.join(SimInstant(1), SimDuration::ZERO, 2);

@@ -210,7 +210,12 @@ impl FaultPlan {
         let mut events = Vec::new();
         let h = horizon.micros();
         for n in 0..nodes {
-            self.schedule_target(CrashTarget::DataNode(n), self.cfg.dn_crashes_per_node, h, &mut events);
+            self.schedule_target(
+                CrashTarget::DataNode(n),
+                self.cfg.dn_crashes_per_node,
+                h,
+                &mut events,
+            );
         }
         self.schedule_target(CrashTarget::Gtm, self.cfg.gtm_crashes, h, &mut events);
         events.sort_by_key(|e| (e.at, e.restart_at));
@@ -230,8 +235,7 @@ impl FaultPlan {
         // Poisson-ish: round `expected` up or down stochastically, then
         // spread crashes over disjoint slices of the horizon so downtimes
         // cannot overlap for one target.
-        let count = expected.floor() as u64
-            + u64::from(self.rng.chance(expected.fract()));
+        let count = expected.floor() as u64 + u64::from(self.rng.chance(expected.fract()));
         if count == 0 {
             return;
         }
@@ -244,7 +248,11 @@ impl FaultPlan {
             let at = lo + self.rng.next_below(slice / 2).max(1);
             let span = self.cfg.max_downtime.micros() - self.cfg.min_downtime.micros();
             let down = self.cfg.min_downtime.micros()
-                + if span == 0 { 0 } else { self.rng.next_below(span + 1) };
+                + if span == 0 {
+                    0
+                } else {
+                    self.rng.next_below(span + 1)
+                };
             // Clamp the restart inside this target's slice so crashes stay
             // disjoint even with generous downtimes.
             let restart = (at + down.max(1)).min(lo + slice - 1);
@@ -302,7 +310,9 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(p.message_fate(), MsgFate::Deliver);
         }
-        assert!(p.crash_schedule(8, SimDuration::from_millis(100)).is_empty());
+        assert!(p
+            .crash_schedule(8, SimDuration::from_millis(100))
+            .is_empty());
     }
 
     #[test]
@@ -314,9 +324,17 @@ mod tests {
         let (n, drops, dups, delays) = p.message_stats();
         assert_eq!(n, 20_000);
         let frac = |x: u64| x as f64 / n as f64;
-        assert!((frac(drops) - 0.02).abs() < 0.01, "drop rate {}", frac(drops));
+        assert!(
+            (frac(drops) - 0.02).abs() < 0.01,
+            "drop rate {}",
+            frac(drops)
+        );
         assert!((frac(dups) - 0.02).abs() < 0.01, "dup rate {}", frac(dups));
-        assert!((frac(delays) - 0.05).abs() < 0.02, "delay rate {}", frac(delays));
+        assert!(
+            (frac(delays) - 0.05).abs() < 0.02,
+            "delay rate {}",
+            frac(delays)
+        );
     }
 
     #[test]
@@ -366,7 +384,10 @@ mod tests {
         assert_eq!(snap.counter("fault.msg{fate=drop}"), drops);
         assert_eq!(snap.counter("fault.msg{fate=duplicate}"), dups);
         assert_eq!(snap.counter("fault.msg{fate=delay}"), delays);
-        assert!(drops > 0 && dups > 0 && delays > 0, "chaotic cfg fires faults");
+        assert!(
+            drops > 0 && dups > 0 && delays > 0,
+            "chaotic cfg fires faults"
+        );
         let dn = crashes
             .iter()
             .filter(|e| matches!(e.target, CrashTarget::DataNode(_)))

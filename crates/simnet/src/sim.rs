@@ -108,10 +108,7 @@ impl<W> Sim<W> {
                 break;
             }
             self.heap.pop();
-            let slot = self
-                .keys
-                .remove(&(seq,))
-                .expect("event key must exist");
+            let slot = self.keys.remove(&(seq,)).expect("event key must exist");
             let f = self.slots[slot].take().expect("event must be present");
             self.free.push(slot);
             self.now = at;
@@ -133,10 +130,7 @@ impl<W> Sim<W> {
     pub fn run(&mut self, world: &mut W) -> u64 {
         let mut n = 0;
         while let Some(Reverse((at, seq))) = self.heap.pop() {
-            let slot = self
-                .keys
-                .remove(&(seq,))
-                .expect("event key must exist");
+            let slot = self.keys.remove(&(seq,)).expect("event key must exist");
             let f = self.slots[slot].take().expect("event must be present");
             self.free.push(slot);
             self.now = at;
@@ -238,7 +232,11 @@ mod tests {
         sim.run_until(&mut world, SimInstant(100));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.events.scheduled"), 3);
-        assert_eq!(snap.counter("sim.events.executed"), 2, "horizon event pending");
+        assert_eq!(
+            snap.counter("sim.events.executed"),
+            2,
+            "horizon event pending"
+        );
         sim.run(&mut world);
         assert_eq!(reg.snapshot().counter("sim.events.executed"), 3);
         assert_eq!(sim.executed(), 3);

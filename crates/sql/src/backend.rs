@@ -319,8 +319,7 @@ impl ExecBackend for LocalBackend<'_> {
                 return scan_sys_rows(snapshot, table, predicate, emit);
             }
         }
-        let judge =
-            MemoVisibility::new(SnapshotVisibility::new(&self.snap, self.mgr.clog(), None));
+        let judge = MemoVisibility::new(SnapshotVisibility::new(&self.snap, self.mgr.clog(), None));
         let t = self.catalog.get(table)?;
         emit_matching(t.scan(&judge).map(|(_tid, row)| row), predicate, emit)
     }
@@ -350,12 +349,7 @@ impl ExecBackend for LocalBackend<'_> {
         let t = self.catalog.get(table)?;
         let lo_key = bound_key(lo);
         let hi_key = bound_key(hi);
-        let mut hits = t.range_probe(
-            index_id,
-            bound_ref(&lo_key),
-            bound_ref(&hi_key),
-            &judge,
-        )?;
+        let mut hits = t.range_probe(index_id, bound_ref(&lo_key), bound_ref(&hi_key), &judge)?;
         // Index order → heap order, matching the sequential plan's output.
         hits.sort_unstable_by_key(|&(tid, _)| tid);
         collect_matching(hits.into_iter().map(|(_tid, row)| row), residual)

@@ -232,15 +232,13 @@ impl CompiledProgram {
                         .map(|&k| {
                             eq_key_value(&exprs[k as usize]).ok_or_else(|| {
                                 HdmError::Execution(
-                                    "index probe key is not a column = value equality"
-                                        .into(),
+                                    "index probe key is not a column = value equality".into(),
                                 )
                             })
                         })
                         .collect::<Result<_>>()?;
                     let r = residual.map(|x| &exprs[x as usize]);
-                    regs[*dst as usize] =
-                        backend.point_get(table, *index_id, &key_values, r)?;
+                    regs[*dst as usize] = backend.point_get(table, *index_id, &key_values, r)?;
                     out = *dst as usize;
                 }
                 Op::Project {
@@ -303,7 +301,9 @@ mod tests {
     #[test]
     fn compiles_linear_chains_only() {
         let mut db = setup();
-        let plan = db.plan_only("select a + 1 from t where b > 10 limit 2").unwrap();
+        let plan = db
+            .plan_only("select a + 1 from t where b > 10 limit 2")
+            .unwrap();
         let prog = compile(&plan).expect("linear chain compiles");
         assert!(prog.op_count() >= 2);
         assert_eq!(prog.steps.len(), 2); // scan + limit

@@ -20,7 +20,9 @@ use crate::profile::ChainProfiler;
 use crate::session::{BoundSets, CachedPlan, EngineState, Facade, Session};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Datum, Result, Row, Schema};
-use hdm_telemetry::{MetricsRegistry, SharedClock, SharedHistory, SharedRecorder, StatementProfile};
+use hdm_telemetry::{
+    MetricsRegistry, SharedClock, SharedHistory, SharedRecorder, StatementProfile,
+};
 use hdm_txn::{LocalTxnManager, SnapshotVisibility};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -73,7 +75,10 @@ pub struct QueryResult {
 impl QueryResult {
     /// First column of the first row as an integer (test convenience).
     pub fn scalar_int(&self) -> Option<i64> {
-        self.rows.first().and_then(|r| r.get(0)).and_then(Datum::as_int)
+        self.rows
+            .first()
+            .and_then(|r| r.get(0))
+            .and_then(Datum::as_int)
     }
 }
 
@@ -150,7 +155,8 @@ impl Database {
     /// Force a window capture now (harnesses cut windows at deterministic
     /// points; no-op without an attached history engine).
     pub fn capture_history_now(&mut self) {
-        self.session.capture_history_now(|| engine_state(self.metrics.as_ref()));
+        self.session
+            .capture_history_now(|| engine_state(self.metrics.as_ref()));
     }
 
     /// Profile every SELECT even without a recorder attached, surfacing
@@ -269,20 +275,27 @@ impl Facade for Database {
         // Materialize CTEs in order; later CTEs may reference earlier ones.
         let mut temp: TempRels = TempRels::new();
         for (name, sub) in &s.with {
-            let plan = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
-                .with_sys(sys_snap)
-                .plan_select(sub, &temp)?;
+            let plan = Planner::new(
+                &self.catalog,
+                self.session.hints.as_deref(),
+                &self.table_funcs,
+            )
+            .with_sys(sys_snap)
+            .plan_select(sub, &temp)?;
             let mut obs = Vec::new();
             let rows = {
-                let mut be =
-                    LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
+                let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr).with_sys(sys_snap);
                 execute(&plan, &mut be, &mut obs, None)?
             };
             self.session.observe(&obs);
             temp.insert(name.to_ascii_lowercase(), (plan.schema.clone(), rows));
         }
-        let mut p = Planner::new(&self.catalog, self.session.hints.as_deref(), &self.table_funcs)
-            .with_sys(sys_snap);
+        let mut p = Planner::new(
+            &self.catalog,
+            self.session.hints.as_deref(),
+            &self.table_funcs,
+        )
+        .with_sys(sys_snap);
         let plan = p.plan_select(s, &temp)?;
         Ok((plan, p.info, ()))
     }
@@ -326,7 +339,9 @@ impl Facade for Database {
             execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))?
         };
         let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+        Ok(self
+            .session
+            .finish_select(plan, rows, steps, planning, profile))
     }
 
     /// Rehint the program's step estimates against the plan store and run
@@ -341,7 +356,9 @@ impl Facade for Database {
     ) -> Result<QueryResult> {
         let (ests, mut planning) = self.rehint_steps(&prog.steps);
         planning.replans = replans;
-        let bound = profiled.map(|_| prog.profile_plan(plan, params, &ests)).transpose()?;
+        let bound = profiled
+            .map(|_| prog.profile_plan(plan, params, &ests))
+            .transpose()?;
         let mut prof = self.session.profiler(profiled);
         let mut steps = Vec::new();
         let rows = {
@@ -353,7 +370,9 @@ impl Facade for Database {
             prog.run(params, &ests, &mut be, &mut steps, chain.as_mut())?
         };
         let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
-        Ok(self.session.finish_select(plan, rows, steps, planning, profile))
+        Ok(self
+            .session
+            .finish_select(plan, rows, steps, planning, profile))
     }
 
     fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
@@ -408,7 +427,8 @@ impl Facade for Database {
 
     /// The embedded engine has no event journal to record regressions in.
     fn after_statement(&mut self) {
-        self.session.maybe_capture_history(|| engine_state(self.metrics.as_ref()));
+        self.session
+            .maybe_capture_history(|| engine_state(self.metrics.as_ref()));
     }
 }
 
@@ -427,11 +447,8 @@ mod tests {
                 .iter()
                 .map(|i| format!("({}, {})", i % 200, i % 100))
                 .collect();
-            db.execute(&format!(
-                "insert into olap.t1 values {}",
-                values.join(", ")
-            ))
-            .unwrap();
+            db.execute(&format!("insert into olap.t1 values {}", values.join(", ")))
+                .unwrap();
         }
         // t2: 200 rows, a2 = i.
         let values: Vec<String> = (0..200i64).map(|i| format!("({i})")).collect();
@@ -503,7 +520,9 @@ mod tests {
     #[test]
     fn global_aggregate_without_group() {
         let mut db = setup();
-        let r = db.execute("select count(*), min(b1), max(b1) from olap.t1").unwrap();
+        let r = db
+            .execute("select count(*), min(b1), max(b1) from olap.t1")
+            .unwrap();
         assert_eq!(r.rows[0], row![1000, 0, 99]);
     }
 
@@ -550,7 +569,8 @@ mod tests {
         let mut db = Database::new();
         db.execute("create table a (x int)").unwrap();
         db.execute("create table b (x int)").unwrap();
-        db.execute("insert into a values (1), (2), (2), (3)").unwrap();
+        db.execute("insert into a values (1), (2), (2), (3)")
+            .unwrap();
         db.execute("insert into b values (2), (3), (4)").unwrap();
         let rows = db
             .query("select x from a union select x from b order by x")
@@ -610,9 +630,7 @@ mod tests {
         }
         let mut db = setup();
         db.set_plan_store(Rc::new(Fixed), Rc::new(Nop));
-        let plan = db
-            .plan_only("select * from olap.t1 where b1 > 10")
-            .unwrap();
+        let plan = db.plan_only("select * from olap.t1 where b1 > 10").unwrap();
         assert_eq!(plan.est_rows(), 123_456.0);
     }
 
@@ -680,7 +698,9 @@ mod tests {
             .unwrap();
         let rows = db.query("select distinct a from t order by a").unwrap();
         assert_eq!(rows, vec![row![1], row![2]]);
-        let rows = db.query("select distinct a, b from t order by a, b").unwrap();
+        let rows = db
+            .query("select distinct a, b from t order by a, b")
+            .unwrap();
         assert_eq!(rows.len(), 3);
         // Non-distinct control.
         assert_eq!(db.query("select a from t").unwrap().len(), 4);
@@ -735,6 +755,9 @@ mod tests {
         db.execute("create table t (a int)").unwrap();
         assert!(db.execute("select b from t").is_err());
         assert!(db.execute("insert into t values (1, 2)").is_err());
-        assert!(db.execute("select a, count(*) from t").is_err(), "a not grouped");
+        assert!(
+            db.execute("select a, count(*) from t").is_err(),
+            "a not grouped"
+        );
     }
 }

@@ -99,10 +99,7 @@ pub fn execute(
             // Build on the right input.
             let mut table: HashMap<Vec<Datum>, Vec<&Row>> = HashMap::new();
             for r in &right {
-                let key: Vec<Datum> = right_keys
-                    .iter()
-                    .map(|&k| r.values()[k].clone())
-                    .collect();
+                let key: Vec<Datum> = right_keys.iter().map(|&k| r.values()[k].clone()).collect();
                 if key.iter().any(Datum::is_null) {
                     continue; // NULL never equi-joins.
                 }
@@ -110,8 +107,7 @@ pub fn execute(
             }
             let mut out = Vec::new();
             for l in &left {
-                let key: Vec<Datum> =
-                    left_keys.iter().map(|&k| l.values()[k].clone()).collect();
+                let key: Vec<Datum> = left_keys.iter().map(|&k| l.values()[k].clone()).collect();
                 if key.iter().any(Datum::is_null) {
                     continue;
                 }
@@ -140,13 +136,25 @@ pub fn execute(
                 out.push(Row::new(vals));
                 Ok(())
             };
-            drive(&plan.children[0], backend, obs, prof.as_deref_mut(), &mut project)?;
+            drive(
+                &plan.children[0],
+                backend,
+                obs,
+                prof.as_deref_mut(),
+                &mut project,
+            )?;
             out
         }
         PlanOp::HashAgg { group, aggs } => {
             let mut agg = Aggregate::new(group, aggs);
             let mut consume = |r: &Row| agg.push(r.values());
-            drive(&plan.children[0], backend, obs, prof.as_deref_mut(), &mut consume)?;
+            drive(
+                &plan.children[0],
+                backend,
+                obs,
+                prof.as_deref_mut(),
+                &mut consume,
+            )?;
             agg.finish()
         }
         PlanOp::Sort { keys } => {
@@ -243,7 +251,13 @@ fn drive(
                 }
                 Ok(())
             };
-            drive(&plan.children[0], backend, obs, prof.as_deref_mut(), &mut filter)?;
+            drive(
+                &plan.children[0],
+                backend,
+                obs,
+                prof.as_deref_mut(),
+                &mut filter,
+            )?;
             n
         }
         _ => unreachable!("streams() admits only scans and filters over them"),

@@ -180,14 +180,10 @@ impl SExpr {
                 }
             }
             SExpr::Func(name, args) => {
-                let vals: Vec<Datum> =
-                    args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
+                let vals: Vec<Datum> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
                 scalar_func(name, &vals)
             }
-            SExpr::Param(i) => Err(HdmError::Execution(format!(
-                "unbound parameter ?{}",
-                i + 1
-            ))),
+            SExpr::Param(i) => Err(HdmError::Execution(format!("unbound parameter ?{}", i + 1))),
         }
     }
 
@@ -428,7 +424,9 @@ pub fn bind(e: &Expr, schema: &BoundSchema) -> Result<SExpr> {
             }
             Ok(SExpr::Func(
                 name.clone(),
-                args.iter().map(|a| bind(a, schema)).collect::<Result<_>>()?,
+                args.iter()
+                    .map(|a| bind(a, schema))
+                    .collect::<Result<_>>()?,
             ))
         }
         Expr::Param(i) => Ok(SExpr::Param(*i)),
@@ -519,11 +517,7 @@ mod tests {
     #[test]
     fn eval_arithmetic_and_comparison() {
         let s = schema();
-        let e = bind(
-            &crate::parser_test_expr("a1 + 2 * b1 > 10"),
-            &s,
-        )
-        .unwrap();
+        let e = bind(&crate::parser_test_expr("a1 + 2 * b1 > 10"), &s).unwrap();
         let row = [Datum::Int(4), Datum::Int(3)];
         assert_eq!(e.eval(&row).unwrap(), Datum::Bool(false));
         let row = [Datum::Int(5), Datum::Int(3)];
@@ -555,10 +549,7 @@ mod tests {
             Datum::Bool(false)
         );
         // NULL AND TRUE = NULL
-        assert_eq!(
-            e.eval(&[Datum::Null, Datum::Int(5)]).unwrap(),
-            Datum::Null
-        );
+        assert_eq!(e.eval(&[Datum::Null, Datum::Int(5)]).unwrap(), Datum::Null);
     }
 
     /// `eval_filter` against the generic evaluator as oracle: over generated
@@ -584,7 +575,14 @@ mod tests {
             Datum::Timestamp(0),
             Datum::Timestamp(1),
         ];
-        let cmps = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        let cmps = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
         const COLS: usize = 3;
         fn operand(rng: &mut SplitMix64, values: &[Datum]) -> SExpr {
             if rng.chance(0.5) {
@@ -635,7 +633,10 @@ mod tests {
                 Err(_) => errors += 1,
             }
         }
-        assert!(kept > 1_000 && errors > 1_000, "grid too narrow: {kept} kept, {errors} errors");
+        assert!(
+            kept > 1_000 && errors > 1_000,
+            "grid too narrow: {kept} kept, {errors} errors"
+        );
 
         // The generic path evaluates AND's right side when the left is
         // NULL, so the right side's error surfaces; so must the filter's.
@@ -701,11 +702,7 @@ mod tests {
 
     #[test]
     fn scalar_funcs() {
-        let s = BoundSchema::from_table(
-            "t",
-            "t",
-            &Schema::from_pairs(&[("x", DataType::Text)]),
-        );
+        let s = BoundSchema::from_table("t", "t", &Schema::from_pairs(&[("x", DataType::Text)]));
         let e = bind(&crate::parser_test_expr("upper(x)"), &s).unwrap();
         assert_eq!(
             e.eval(&[Datum::Text("ab".into())]).unwrap(),

@@ -203,10 +203,8 @@ mod tests {
 
     #[test]
     fn lexes_the_table1_query() {
-        let toks = lex(
-            "select * from OLAP.t1, OLAP.t2 \
-             where OLAP.t1.a1=OLAP.t2.a2 and OLAP.t1.b1 > 10",
-        )
+        let toks = lex("select * from OLAP.t1, OLAP.t2 \
+             where OLAP.t1.a1=OLAP.t2.a2 and OLAP.t1.b1 > 10")
         .unwrap();
         assert!(toks.contains(&Token::Ident("olap".into())));
         assert!(toks.contains(&Token::Symbol(Sym::Gt)));

@@ -6,9 +6,29 @@ use hdm_common::{DataType, HdmError, Result};
 
 /// Words that terminate an implicit alias position.
 const RESERVED: &[&str] = &[
-    "where", "group", "order", "limit", "union", "intersect", "except", "join", "inner", "on",
-    "as", "and", "or", "not", "values", "set", "from", "by", "asc", "desc", "all",
-    "having", "distinct",
+    "where",
+    "group",
+    "order",
+    "limit",
+    "union",
+    "intersect",
+    "except",
+    "join",
+    "inner",
+    "on",
+    "as",
+    "and",
+    "or",
+    "not",
+    "values",
+    "set",
+    "from",
+    "by",
+    "asc",
+    "desc",
+    "all",
+    "having",
+    "distinct",
 ];
 
 /// Parse one statement (a trailing semicolon is allowed).

@@ -236,7 +236,10 @@ pub enum PlanOp {
 pub enum ExchangeProbe {
     /// Probe the DN-local index whose key columns match `columns` with the
     /// concrete `key`.
-    Eq { columns: Vec<usize>, key: Vec<Datum> },
+    Eq {
+        columns: Vec<usize>,
+        key: Vec<Datum>,
+    },
     /// Walk the DN-local single-column index on `column` between the
     /// concrete bounds.
     Range {
@@ -361,9 +364,7 @@ impl PlanNode {
                     ordered_predicate(predicate, &self.children[0].schema)
                 )
             }
-            PlanOp::NestedLoopJoin { on } => {
-                canon_join(&self.children, on.as_ref(), &self.schema)
-            }
+            PlanOp::NestedLoopJoin { on } => canon_join(&self.children, on.as_ref(), &self.schema),
             PlanOp::HashJoin {
                 left_keys,
                 right_keys,
@@ -388,11 +389,8 @@ impl PlanNode {
                     preds.extend(conjunct_texts(res, &self.schema));
                 }
                 preds.sort();
-                let mut kids: Vec<String> = self
-                    .children
-                    .iter()
-                    .map(|c| c.canonical_inner())
-                    .collect();
+                let mut kids: Vec<String> =
+                    self.children.iter().map(|c| c.canonical_inner()).collect();
                 kids.sort();
                 format!(
                     "JOIN({}, PREDICATE({}))",
@@ -405,8 +403,7 @@ impl PlanNode {
             PlanOp::HashAgg { group, aggs } => {
                 let input = self.children[0].canonical_inner();
                 let ischema = &self.children[0].schema;
-                let mut groups: Vec<String> =
-                    group.iter().map(|g| g.canonical(ischema)).collect();
+                let mut groups: Vec<String> = group.iter().map(|g| g.canonical(ischema)).collect();
                 groups.sort();
                 let mut fns: Vec<String> = aggs
                     .iter()
@@ -427,11 +424,8 @@ impl PlanNode {
                 format!("LIMIT({}, {n})", self.children[0].canonical_inner())
             }
             PlanOp::SetOp { kind, all } => {
-                let mut kids: Vec<String> = self
-                    .children
-                    .iter()
-                    .map(|c| c.canonical_inner())
-                    .collect();
+                let mut kids: Vec<String> =
+                    self.children.iter().map(|c| c.canonical_inner()).collect();
                 // UNION and INTERSECT are commutative; EXCEPT is not.
                 if !matches!(kind, SetOpKind::Except) {
                     kids.sort();
@@ -483,10 +477,9 @@ impl PlanNode {
                 };
                 format!("{access} on {table}{pred} (shards: {shards:?})")
             }
-            PlanOp::Filter { predicate } => format!(
-                "Filter ({})",
-                predicate.display(&self.children[0].schema)
-            ),
+            PlanOp::Filter { predicate } => {
+                format!("Filter ({})", predicate.display(&self.children[0].schema))
+            }
             PlanOp::NestedLoopJoin { .. } => "Nested Loop Join".to_string(),
             PlanOp::HashJoin { .. } => "Hash Join".to_string(),
             PlanOp::Project { .. } => "Project".to_string(),
@@ -524,9 +517,7 @@ impl PlanNode {
             }
             PlanOp::Filter { predicate } => predicate.has_params(),
             PlanOp::NestedLoopJoin { on } => on.as_ref().is_some_and(SExpr::has_params),
-            PlanOp::HashJoin { residual, .. } => {
-                residual.as_ref().is_some_and(SExpr::has_params)
-            }
+            PlanOp::HashJoin { residual, .. } => residual.as_ref().is_some_and(SExpr::has_params),
             PlanOp::Project { exprs } => exprs.iter().any(SExpr::has_params),
             PlanOp::HashAgg { group, aggs } => {
                 group.iter().any(SExpr::has_params)
@@ -926,11 +917,7 @@ mod tests {
         let left = scan_t1();
         let right = scan_t2();
         let schema = left.schema.join(&right.schema);
-        let on = bind(
-            &crate::parser_test_expr("olap.t1.a1 = olap.t2.a2"),
-            &schema,
-        )
-        .unwrap();
+        let on = bind(&crate::parser_test_expr("olap.t1.a1 = olap.t2.a2"), &schema).unwrap();
         let join = PlanNode {
             op: PlanOp::NestedLoopJoin { on: Some(on) },
             children: vec![left, right],
@@ -979,11 +966,7 @@ mod tests {
         let left = scan_t1();
         let right = scan_t2();
         let schema = left.schema.join(&right.schema);
-        let nl_on = bind(
-            &crate::parser_test_expr("olap.t1.a1 = olap.t2.a2"),
-            &schema,
-        )
-        .unwrap();
+        let nl_on = bind(&crate::parser_test_expr("olap.t1.a1 = olap.t2.a2"), &schema).unwrap();
         let nl = PlanNode {
             op: PlanOp::NestedLoopJoin { on: Some(nl_on) },
             children: vec![left.clone(), right.clone()],

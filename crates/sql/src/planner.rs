@@ -344,9 +344,10 @@ impl<'a> Planner<'a> {
                 Ok(())
             }
             TableRef::Function { name, args, alias } => {
-                let f = self.table_funcs.get(name.as_str()).ok_or_else(|| {
-                    HdmError::Catalog(format!("unknown table function {name}"))
-                })?;
+                let f = self
+                    .table_funcs
+                    .get(name.as_str())
+                    .ok_or_else(|| HdmError::Catalog(format!("unknown table function {name}")))?;
                 // Arguments must be constants.
                 let empty = BoundSchema::default();
                 let mut argv = Vec::new();
@@ -543,16 +544,14 @@ impl<'a> Planner<'a> {
                 let range_idx: Vec<usize> = bound
                     .iter()
                     .enumerate()
-                    .filter(|(_, b)| {
-                        matches!(range_bound_parts(b), Some((c, _, _)) if c == key_col)
-                    })
+                    .filter(
+                        |(_, b)| matches!(range_bound_parts(b), Some((c, _, _)) if c == key_col),
+                    )
                     .map(|(i, _)| i)
                     .collect();
                 if !range_idx.is_empty() {
-                    let bound_exprs: Vec<SExpr> = range_idx
-                        .iter()
-                        .map(|&i| bound[i].clone())
-                        .collect();
+                    let bound_exprs: Vec<SExpr> =
+                        range_idx.iter().map(|&i| bound[i].clone()).collect();
                     let residual_exprs: Vec<SExpr> = bound
                         .iter()
                         .enumerate()
@@ -704,8 +703,8 @@ impl<'a> Planner<'a> {
             // Pull out the edges between the joined set and this relation.
             let mut these: Vec<Expr> = Vec::new();
             edges.retain(|(a, b, e)| {
-                let hit = (joined_ids.contains(a) && *b == rid)
-                    || (joined_ids.contains(b) && *a == rid);
+                let hit =
+                    (joined_ids.contains(a) && *b == rid) || (joined_ids.contains(b) && *a == rid);
                 if hit {
                     these.push(e.clone());
                 }
@@ -1045,11 +1044,10 @@ impl<'a> Planner<'a> {
                             DEFAULT_SEL
                         }
                     }
-                    BinOp::And => {
-                        self.selectivity(l, schema) * self.selectivity(r, schema)
+                    BinOp::And => self.selectivity(l, schema) * self.selectivity(r, schema),
+                    BinOp::Or => {
+                        (self.selectivity(l, schema) + self.selectivity(r, schema)).min(1.0)
                     }
-                    BinOp::Or => (self.selectivity(l, schema) + self.selectivity(r, schema))
-                        .min(1.0),
                     _ => DEFAULT_SEL,
                 }
             }
@@ -1059,16 +1057,11 @@ impl<'a> Planner<'a> {
 
     /// Uniform-distribution range selectivity from column min/max.
     fn range_selectivity(&self, col: &BoundColumn, op: &BinOp, lit: &Datum) -> f64 {
-        let Some(stats) = self
-            .catalog
-            .get(&col.canonq)
-            .ok()
-            .and_then(|t| {
-                t.schema()
-                    .index_of(&col.name)
-                    .and_then(|i| t.stats().map(|s| s.columns[i].clone()))
-            })
-        else {
+        let Some(stats) = self.catalog.get(&col.canonq).ok().and_then(|t| {
+            t.schema()
+                .index_of(&col.name)
+                .and_then(|i| t.stats().map(|s| s.columns[i].clone()))
+        }) else {
             return DEFAULT_SEL;
         };
         let (Some(min), Some(max), Some(v)) = (
@@ -1108,7 +1101,13 @@ pub fn and_all(exprs: Vec<SExpr>) -> Option<SExpr> {
 /// Build a node whose operator adds `cpu` work on top of its children's
 /// accumulated cost (the common case for CN-side operators, which touch no
 /// storage or network).
-fn cpu_node(op: PlanOp, children: Vec<PlanNode>, rows: f64, cpu: f64, schema: BoundSchema) -> PlanNode {
+fn cpu_node(
+    op: PlanOp,
+    children: Vec<PlanNode>,
+    rows: f64,
+    cpu: f64,
+    schema: BoundSchema,
+) -> PlanNode {
     let cost = CostEstimate::of_children(&children).with(rows, cpu, 0.0, 0.0);
     PlanNode {
         op,
@@ -1138,11 +1137,7 @@ fn index_cost(rows: f64, base: f64, fetched: f64) -> CostEstimate {
 }
 
 /// Output schema of a HashAgg: group columns then aggregate results.
-fn agg_output_schema(
-    group: &[SExpr],
-    aggs: &[AggCall],
-    ischema: &BoundSchema,
-) -> BoundSchema {
+fn agg_output_schema(group: &[SExpr], aggs: &[AggCall], ischema: &BoundSchema) -> BoundSchema {
     let mut cols = Vec::new();
     for (i, g) in group.iter().enumerate() {
         let col = match g {
@@ -1218,7 +1213,13 @@ fn rewrite_agg_expr(
         }
         Expr::Binary { op, left, right } => Ok(SExpr::Binary(
             *op,
-            Box::new(rewrite_agg_expr(left, group_ast, group_bound, ischema, aggs)?),
+            Box::new(rewrite_agg_expr(
+                left,
+                group_ast,
+                group_bound,
+                ischema,
+                aggs,
+            )?),
             Box::new(rewrite_agg_expr(
                 right,
                 group_ast,
@@ -1229,7 +1230,13 @@ fn rewrite_agg_expr(
         )),
         Expr::Unary { op, expr } => Ok(SExpr::Unary(
             *op,
-            Box::new(rewrite_agg_expr(expr, group_ast, group_bound, ischema, aggs)?),
+            Box::new(rewrite_agg_expr(
+                expr,
+                group_ast,
+                group_bound,
+                ischema,
+                aggs,
+            )?),
         )),
         Expr::Literal(l) => Ok(SExpr::Lit(crate::expr::lit_to_datum(l))),
         Expr::Param(i) => Ok(SExpr::Param(*i)),

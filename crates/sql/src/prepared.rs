@@ -285,11 +285,8 @@ impl<T: Clone> PlanCache<T> {
 
     /// Entries sorted by canonical text (the `sys.prepared` row source).
     pub fn snapshot(&self) -> Vec<(&str, &CacheEntry<T>)> {
-        let mut v: Vec<(&str, &CacheEntry<T>)> = self
-            .entries
-            .iter()
-            .map(|(k, e)| (k.as_str(), e))
-            .collect();
+        let mut v: Vec<(&str, &CacheEntry<T>)> =
+            self.entries.iter().map(|(k, e)| (k.as_str(), e)).collect();
         v.sort_by_key(|(k, _)| *k);
         v
     }
@@ -367,8 +364,7 @@ pub fn bind_slots(
 /// Int, Float and Timestamp are mutually coercible (SQL numeric comparison
 /// semantics); everything else must match exactly. NULL always binds.
 fn types_compatible(expected: DataType, got: DataType) -> bool {
-    let numeric =
-        |t: DataType| matches!(t, DataType::Int | DataType::Float | DataType::Timestamp);
+    let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float | DataType::Timestamp);
     expected == got || (numeric(expected) && numeric(got))
 }
 
@@ -446,10 +442,7 @@ fn walk_plan_types(node: &PlanNode, types: &mut Vec<Option<DataType>>) {
                 visit(k, &node.children[0].schema);
             }
         }
-        PlanOp::Values { .. }
-        | PlanOp::Limit { .. }
-        | PlanOp::SetOp { .. }
-        | PlanOp::Distinct => {}
+        PlanOp::Values { .. } | PlanOp::Limit { .. } | PlanOp::SetOp { .. } | PlanOp::Distinct => {}
     }
     for c in &node.children {
         walk_plan_types(c, types);
@@ -659,12 +652,10 @@ fn subst_select(s: &SelectStmt, params: &[Datum]) -> Result<SelectStmt> {
             .iter()
             .map(|item| match item {
                 crate::ast::SelectItem::Star => Ok(crate::ast::SelectItem::Star),
-                crate::ast::SelectItem::Expr { expr, alias } => {
-                    Ok(crate::ast::SelectItem::Expr {
-                        expr: subst_expr(expr, params)?,
-                        alias: alias.clone(),
-                    })
-                }
+                crate::ast::SelectItem::Expr { expr, alias } => Ok(crate::ast::SelectItem::Expr {
+                    expr: subst_expr(expr, params)?,
+                    alias: alias.clone(),
+                }),
             })
             .collect::<Result<_>>()?,
         from: s
@@ -873,8 +864,7 @@ pub trait QueryApi {
     fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle>;
 
     /// Execute a prepared handle with positional parameter values.
-    fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum])
-        -> Result<QueryResult>;
+    fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult>;
 
     /// Execute one statement under explicit execution options.
     fn execute_opts(&mut self, sql: &str, opts: ExecOptions) -> Result<QueryResult>;
@@ -969,7 +959,9 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(canonicalize("select * from sys.metrics").unwrap().is_none());
-        assert!(canonicalize("select v from doubler(3) d").unwrap().is_none());
+        assert!(canonicalize("select v from doubler(3) d")
+            .unwrap()
+            .is_none());
         // Whitelisted scalar/aggregate calls stay cacheable.
         assert!(canonicalize("select count(*) from t where length(s) > 2")
             .unwrap()
@@ -1007,23 +999,18 @@ mod tests {
         let slots = vec![None, Some(Datum::Int(7)), None];
         let err = bind_slots(&slots, &[], &[Datum::Int(1)]).unwrap_err();
         assert!(
-            err.to_string().contains("statement has 2 parameters; got 1"),
+            err.to_string()
+                .contains("statement has 2 parameters; got 1"),
             "{err}"
         );
         let types = vec![Some(DataType::Int), None, Some(DataType::Text)];
-        let err =
-            bind_slots(&slots, &types, &[Datum::Int(1), Datum::Int(2)]).unwrap_err();
+        let err = bind_slots(&slots, &types, &[Datum::Int(1), Datum::Int(2)]).unwrap_err();
         assert!(
             err.to_string()
                 .contains("parameter ?2 type mismatch: expected TEXT, got INT"),
             "{err}"
         );
-        let full = bind_slots(
-            &slots,
-            &types,
-            &[Datum::Int(1), Datum::Text("x".into())],
-        )
-        .unwrap();
+        let full = bind_slots(&slots, &types, &[Datum::Int(1), Datum::Text("x".into())]).unwrap();
         assert_eq!(
             full,
             vec![Datum::Int(1), Datum::Int(7), Datum::Text("x".into())]
@@ -1046,8 +1033,7 @@ mod tests {
     #[test]
     fn ast_substitution_inlines_literals() {
         let stmt = crate::parser::parse("update t set a = ? where b = ?").unwrap();
-        let bound =
-            substitute_statement_params(&stmt, &[Datum::Int(5), Datum::Int(9)]).unwrap();
+        let bound = substitute_statement_params(&stmt, &[Datum::Int(5), Datum::Int(9)]).unwrap();
         let Statement::Update {
             sets, where_clause, ..
         } = bound

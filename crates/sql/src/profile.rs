@@ -242,10 +242,15 @@ mod tests {
     fn observations_walk_post_order_and_skip_uncaptured_nodes() {
         let tree = OpProfile {
             kind: "join".into(),
-            ..op(Some("JOIN(A, B)"), 10.0, 4, vec![
-                op(Some("SCAN(A)"), 5.0, 2, vec![]),
-                op(None, 0.0, 0, vec![op(Some("SCAN(B)"), 6.0, 2, vec![])]),
-            ])
+            ..op(
+                Some("JOIN(A, B)"),
+                10.0,
+                4,
+                vec![
+                    op(Some("SCAN(A)"), 5.0, 2, vec![]),
+                    op(None, 0.0, 0, vec![op(Some("SCAN(B)"), 6.0, 2, vec![])]),
+                ],
+            )
         };
         let obs = observations(Some(&tree));
         let texts: Vec<&str> = obs.iter().map(|o| o.text.as_str()).collect();
@@ -267,9 +272,12 @@ mod tests {
             rows_out: 30,
             gtm_interactions: 0,
             twopc_legs: 0,
-            root: Some(op(Some("SCAN(T)"), 10.0, 30, vec![
-                op(Some("SCAN(U)"), 10.0, 11, vec![]),
-            ])),
+            root: Some(op(
+                Some("SCAN(T)"),
+                10.0,
+                30,
+                vec![op(Some("SCAN(U)"), 10.0, 11, vec![])],
+            )),
         };
         let lines = render_analyze(&profile, 2.0);
         assert!(lines[0].contains("[MISESTIMATE x3.0]"), "{}", lines[0]);
@@ -281,8 +289,16 @@ mod tests {
     fn render_includes_shard_legs() {
         let mut root = op(Some("EXCHANGE(SCAN(T), SHARDS(0,1))"), 4.0, 4, vec![]);
         root.shards = vec![
-            ShardLeg { shard: 0, rows: 3, time_us: 7 },
-            ShardLeg { shard: 1, rows: 1, time_us: 9 },
+            ShardLeg {
+                shard: 0,
+                rows: 3,
+                time_us: 7,
+            },
+            ShardLeg {
+                shard: 1,
+                rows: 1,
+                time_us: 9,
+            },
         ];
         root.loops = 2;
         let profile = StatementProfile {
@@ -298,7 +314,15 @@ mod tests {
             root: Some(root),
         };
         let lines = render_analyze(&profile, 2.0);
-        assert!(lines[1].contains("[shard 0] rows=3 time=7us"), "{}", lines[1]);
-        assert!(lines[2].contains("[shard 1] rows=1 time=9us"), "{}", lines[2]);
+        assert!(
+            lines[1].contains("[shard 0] rows=3 time=7us"),
+            "{}",
+            lines[1]
+        );
+        assert!(
+            lines[2].contains("[shard 1] rows=1 time=9us"),
+            "{}",
+            lines[2]
+        );
     }
 }

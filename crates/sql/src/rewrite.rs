@@ -43,9 +43,7 @@ pub fn rewrite_statement(stmt: &mut Statement) {
     match stmt {
         Statement::Select(s) => rewrite_select(s),
         Statement::Update {
-            sets,
-            where_clause,
-            ..
+            sets, where_clause, ..
         } => {
             for (_, e) in sets.iter_mut() {
                 *e = fold(std::mem::replace(e, Expr::int(0)));
@@ -175,8 +173,9 @@ pub fn fold(e: Expr) -> Expr {
         } => match (*left, *right) {
             (t @ Expr::Literal(Literal::Bool(true)), _)
             | (_, t @ Expr::Literal(Literal::Bool(true))) => t,
-            (Expr::Literal(Literal::Bool(false)), x)
-            | (x, Expr::Literal(Literal::Bool(false))) => x,
+            (Expr::Literal(Literal::Bool(false)), x) | (x, Expr::Literal(Literal::Bool(false))) => {
+                x
+            }
             (l, r) => Expr::bin(BinOp::Or, l, r),
         },
         Expr::Unary {
@@ -268,7 +267,10 @@ mod tests {
     #[test]
     fn boolean_identities() {
         assert_eq!(folded("a > 1 and 1 = 1"), parser_test_expr("a > 1"));
-        assert_eq!(folded("a > 1 and 1 = 2"), Expr::Literal(Literal::Bool(false)));
+        assert_eq!(
+            folded("a > 1 and 1 = 2"),
+            Expr::Literal(Literal::Bool(false))
+        );
         assert_eq!(folded("a > 1 or 1 = 1"), Expr::Literal(Literal::Bool(true)));
         assert_eq!(folded("a > 1 or false"), parser_test_expr("a > 1"));
     }

@@ -601,10 +601,7 @@ mod tests {
                 "select sql from sys.statements union select step from sys.plan_store",
                 &["sys.plan_store", "sys.statements"],
             ),
-            (
-                "explain select lag from sys.shards",
-                &["sys.shards"],
-            ),
+            ("explain select lag from sys.shards", &["sys.shards"]),
         ];
         for (sql, want) in cases {
             let stmt = parse(sql).expect(sql);

@@ -151,9 +151,7 @@ impl Batch {
     /// Validate live rows against a schema (debug/assertion helper).
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         for row in self.to_rows() {
-            schema
-                .validate_row(&row)
-                .map_err(HdmError::Execution)?;
+            schema.validate_row(&row).map_err(HdmError::Execution)?;
         }
         Ok(())
     }

@@ -66,8 +66,7 @@ impl ColumnStore {
         for c in 0..width {
             let mut chunks = Vec::new();
             for chunk_rows in rows.chunks(CHUNK_ROWS) {
-                let values: Vec<Datum> =
-                    chunk_rows.iter().map(|r| r.values()[c].clone()).collect();
+                let values: Vec<Datum> = chunk_rows.iter().map(|r| r.values()[c].clone()).collect();
                 chunks.push(encode_auto(&values));
             }
             columns.push(ColumnData {

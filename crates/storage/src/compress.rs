@@ -107,10 +107,9 @@ impl Chunk {
                 }
                 out
             }
-            Chunk::Dict { dict, codes } => codes
-                .iter()
-                .map(|&c| dict[c as usize].clone())
-                .collect(),
+            Chunk::Dict { dict, codes } => {
+                codes.iter().map(|&c| dict[c as usize].clone()).collect()
+            }
             Chunk::DeltaI64 {
                 base,
                 deltas,
@@ -315,8 +314,7 @@ mod tests {
 
     #[test]
     fn auto_picks_reasonable_codecs() {
-        let sorted_flags: Vec<Datum> =
-            std::iter::repeat_n(Datum::Bool(true), 500).collect();
+        let sorted_flags: Vec<Datum> = std::iter::repeat_n(Datum::Bool(true), 500).collect();
         assert_eq!(encode_auto(&sorted_flags).encoding(), Encoding::Rle);
 
         let seq = ints(0..500);
@@ -328,7 +326,12 @@ mod tests {
     #[test]
     fn random_access_matches_decode() {
         let data: Vec<Datum> = (0..100).map(|i| Datum::Int(i * 7 % 13)).collect();
-        for enc in [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::DeltaI64] {
+        for enc in [
+            Encoding::Plain,
+            Encoding::Rle,
+            Encoding::Dict,
+            Encoding::DeltaI64,
+        ] {
             let c = encode_as(&data, enc).unwrap();
             let full = c.decode();
             for idx in [0usize, 1, 50, 99] {
@@ -340,7 +343,12 @@ mod tests {
 
     #[test]
     fn empty_input_round_trips() {
-        for enc in [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::DeltaI64] {
+        for enc in [
+            Encoding::Plain,
+            Encoding::Rle,
+            Encoding::Dict,
+            Encoding::DeltaI64,
+        ] {
             let c = encode_as(&[], enc).unwrap();
             assert_eq!(c.len(), 0);
             assert!(c.decode().is_empty());

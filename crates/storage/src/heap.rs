@@ -239,10 +239,7 @@ mod tests {
     #[test]
     fn unknown_tid_is_storage_error() {
         let mut heap = HeapTable::new();
-        assert_eq!(
-            heap.delete(TA, TupleId(7)).unwrap_err().class(),
-            "storage"
-        );
+        assert_eq!(heap.delete(TA, TupleId(7)).unwrap_err().class(), "storage");
     }
 
     #[test]

@@ -91,9 +91,7 @@ impl Table {
 
     /// Insert a row as transaction `xid`.
     pub fn insert(&mut self, xid: Xid, row: Row) -> Result<TupleId> {
-        self.schema
-            .validate_row(&row)
-            .map_err(HdmError::Storage)?;
+        self.schema.validate_row(&row).map_err(HdmError::Storage)?;
         let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(&row)).collect();
         let tid = self.heap.insert(xid, row);
         for (ix, key) in self.indexes.iter_mut().zip(keys) {
@@ -112,11 +110,7 @@ impl Table {
         self.schema
             .validate_row(&new_row)
             .map_err(HdmError::Storage)?;
-        let keys: Vec<IndexKey> = self
-            .indexes
-            .iter()
-            .map(|ix| ix.key_of(&new_row))
-            .collect();
+        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(&new_row)).collect();
         let new_tid = self.heap.update(xid, tid, new_row)?;
         for (ix, key) in self.indexes.iter_mut().zip(keys) {
             ix.insert(key, new_tid);

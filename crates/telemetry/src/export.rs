@@ -40,7 +40,12 @@ fn write_fields(out: &mut String, fields: &[(String, String)]) {
 }
 
 fn write_event(out: &mut String, e: &SpanEvent) {
-    let _ = write!(out, "{{\"at_us\":{},\"name\":\"{}\",\"fields\":", e.at_us, esc(&e.name));
+    let _ = write!(
+        out,
+        "{{\"at_us\":{},\"name\":\"{}\",\"fields\":",
+        e.at_us,
+        esc(&e.name)
+    );
     write_fields(out, &e.fields);
     out.push('}');
 }
@@ -84,10 +89,18 @@ pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
 pub fn metrics_to_jsonl(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (k, v) in &snap.counters {
-        let _ = writeln!(out, "{{\"type\":\"counter\",\"key\":\"{}\",\"value\":{v}}}", esc(k));
+        let _ = writeln!(
+            out,
+            "{{\"type\":\"counter\",\"key\":\"{}\",\"value\":{v}}}",
+            esc(k)
+        );
     }
     for (k, v) in &snap.gauges {
-        let _ = writeln!(out, "{{\"type\":\"gauge\",\"key\":\"{}\",\"value\":{v}}}", esc(k));
+        let _ = writeln!(
+            out,
+            "{{\"type\":\"gauge\",\"key\":\"{}\",\"value\":{v}}}",
+            esc(k)
+        );
     }
     for (k, h) in &snap.histograms {
         let _ = writeln!(
@@ -281,9 +294,15 @@ mod tests {
         let text = metrics_console(&reg.snapshot());
         assert!(text.contains("counter   txn.commit{path=single} = 2"));
         assert!(text.contains("gauge     inflight = 3"));
-        let hist_line = text.lines().find(|l| l.starts_with("histogram lat")).unwrap();
+        let hist_line = text
+            .lines()
+            .find(|l| l.starts_with("histogram lat"))
+            .unwrap();
         for needle in ["n=100", "p50=", "p95=", "p99=", "max=100us"] {
-            assert!(hist_line.contains(needle), "missing {needle} in {hist_line}");
+            assert!(
+                hist_line.contains(needle),
+                "missing {needle} in {hist_line}"
+            );
         }
     }
 

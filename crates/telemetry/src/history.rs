@@ -236,7 +236,10 @@ const HIT_RATE_MIN_LOOKUPS: u64 = 4;
 /// deterministic; callers decide where findings go (the cluster journals
 /// them as `history.regression` events, the autonomous anomaly manager
 /// surfaces them to the driver).
-pub fn detect_regressions(baseline: &[&WorkloadSnapshot], cur: &WorkloadSnapshot) -> Vec<Regression> {
+pub fn detect_regressions(
+    baseline: &[&WorkloadSnapshot],
+    cur: &WorkloadSnapshot,
+) -> Vec<Regression> {
     let mut out = Vec::new();
     if baseline.is_empty() {
         return out;
@@ -307,9 +310,10 @@ pub fn detect_regressions(baseline: &[&WorkloadSnapshot], cur: &WorkloadSnapshot
         .iter()
         .filter_map(|w| hit_rate(w.cache_hits, w.cache_misses).map(|(r, _)| r))
         .collect();
-    if let (Some((cur_hr, lookups)), false) =
-        (hit_rate(cur.cache_hits, cur.cache_misses), base_hr.is_empty())
-    {
+    if let (Some((cur_hr, lookups)), false) = (
+        hit_rate(cur.cache_hits, cur.cache_misses),
+        base_hr.is_empty(),
+    ) {
         let base = base_hr.iter().sum::<f64>() / base_hr.len() as f64;
         if lookups >= HIT_RATE_MIN_LOOKUPS && base >= 0.5 && cur_hr < 0.5 * base {
             out.push(Regression {
@@ -403,8 +407,16 @@ impl SnapshotEngine {
     /// cursor, delta the metrics, aggregate statements and co-access, and
     /// push the snapshot. Returns regressions of the new window against the
     /// trailing baseline.
-    pub fn capture(&mut self, input: CaptureInput, recorder: Option<&SharedRecorder>) -> Vec<Regression> {
-        let start_us = if self.started { self.window_start_us } else { input.now_us };
+    pub fn capture(
+        &mut self,
+        input: CaptureInput,
+        recorder: Option<&SharedRecorder>,
+    ) -> Vec<Regression> {
+        let start_us = if self.started {
+            self.window_start_us
+        } else {
+            input.now_us
+        };
         let mut stats: BTreeMap<String, StatementWindowStat> = BTreeMap::new();
         let mut coaccess: BTreeMap<(String, String), u64> = BTreeMap::new();
         let mut totals: Vec<u64> = Vec::new();
@@ -418,15 +430,17 @@ impl SnapshotEngine {
                     }
                     totals.push(p.total_us);
                     twopc_legs += p.twopc_legs;
-                    let e = stats.entry(p.sql.clone()).or_insert_with(|| StatementWindowStat {
-                        stmt: p.sql.clone(),
-                        scope: p.scope.clone(),
-                        execs: 0,
-                        total_us: 0,
-                        rows_out: 0,
-                        twopc_legs: 0,
-                        max_misestimate: 1.0,
-                    });
+                    let e = stats
+                        .entry(p.sql.clone())
+                        .or_insert_with(|| StatementWindowStat {
+                            stmt: p.sql.clone(),
+                            scope: p.scope.clone(),
+                            execs: 0,
+                            total_us: 0,
+                            rows_out: 0,
+                            twopc_legs: 0,
+                            max_misestimate: 1.0,
+                        });
                     e.scope = p.scope.clone();
                     e.execs += 1;
                     e.total_us += p.total_us;
@@ -482,7 +496,11 @@ impl SnapshotEngine {
         let coaccess: Vec<CoAccess> = coaccess
             .into_iter()
             .filter(|((stmt, _), _)| keep.contains(stmt))
-            .map(|((stmt, shards), count)| CoAccess { stmt, shards, count })
+            .map(|((stmt, shards), count)| CoAccess {
+                stmt,
+                shards,
+                count,
+            })
             .collect();
 
         let p95_us = if totals.is_empty() {
@@ -541,12 +559,8 @@ impl SnapshotEngine {
         };
 
         let regressions = {
-            let base: Vec<&WorkloadSnapshot> = self
-                .ring
-                .iter()
-                .rev()
-                .take(self.cfg.baseline)
-                .collect();
+            let base: Vec<&WorkloadSnapshot> =
+                self.ring.iter().rev().take(self.cfg.baseline).collect();
             detect_regressions(&base, &snap)
         };
 
@@ -834,7 +848,11 @@ mod tests {
         }
     }
 
-    fn capture_basic(engine: &mut SnapshotEngine, rec: &SharedRecorder, now: u64) -> Vec<Regression> {
+    fn capture_basic(
+        engine: &mut SnapshotEngine,
+        rec: &SharedRecorder,
+        now: u64,
+    ) -> Vec<Regression> {
         engine.capture(
             CaptureInput {
                 now_us: now,
@@ -1023,7 +1041,10 @@ mod tests {
         assert!(kinds.contains(&RegressionKind::TwoPcRate), "{regs:?}");
         assert!(kinds.contains(&RegressionKind::ReplicaLag), "{regs:?}");
         assert_eq!(
-            regs.iter().find(|r| r.kind == RegressionKind::ReplicaLag).unwrap().shard,
+            regs.iter()
+                .find(|r| r.kind == RegressionKind::ReplicaLag)
+                .unwrap()
+                .shard,
             Some(1)
         );
         // A quiet window against the same baseline is clean.
@@ -1055,7 +1076,10 @@ mod tests {
         let regs = detect_regressions(&refs, &mk(2, 400, 1, 9));
         let kinds: Vec<RegressionKind> = regs.iter().map(|r| r.kind).collect();
         assert!(kinds.contains(&RegressionKind::LatencyP95), "{regs:?}");
-        assert!(kinds.contains(&RegressionKind::PlanCacheHitRate), "{regs:?}");
+        assert!(
+            kinds.contains(&RegressionKind::PlanCacheHitRate),
+            "{regs:?}"
+        );
     }
 
     #[test]

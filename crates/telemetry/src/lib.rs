@@ -35,12 +35,11 @@ pub mod timeline;
 pub use clock::{Clock, SharedClock, VirtualClock, WallClock};
 pub use history::{
     detect_regressions, diff, CaptureInput, CoAccess, HistoryConfig, HistoryDiff, Regression,
-    RegressionKind, SharedHistory, ShardWindowStat, SnapshotEngine, StatementWindowStat,
+    RegressionKind, ShardWindowStat, SharedHistory, SnapshotEngine, StatementWindowStat,
     WorkloadSnapshot,
 };
 pub use metrics::{
-    Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricKey, MetricsRegistry,
-    MetricsSnapshot,
+    Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricKey, MetricsRegistry, MetricsSnapshot,
 };
 pub use recorder::{
     FlightRecorder, OpProfile, RecorderConfig, ShardLeg, SharedRecorder, StatementProfile,
@@ -113,7 +112,11 @@ impl fmt::Debug for Telemetry {
             "Telemetry({:?}, {:?}, clock={})",
             self.metrics,
             self.tracer,
-            if self.virt.is_some() { "virtual" } else { "wall" }
+            if self.virt.is_some() {
+                "virtual"
+            } else {
+                "wall"
+            }
         )
     }
 }

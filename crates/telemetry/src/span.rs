@@ -83,7 +83,10 @@ impl Tracer {
     pub fn new(clock: SharedClock) -> Self {
         Self {
             clock,
-            inner: Arc::new(Mutex::new(TracerInner { next_id: 1, ..Default::default() })),
+            inner: Arc::new(Mutex::new(TracerInner {
+                next_id: 1,
+                ..Default::default()
+            })),
         }
     }
 

@@ -131,11 +131,7 @@ pub fn render(report: &TimelineReport) -> String {
             let _ = writeln!(out, "  {name:<14} {mean_us:>10.1}us  {share:>5.1}%");
         }
         if !t.events.is_empty() {
-            let rendered: Vec<String> = t
-                .events
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
+            let rendered: Vec<String> = t.events.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let _ = writeln!(out, "  events: {}", rendered.join(", "));
         }
     }

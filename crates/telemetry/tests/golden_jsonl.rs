@@ -41,12 +41,15 @@ fn scripted_trace() -> Telemetry {
     tel.tracer.end(single);
 
     tel.set_time_us(200);
-    tel.tracer.instant("crash", &[("target", "dn"), ("shard", "1")]);
+    tel.tracer
+        .instant("crash", &[("target", "dn"), ("shard", "1")]);
 
     tel.metrics
         .counter("txn.begin", &[("path", "distributed")])
         .inc();
-    tel.metrics.counter("txn.begin", &[("path", "single")]).inc();
+    tel.metrics
+        .counter("txn.begin", &[("path", "single")])
+        .inc();
     tel.metrics.counter("cn.backoff", &[]).add(2);
     tel.metrics.gauge("gtm.active_txns", &[]).set(1);
     let lat = tel.metrics.histogram("txn.latency", &[("path", "single")]);

@@ -18,7 +18,14 @@ use hdm_telemetry::{FlightRecorder, OpProfile, RecorderConfig, ShardLeg, Stateme
 
 const GOLDEN: &str = include_str!("golden/recorder.jsonl");
 
-fn leaf(label: &str, kind: &str, canonical: Option<&str>, est: f64, rows: u64, us: u64) -> OpProfile {
+fn leaf(
+    label: &str,
+    kind: &str,
+    canonical: Option<&str>,
+    est: f64,
+    rows: u64,
+    us: u64,
+) -> OpProfile {
     OpProfile {
         label: label.to_string(),
         kind: kind.to_string(),
@@ -69,10 +76,26 @@ fn scripted_recorder() -> FlightRecorder {
         loops: 4,
         time_us: 410,
         shards: vec![
-            ShardLeg { shard: 0, rows: 25, time_us: 100 },
-            ShardLeg { shard: 1, rows: 23, time_us: 105 },
-            ShardLeg { shard: 2, rows: 26, time_us: 102 },
-            ShardLeg { shard: 3, rows: 22, time_us: 103 },
+            ShardLeg {
+                shard: 0,
+                rows: 25,
+                time_us: 100,
+            },
+            ShardLeg {
+                shard: 1,
+                rows: 23,
+                time_us: 105,
+            },
+            ShardLeg {
+                shard: 2,
+                rows: 26,
+                time_us: 102,
+            },
+            ShardLeg {
+                shard: 3,
+                rows: 22,
+                time_us: 103,
+            },
         ],
         children: vec![],
     };
@@ -135,10 +158,23 @@ fn every_golden_line_is_a_stmt_object() {
             serde_json::from_str(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
         assert_eq!(v["type"].as_str(), Some("stmt"));
         for field in [
-            "seq", "scope", "sql", "start_us", "plan_us", "exec_us", "total_us", "rows_out",
-            "gtm", "twopc_legs", "slow", "root",
+            "seq",
+            "scope",
+            "sql",
+            "start_us",
+            "plan_us",
+            "exec_us",
+            "total_us",
+            "rows_out",
+            "gtm",
+            "twopc_legs",
+            "slow",
+            "root",
         ] {
-            assert!(!v[field].is_null() || field == "root", "missing {field}: {line}");
+            assert!(
+                !v[field].is_null() || field == "root",
+                "missing {field}: {line}"
+            );
         }
     }
 }
@@ -150,8 +186,14 @@ fn golden_covers_shard_legs_and_the_slow_flag() {
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     assert_eq!(lines[0]["slow"].as_bool(), Some(false));
-    assert_eq!(lines[1]["slow"].as_bool(), Some(true), "552us >= 500us threshold");
-    let shards = lines[1]["root"]["children"][0]["shards"].as_array().unwrap();
+    assert_eq!(
+        lines[1]["slow"].as_bool(),
+        Some(true),
+        "552us >= 500us threshold"
+    );
+    let shards = lines[1]["root"]["children"][0]["shards"]
+        .as_array()
+        .unwrap();
     assert_eq!(shards.len(), 4);
     assert_eq!(shards[1]["rows"].as_u64(), Some(23));
     assert!(lines[2]["root"].is_null());
@@ -161,5 +203,9 @@ fn golden_covers_shard_legs_and_the_slow_flag() {
 #[test]
 #[ignore]
 fn regenerate() {
-    std::fs::write("/tmp/hdm_golden_recorder.jsonl", scripted_recorder().to_jsonl()).unwrap();
+    std::fs::write(
+        "/tmp/hdm_golden_recorder.jsonl",
+        scripted_recorder().to_jsonl(),
+    )
+    .unwrap();
 }

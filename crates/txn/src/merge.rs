@@ -305,7 +305,11 @@ mod tests {
         });
         assert!(!out.merged.sees(Xid(4)), "T1 stays hidden");
         assert!(out.merged.sees(Xid(6)), "T4 restored by UPGRADE");
-        assert_eq!(out.downgraded, vec![Xid(4)], "T4 removed from downgrade list");
+        assert_eq!(
+            out.downgraded,
+            vec![Xid(4)],
+            "T4 removed from downgrade list"
+        );
         assert!(
             out.upgrade_waits.is_empty(),
             "T4 already committed locally: no wait"
@@ -328,7 +332,7 @@ mod tests {
             xid_map: &map,
             gxid_of: &|x| rev.get(&x).copied(),
             globally_committed: &|g| g == Xid(90), // even committed *after*
-            // the snapshot it must stay invisible to this reader
+                                                   // the snapshot it must stay invisible to this reader
         });
         assert!(!out.merged.sees(Xid(4)));
     }

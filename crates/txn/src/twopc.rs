@@ -129,9 +129,7 @@ impl TwoPcCoordinator {
             )));
         }
         if self.votes.len() == self.participants.len() {
-            return Err(HdmError::TxnState(
-                "vote timeout with all votes in".into(),
-            ));
+            return Err(HdmError::TxnState("vote timeout with all votes in".into()));
         }
         self.state = TwoPcState::Aborting;
         Ok(Decision::Abort)

@@ -66,8 +66,7 @@ pub fn mme_schema_chain() -> Vec<ObjectSchema> {
         ),
         (
             6,
-            vec![FieldDef::new("volte_profile", FieldType::Str)
-                .with_default(json!("default"))],
+            vec![FieldDef::new("volte_profile", FieldType::Str).with_default(json!("default"))],
         ),
         (
             7,
@@ -86,8 +85,13 @@ pub fn mme_schema_chain() -> Vec<ObjectSchema> {
     for (version, extra) in additions {
         fields.extend(extra);
         out.push(
-            ObjectSchema::new("mme_session", version, RecordSchema::new(fields.clone()), "id")
-                .expect("static schema"),
+            ObjectSchema::new(
+                "mme_session",
+                version,
+                RecordSchema::new(fields.clone()),
+                "id",
+            )
+            .expect("static schema"),
         );
     }
     out
@@ -184,10 +188,7 @@ mod tests {
         for &v in &MME_VERSIONS {
             let obj = generate_session(&mut rng, v, &cfg);
             let size = serde_json::to_string(&obj).unwrap().len();
-            assert!(
-                (5_000..=10_000).contains(&size),
-                "v{v} session is {size}B"
-            );
+            assert!((5_000..=10_000).contains(&size), "v{v} session is {size}B");
         }
     }
 
@@ -197,7 +198,11 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let obj = generate_session(&mut rng, 3, &MmeConfig::default());
         let (v8, _) = reg.convert("mme_session", &obj, 3, 8).unwrap();
-        reg.get("mme_session", 8).unwrap().root.validate(&v8).unwrap();
+        reg.get("mme_session", 8)
+            .unwrap()
+            .root
+            .validate(&v8)
+            .unwrap();
         assert_eq!(v8["slice_id"], json!(0), "default fills");
         let (back, _) = reg.convert("mme_session", &v8, 8, 3).unwrap();
         assert_eq!(back, obj);

@@ -205,9 +205,7 @@ impl DistCorpus {
                 .to_string(),
         );
         // Total-order LIMIT (deterministic across backends).
-        q.push(
-            "select * from orders order by amount, cust, region limit 25".to_string(),
-        );
+        q.push("select * from orders order by amount, cust, region limit 25".to_string());
         // Pruned scan with a residual predicate.
         let k = rng.next_below(self.custs as u64);
         q.push(format!(
@@ -261,7 +259,10 @@ mod tests {
         let warm = db.execute(q).unwrap();
         let scan = &warm.steps[0];
         let err_warm = (scan.estimated - scan.actual as f64).abs() / scan.actual.max(1) as f64;
-        assert!(err_warm < 0.01, "warm estimate should match actual: {err_warm}");
+        assert!(
+            err_warm < 0.01,
+            "warm estimate should match actual: {err_warm}"
+        );
     }
 
     #[test]
@@ -284,6 +285,9 @@ mod tests {
         for q in &queries {
             warm_hits += db.execute(q).unwrap().planning.hint_hits;
         }
-        assert!(warm_hits > cold_hits + 3, "cold={cold_hits} warm={warm_hits}");
+        assert!(
+            warm_hits > cold_hits + 3,
+            "cold={cold_hits} warm={warm_hits}"
+        );
     }
 }

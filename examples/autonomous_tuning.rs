@@ -9,8 +9,7 @@
 //! Run: `cargo run --example autonomous_tuning`
 
 use huawei_dm::autonomous::{
-    AnomalyManager, ChangeManager, InformationStore, LinearRegression, SlaPolicy,
-    WorkloadManager,
+    AnomalyManager, ChangeManager, InformationStore, LinearRegression, SlaPolicy, WorkloadManager,
 };
 use huawei_dm::common::SplitMix64;
 
@@ -87,7 +86,10 @@ fn main() -> hdm_common::Result<()> {
         anomalies.check_heartbeats(t);
     }
     for a in anomalies.take_events() {
-        println!("  [{:?}] {} @tick {}: {}", a.class, a.subject, a.tick, a.detail);
+        println!(
+            "  [{:?}] {} @tick {}: {}",
+            a.class, a.subject, a.tick, a.detail
+        );
     }
 
     // A bad change gets rolled back (self-configuring).

@@ -26,7 +26,11 @@ fn main() -> hdm_common::Result<()> {
 
     // Offline: phone records a run; watch records heart rate. No Internet.
     for i in 0..5u64 {
-        phone.write(1_000_000 * i, &format!("location/run/{i}"), Some("47.37,8.54"))?;
+        phone.write(
+            1_000_000 * i,
+            &format!("location/run/{i}"),
+            Some("47.37,8.54"),
+        )?;
         watch.write(1_000_000 * i + 500, &format!("health/hr/{i}"), Some("142"))?;
     }
 

@@ -44,7 +44,10 @@ fn main() -> hdm_common::Result<()> {
     // --- Relational: car ownership and person records ---
     mm.sql("create table car2cid (carid text, cid int)")?;
     for c in 0..6 {
-        mm.sql(&format!("insert into car2cid values ('car-{c}', {})", 11110 + c))?;
+        mm.sql(&format!(
+            "insert into car2cid values ('car-{c}', {})",
+            11110 + c
+        ))?;
     }
     mm.sql("create table persons (cid int, phone text, photo text)")?;
     for p in 1..=6 {

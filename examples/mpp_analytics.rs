@@ -14,14 +14,22 @@ use huawei_dm::common::{Datum, Result};
 
 fn main() -> Result<()> {
     let mut db = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(4)))?;
-    println!("MPP cluster: {} data nodes\n", db.cluster().shard_map().all().count());
+    println!(
+        "MPP cluster: {} data nodes\n",
+        db.cluster().shard_map().all().count()
+    );
 
     // Star schema: sales distributed by sale_id, customers by cust_id.
     db.execute("create table sales (sale_id int, cust_id int, region int, amount int)")?;
     db.execute("create table customers (cust_id int, segment text)")?;
     let mut rows = Vec::new();
     for i in 0..20_000i64 {
-        rows.push(format!("({i}, {}, {}, {})", i % 500, i % 8, (i * 13) % 1000));
+        rows.push(format!(
+            "({i}, {}, {}, {})",
+            i % 500,
+            i % 8,
+            (i * 13) % 1000
+        ));
         if rows.len() == 1000 {
             db.execute(&format!("insert into sales values {}", rows.join(",")))?;
             rows.clear();

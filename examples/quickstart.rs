@@ -53,7 +53,9 @@ fn main() -> hdm_common::Result<()> {
 
     // --- The learning optimizer ---
     db.sql("create table events (kind int)")?;
-    let vals: Vec<String> = (0..3000).map(|i| format!("({})", if i % 50 == 0 { 1 } else { 0 })).collect();
+    let vals: Vec<String> = (0..3000)
+        .map(|i| format!("({})", if i % 50 == 0 { 1 } else { 0 }))
+        .collect();
     for chunk in vals.chunks(500) {
         db.sql(&format!("insert into events values {}", chunk.join(",")))?;
     }

@@ -27,7 +27,10 @@ fn main() -> hdm_common::Result<()> {
         let session = generate_session(&mut rng, 3, &cfg);
         keys.push(gmdb.put("mme_session", 3, session)?);
     }
-    println!("V3 MME serving {} sessions (5-10KB tree objects)", keys.len());
+    println!(
+        "V3 MME serving {} sessions (5-10KB tree objects)",
+        keys.len()
+    );
 
     // A phone attaches: the V3 app updates its session via a delta.
     let old = gmdb.get("mme_session", &keys[0], 3)?;
@@ -74,9 +77,14 @@ fn main() -> hdm_common::Result<()> {
     let v5_session = generate_session(&mut rng, 5, &cfg);
     let key5 = gmdb.put("mme_session", 5, v5_session)?;
     let v3_view = gmdb.get("mme_session", &key5, 3)?;
-    assert!(v3_view.get("csfb_capable").is_none(), "V3 never sees V5 fields");
-    println!("V3 app reads V5 session: downgraded view has {} fields",
-        v3_view.as_object().unwrap().len());
+    assert!(
+        v3_view.get("csfb_capable").is_none(),
+        "V3 never sees V5 fields"
+    );
+    println!(
+        "V3 app reads V5 session: downgraded view has {} fields",
+        v3_view.as_object().unwrap().len()
+    );
 
     // Rollback drill (Fig 8's downgrade path): a V5-written object is
     // readable by V3 — so rolling the application back is safe.

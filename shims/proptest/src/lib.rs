@@ -310,8 +310,8 @@ macro_rules! prop_assert_ne {
 pub mod prelude {
     pub use crate::collection::vec;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary,
-        Just, Strategy, TestRng,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary, Just,
+        Strategy, TestRng,
     };
 }
 

@@ -194,7 +194,10 @@ impl Map<String, Value> {
         self.inner.contains_key(key.as_ref())
     }
 
-    pub fn entry(&mut self, key: impl Into<String>) -> std::collections::btree_map::Entry<'_, String, Value> {
+    pub fn entry(
+        &mut self,
+        key: impl Into<String>,
+    ) -> std::collections::btree_map::Entry<'_, String, Value> {
         self.inner.entry(key.into())
     }
 
@@ -373,10 +376,7 @@ impl ValueIndex for str {
             *v = Value::Object(Map::new());
         }
         match v {
-            Value::Object(m) => m
-                .inner
-                .entry(self.to_string())
-                .or_insert(Value::Null),
+            Value::Object(m) => m.inner.entry(self.to_string()).or_insert(Value::Null),
             other => panic!("cannot index {} with a string key", kind(other)),
         }
     }
@@ -435,9 +435,7 @@ impl ValueIndex for usize {
 
     fn index_or_insert<'v>(&self, v: &'v mut Value) -> &'v mut Value {
         match v {
-            Value::Array(a) => a
-                .get_mut(*self)
-                .expect("array index out of bounds"),
+            Value::Array(a) => a.get_mut(*self).expect("array index out of bounds"),
             other => panic!("cannot index {} with a usize", kind(other)),
         }
     }
@@ -693,9 +691,7 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                 } else {
                                     None

@@ -9,7 +9,10 @@ use huawei_dm::cluster::{make_key, Cluster, ClusterConfig, MergePolicy};
 fn anomaly1_repaired_by_upgrade() {
     let naive = run_anomaly1(MergePolicy::Naive).unwrap();
     let full = run_anomaly1(MergePolicy::Full).unwrap();
-    assert!(!naive.consistent, "naive merge must miss the committed write");
+    assert!(
+        !naive.consistent,
+        "naive merge must miss the committed write"
+    );
     assert!(full.consistent, "UPGRADE must wait for the local commit");
     assert_eq!(full.a, Some(1));
     assert_eq!(full.b, Some(1));
@@ -22,7 +25,11 @@ fn anomaly2_repaired_by_downgrade() {
     // The paper's tuple table: naive view exposes tuple1 AND tuple3.
     assert_eq!(naive.a_versions, vec![0, 2]);
     assert!(!naive.consistent);
-    assert_eq!(full.a_versions, vec![0], "DOWNGRADE hides T3's dependent write");
+    assert_eq!(
+        full.a_versions,
+        vec![0],
+        "DOWNGRADE hides T3's dependent write"
+    );
     assert!(full.consistent);
 }
 

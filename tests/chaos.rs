@@ -69,7 +69,10 @@ fn same_seed_yields_byte_identical_telemetry() {
         assert_eq!(snap.counter("fault.msg{fate=drop}"), drops);
         assert_eq!(snap.counter("fault.msg{fate=duplicate}"), dups);
         assert_eq!(snap.counter("fault.msg{fate=delay}"), delays);
-        assert!(snap.counter("cn.backoff") > 0, "seed {seed:#x}: no backoffs");
+        assert!(
+            snap.counter("cn.backoff") > 0,
+            "seed {seed:#x}: no backoffs"
+        );
         assert!(
             snap.counter("fault.crash{target=dn}") + snap.counter("fault.crash{target=gtm}") > 0,
             "seed {seed:#x}: no crashes injected"

@@ -161,8 +161,14 @@ fn telemetry_and_fault_scripts_do_not_change_the_executor() {
             assert_eq!(r.rows, bare.rows, "{name}: rows diverged for {q}");
             assert_eq!(r.columns, bare.columns, "{name}: columns diverged for {q}");
             assert_eq!(r.steps, bare.steps, "{name}: steps diverged for {q}");
-            assert_eq!(r.planning, bare.planning, "{name}: planning diverged for {q}");
-            assert_eq!(r.affected, bare.affected, "{name}: affected diverged for {q}");
+            assert_eq!(
+                r.planning, bare.planning,
+                "{name}: planning diverged for {q}"
+            );
+            assert_eq!(
+                r.affected, bare.affected,
+                "{name}: affected diverged for {q}"
+            );
             assert_eq!(
                 db.counters(),
                 twins[0].1.counters(),
@@ -170,7 +176,10 @@ fn telemetry_and_fault_scripts_do_not_change_the_executor() {
             );
         }
     }
-    assert!(script.borrow().tick > 0, "the script twin ticked per fragment");
+    assert!(
+        script.borrow().tick > 0,
+        "the script twin ticked per fragment"
+    );
 }
 
 #[test]
@@ -274,7 +283,9 @@ fn or_on_shard_key_scatters_to_every_shard() {
         "top-level OR must defeat pruning"
     );
     // Contrast: plain equality pins the scan to one leg.
-    let plan = dist.plan_only("select * from orders where cust = 1").unwrap();
+    let plan = dist
+        .plan_only("select * from orders where cust = 1")
+        .unwrap();
     assert_eq!(exchange_fanouts(&plan), vec![1]);
 }
 
@@ -326,25 +337,55 @@ fn secondary_index_access_paths_are_cost_gated_and_equivalent() {
 
     // Selective equality on a non-shard-key column: index probe on both
     // engines (the distributed side pushes the probe into each Exchange leg).
-    let l = explain_text(&local.execute("explain select * from orders where region = 5").unwrap());
+    let l = explain_text(
+        &local
+            .execute("explain select * from orders where region = 5")
+            .unwrap(),
+    );
     assert!(l.contains("Index Scan on orders"), "local eq plan:\n{l}");
-    let d = explain_text(&dist.execute("explain select * from orders where region = 5").unwrap());
+    let d = explain_text(
+        &dist
+            .execute("explain select * from orders where region = 5")
+            .unwrap(),
+    );
     assert!(d.contains("Exchange Index Scan"), "dist eq plan:\n{d}");
 
     // Selective range: index range walk on both engines.
-    let l = explain_text(&local.execute("explain select * from orders where amount > 950").unwrap());
-    assert!(l.contains("Index Range Scan on orders"), "local range plan:\n{l}");
-    let d = explain_text(&dist.execute("explain select * from orders where amount > 950").unwrap());
-    assert!(d.contains("Exchange Index Range Scan"), "dist range plan:\n{d}");
+    let l = explain_text(
+        &local
+            .execute("explain select * from orders where amount > 950")
+            .unwrap(),
+    );
+    assert!(
+        l.contains("Index Range Scan on orders"),
+        "local range plan:\n{l}"
+    );
+    let d = explain_text(
+        &dist
+            .execute("explain select * from orders where amount > 950")
+            .unwrap(),
+    );
+    assert!(
+        d.contains("Exchange Index Range Scan"),
+        "dist range plan:\n{d}"
+    );
 
     // Non-selective range: the cost gate falls back to the sequential scan
     // even though a covering index exists.
-    let l = explain_text(&local.execute("explain select * from orders where amount > 100").unwrap());
+    let l = explain_text(
+        &local
+            .execute("explain select * from orders where amount > 100")
+            .unwrap(),
+    );
     assert!(
         l.contains("Seq Scan on orders") && !l.contains("Index"),
         "local wide-range plan must stay sequential:\n{l}"
     );
-    let d = explain_text(&dist.execute("explain select * from orders where amount > 100").unwrap());
+    let d = explain_text(
+        &dist
+            .execute("explain select * from orders where amount > 100")
+            .unwrap(),
+    );
     assert!(
         d.contains("Exchange Scan") && !d.contains("Index"),
         "dist wide-range plan must stay sequential:\n{d}"
@@ -361,7 +402,10 @@ fn secondary_index_access_paths_are_cost_gated_and_equivalent() {
         "select * from orders where region = 3 and amount > 800",
     ] {
         let lr = local.query(q).unwrap_or_else(|e| panic!("local {q}: {e}"));
-        let dr = dist.execute(q).unwrap_or_else(|e| panic!("dist {q}: {e}")).rows;
+        let dr = dist
+            .execute(q)
+            .unwrap_or_else(|e| panic!("dist {q}: {e}"))
+            .rows;
         assert_eq!(sorted(lr), sorted(dr), "indexed query diverged: {q}");
     }
     assert!(
@@ -380,7 +424,10 @@ fn join_order_search_normalizes_written_order() {
         "create table regions (region int, pop int)",
         &format!(
             "insert into regions values {}",
-            (0..8).map(|i| format!("({i}, {})", (i + 1) * 1000)).collect::<Vec<_>>().join(",")
+            (0..8)
+                .map(|i| format!("({i}, {})", (i + 1) * 1000))
+                .collect::<Vec<_>>()
+                .join(",")
         ),
         "analyze",
     ] {

@@ -94,7 +94,11 @@ fn single_dn_crash_mid_sweep_is_invisible_to_a_retrying_client() {
         let (tick, probes) = (script.borrow().tick, faulted.counters().index_probes);
         let want = sorted(clean.execute(q).unwrap().rows);
         assert_eq!(want, sorted(faulted.execute(q).unwrap().rows));
-        assert_eq!(script.borrow().tick, tick + fragments, "one tick per fragment: {q}");
+        assert_eq!(
+            script.borrow().tick,
+            tick + fragments,
+            "one tick per fragment: {q}"
+        );
         assert_eq!(
             faulted.counters().index_probes,
             probes + u64::from(fragments == 1),
@@ -204,20 +208,33 @@ fn secondary_index_probe_path_survives_failover() {
     db.cluster_mut().pump_replication(0).unwrap();
     for s in 0..SHARDS {
         db.cluster_mut().crash_node(ShardId::new(s as u64));
-        assert!(db.cluster_mut().try_failover(ShardId::new(s as u64)).unwrap());
+        assert!(db
+            .cluster_mut()
+            .try_failover(ShardId::new(s as u64))
+            .unwrap());
     }
 
     let before = db.counters().index_probes;
     let got = db.execute(q).unwrap();
-    assert_eq!(sorted(got.rows), want, "promoted replicas serve the same rows");
+    assert_eq!(
+        sorted(got.rows),
+        want,
+        "promoted replicas serve the same rows"
+    );
     assert!(
         db.counters().index_probes > before,
         "the probe path must survive promotion (not fall back to full scans)"
     );
 
     // The planner still advertises the probed access path post-failover.
-    let plan = db.execute("explain select * from orders where region = 5").unwrap();
-    let text: Vec<String> = plan.rows.iter().map(|r| format!("{:?}", r.values()[0])).collect();
+    let plan = db
+        .execute("explain select * from orders where region = 5")
+        .unwrap();
+    let text: Vec<String> = plan
+        .rows
+        .iter()
+        .map(|r| format!("{:?}", r.values()[0]))
+        .collect();
     assert!(
         text.iter().any(|l| l.contains("Exchange Index Scan")),
         "explain must keep the probed Exchange: {text:?}"
@@ -261,7 +278,10 @@ fn keyed_dml_over_duplicate_rows_survives_promoting_every_shard() {
 
     for s in 0..SHARDS {
         db.cluster_mut().crash_node(ShardId::new(s as u64));
-        assert!(db.cluster_mut().try_failover(ShardId::new(s as u64)).unwrap());
+        assert!(db
+            .cluster_mut()
+            .try_failover(ShardId::new(s as u64))
+            .unwrap());
     }
     let got = sorted(db.execute("select * from dup").unwrap().rows);
     assert_eq!(got, want, "promoted replicas hold the primary's multiset");

@@ -28,7 +28,10 @@ use huawei_dm::telemetry::{
 };
 use std::sync::Arc;
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/history_views.txt");
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/history_views.txt"
+);
 
 const VIEWS: &[&str] = &[
     "sys.config",
@@ -88,7 +91,8 @@ fn embedded_scenario() -> (Database, Arc<VirtualClock>, SharedHistory) {
     db.attach_history(history.clone());
 
     clock.set(1_000);
-    db.execute("create table orders (cust int, amount int)").unwrap();
+    db.execute("create table orders (cust int, amount int)")
+        .unwrap();
     let vals: Vec<String> = (0..16i64)
         .map(|i| format!("({}, {})", i % 8, (i + 1) * 100))
         .collect();
@@ -99,7 +103,8 @@ fn embedded_scenario() -> (Database, Arc<VirtualClock>, SharedHistory) {
     db.execute("select * from orders where cust = 3").unwrap();
     // Crosses the 10 ms boundary: window 0 closes with this statement in it.
     clock.set(12_000);
-    db.execute("select count(*), sum(amount) from orders").unwrap();
+    db.execute("select count(*), sum(amount) from orders")
+        .unwrap();
     // A short second window, flushed explicitly.
     clock.set(15_000);
     db.execute("select cust, count(*) from orders where amount > 500 group by cust")
@@ -132,7 +137,8 @@ fn dist_scenario() -> (DistDb, Arc<VirtualClock>, SharedHistory) {
 
     // Window 0: DDL + the (multi-shard) bulk load + two point selects.
     clock.set(1_000);
-    db.execute("create table orders (cust int, amount int)").unwrap();
+    db.execute("create table orders (cust int, amount int)")
+        .unwrap();
     let vals: Vec<String> = (0..16i64)
         .map(|i| format!("({}, {})", i % 8, (i + 1) * 100))
         .collect();
@@ -146,14 +152,16 @@ fn dist_scenario() -> (DistDb, Arc<VirtualClock>, SharedHistory) {
     // (pruned to one shard, zero 2PC legs).
     clock.set(3_000);
     for k in [1i64, 2, 4, 6] {
-        db.execute(&format!("select * from orders where cust = {k}")).unwrap();
+        db.execute(&format!("select * from orders where cust = {k}"))
+            .unwrap();
     }
     // Window 2: four scattered aggregates — 2 2PC legs per statement
     // against a zero-leg baseline. The capture after the 4th journals the
     // twopc_rate history.regression.
     clock.set(4_000);
     for _ in 0..2 {
-        db.execute("select count(*), sum(amount) from orders").unwrap();
+        db.execute("select count(*), sum(amount) from orders")
+            .unwrap();
         db.execute("select cust, count(*) from orders where amount > 500 group by cust")
             .unwrap();
     }
@@ -216,13 +224,19 @@ fn golden_pinned_history_views_on_both_engines() {
     let ev = db
         .execute("select kind, shard, detail from sys.events where kind = 'history.regression'")
         .unwrap();
-    dump("dist: select kind, shard, detail from sys.events where kind = 'history.regression'", &ev, &mut out);
+    dump(
+        "dist: select kind, shard, detail from sys.events where kind = 'history.regression'",
+        &ev,
+        &mut out,
+    );
     assert!(
         !ev.rows.is_empty(),
         "the 2PC spike must journal a history.regression event"
     );
     assert!(
-        ev.rows.iter().any(|r| cell(&r.values()[2]).contains("twopc_rate")),
+        ev.rows
+            .iter()
+            .any(|r| cell(&r.values()[2]).contains("twopc_rate")),
         "regression detail must name the detector: {ev:?}"
     );
 
@@ -230,8 +244,15 @@ fn golden_pinned_history_views_on_both_engines() {
     let shards = db
         .execute("select up, lag from sys.shards where shard = 0")
         .unwrap();
-    assert_eq!(shards.rows[0].values()[0].as_int(), Some(0), "shard 0 must be down");
-    assert!(shards.rows[0].values()[1].as_int().unwrap() > 0, "lag must be visible");
+    assert_eq!(
+        shards.rows[0].values()[0].as_int(),
+        Some(0),
+        "shard 0 must be down"
+    );
+    assert!(
+        shards.rows[0].values()[1].as_int().unwrap() > 0,
+        "lag must be visible"
+    );
 
     if std::env::var("BLESS").is_ok() {
         std::fs::write(GOLDEN, &out).unwrap();
@@ -254,7 +275,10 @@ fn history_jsonl_is_byte_identical_across_same_seed_runs() {
     };
     let (a, b) = (render(), render());
     assert!(!a.is_empty(), "scenario must capture at least one window");
-    assert!(a.lines().all(|l| l.starts_with("{\"type\":\"window\"")), "{a}");
+    assert!(
+        a.lines().all(|l| l.starts_with("{\"type\":\"window\"")),
+        "{a}"
+    );
     assert_eq!(a, b, "same-seed history JSONL diverged");
 }
 
@@ -279,14 +303,19 @@ fn telemetry_export_is_byte_identical_with_history_on_or_off() {
         }
         clock.set(1_000);
         db.execute("create table t (k int, v int)").unwrap();
-        db.execute("insert into t values (0,0),(1,1),(2,2),(3,3)").unwrap();
+        db.execute("insert into t values (0,0),(1,1),(2,2),(3,3)")
+            .unwrap();
         clock.set(2_000);
         db.execute("select * from t where k = 1").unwrap();
         db.execute("select count(*) from t").unwrap();
         db.capture_history_now();
         tel.export_jsonl()
     };
-    assert_eq!(run(true), run(false), "history capture leaked into telemetry");
+    assert_eq!(
+        run(true),
+        run(false),
+        "history capture leaked into telemetry"
+    );
 }
 
 /// One mixed statement stream: DDL, a bulk load, point and scatter reads,
@@ -326,7 +355,10 @@ fn cadence_trace<E: QueryApi>(
     }
     flush(db);
     let w = db
-        .execute_opts("select stmts from sys.history_windows", ExecOptions::default())
+        .execute_opts(
+            "select stmts from sys.history_windows",
+            ExecOptions::default(),
+        )
         .unwrap();
     let stmts = w.rows.iter().map(|r| r.values()[0].as_int().unwrap()).sum();
     (cuts, stmts)
@@ -360,11 +392,20 @@ fn history_hook_cuts_identically_on_both_engines_and_cadences() {
         db.attach_history(history.clone());
         let dist = cadence_trace(&mut db, &clock, &history, DistDb::capture_history_now);
 
-        assert_eq!(embedded.1, n, "{cadence}: embedded windows must hold every statement");
-        assert_eq!(dist.1, n, "{cadence}: dist windows must hold every statement");
+        assert_eq!(
+            embedded.1, n,
+            "{cadence}: embedded windows must hold every statement"
+        );
+        assert_eq!(
+            dist.1, n,
+            "{cadence}: dist windows must hold every statement"
+        );
         if every_stmts > 0 {
             let want: Vec<usize> = (1..=n as usize).map(|i| i / every_stmts as usize).collect();
-            assert_eq!(embedded.0, want, "{cadence}: one window per {every_stmts} statements");
+            assert_eq!(
+                embedded.0, want,
+                "{cadence}: one window per {every_stmts} statements"
+            );
         }
         assert!(
             embedded.0.last() > Some(&2),

@@ -75,14 +75,18 @@ fn corpus_prepared_matches_raw_on_both_engines() {
     // on the second pass plan-store hints feed back into both paths.
     for pass in 0..2 {
         for q in &corpus.queries() {
-            let rl = raw_l.execute(q).unwrap_or_else(|e| panic!("raw local {q}: {e}"));
+            let rl = raw_l
+                .execute(q)
+                .unwrap_or_else(|e| panic!("raw local {q}: {e}"));
             let pl = prepared_run(&mut prep_l, q);
             assert_eq!(
                 fingerprint(&rl),
                 fingerprint(&pl),
                 "local prepared diverged on pass {pass}: {q}"
             );
-            let rd = raw_d.execute(q).unwrap_or_else(|e| panic!("raw dist {q}: {e}"));
+            let rd = raw_d
+                .execute(q)
+                .unwrap_or_else(|e| panic!("raw dist {q}: {e}"));
             let pd = prepared_run(&mut prep_d, q);
             assert_eq!(
                 fingerprint(&rd),
@@ -136,8 +140,12 @@ fn profiled_prepared_matches_raw() {
         for (raw, prep, engine) in [(&rl, &pl, "local"), (&rd, &pd, "dist")] {
             assert_eq!(fingerprint(raw), fingerprint(prep), "{engine}: {q}");
             let (r, p) = (
-                raw.profile.as_ref().unwrap_or_else(|| panic!("{engine} raw profile: {q}")),
-                prep.profile.as_ref().unwrap_or_else(|| panic!("{engine} prep profile: {q}")),
+                raw.profile
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{engine} raw profile: {q}")),
+                prep.profile
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{engine} prep profile: {q}")),
             );
             assert_eq!(r.scope, p.scope, "{engine}: {q}");
             assert_eq!(r.rows_out, p.rows_out, "{engine}: {q}");
@@ -201,13 +209,19 @@ fn recorded_profiles_match_the_golden_on_both_engines() {
                     prepared_run(&mut local, q);
                     prepared_run(&mut dist, q);
                 } else {
-                    local.execute(q).unwrap_or_else(|e| panic!("local {q}: {e}"));
+                    local
+                        .execute(q)
+                        .unwrap_or_else(|e| panic!("local {q}: {e}"));
                     dist.execute(q).unwrap_or_else(|e| panic!("dist {q}: {e}"));
                 }
             }
         }
     }
-    assert_eq!(rec_l.dropped() + rec_d.dropped(), 0, "the recorders keep every statement");
+    assert_eq!(
+        rec_l.dropped() + rec_d.dropped(),
+        0,
+        "the recorders keep every statement"
+    );
     let out = rec_l.to_jsonl() + &rec_d.to_jsonl();
     if std::env::var("BLESS").is_ok() {
         std::fs::write(PROFILES_GOLDEN, &out).unwrap();

@@ -65,7 +65,9 @@ fn distributed_explain_analyze_shows_shard_legs_and_feeds_the_plan_store() {
     // The scatter-gather Exchange breaks down into one leg per shard.
     for shard in 0..SHARDS {
         assert!(
-            lines.iter().any(|l| l.contains(&format!("[shard {shard}]"))),
+            lines
+                .iter()
+                .any(|l| l.contains(&format!("[shard {shard}]"))),
             "missing shard {shard} leg:\n{text}"
         );
     }
@@ -86,8 +88,15 @@ fn distributed_explain_analyze_shows_shard_legs_and_feeds_the_plan_store() {
         .iter()
         .find(|e| e.text.starts_with("EXCHANGE("))
         .expect("misestimated distributed step captured into the plan store");
-    assert!(exchange.text.contains("SHARDS(0,1,2,3)"), "{}", exchange.text);
-    let profile = res.profile.as_ref().expect("EXPLAIN ANALYZE keeps the profile");
+    assert!(
+        exchange.text.contains("SHARDS(0,1,2,3)"),
+        "{}",
+        exchange.text
+    );
+    let profile = res
+        .profile
+        .as_ref()
+        .expect("EXPLAIN ANALYZE keeps the profile");
     assert_eq!(profile.twopc_legs, SHARDS as u64);
 }
 
@@ -130,7 +139,10 @@ fn flight_recorder_jsonl_is_byte_identical_across_same_seed_runs() {
     assert!(!a.is_empty(), "recorder saw the corpus");
     assert!(a.contains("\"type\":\"stmt\""));
     assert!(a.contains("\"scope\":\"single\"") || a.contains("\"scope\":\"multi\""));
-    assert_eq!(a, b, "same seed + same clock schedule must dump identically");
+    assert_eq!(
+        a, b,
+        "same seed + same clock schedule must dump identically"
+    );
 }
 
 /// The embedded twin of [`build_dist`], analyzed.

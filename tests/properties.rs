@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use huawei_dm::common::{DeviceId, Datum, SplitMix64, Xid};
+use huawei_dm::common::{Datum, DeviceId, SplitMix64, Xid};
 use huawei_dm::edgesync::replica::{sync_pair, Role};
 use huawei_dm::edgesync::{Replica, VersionVector};
 use huawei_dm::gmdb::Delta;

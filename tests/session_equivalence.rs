@@ -49,7 +49,10 @@ fn session_facade_is_deterministic() {
         let (cb, jb, sb) = drive(cache, 0xABCD_EF01);
         assert_eq!(ca, cb, "cache={cache}: counters diverged across runs");
         assert_eq!(sa, sb, "cache={cache}: visible state diverged");
-        assert!(ja == jb, "cache={cache}: telemetry JSONL diverged across runs");
+        assert!(
+            ja == jb,
+            "cache={cache}: telemetry JSONL diverged across runs"
+        );
     }
 }
 

@@ -48,7 +48,8 @@ fn plan_store_refreshes_after_dml() {
     let mut db = FiMppDb::new(FiConfig::default());
     db.sql("create table t (a int)").unwrap();
     let vals: Vec<String> = (0..1000).map(|_| "(1)".to_string()).collect();
-    db.sql(&format!("insert into t values {}", vals.join(","))).unwrap();
+    db.sql(&format!("insert into t values {}", vals.join(",")))
+        .unwrap();
     let q = "select * from t where a = 1";
     let r = db.sql(q).unwrap();
     assert_eq!(r.rows.len(), 1000);
@@ -57,7 +58,11 @@ fn plan_store_refreshes_after_dml() {
     db.sql("delete from t where a = 1").unwrap();
     db.sql(q).unwrap(); // actual now 0; store refreshes
     let plan = db.models().relational().plan_only(q).unwrap();
-    assert_eq!(plan.est_rows(), 0.0, "estimate follows the refreshed actual");
+    assert_eq!(
+        plan.est_rows(),
+        0.0,
+        "estimate follows the refreshed actual"
+    );
 }
 
 /// Graph + relational + spatial in one query through the facade.
@@ -76,9 +81,7 @@ fn cross_model_join_through_facade() {
         .unwrap();
     db.models().create_grid("positions", 1.0);
     for id in 1..=4 {
-        db.models()
-            .place("positions", id, id as f64, 0.0)
-            .unwrap();
+        db.models().place("positions", id, id as f64, 0.0).unwrap();
     }
     db.sql("create table users (uid int, name text)").unwrap();
     db.sql("insert into users values (100,'ann'),(200,'bob'),(300,'cee'),(400,'dan')")
@@ -113,7 +116,8 @@ fn aggregation_correctness_spot_check() {
         e.1 += v;
         vals.push(format!("({g}, {v})"));
     }
-    db.sql(&format!("insert into n values {}", vals.join(","))).unwrap();
+    db.sql(&format!("insert into n values {}", vals.join(",")))
+        .unwrap();
     let r = db
         .sql("select g, count(*), sum(v) from n group by g order by g")
         .unwrap();
@@ -135,7 +139,8 @@ fn explain_shows_physical_choices() {
     db.sql("create table big (k int, v int)").unwrap();
     let vals: Vec<String> = (0..2000).map(|i| format!("({i},{i})")).collect();
     for c in vals.chunks(500) {
-        db.sql(&format!("insert into big values {}", c.join(","))).unwrap();
+        db.sql(&format!("insert into big values {}", c.join(",")))
+            .unwrap();
     }
     db.sql("create index on big (k)").unwrap();
     db.sql("analyze").unwrap();

@@ -85,7 +85,8 @@ fn embedded_scenario() -> (Database, Arc<VirtualClock>) {
     db.attach_sys_plan_store(store.sys_dump());
 
     clock.set(1_000);
-    db.execute("create table orders (cust int, amount int)").unwrap();
+    db.execute("create table orders (cust int, amount int)")
+        .unwrap();
     db.execute("create index on orders (amount)").unwrap();
     let vals: Vec<String> = (0..16i64)
         .map(|i| format!("({}, {})", i % 8, (i + 1) * 100))
@@ -124,7 +125,8 @@ fn dist_scenario() -> (DistDb, Arc<VirtualClock>) {
     db.attach_sys_plan_store(store.sys_dump());
 
     clock.set(1_000);
-    db.execute("create table orders (cust int, amount int)").unwrap();
+    db.execute("create table orders (cust int, amount int)")
+        .unwrap();
     db.execute("create index on orders (amount)").unwrap();
     let vals: Vec<String> = (0..16i64)
         .map(|i| format!("({}, {})", i % 8, (i + 1) * 100))
@@ -184,7 +186,11 @@ fn golden_pinned_schema_and_content_on_both_engines() {
     let mid = db
         .execute("select shard, up, epoch, lag from sys.shards")
         .unwrap();
-    dump("dist mid-failover: select shard, up, epoch, lag from sys.shards", &mid, &mut out);
+    dump(
+        "dist mid-failover: select shard, up, epoch, lag from sys.shards",
+        &mid,
+        &mut out,
+    );
     assert!(
         (0..mid.rows.len()).any(|i| int_at(&mid, i, 3) > 0),
         "replication lag must be visible mid-failover: {mid:?}"
@@ -198,15 +204,26 @@ fn golden_pinned_schema_and_content_on_both_engines() {
     db.cluster_mut().pump_replication(0).unwrap();
     clock.set(62_000);
     let after = db.execute("select * from sys.shards").unwrap();
-    dump("dist post-failover: select * from sys.shards", &after, &mut out);
+    dump(
+        "dist post-failover: select * from sys.shards",
+        &after,
+        &mut out,
+    );
     assert_eq!(int_at(&after, 0, 2), 1, "promotion bumps shard 0's epoch");
     let events = db
         .execute("select seq, kind, shard, detail from sys.events")
         .unwrap();
-    dump("dist post-failover: select seq, kind, shard, detail from sys.events", &events, &mut out);
+    dump(
+        "dist post-failover: select seq, kind, shard, detail from sys.events",
+        &events,
+        &mut out,
+    );
     let kinds: Vec<String> = events.rows.iter().map(|r| cell(&r.values()[1])).collect();
     for want in ["crash", "health.degraded", "promote", "health.recovered"] {
-        assert!(kinds.iter().any(|k| k == want), "missing {want} in {kinds:?}");
+        assert!(
+            kinds.iter().any(|k| k == want),
+            "missing {want} in {kinds:?}"
+        );
     }
 
     if std::env::var("BLESS").is_ok() {
@@ -268,7 +285,10 @@ fn sys_views_filter_aggregate_and_join_like_user_tables() {
         r[0].values()[2].as_int().unwrap(),
         r[0].values()[3].as_int().unwrap(),
     );
-    assert!(p50 > 0 && p50 <= p99 && p99 <= max + 1, "p50={p50} p99={p99} max={max}");
+    assert!(
+        p50 > 0 && p50 <= p99 && p99 <= max + 1,
+        "p50={p50} p99={p99} max={max}"
+    );
 }
 
 #[test]
@@ -286,9 +306,15 @@ fn sys_namespace_is_read_only_and_reserved_on_both_engines() {
         let e = dist.execute(dml).unwrap_err().to_string();
         assert!(e.contains("read-only system view"), "dist {dml}: {e}");
     }
-    for ddl in ["create table sys.mine (a int)", "create table SYS.other (a int)"] {
+    for ddl in [
+        "create table sys.mine (a int)",
+        "create table SYS.other (a int)",
+    ] {
         let e = emb.execute(ddl).unwrap_err().to_string();
-        assert!(e.contains("reserved for system views"), "embedded {ddl}: {e}");
+        assert!(
+            e.contains("reserved for system views"),
+            "embedded {ddl}: {e}"
+        );
         let e = dist.execute(ddl).unwrap_err().to_string();
         assert!(e.contains("reserved for system views"), "dist {ddl}: {e}");
     }
