@@ -6,7 +6,6 @@
 //! distinguish a committed from an aborted transaction.
 
 use hdm_common::{HdmError, Result, Xid};
-use std::collections::HashMap;
 
 /// Lifecycle status of one transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,10 +18,22 @@ pub enum TxnStatus {
     Aborted,
 }
 
-/// Status store for one XID namespace.
+/// Status store for one XID namespace: a dense array indexed by
+/// `xid - base`, one byte per XID (PostgreSQL's `pg_xact` is a dense status
+/// array too). A namespace allocates its XIDs densely, so a status probe is
+/// an index, not a hash lookup.
+///
+/// A `None` slot is an XID never begun here or since forgotten; it reads as
+/// `Aborted`. The array is never cut yet, so `base` stays 0.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    statuses: HashMap<u64, TxnStatus>,
+    /// The XID of `statuses[0]`.
+    base: u64,
+    statuses: Vec<Option<TxnStatus>>,
+    /// `Some` slots: the transactions tracked.
+    tracked: usize,
+    /// Slots holding `Committed`.
+    committed: usize,
 }
 
 impl CommitLog {
@@ -32,17 +43,19 @@ impl CommitLog {
 
     /// Register a freshly-allocated XID as in-progress.
     pub fn begin(&mut self, xid: Xid) {
-        self.statuses.insert(xid.raw(), TxnStatus::InProgress);
+        let i = self.index(xid).expect("xid below the clog's base");
+        if i >= self.statuses.len() {
+            self.statuses.resize(i + 1, None);
+        }
+        self.set(i, Some(TxnStatus::InProgress));
     }
 
     pub fn status(&self, xid: Xid) -> TxnStatus {
         // Unknown XIDs are treated as aborted: the namespace never assigned
         // them, so no tuple legitimately carries them (crash-consistent
         // default in PostgreSQL as well).
-        self.statuses
-            .get(&xid.raw())
-            .copied()
-            .unwrap_or(TxnStatus::Aborted)
+        self.slot(xid)
+            .map_or(TxnStatus::Aborted, |(_, status)| status)
     }
 
     pub fn is_committed(&self, xid: Xid) -> bool {
@@ -56,6 +69,7 @@ impl CommitLog {
     /// Transition to `Prepared`. Only valid from `InProgress`.
     pub fn prepare(&mut self, xid: Xid) -> Result<()> {
         self.transition(xid, TxnStatus::Prepared, &[TxnStatus::InProgress])
+            .map(drop)
     }
 
     /// Transition to `Committed`. Valid from `InProgress` (one-phase) or
@@ -66,6 +80,7 @@ impl CommitLog {
             TxnStatus::Committed,
             &[TxnStatus::InProgress, TxnStatus::Prepared],
         )
+        .map(drop)
     }
 
     /// Transition to `Aborted`. Valid from `InProgress` or `Prepared`.
@@ -75,47 +90,63 @@ impl CommitLog {
             TxnStatus::Aborted,
             &[TxnStatus::InProgress, TxnStatus::Prepared],
         )
+        .map(drop)
     }
 
     /// Drop an in-progress transaction that wrote nothing. Only valid from
     /// `InProgress`: no tuple carries the XID, so afterwards it reads as
     /// `Aborted` like any XID this namespace never assigned.
     pub fn forget(&mut self, xid: Xid) -> Result<()> {
-        self.transition(xid, TxnStatus::InProgress, &[TxnStatus::InProgress])?;
-        self.statuses.remove(&xid.raw());
+        let i = self.transition(xid, TxnStatus::InProgress, &[TxnStatus::InProgress])?;
+        self.set(i, None);
         Ok(())
     }
 
-    fn transition(&mut self, xid: Xid, to: TxnStatus, from: &[TxnStatus]) -> Result<()> {
-        let cur = self
-            .statuses
-            .get_mut(&xid.raw())
+    /// Apply a legal transition and return the XID's slot index.
+    fn transition(&mut self, xid: Xid, to: TxnStatus, from: &[TxnStatus]) -> Result<usize> {
+        let (i, cur) = self
+            .slot(xid)
             .ok_or_else(|| HdmError::TxnState(format!("{xid} was never begun here")))?;
-        if !from.contains(cur) {
+        if !from.contains(&cur) {
             return Err(HdmError::TxnState(format!(
                 "{xid}: illegal transition {cur:?} -> {to:?}"
             )));
         }
-        *cur = to;
-        Ok(())
+        self.set(i, Some(to));
+        Ok(i)
+    }
+
+    fn index(&self, xid: Xid) -> Option<usize> {
+        usize::try_from(xid.raw().checked_sub(self.base)?).ok()
+    }
+
+    /// The slot index and status of a tracked XID.
+    fn slot(&self, xid: Xid) -> Option<(usize, TxnStatus)> {
+        let i = self.index(xid)?;
+        Some((i, (*self.statuses.get(i)?)?))
+    }
+
+    /// Overwrite slot `i`, keeping the counters in step.
+    fn set(&mut self, i: usize, to: Option<TxnStatus>) {
+        let from = std::mem::replace(&mut self.statuses[i], to);
+        let committed = |s: Option<TxnStatus>| usize::from(s == Some(TxnStatus::Committed));
+        self.tracked = self.tracked + usize::from(to.is_some()) - usize::from(from.is_some());
+        self.committed = self.committed + committed(to) - committed(from);
     }
 
     /// Number of transactions tracked.
     pub fn len(&self) -> usize {
-        self.statuses.len()
+        self.tracked
     }
 
     /// Number of transactions recorded committed. The GTM seeds its
     /// recovered commit-sequence-number epoch from this.
     pub fn committed_count(&self) -> usize {
-        self.statuses
-            .values()
-            .filter(|s| **s == TxnStatus::Committed)
-            .count()
+        self.committed
     }
 
     pub fn is_empty(&self) -> bool {
-        self.statuses.is_empty()
+        self.tracked == 0
     }
 }
 

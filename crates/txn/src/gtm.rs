@@ -302,6 +302,7 @@ impl Gtm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commitlog::TxnStatus;
 
     #[test]
     fn gxids_ascend() {
@@ -386,6 +387,29 @@ mod tests {
         // Unknown gxids (lost entirely with the crash): presumed abort.
         assert_eq!(g.resolve_in_doubt(Xid(999)), Decision::Abort);
         assert_eq!(g.active_count(), 0, "no in-flight state survives");
+    }
+
+    #[test]
+    fn recovery_from_sparse_gxids_leaves_the_gaps_aborted() {
+        let mut g = Gtm::recover_from_observations(
+            vec![(Xid(100), true), (Xid(5_000), false), (Xid(4_000), true)],
+            5_000,
+        );
+        assert_eq!(g.clog().status(Xid(100)), TxnStatus::Committed);
+        assert_eq!(g.clog().status(Xid(4_000)), TxnStatus::Committed);
+        assert_eq!(g.clog().status(Xid(5_000)), TxnStatus::Aborted);
+        for gap in [Xid(3), Xid(101), Xid(4_999), Xid(5_001)] {
+            assert_eq!(g.clog().status(gap), TxnStatus::Aborted, "{gap}");
+        }
+        assert_eq!(g.next_gxid, 5_001);
+        assert_eq!((g.clog().len(), g.clog().committed_count()), (3, 2));
+        assert_eq!(g.csn(), g.clog().committed_count() as u64);
+        // Fresh gxids land above every observation and commit normally.
+        let fresh = g.begin();
+        assert_eq!(fresh, Xid(5_001));
+        g.commit(fresh).unwrap();
+        assert_eq!(g.csn(), 3);
+        assert_eq!(g.clog().committed_count(), 3);
     }
 
     #[test]
