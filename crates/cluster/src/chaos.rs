@@ -87,10 +87,6 @@ pub struct ChaosConfig {
     pub faults: FaultConfig,
     /// Horizon the crash schedule is spread over.
     pub fault_horizon: SimDuration,
-    /// Enable the CN-side snapshot-epoch cache on the functional cluster,
-    /// so the sweep exercises cached-begin visibility under crashes (the
-    /// cache is invalidated whenever the GTM dies or restarts).
-    pub snapshot_cache: bool,
     /// Attach a virtual-clock [`Telemetry`] bundle: one `transfer` root span
     /// per transfer (fields `cid`, `kind`, retry/abort events) plus the
     /// engine, GTM, fault-plan and retry-policy counters. The attach happens
@@ -114,7 +110,6 @@ impl ChaosConfig {
             cross_fraction: 0.6,
             faults: plan.faults,
             fault_horizon: plan.horizon,
-            snapshot_cache: false,
             telemetry: None,
         }
     }
@@ -526,9 +521,7 @@ fn execute(sim: &mut S, w: &mut World, cid: usize, step: Step, dup: bool) {
 
 /// Run one chaos configuration to quiescence and audit the final state.
 pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
-    let mut ccfg = ClusterConfig::gtm_lite(cfg.shards);
-    ccfg.snapshot_cache = cfg.snapshot_cache;
-    let mut cluster = Cluster::new(ccfg);
+    let mut cluster = Cluster::new(ClusterConfig::gtm_lite(cfg.shards));
     let mut ledger = BTreeMap::new();
 
     // Seed every account with its initial balance (fault-free preamble).

@@ -19,9 +19,10 @@
 //! The audit asserts zero lost and zero double-applied rows: every
 //! statement's result (rows as a multiset, or the affected-count) must
 //! match the twin's, and after healing the cluster the full table contents
-//! must match row for row. [`ChaosDistReport`] compares equal across
-//! same-seed runs (wall-clock timing fields are excluded from `PartialEq`),
-//! which is what the replay-determinism test pins.
+//! must match row for row, and every primary and follower must equal a
+//! replay of its shard's log from record 0. [`ChaosDistReport`] compares
+//! equal across same-seed runs (wall-clock timing fields are excluded from
+//! `PartialEq`), which is what the replay-determinism test pins.
 
 use crate::chaos::FaultPlanBuilder;
 use crate::dist::{DistDb, FaultOp, FaultScript};
@@ -122,6 +123,10 @@ pub struct ChaosDistReport {
     /// statement path that never released its transaction's snapshot
     /// (0 in a correct run; a leak pins the LCO horizon).
     pub leaked_snapshots: u64,
+    /// After healing, every way a primary or follower differs from a
+    /// replay of its shard's log from record 0 (empty in a correct run;
+    /// always empty without replicas, as there is no log).
+    pub replica_divergences: Vec<String>,
     // ---- wall-clock latency decomposition (excluded from PartialEq) ----
     /// Wall time of the fault-free twin phase.
     pub twin_wall_us: u64,
@@ -157,6 +162,7 @@ impl PartialEq for ChaosDistReport {
             && self.audit_diffs == other.audit_diffs
             && self.ticks == other.ticks
             && self.leaked_snapshots == other.leaked_snapshots
+            && self.replica_divergences == other.replica_divergences
             && self.history_windows == other.history_windows
     }
 }
@@ -395,8 +401,9 @@ fn schedule_in_ticks(
 }
 
 /// Run the chaos-dist sweep for one seed. Returns the audit report; the
-/// caller asserts `mismatches == 0 && audit_diffs == 0` (with replicas) and
-/// `report == same-seed rerun` for replay determinism.
+/// caller asserts `mismatches == 0 && audit_diffs == 0` and no
+/// `replica_divergences` (with replicas) and `report == same-seed rerun`
+/// for replay determinism.
 pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
     let stmts = build_script(cfg);
     let mut report = ChaosDistReport {
@@ -446,6 +453,7 @@ pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
     }
     db.cluster_mut().pump_replication(0)?;
     db.set_fault_script(None);
+    report.replica_divergences = db.cluster().replica_divergences();
     let final_tables = audit_tables(&mut db)?;
     for (t, f) in twin_tables.iter().zip(&final_tables) {
         if t != f {
@@ -540,5 +548,6 @@ mod tests {
         assert_eq!(r.mismatches, 0);
         assert_eq!(r.audit_diffs, 0);
         assert_eq!(r.leaked_snapshots, 0);
+        assert_eq!(r.replica_divergences, Vec::<String>::new());
     }
 }

@@ -555,11 +555,6 @@ impl DistDb {
             row("cluster.replicas", cc.replicas.to_string(), "int"),
             row("cluster.shards", cc.shards.to_string(), "int"),
             row(
-                "cluster.snapshot_cache",
-                cc.snapshot_cache.to_string(),
-                "bool",
-            ),
-            row(
                 "events.capacity",
                 crate::health::EVENT_JOURNAL_CAP.to_string(),
                 "int",

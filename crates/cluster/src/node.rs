@@ -195,6 +195,13 @@ impl DataNode {
             .ok_or_else(|| HdmError::Catalog(format!("no table {name} on {}", self.id)))
     }
 
+    /// Every table here with its name, the kv table included.
+    pub(crate) fn named_tables(&self) -> impl Iterator<Item = (&str, &Table)> {
+        self.names
+            .iter()
+            .filter_map(|(name, t)| Some((name.as_str(), self.tables.get(t.0 as usize)?)))
+    }
+
     /// This shard's slice of table `name`, the kv table included.
     pub fn sql_table(&self, name: &str) -> Result<&Table> {
         self.table(self.table_id(name)?)

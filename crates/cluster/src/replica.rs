@@ -35,8 +35,8 @@
 use crate::node::{DataNode, TableId};
 use hdm_common::{HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_storage::heap::TupleId;
-use hdm_txn::Snapshot;
-use std::collections::BTreeSet;
+use hdm_txn::{Snapshot, SnapshotVisibility};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One logical operation of a replicated transaction. SQL ops address
 /// their table by [`TableId`]; the log's `CreateSqlTable` records bind
@@ -352,6 +352,109 @@ impl ReplicaSet {
     /// Replica CSNs of the followers (diagnostics / reports).
     pub fn csns(&self) -> Vec<u64> {
         self.followers.iter().map(|f| f.applied).collect()
+    }
+
+    /// Compare `primary` (if it is up) and every follower with a follower
+    /// of `shard` replayed from record 0 of the log, and describe each
+    /// difference. Followers must also have applied the log up to its
+    /// head. Empty when all agree.
+    pub(crate) fn divergences(&self, shard: ShardId, primary: Option<&DataNode>) -> Vec<String> {
+        let mut oracle = Follower::new(shard);
+        loop {
+            match oracle.apply_next(&self.log) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => return vec![format!("{shard}: replay from record 0 failed: {e}")],
+            }
+        }
+        let want = ReplicaState::of(&oracle.node, &self.log);
+        let mut out = Vec::new();
+        if let Some(node) = primary {
+            want.compare(
+                &ReplicaState::of(node, &self.log),
+                &format!("{shard} primary"),
+                &mut out,
+            );
+        }
+        for (j, f) in self.followers.iter().enumerate() {
+            let who = format!("{shard} follower {j}");
+            if f.applied != self.log.head() {
+                out.push(format!(
+                    "{who}: applied {} of {} records",
+                    f.applied,
+                    self.log.head()
+                ));
+            }
+            want.compare(&ReplicaState::of(&f.node, &self.log), &who, &mut out);
+        }
+        out
+    }
+}
+
+/// Everything a replica's durable state answers: the visible rows of each
+/// table (the kv table, i.e. the kv pairs, included) as a multiset, the
+/// dedup entry of every statement tag in the log, and the in-doubt gxids.
+#[derive(Debug)]
+struct ReplicaState {
+    tables: BTreeMap<String, Vec<String>>,
+    stmts: Vec<Option<u64>>,
+    in_doubt: Vec<Option<Xid>>,
+}
+
+impl ReplicaState {
+    fn of(node: &DataNode, log: &ShardLog) -> Self {
+        let snap = node.local_snapshot();
+        let judge = SnapshotVisibility::new(&snap, node.mgr().clog(), None);
+        let tables = node
+            .named_tables()
+            .map(|(name, t)| {
+                let mut rows: Vec<String> = t.scan(&judge).map(|(_, r)| format!("{r:?}")).collect();
+                rows.sort_unstable();
+                (name.to_string(), rows)
+            })
+            .collect();
+        let stmts = (0..log.head())
+            .filter_map(|csn| match log.get(csn)? {
+                LogRecord::Commit {
+                    stmt: Some((id, _)),
+                    ..
+                }
+                | LogRecord::Prepare {
+                    stmt: Some((id, _)),
+                    ..
+                } => Some(node.stmt_applied(*id)),
+                _ => None,
+            })
+            .collect();
+        let mut in_doubt: Vec<Option<Xid>> =
+            node.in_doubt_legs().into_iter().map(|(_, g)| g).collect();
+        in_doubt.sort_unstable();
+        Self {
+            tables,
+            stmts,
+            in_doubt,
+        }
+    }
+
+    /// Append one line to `out` per part of `got` that differs from `self`.
+    fn compare(&self, got: &Self, who: &str, out: &mut Vec<String>) {
+        let names: BTreeSet<&String> = self.tables.keys().chain(got.tables.keys()).collect();
+        for name in names {
+            if self.tables.get(name) != got.tables.get(name) {
+                out.push(format!("{who}: table {name} differs from the replay"));
+            }
+        }
+        if self.stmts != got.stmts {
+            out.push(format!(
+                "{who}: statement dedup entries differ from the replay"
+            ));
+        }
+        if self.in_doubt != got.in_doubt {
+            out.push(format!(
+                "{who}: in-doubt gxids {:?}, the replay {:?}",
+                got.in_doubt, self.in_doubt
+            ));
+        }
     }
 }
 

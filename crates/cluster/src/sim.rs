@@ -112,9 +112,11 @@ pub struct SimConfig {
     /// snapshot interaction (1× instead of 2× `gtm_service`). The timed
     /// layer tracks its own CSN, bumped when a commit/decide request
     /// *enters* the GTM queue — a conservative publication point, so the
-    /// cache never over-hits. Visibility safety is the functional engine's
-    /// argument (see `Cluster::begin`); here only the timing is modelled,
-    /// so the functional cluster keeps its own cache off.
+    /// cache never over-hits. Only the timing is modelled: the functional
+    /// cluster always takes a fresh snapshot. Why a snapshot reused within
+    /// one epoch would judge visibility the same is argued, and pinned, by
+    /// `hdm_txn::gtm`'s `stale_epoch_snapshot_is_visibility_equivalent`
+    /// test (DESIGN.md §4d).
     pub snapshot_cache: bool,
     pub net_one_way: SimDuration,
     pub net_jitter: f64,
@@ -391,8 +393,8 @@ impl World {
         if single {
             let mut txn = self
                 .cluster
-                .begin(TxnOptions::single(home_wh).retry_on_unavailable(false))
-                .expect("unchecked begin is infallible");
+                .begin(TxnOptions::single(home_wh))
+                .expect("the timed model never crashes a node or the GTM");
             let mut ok = true;
             for _ in 0..mix.reads_per_txn {
                 let k = self.pick_key(home_wh);
@@ -433,8 +435,8 @@ impl World {
             }
             let mut txn = self
                 .cluster
-                .begin(TxnOptions::multi().retry_on_unavailable(false))
-                .expect("unchecked begin is infallible");
+                .begin(TxnOptions::multi())
+                .expect("the timed model never crashes a node or the GTM");
             let mut ok = true;
             'work: for (i, &w) in whs.iter().enumerate() {
                 let reads = if i == 0 { mix.reads_per_txn } else { 0 };

@@ -234,15 +234,16 @@ impl<T: Clone> PlanCache<T> {
         (self.hits, self.misses)
     }
 
-    /// Insert `key`, evicting the least-recently-used entry at capacity
-    /// (ties broken by key for determinism).
+    /// Insert `key`, evicting the least-recently-used entry at capacity.
+    /// Every `get` and `insert` stamps a fresh tick, so no two entries
+    /// share a `last_used` and the victim is unique.
     pub fn insert(&mut self, key: String, payload: T) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.cap {
             if let Some(victim) = self
                 .entries
                 .iter()
-                .min_by_key(|(k, e)| (e.last_used, (*k).clone()))
+                .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
                 self.entries.remove(&victim);

@@ -174,13 +174,15 @@ impl Gtm {
         Ok(())
     }
 
-    /// The current commit sequence number (visibility epoch). Reading it is
-    /// free — it models the CSN broadcast the GTM piggybacks on every reply,
-    /// which CNs use to validate their cached snapshot. A cached snapshot
-    /// taken at epoch `e` remains byte-for-byte equivalent to a fresh one
-    /// for visibility purposes while `csn() == e`: commits are the only
-    /// events that change which tuples a snapshot exposes (aborted and
-    /// still-active gxids are filtered by the commit-log check either way).
+    /// The current commit sequence number (visibility epoch), published
+    /// as the `gtm.csn` gauge. Reading it is free: it models the CSN
+    /// broadcast the GTM piggybacks on every reply. A snapshot taken at
+    /// epoch `e` remains equivalent to a fresh one for visibility purposes
+    /// while `csn() == e`: commits are the only events that change which
+    /// tuples a snapshot exposes (aborted and still-active gxids are
+    /// filtered by the commit-log check either way). The timed model's
+    /// snapshot-epoch cache (`SimConfig::snapshot_cache` in `hdm-cluster`)
+    /// rests on this; the functional cluster never reuses a snapshot.
     pub fn csn(&self) -> u64 {
         self.csn
     }

@@ -93,35 +93,6 @@ fn telemetry_does_not_perturb_the_chaos_schedule() {
     assert_eq!(bare, traced, "telemetry changed the simulation's behaviour");
 }
 
-/// The acceptance sweep again with the CN-side snapshot-epoch cache on:
-/// cached begins must stay audit-clean under GTM crashes (the cache is
-/// invalidated on crash *and* restart), and the same seed must still
-/// replay bit-for-bit with the cache in the loop.
-#[test]
-fn snapshot_cache_sweep_stays_safe_and_replays() {
-    let mut hits = 0;
-    let mut misses = 0;
-    for seed in 0..20u64 {
-        let mut cfg = ChaosConfig::standard(0xBAD_5EED + seed);
-        cfg.snapshot_cache = true;
-        let r = run_chaos(cfg.clone());
-        assert!(
-            r.violations.is_empty(),
-            "seed {seed}: cached-begin safety violations: {:?}",
-            r.violations
-        );
-        assert_eq!(r.gave_up, 0, "seed {seed}: a client livelocked");
-        hits += r.counters.snapshot_cache_hits;
-        misses += r.counters.snapshot_cache_misses;
-        if seed < 3 {
-            let b = run_chaos(cfg);
-            assert_eq!(r, b, "seed {seed}: cache-enabled replay diverged");
-        }
-    }
-    assert!(misses > 0, "the cache never engaged across the sweep");
-    assert!(hits > 0, "no concurrent begin ever reused an epoch");
-}
-
 /// Regression: after a GTM crash + restart, `attach_telemetry` must
 /// re-resolve the recovered instance's metric handles — the `gtm.csn`
 /// gauge re-seeded from the rebuilt commit log, and `gtm.batch.*` updates

@@ -159,6 +159,11 @@ fn twenty_seed_chaos_dist_sweep_loses_nothing_and_replays_bit_identical() {
             r1.leaked_snapshots, 0,
             "seed {seed}: a statement path leaked its global snapshot: {r1:?}"
         );
+        assert_eq!(
+            r1.replica_divergences,
+            Vec::<String>::new(),
+            "seed {seed}: a replica differs from a replay of its log"
+        );
         assert!(r1.crashes > 0, "seed {seed}: no crashes scheduled");
         assert!(
             !r1.history_windows.is_empty(),

@@ -20,19 +20,37 @@ fn datum_strategy() -> impl Strategy<Value = Datum> {
     ]
 }
 
+/// Every codec that accepts `data` reproduces it exactly.
+fn check_codecs_round_trip(data: &[Datum]) {
+    for enc in [
+        Encoding::Plain,
+        Encoding::Rle,
+        Encoding::Dict,
+        Encoding::DeltaI64,
+    ] {
+        if let Some(chunk) = encode_as(data, enc) {
+            assert_eq!(chunk.decode(), data, "{enc:?}");
+            assert_eq!(chunk.len(), data.len());
+        }
+    }
+    assert_eq!(encode_auto(data).decode(), data);
+}
+
 proptest! {
-    /// Every codec that accepts a vector reproduces it exactly.
     #[test]
     fn codecs_round_trip(data in vec(datum_strategy(), 0..300)) {
-        for enc in [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::DeltaI64] {
-            if let Some(chunk) = encode_as(&data, enc) {
-                prop_assert_eq!(chunk.decode(), data.clone(), "{:?}", enc);
-                prop_assert_eq!(chunk.len(), data.len());
-            }
-        }
-        let auto = encode_auto(&data);
-        prop_assert_eq!(auto.decode(), data);
+        check_codecs_round_trip(&data);
     }
+}
+
+/// The input a past run of `codecs_round_trip` shrank to: two extreme
+/// `Int`s, far enough apart that their delta overflows an `i64`.
+#[test]
+fn codecs_round_trip_two_extreme_ints() {
+    check_codecs_round_trip(&[
+        Datum::Int(-4_877_056_419_515_979_709),
+        Datum::Int(4_346_315_617_338_796_099),
+    ]);
 }
 
 // ---------- MergeSnapshot (Algorithm 1) ----------
