@@ -58,8 +58,8 @@ pub fn run_anomaly1(policy: MergePolicy) -> Result<AnomalyObservation> {
     let mut w = c.begin(TxnOptions::multi())?;
     c.put(&mut w, ka, 1)?;
     c.put(&mut w, kb, 1)?;
-    c.multi_prepare(&w)?;
-    c.multi_commit_at_gtm(&w)?; // <- Anomaly-1 window opens here
+    let w = c.prepare(w)?;
+    let w = c.decide(w).map_err(|u| u.error)?; // <- Anomaly-1 window opens here
 
     // Reader R begins now: global snapshot sees W as committed.
     let mut r = c.begin(TxnOptions::multi())?;
@@ -68,7 +68,7 @@ pub fn run_anomaly1(policy: MergePolicy) -> Result<AnomalyObservation> {
     c.commit(r)?;
 
     // Close the window (deliver confirmations).
-    c.multi_finish(w)?;
+    c.finish_all(w)?;
 
     let consistent = a == Some(1) && b == Some(1);
     Ok(AnomalyObservation { a, b, consistent })
@@ -152,9 +152,7 @@ impl TornReadObservation {
 /// Scripted torn-read probe under Algorithm 1: `writers_before_read`
 /// multi-shard writers fully commit `(a, b)` in lockstep, one more writer
 /// freezes inside the commit window (committed at the GTM, confirmations
-/// withheld), and a multi-shard reader then reads both keys. Exposes the
-/// split commit steps to out-of-crate tests as a scenario instead of as
-/// API surface.
+/// withheld), and a multi-shard reader then reads both keys.
 pub fn run_torn_read(writers_before_read: i64) -> Result<TornReadObservation> {
     let mut c = Cluster::new(ClusterConfig::gtm_lite(2));
     let (p1, p2) = two_prefixes(&c);
@@ -172,14 +170,14 @@ pub fn run_torn_read(writers_before_read: i64) -> Result<TornReadObservation> {
     let mut w = c.begin(TxnOptions::multi())?;
     c.put(&mut w, ka, 100)?;
     c.put(&mut w, kb, 100)?;
-    c.multi_prepare(&w)?;
-    c.multi_commit_at_gtm(&w)?;
+    let w = c.prepare(w)?;
+    let w = c.decide(w).map_err(|u| u.error)?;
 
     let mut r = c.begin(TxnOptions::multi())?;
     let a = c.get(&mut r, ka)?;
     let b = c.get(&mut r, kb)?;
     c.commit(r)?;
-    c.multi_finish(w)?;
+    c.finish_all(w)?;
     Ok(TornReadObservation { a, b })
 }
 

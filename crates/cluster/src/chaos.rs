@@ -17,10 +17,12 @@
 //! exactly: no committed write lost, no aborted write leaked, total balance
 //! conserved, and every lock, undo entry and pending-commit marker released.
 
-use crate::engine::{Cluster, ClusterConfig, ClusterCounters, Txn, TxnOptions};
+use crate::engine::{
+    Cluster, ClusterConfig, ClusterCounters, Decided, Prepared, Txn, TxnOptions, Undecided,
+};
 use crate::retry::RetryPolicy;
 use crate::shard::make_key;
-use hdm_common::{Result, ShardId, SimDuration, SimInstant, SplitMix64, Xid};
+use hdm_common::{Result, ShardId, SimDuration, SimInstant, SplitMix64};
 use hdm_simnet::{CrashEvent, FaultConfig, FaultPlan, MsgFate, Sim};
 use hdm_telemetry::{MetricsSnapshot, SpanId, Telemetry};
 use std::collections::BTreeMap;
@@ -183,15 +185,20 @@ struct Transfer {
     single_prefix: Option<u32>,
 }
 
+/// A client's transaction, by how far its commit has got.
+enum Handle {
+    Open(Txn),
+    Prepared(Prepared),
+    Decided(Decided),
+}
+
 struct ClientState {
     remaining: usize,
     attempt: u32,
     policy: RetryPolicy,
     rng: SplitMix64,
     transfer: Transfer,
-    txn: Option<Txn>,
-    legs: Vec<(ShardId, Xid)>,
-    next_leg: usize,
+    txn: Option<Handle>,
     /// Open `transfer` root span (telemetry runs only).
     span: Option<SpanId>,
 }
@@ -287,8 +294,6 @@ fn txn_start(sim: &mut S, w: &mut World, cid: usize) {
     c.transfer = t;
     c.attempt = 0;
     c.txn = None;
-    c.legs.clear();
-    c.next_leg = 0;
     c.span = span;
     sim.schedule_in(STEP_GAP, move |sim, w| deliver(sim, w, cid, Step::Begin));
 }
@@ -325,9 +330,7 @@ fn backoff(sim: &mut S, w: &mut World, cid: usize, step: Step) {
     if !c.policy.allows(c.attempt) {
         // Retry budget exhausted: clean up and move on. This is a liveness
         // failure, surfaced by the report, never a safety one.
-        if let Some(txn) = w.clients[cid].txn.take() {
-            let _ = w.cluster.abort(txn);
-        }
+        give_up_txn(w, cid);
         w.gave_up += 1;
         w.trace_event(cid, sim.now(), "gave_up", &[]);
         finish_transfer(sim, w, cid);
@@ -341,14 +344,21 @@ fn backoff(sim: &mut S, w: &mut World, cid: usize, step: Step) {
     sim.schedule_in(delay, move |sim, w| deliver(sim, w, cid, step));
 }
 
-/// Abort the in-flight attempt (if any) and retry the transfer from Begin.
+/// Drop client `cid`'s transaction, leaving nothing behind: an open or
+/// prepared one aborts, a decided one finishes wherever its legs are up.
+fn give_up_txn(w: &mut World, cid: usize) {
+    let _ = match w.clients[cid].txn.take() {
+        Some(Handle::Open(txn)) => w.cluster.abort(txn),
+        Some(Handle::Prepared(p)) => w.cluster.abort_prepared(p),
+        Some(Handle::Decided(d)) => w.cluster.finish_all(d),
+        None => Ok(()),
+    };
+}
+
+/// Give up the in-flight attempt (if any) and retry the transfer from Begin.
 fn abort_and_retry(sim: &mut S, w: &mut World, cid: usize) {
-    if let Some(txn) = w.clients[cid].txn.take() {
-        let _ = w.cluster.abort(txn);
-    }
+    give_up_txn(w, cid);
     w.txn_aborts += 1;
-    w.clients[cid].legs.clear();
-    w.clients[cid].next_leg = 0;
     w.trace_event(cid, sim.now(), "abort_retry", &[]);
     backoff(sim, w, cid, Step::Begin);
 }
@@ -375,10 +385,6 @@ fn finish_transfer(sim: &mut S, w: &mut World, cid: usize) {
     }
 }
 
-fn is_unavailable(e: &hdm_common::HdmError) -> bool {
-    e.class() == "unavailable"
-}
-
 /// Execute one delivered request against the cluster.
 fn execute(sim: &mut S, w: &mut World, cid: usize, step: Step, dup: bool) {
     match step {
@@ -389,7 +395,7 @@ fn execute(sim: &mut S, w: &mut World, cid: usize, step: Step, dup: bool) {
             };
             match res {
                 Ok(txn) => {
-                    w.clients[cid].txn = Some(txn);
+                    w.clients[cid].txn = Some(Handle::Open(txn));
                     next(sim, cid, Step::Exec);
                 }
                 // Home node or GTM down: wait out the outage.
@@ -398,29 +404,19 @@ fn execute(sim: &mut S, w: &mut World, cid: usize, step: Step, dup: bool) {
         }
         Step::Exec => {
             let t = w.clients[cid].transfer;
-            let Some(mut txn) = w.clients[cid].txn.take() else {
+            let Some(Handle::Open(txn)) = &mut w.clients[cid].txn else {
                 return; // stale event after a give-up
             };
-            match exec_transfer(&mut w.cluster, &mut txn, t) {
-                Ok(()) => {
-                    let following = if txn.is_single_shard() {
-                        Step::CommitSingle
-                    } else {
-                        Step::Prepare
-                    };
-                    w.clients[cid].txn = Some(txn);
-                    next(sim, cid, following);
-                }
+            match exec_transfer(&mut w.cluster, txn, t) {
+                Ok(()) if txn.is_single_shard() => next(sim, cid, Step::CommitSingle),
+                Ok(()) => next(sim, cid, Step::Prepare),
                 // Conflict or mid-statement outage: roll everything back and
                 // start over.
-                Err(_) => {
-                    w.clients[cid].txn = Some(txn);
-                    abort_and_retry(sim, w, cid);
-                }
+                Err(_) => abort_and_retry(sim, w, cid),
             }
         }
         Step::CommitSingle => {
-            let Some(txn) = w.clients[cid].txn.take() else {
+            let Some(Handle::Open(txn)) = w.clients[cid].txn.take() else {
                 return;
             };
             match w.cluster.commit(txn) {
@@ -434,77 +430,74 @@ fn execute(sim: &mut S, w: &mut World, cid: usize, step: Step, dup: bool) {
             }
         }
         Step::Prepare => {
-            let Some(txn) = w.clients[cid].txn.take() else {
+            let Some(Handle::Open(txn)) = w.clients[cid].txn.take() else {
                 return;
             };
-            let res = w.cluster.multi_prepare(&txn);
-            w.clients[cid].txn = Some(txn);
-            match res {
-                Ok(()) => next(sim, cid, Step::Decide),
-                // A no vote (conflict or crashed participant) decides abort.
+            match w.cluster.prepare(txn) {
+                Ok(p) => {
+                    w.clients[cid].txn = Some(Handle::Prepared(p));
+                    next(sim, cid, Step::Decide);
+                }
+                // A no vote (conflict or crashed participant): the step has
+                // aborted the transaction.
                 Err(_) => abort_and_retry(sim, w, cid),
             }
         }
         Step::Decide => {
-            let Some(txn) = w.clients[cid].txn.take() else {
+            let Some(Handle::Prepared(p)) = w.clients[cid].txn.take() else {
                 return;
             };
-            let res = w.cluster.multi_commit_at_gtm(&txn);
-            let legs = txn.legs();
-            w.clients[cid].txn = Some(txn);
-            match res {
-                Ok(()) => {
-                    w.clients[cid].legs = legs;
-                    w.clients[cid].next_leg = 0;
+            match w.cluster.decide(p) {
+                Ok(d) => {
+                    w.clients[cid].txn = Some(Handle::Decided(d));
                     next(sim, cid, Step::Finish);
                 }
-                Err(e) if is_unavailable(&e) => {
-                    // GTM outage mid-2PC: locks stay held, keep asking.
+                // GTM outage mid-2PC: locks stay held, keep asking.
+                Err(Undecided { retry: Some(p), .. }) => {
+                    w.clients[cid].txn = Some(Handle::Prepared(p));
                     backoff(sim, w, cid, Step::Decide);
                 }
                 // The gxid was presumed-aborted by recovery before we could
                 // commit it — the 2PC race the GTM's forced-abort rule
-                // closes. Abort our side and retry.
+                // closes. The step has aborted our side: retry.
                 Err(_) => abort_and_retry(sim, w, cid),
             }
         }
         Step::Finish => {
-            let i = w.clients[cid].next_leg;
-            let Some(&(shard, xid)) = w.clients[cid].legs.get(i) else {
-                next(sim, cid, Step::Confirm);
+            let Some(Handle::Decided(mut d)) = w.clients[cid].txn.take() else {
                 return;
             };
-            match w.cluster.finish_leg(shard, xid) {
-                Ok(()) => {
-                    if dup {
-                        // Second delivery of the same confirmation must be a
-                        // clean no-op.
-                        if let Err(e) = w.cluster.finish_leg(shard, xid) {
-                            w.violations
-                                .push(format!("duplicate finish on {shard} errored: {e}"));
-                        }
-                    }
-                    w.clients[cid].next_leg += 1;
-                    if w.clients[cid].next_leg == w.clients[cid].legs.len() {
-                        next(sim, cid, Step::Confirm);
-                    } else {
-                        next(sim, cid, Step::Finish);
-                    }
+            // Confirm follows the last leg, so one is always left here.
+            let shard = d.unfinished().next().expect("a leg to finish");
+            let res = w.cluster.finish_leg(&mut d, shard);
+            if res.is_ok() && dup {
+                // Second delivery of the same confirmation must be a clean
+                // no-op.
+                if let Err(e) = w.cluster.finish_leg(&mut d, shard) {
+                    w.violations
+                        .push(format!("duplicate finish on {shard} errored: {e}"));
                 }
-                Err(e) if is_unavailable(&e) => backoff(sim, w, cid, Step::Finish),
+            }
+            let following = match d.unfinished().next() {
+                Some(_) => Step::Finish,
+                None => Step::Confirm,
+            };
+            w.clients[cid].txn = Some(Handle::Decided(d));
+            match res {
+                Ok(()) => next(sim, cid, following),
+                Err(e) if e.class() == "unavailable" => backoff(sim, w, cid, Step::Finish),
                 Err(e) => {
                     w.violations
-                        .push(format!("finish_leg({shard}, {xid}) failed: {e}"));
+                        .push(format!("finish_leg({shard}) failed: {e}"));
                     abort_and_retry(sim, w, cid);
                 }
             }
         }
         Step::Confirm => {
-            let gxid = w.clients[cid]
-                .txn
-                .as_ref()
-                .and_then(Txn::gxid)
-                .expect("multi txn has a gxid");
+            let Some(Handle::Decided(d)) = &w.clients[cid].txn else {
+                return;
+            };
+            let gxid = d.gxid().expect("multi txn has a gxid");
             match w.cluster.gtm_commit_status(gxid) {
                 Ok(true) => {
                     w.clients[cid].txn = None;
@@ -566,8 +559,6 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
                     single_prefix: None,
                 },
                 txn: None,
-                legs: Vec::new(),
-                next_leg: 0,
                 span: None,
             }
         })

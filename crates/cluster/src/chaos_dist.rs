@@ -123,6 +123,11 @@ pub struct ChaosDistReport {
     /// statement path that never released its transaction's snapshot
     /// (0 in a correct run; a leak pins the LCO horizon).
     pub leaked_snapshots: u64,
+    /// Transactions still open after both runs healed: gxids active at
+    /// the GTM plus DN xids in progress or prepared. A statement path that
+    /// dropped a transaction without finishing or aborting it leaves one
+    /// (0 in a correct run; a leaked gxid pins `gtm.xmin`).
+    pub leaked_txns: u64,
     /// After healing, every way a primary or follower differs from a
     /// replay of its shard's log from record 0 (empty in a correct run;
     /// always empty without replicas, as there is no log).
@@ -162,6 +167,7 @@ impl PartialEq for ChaosDistReport {
             && self.audit_diffs == other.audit_diffs
             && self.ticks == other.ticks
             && self.leaked_snapshots == other.leaked_snapshots
+            && self.leaked_txns == other.leaked_txns
             && self.replica_divergences == other.replica_divergences
             && self.history_windows == other.history_windows
     }
@@ -463,6 +469,7 @@ pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
 
     report.leaked_snapshots =
         (twin.cluster().live_snapshot_count() + db.cluster().live_snapshot_count()) as u64;
+    report.leaked_txns = open_txns(twin.cluster()) + open_txns(db.cluster());
     let c = db.cluster().counters();
     report.promotions = c.promotions;
     report.rejoins = c.rejoins;
@@ -479,6 +486,15 @@ pub fn run_chaos_dist(cfg: &ChaosDistConfig) -> Result<ChaosDistReport> {
         report.history_windows = h.with(|e| e.windows().cloned().collect());
     }
     Ok(report)
+}
+
+/// Gxids active at `c`'s GTM plus xids in progress or prepared on its
+/// data nodes.
+fn open_txns(c: &Cluster) -> u64 {
+    let dn: usize = (c.shard_map().all())
+        .map(|s| c.node(s).mgr().active_count())
+        .sum();
+    (c.gtm().active_count() + dn) as u64
 }
 
 /// Full contents of both corpus tables as sorted multisets.
@@ -548,6 +564,7 @@ mod tests {
         assert_eq!(r.mismatches, 0);
         assert_eq!(r.audit_diffs, 0);
         assert_eq!(r.leaked_snapshots, 0);
+        assert_eq!(r.leaked_txns, 0);
         assert_eq!(r.replica_divergences, Vec::<String>::new());
     }
 }

@@ -871,7 +871,7 @@ impl DistDb {
             }
         };
         let twopc_legs = match &prof {
-            Some(_) if !txn.is_single_shard() => txn.legs().len() as u64,
+            Some(_) if !txn.is_single_shard() => txn.leg_count() as u64,
             _ => 0,
         };
         self.cluster.commit(txn)?;

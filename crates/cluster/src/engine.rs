@@ -17,15 +17,15 @@
 //!   and judge visibility through the merged snapshot of Algorithm 1,
 //!   committing via 2PC (GTM first, then DNs — the Anomaly-1 ordering).
 //!
-//! The public transaction surface is deliberately small: [`Cluster::begin`]
-//! with a [`TxnOptions`] builder opens any transaction, and the one-call
-//! [`Cluster::commit`] routes single-shard vs 2PC internally. The split
-//! multi-shard commit steps (`multi_prepare` / `multi_commit_at_gtm` /
-//! `multi_finish` / `finish_leg`) are crate-private; in-crate harnesses
-//! (`anomaly`, `chaos`, `sim`) use them to stand inside the commit window
-//! and reproduce the paper's anomalies. [`MergePolicy::Naive`] disables
-//! UPGRADE/DOWNGRADE to *exhibit* the anomalies; [`MergePolicy::Full`] is
-//! Algorithm 1.
+//! One transaction API serves both protocols. [`Cluster::begin`] with a
+//! [`TxnOptions`] builder opens a [`Txn`]; its commit runs as explicit steps
+//! whose handle types fix their order: [`Cluster::prepare`] → [`Prepared`],
+//! [`Cluster::decide`] → [`Decided`], then [`Cluster::finish_leg`] or
+//! [`Cluster::finish_all`]. A step the protocol lacks does nothing, and a
+//! failed step leaves nothing half-done. [`Cluster::commit`] is the steps in
+//! order; `anomaly` and `chaos` stop between them to stand inside the commit
+//! window. [`MergePolicy::Naive`] disables UPGRADE/DOWNGRADE to *exhibit*
+//! the anomalies; [`MergePolicy::Full`] is Algorithm 1.
 //!
 //! Every begin checks the liveness of the coordinator it needs, and every
 //! multi-shard or baseline begin takes a fresh global snapshot from the
@@ -39,9 +39,7 @@ use crate::replica::{Follower, LogRecord, ReplOp, ReplicaSet};
 use crate::shard::ShardMap;
 use hdm_common::{HdmError, Result, Schema, ShardId, Xid};
 use hdm_telemetry::{Counter, Gauge, Telemetry};
-use hdm_txn::{
-    merge_with_manager, Decision, Gtm, Snapshot, SnapshotVisibility, TwoPcCoordinator, TxnStatus,
-};
+use hdm_txn::{merge_with_manager, Decision, Gtm, Snapshot, SnapshotVisibility, TxnStatus};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which transaction-management protocol the cluster runs.
@@ -203,6 +201,8 @@ struct Leg {
     /// epoch, fencing the leg: its local XID belongs to the dead primary's
     /// namespace and must never be replayed against the promoted node.
     epoch: u64,
+    /// The commit decision has been delivered ([`Cluster::finish_leg`]).
+    finished: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -246,17 +246,27 @@ impl Txn {
         matches!(self.kind, TxnKind::LiteSingle { .. })
     }
 
-    /// The `(shard, local xid)` legs of a GTM-lite multi-shard transaction
-    /// (empty for other kinds). Lets a fault-aware coordinator drive the
-    /// 2PC finish phase per leg, retransmitting to crashed participants.
-    pub fn legs(&self) -> Vec<(ShardId, Xid)> {
+    /// The legs a GTM-lite multi-shard transaction has opened (0 for other
+    /// kinds): the participants of its two-phase commit.
+    pub fn leg_count(&self) -> usize {
         match &self.kind {
-            TxnKind::LiteMulti { legs, .. } => legs
-                .iter()
-                .map(|(&s, leg)| (ShardId::new(s), leg.xid))
-                .collect(),
-            _ => Vec::new(),
+            TxnKind::LiteMulti { legs, .. } => legs.len(),
+            _ => 0,
         }
+    }
+
+    fn legs(&self) -> impl Iterator<Item = (&u64, &Leg)> {
+        match &self.kind {
+            TxnKind::LiteMulti { legs, .. } => Some(legs),
+            _ => None,
+        }
+        .into_iter()
+        .flatten()
+    }
+
+    fn leg(&self, shard: ShardId) -> Option<&Leg> {
+        self.legs()
+            .find_map(|(&s, leg)| (s == shard.raw()).then_some(leg))
     }
 
     /// The `(local xid, snapshot)` a GTM-lite fragment on `shard` must run
@@ -271,12 +281,61 @@ impl Txn {
                 snap,
                 ..
             } => (*own == shard).then(|| (*xid, snap.clone())),
-            TxnKind::LiteMulti { legs, .. } => legs
-                .get(&shard.raw())
-                .map(|leg| (leg.xid, leg.merged.clone())),
-            TxnKind::Baseline { .. } => None,
+            _ => self.leg(shard).map(|leg| (leg.xid, leg.merged.clone())),
         }
     }
+}
+
+/// A transaction past [`Cluster::prepare`]: every leg voted yes or
+/// read-only, and no statement can run in it again. Next comes
+/// [`Cluster::decide`], or [`Cluster::abort_prepared`] to give it up.
+#[derive(Debug)]
+#[must_use = "a prepared transaction holds its locks until decided or aborted"]
+pub struct Prepared {
+    txn: Txn,
+}
+
+/// A transaction that [`Cluster::decide`] committed. The legs in
+/// [`Self::unfinished`] have not yet applied the decision; deliver it
+/// with [`Cluster::finish_leg`] or [`Cluster::finish_all`].
+///
+/// Only a decided transaction can be finished:
+///
+/// ```compile_fail,E0308
+/// use hdm_cluster::{Cluster, ClusterConfig, TxnOptions};
+/// let mut c = Cluster::new(ClusterConfig::gtm_lite(2));
+/// let txn = c.begin(TxnOptions::multi()).unwrap();
+/// let prepared = c.prepare(txn).unwrap();
+/// c.finish_all(prepared).unwrap(); // never decided
+/// ```
+#[derive(Debug)]
+#[must_use = "a decided transaction's legs hold their locks until finished"]
+pub struct Decided {
+    txn: Txn,
+}
+
+impl Decided {
+    /// The global XID, if the transaction has one.
+    pub fn gxid(&self) -> Option<Xid> {
+        self.txn.gxid()
+    }
+
+    /// The legs still owed the decision, in shard order.
+    pub fn unfinished(&self) -> impl Iterator<Item = ShardId> + '_ {
+        (self.txn.legs())
+            .filter(|(_, leg)| !leg.finished)
+            .map(|(&s, _)| ShardId::new(s))
+    }
+}
+
+/// Why [`Cluster::decide`] did not commit.
+#[derive(Debug)]
+pub struct Undecided {
+    pub error: HdmError,
+    /// The handle, given back when the GTM was down: nothing was decided
+    /// and the legs stay prepared, so the caller may back off and decide
+    /// again. `None` when the transaction is already aborted everywhere.
+    pub retry: Option<Prepared>,
 }
 
 /// The sharded OLTP cluster: one GTM, N data nodes.
@@ -843,9 +902,8 @@ impl Cluster {
             }
             TxnKind::LiteMulti { legs, .. } => {
                 for (&s, leg) in legs {
-                    let i = s as usize;
-                    if !self.down[i] && self.epochs[i] == leg.epoch {
-                        self.nodes[i].tag_statement(leg.xid, stmt_id, rows);
+                    if self.leg_reachable(s, leg) {
+                        self.nodes[s as usize].tag_statement(leg.xid, stmt_id, rows);
                     }
                 }
             }
@@ -914,76 +972,50 @@ impl Cluster {
     /// fails fast with `Unavailable` so a retrying CN can back off. A
     /// multi-shard or baseline begin then takes a fresh global snapshot.
     pub fn begin(&mut self, opts: TxnOptions) -> Result<Txn> {
-        match opts.scope {
-            TxnScope::Single(prefix) => {
-                match self.cfg.protocol {
-                    Protocol::Baseline => self.check_gtm()?,
-                    Protocol::GtmLite => self.check_node(self.map.shard_of_prefix(prefix))?,
-                }
-                if let Some(t) = &self.tel {
-                    t.begin_single.inc();
-                }
-                let shard = self.map.shard_of_prefix(prefix);
-                Ok(match self.cfg.protocol {
-                    Protocol::Baseline => self.begin_baseline(),
-                    Protocol::GtmLite => {
-                        let epoch = self.epochs[shard.raw() as usize];
-                        let node = &mut self.nodes[shard.raw() as usize];
-                        let xid = node.mgr_mut().begin_local();
-                        let snap = node.local_snapshot();
-                        Txn {
-                            kind: TxnKind::LiteSingle {
-                                shard,
-                                xid,
-                                snap,
-                                epoch,
-                            },
-                        }
-                    }
-                })
-            }
-            TxnScope::Multi => {
-                self.check_gtm()?;
-                if let Some(t) = &self.tel {
-                    t.begin_distributed.inc();
-                }
-                Ok(match self.cfg.protocol {
-                    Protocol::Baseline => self.begin_baseline(),
-                    Protocol::GtmLite => {
-                        let gxid = self.gtm.begin();
-                        self.counters.gtm_interactions += 1;
-                        let gsnap = self.global_snapshot();
-                        self.live_gsnaps.insert((gsnap.xmin, gxid));
-                        Txn {
-                            kind: TxnKind::LiteMulti {
-                                gxid,
-                                gsnap,
-                                legs: BTreeMap::new(),
-                            },
-                        }
-                    }
-                })
+        let lite_single = match (opts.scope, self.cfg.protocol) {
+            (TxnScope::Single(p), Protocol::GtmLite) => Some(self.map.shard_of_prefix(p)),
+            _ => None,
+        };
+        match lite_single {
+            Some(shard) => self.check_node(shard)?,
+            None => self.check_gtm()?,
+        }
+        if let Some(t) = &self.tel {
+            match opts.scope {
+                TxnScope::Single(_) => t.begin_single.inc(),
+                TxnScope::Multi => t.begin_distributed.inc(),
             }
         }
-    }
-
-    fn begin_baseline(&mut self) -> Txn {
-        let gxid = self.gtm.begin();
-        self.counters.gtm_interactions += 1;
-        let gsnap = self.global_snapshot();
-        Txn {
-            kind: TxnKind::Baseline {
-                gxid,
-                gsnap,
-                touched: BTreeSet::new(),
-            },
-        }
-    }
-
-    /// A fresh global snapshot for a begin: one GTM interaction.
-    fn global_snapshot(&mut self) -> Snapshot {
-        self.counters.gtm_interactions += 1;
-        self.gtm.snapshot()
+        let kind = if let Some(shard) = lite_single {
+            let epoch = self.epochs[shard.raw() as usize];
+            let node = &mut self.nodes[shard.raw() as usize];
+            let xid = node.mgr_mut().begin_local();
+            let snap = node.local_snapshot();
+            TxnKind::LiteSingle {
+                shard,
+                xid,
+                snap,
+                epoch,
+            }
+        } else {
+            // Two GTM interactions: the gxid, then a fresh global snapshot.
+            let gxid = self.gtm.begin();
+            let gsnap = self.gtm.snapshot();
+            self.counters.gtm_interactions += 2;
+            match self.cfg.protocol {
+                Protocol::Baseline => TxnKind::Baseline {
+                    gxid,
+                    gsnap,
+                    touched: BTreeSet::new(),
+                },
+                Protocol::GtmLite => {
+                    self.live_gsnaps.insert((gsnap.xmin, gxid));
+                    let legs = BTreeMap::new();
+                    TxnKind::LiteMulti { gxid, gsnap, legs }
+                }
+            }
+        };
+        Ok(Txn { kind })
     }
 
     /// Stop counting `txn`'s global snapshot as live (a no-op for other
@@ -1005,10 +1037,10 @@ impl Cluster {
         }
     }
 
-    /// Global snapshots currently held by live multi-shard transactions.
-    /// A transaction that is dropped without prepare or abort never
-    /// releases its entry, which holds the LCO pruning horizon down for
-    /// good: correct, but nothing is cut below it again.
+    /// Global snapshots held by open multi-shard transactions: `prepare`
+    /// (which aborts on a no vote) or `abort` releases one. A [`Txn`]
+    /// dropped before either holds the LCO pruning horizon down for good:
+    /// correct, but nothing is cut below it again.
     pub fn live_snapshot_count(&self) -> usize {
         self.live_gsnaps.len()
     }
@@ -1079,14 +1111,10 @@ impl Cluster {
     /// anomaly-observable read: a consistent view returns at most one value,
     /// the naive merge can return several (paper Fig 2's tuple table).
     pub fn get_versions(&mut self, txn: &mut Txn, key: i64) -> Result<Vec<i64>> {
-        if !matches!(txn.kind, TxnKind::LiteMulti { .. }) {
-            return self.get(txn, key).map(|v| v.into_iter().collect());
-        }
         let shard = self.kv_shard(txn, key)?;
-        let TxnKind::LiteMulti { legs, .. } = &txn.kind else {
-            unreachable!()
+        let Some(leg) = txn.leg(shard) else {
+            return self.get(txn, key).map(|v| v.into_iter().collect());
         };
-        let leg = &legs[&shard.raw()];
         self.nodes[shard.raw() as usize].get_versions_local(&leg.merged, Some(leg.xid), key)
     }
 
@@ -1125,18 +1153,9 @@ impl Cluster {
         let merged = match self.cfg.merge_policy {
             MergePolicy::Naive => {
                 // Lines 1–4 only: union the active sets, skip both repairs.
-                let local = node.local_snapshot();
-                let mut active = local.active.clone();
-                for g in &gsnap.active {
-                    if let Some(l) = node.mgr().local_of(*g) {
-                        active.insert(l);
-                    }
-                }
-                let mut s = Snapshot {
-                    xmin: local.xmin,
-                    xmax: local.xmax,
-                    active,
-                };
+                let mut s = node.local_snapshot();
+                let globals = gsnap.active.iter().filter_map(|&g| node.mgr().local_of(g));
+                s.active.extend(globals);
                 s.normalize();
                 self.counters.merges += 1;
                 s
@@ -1180,93 +1199,55 @@ impl Cluster {
                 }
             }
         };
-        legs.insert(shard.raw(), Leg { xid, merged, epoch });
-        Ok(())
-    }
-
-    /// Commit `txn` (all phases).
-    pub fn commit(&mut self, txn: Txn) -> Result<()> {
-        match txn.kind {
-            TxnKind::Baseline { .. } => self.commit_baseline(txn),
-            TxnKind::LiteSingle {
-                shard, xid, epoch, ..
-            } => {
-                self.check_node(shard)?;
-                self.check_epoch(shard, epoch)?;
-                let node = &mut self.nodes[shard.raw() as usize];
-                let (ops, stmt) = node.commit_local(xid)?;
-                self.prune_lco(shard);
-                if self.cfg.replicas > 0 && (!ops.is_empty() || stmt.is_some()) {
-                    self.replicas[shard.raw() as usize].append(LogRecord::Commit { ops, stmt });
-                }
-                self.counters.single_shard_commits += 1;
-                if let Some(t) = &self.tel {
-                    t.commit_single.inc();
-                }
-                Ok(())
-            }
-            TxnKind::LiteMulti { .. } => {
-                self.multi_prepare(&txn)?;
-                self.multi_commit_at_gtm(&txn)?;
-                self.multi_finish(txn)
-            }
-        }
-    }
-
-    fn commit_baseline(&mut self, txn: Txn) -> Result<()> {
-        let TxnKind::Baseline { gxid, touched, .. } = txn.kind else {
-            unreachable!()
+        let leg = Leg {
+            xid,
+            merged,
+            epoch,
+            finished: false,
         };
-        // Multi-shard baseline pays 2PC prepare round-trips (counted as DN
-        // work, not GTM work) and then one GTM commit interaction; visibility
-        // flips atomically because all DNs consult the GTM's commit log.
-        self.check_gtm()?;
-        self.gtm.commit(gxid)?;
-        self.counters.gtm_interactions += 1;
-        for s in &touched {
-            self.nodes[*s as usize].clear_undo(gxid);
-        }
-        if touched.len() > 1 {
-            self.counters.multi_shard_commits += 1;
-        } else {
-            self.counters.single_shard_commits += 1;
-        }
-        if let Some(t) = &self.tel {
-            if touched.len() > 1 {
-                t.commit_distributed.inc();
-            } else {
-                t.commit_single.inc();
-            }
-        }
+        legs.insert(shard.raw(), leg);
         Ok(())
     }
 
-    /// 2PC phase 1 for a GTM-lite multi-shard transaction: prepare every leg.
-    /// A leg that wrote nothing votes read-only: its DN forgets it, no
-    /// `Prepare` record ships, and it takes no part in phase two.
-    pub(crate) fn multi_prepare(&mut self, txn: &Txn) -> Result<()> {
+    /// Commit `txn`: [`Self::prepare`], [`Self::decide`] and
+    /// [`Self::finish_all`] in order. A commit that fails leaves nothing
+    /// behind: one call cannot wait out a GTM outage, so a handle that
+    /// `decide` gives back is aborted here.
+    pub fn commit(&mut self, txn: Txn) -> Result<()> {
+        let prepared = self.prepare(txn)?;
+        match self.decide(prepared) {
+            Ok(decided) => self.finish_all(decided),
+            Err(Undecided { error, retry }) => {
+                retry.map_or(Ok(()), |p| self.abort(p.txn))?;
+                Err(error)
+            }
+        }
+    }
+
+    /// Can the decision reach `leg` on shard `s`? Not while the node is
+    /// down, nor once a promotion has fenced the leg's epoch.
+    fn leg_reachable(&self, s: u64, leg: &Leg) -> bool {
+        !self.down[s as usize] && (self.cfg.replicas == 0 || self.epochs[s as usize] == leg.epoch)
+    }
+
+    /// 2PC phase 1: prepare every leg of a GTM-lite multi-shard `txn` (a
+    /// no-op for the other kinds). A leg that wrote nothing votes read-only:
+    /// its DN forgets it, no `Prepare` record ships, and its finish is a no-op.
+    /// A leg that cannot vote (down, fenced or refused) votes no: this step
+    /// then aborts `txn` everywhere before it returns `TxnAborted`.
+    pub fn prepare(&mut self, txn: Txn) -> Result<Prepared> {
         let TxnKind::LiteMulti { gxid, legs, .. } = &txn.kind else {
-            return Err(HdmError::TxnState("multi_prepare on non-multi txn".into()));
+            return Ok(Prepared { txn });
         };
         // The read phase is over: no merge reads this snapshot again.
-        self.release_gsnap(txn);
-        if legs.is_empty() {
-            return Ok(());
-        }
-        let participants: Vec<ShardId> = legs.keys().map(|&s| ShardId::new(s)).collect();
-        let mut coord = TwoPcCoordinator::new(participants.clone());
+        self.release_gsnap(&txn);
+        let mut refused = None;
         for (&s, leg) in legs {
-            // A down (or fenced — its primary was replaced mid-transaction)
-            // participant cannot vote: the prepare times out and the
-            // coordinator counts the missing vote as a no (presumed abort).
-            let reachable = !self.down[s as usize]
-                && (self.cfg.replicas == 0 || self.epochs[s as usize] == leg.epoch);
-            let vote = if reachable {
+            let vote = if self.leg_reachable(s, leg) {
                 self.nodes[s as usize].prepare_leg(leg.xid).ok()
             } else {
                 None
             };
-            let vote_yes = vote.is_some();
             if let Some(t) = &self.tel {
                 match &vote {
                     Some(Some(_)) => t.prepare_yes.inc(),
@@ -1274,104 +1255,154 @@ impl Cluster {
                     None => t.prepare_no.inc(),
                 }
             }
-            if let Some(Some((ops, stmt))) = vote {
+            match vote {
                 // Prepares ship their ops Raft-style: a promoted follower
                 // reconstructs the in-doubt leg from the log.
-                if self.cfg.replicas > 0 {
+                Some(Some((ops, stmt))) if self.cfg.replicas > 0 => {
                     self.replicas[s as usize].append(LogRecord::Prepare {
                         gxid: *gxid,
                         ops,
                         stmt,
                     });
                 }
-            }
-            if let Some(Decision::Abort) = coord.vote(ShardId::new(s), vote_yes)? {
-                return Err(HdmError::TxnAborted(format!("prepare failed on shard {s}")));
+                Some(_) => {}
+                None => {
+                    refused = Some(s);
+                    break;
+                }
             }
         }
-        Ok(())
+        if let Some(s) = refused {
+            self.abort(txn)?;
+            return Err(HdmError::TxnAborted(format!("prepare failed on shard {s}")));
+        }
+        Ok(Prepared { txn })
     }
 
-    /// Commit decision at the GTM ("transactions are marked committed in GTM
-    /// first and then on all nodes"). Legs that prepared become pending on
-    /// their DNs (read-only legs were forgotten at prepare); the Anomaly-1
-    /// window is open until [`Cluster::multi_finish`].
-    pub(crate) fn multi_commit_at_gtm(&mut self, txn: &Txn) -> Result<()> {
-        let TxnKind::LiteMulti { gxid, legs, .. } = &txn.kind else {
-            return Err(HdmError::TxnState(
-                "multi_commit_at_gtm on non-multi txn".into(),
-            ));
+    /// Decide commit, the commit point: a single-shard transaction commits
+    /// on its node, any other at the GTM ("marked committed in GTM first and
+    /// then on all nodes"); prepared legs turn pending, the Anomaly-1 window
+    /// open until they finish. While the GTM is down the handle comes back
+    /// in [`Undecided::retry`]. A gxid recovery presumed aborted cannot
+    /// commit: this step aborts the transaction before it returns.
+    pub fn decide(&mut self, p: Prepared) -> std::result::Result<Decided, Undecided> {
+        let aborted = |error| Undecided { error, retry: None };
+        let gxid = match &p.txn.kind {
+            TxnKind::LiteSingle {
+                shard, xid, epoch, ..
+            } => {
+                // A down or fenced home node took the transaction with it.
+                let (shard, i) = (*shard, shard.raw() as usize);
+                self.check_node(shard).map_err(aborted)?;
+                self.check_epoch(shard, *epoch).map_err(aborted)?;
+                let (ops, stmt) = self.nodes[i].commit_local(*xid).map_err(aborted)?;
+                self.prune_lco(shard);
+                if self.cfg.replicas > 0 && (!ops.is_empty() || stmt.is_some()) {
+                    self.replicas[i].append(LogRecord::Commit { ops, stmt });
+                }
+                self.count_commit(false);
+                return Ok(Decided { txn: p.txn });
+            }
+            TxnKind::Baseline { gxid, .. } | TxnKind::LiteMulti { gxid, .. } => *gxid,
         };
-        self.check_gtm()?;
-        self.gtm.commit(*gxid)?;
+        if let Err(error) = self.check_gtm() {
+            let retry = Some(p);
+            return Err(Undecided { error, retry });
+        }
+        if let Err(e) = self.gtm.commit(gxid) {
+            self.abort(p.txn).map_err(aborted)?;
+            return Err(aborted(e));
+        }
         self.counters.gtm_interactions += 1;
-        // The GTM decision IS the commit point; finish legs only propagate
-        // it. Counting here keeps the metric right for harnesses that
-        // deliver finish confirmations leg-by-leg via `finish_leg`.
-        if let Some(t) = &self.tel {
-            t.commit_distributed.inc();
-        }
-        for (&s, leg) in legs {
-            // A down or fenced leg cannot receive the decision message; its
-            // durable prepare record resolves through the clog at restart
-            // (or through the promoted primary's in-doubt pass) instead.
-            let node = &mut self.nodes[s as usize];
-            if !self.down[s as usize]
-                && (self.cfg.replicas == 0 || self.epochs[s as usize] == leg.epoch)
-                && node.mgr().clog().is_prepared(leg.xid)
-            {
-                node.mark_pending_commit(leg.xid);
+        match &p.txn.kind {
+            // Visibility flipped at the GTM: every DN consults its clog.
+            TxnKind::Baseline { touched, .. } => {
+                for &s in touched {
+                    self.nodes[s as usize].clear_undo(gxid);
+                }
+                self.count_commit(touched.len() > 1);
             }
+            TxnKind::LiteMulti { legs, .. } => {
+                for (&s, leg) in legs {
+                    // A down or fenced leg resolves from its durable
+                    // prepare record at restart or on the promoted primary.
+                    let reachable = self.leg_reachable(s, leg);
+                    let node = &mut self.nodes[s as usize];
+                    if reachable && node.mgr().clog().is_prepared(leg.xid) {
+                        node.mark_pending_commit(leg.xid);
+                    }
+                }
+                self.count_commit(true);
+            }
+            TxnKind::LiteSingle { .. } => unreachable!(),
         }
-        Ok(())
+        Ok(Decided { txn: p.txn })
     }
 
-    /// Deliver the commit confirmations to every leg's DN, closing the
-    /// window. Idempotent per leg (a reader's UPGRADE may have finished some
-    /// legs already).
-    pub(crate) fn multi_finish(&mut self, txn: Txn) -> Result<()> {
-        let TxnKind::LiteMulti { legs, .. } = txn.kind else {
-            return Err(HdmError::TxnState("multi_finish on non-multi txn".into()));
+    fn count_commit(&mut self, multi: bool) {
+        if multi {
+            self.counters.multi_shard_commits += 1;
+        } else {
+            self.counters.single_shard_commits += 1;
+        }
+        if let Some(t) = &self.tel {
+            let c = if multi {
+                &t.commit_distributed
+            } else {
+                &t.commit_single
+            };
+            c.inc();
+        }
+    }
+
+    /// Deliver the decision to the leg of `decided` on `shard`: the
+    /// retransmission unit of 2PC phase two. Fails with `Unavailable` while
+    /// the node is down (back off and retry). Delivering it again, or to a
+    /// leg that voted read-only, a reader's UPGRADE completed, recovery
+    /// resolved or a promotion fenced, is a no-op.
+    pub fn finish_leg(&mut self, decided: &mut Decided, shard: ShardId) -> Result<()> {
+        let Some(leg) = decided.txn.leg(shard) else {
+            return Err(HdmError::TxnState(format!("{shard} is not a leg")));
         };
-        for (&s, leg) in &legs {
-            // The decision is durable at the GTM; a down or fenced leg
-            // completes via in-doubt recovery when it restarts (or on the
-            // promoted primary), so skipping it here cannot lose the commit.
-            if self.down[s as usize]
-                || (self.cfg.replicas > 0 && self.epochs[s as usize] != leg.epoch)
-            {
-                continue;
+        self.check_node(shard)?;
+        let (i, xid) = (shard.raw() as usize, leg.xid);
+        // A forgotten read-only xid reads aborted; a prepared leg cannot
+        // abort once the GTM committed.
+        if self.leg_reachable(shard.raw(), leg)
+            && self.nodes[i].mgr().status(xid) != TxnStatus::Aborted
+        {
+            let flipped = self.nodes[i].finish_commit(xid)?;
+            self.prune_lco(shard);
+            if let Some(t) = &self.tel {
+                t.leg_finish.inc();
             }
-            self.finish_leg(ShardId::new(s), leg.xid)?;
+            if flipped && self.cfg.replicas > 0 {
+                if let Some(g) = self.nodes[i].mgr().gxid_of(xid) {
+                    self.replicas[i].resolve(g, true);
+                }
+            }
         }
-        self.counters.multi_shard_commits += 1;
+        if let TxnKind::LiteMulti { legs, .. } = &mut decided.txn.kind {
+            legs.get_mut(&shard.raw()).expect("a leg").finished = true;
+        }
         Ok(())
     }
 
-    /// Deliver the commit confirmation to **one** leg — the retransmission
-    /// unit of the 2PC finish phase. Fails with `Unavailable` while the
-    /// leg's node is down (the coordinator backs off and retries); succeeds
-    /// as a no-op if in-doubt recovery already completed the leg, or if the
-    /// leg voted read-only and was forgotten.
-    pub(crate) fn finish_leg(&mut self, shard: ShardId, local_xid: Xid) -> Result<()> {
-        self.check_node(shard)?;
-        let node = &mut self.nodes[shard.raw() as usize];
-        if node.mgr().status(local_xid) == TxnStatus::Aborted {
-            // Voted read-only and was forgotten (an unknown xid reads
-            // aborted; a prepared leg cannot abort once the GTM committed).
-            return Ok(());
+    /// Deliver the decision to every unfinished leg whose node is up. A
+    /// down leg completes through in-doubt recovery when it restarts, so
+    /// skipping it cannot lose the commit.
+    pub fn finish_all(&mut self, mut decided: Decided) -> Result<()> {
+        loop {
+            let up = decided.unfinished().find(|&s| self.is_node_up(s));
+            let Some(shard) = up else { return Ok(()) };
+            self.finish_leg(&mut decided, shard)?;
         }
-        let flipped = node.finish_commit(local_xid)?;
-        self.prune_lco(shard);
-        if let Some(t) = &self.tel {
-            t.leg_finish.inc();
-        }
-        if flipped && self.cfg.replicas > 0 {
-            if let Some(g) = self.nodes[shard.raw() as usize].mgr().gxid_of(local_xid) {
-                self.replicas[shard.raw() as usize].resolve(g, true);
-            }
-        }
-        Ok(())
+    }
+
+    /// Give up a prepared transaction: [`Self::abort`] for a handle that
+    /// [`Self::decide`] gave back.
+    pub fn abort_prepared(&mut self, prepared: Prepared) -> Result<()> {
+        self.abort(prepared.txn)
     }
 
     /// Abort `txn`, rolling back its writes everywhere.
@@ -1399,15 +1430,11 @@ impl Cluster {
             TxnKind::LiteSingle {
                 shard, xid, epoch, ..
             } => {
-                let i = shard.raw() as usize;
-                if self.down[i] || (self.cfg.replicas > 0 && self.epochs[i] != epoch) {
-                    // Died with the crash (a fenced xid never reached the
-                    // promoted primary, and its volatile state died with the
-                    // old one).
-                    return Ok(());
-                }
-                let node = &mut self.nodes[i];
-                if node.mgr().is_active(xid) {
+                // A down or fenced node took the transaction with it (a
+                // fenced xid never reached the promoted primary).
+                let live = self.is_node_up(shard) && self.check_epoch(shard, epoch).is_ok();
+                let node = &mut self.nodes[shard.raw() as usize];
+                if live && node.mgr().is_active(xid) {
                     node.rollback_writes(xid)?;
                     node.mgr_mut().abort(xid)?;
                 }
@@ -1415,9 +1442,7 @@ impl Cluster {
             }
             TxnKind::LiteMulti { gxid, legs, .. } => {
                 for (&s, leg) in &legs {
-                    if self.down[s as usize]
-                        || (self.cfg.replicas > 0 && self.epochs[s as usize] != leg.epoch)
-                    {
+                    if !self.leg_reachable(s, leg) {
                         continue;
                     }
                     let node = &mut self.nodes[s as usize];
@@ -1478,21 +1503,12 @@ impl Cluster {
     /// §II-A: the analytical side reads the transactional state directly).
     pub fn snapshot_all(&self) -> Vec<(i64, i64)> {
         let mut out = Vec::new();
-        match self.cfg.protocol {
-            Protocol::Baseline => {
-                let snap = self.gtm.peek_snapshot();
-                for node in &self.nodes {
-                    let judge = SnapshotVisibility::new(&snap, self.gtm.clog(), None);
-                    out.extend(node.snapshot_rows(&judge));
-                }
-            }
-            Protocol::GtmLite => {
-                for node in &self.nodes {
-                    let snap = node.local_snapshot();
-                    let judge = SnapshotVisibility::new(&snap, node.mgr().clog(), None);
-                    out.extend(node.snapshot_rows(&judge));
-                }
-            }
+        for node in &self.nodes {
+            let (snap, clog) = match self.cfg.protocol {
+                Protocol::Baseline => (self.gtm.peek_snapshot(), self.gtm.clog()),
+                Protocol::GtmLite => (node.local_snapshot(), node.mgr().clog()),
+            };
+            out.extend(node.snapshot_rows(&SnapshotVisibility::new(&snap, clog, None)));
         }
         out.sort_unstable();
         out
@@ -1501,24 +1517,18 @@ impl Cluster {
     /// Convenience for benches/tests: run a read-your-writes transaction
     /// that bumps `key` by `delta`, committing it. Returns the new value.
     pub fn bump(&mut self, single_prefix: Option<u32>, key: i64, delta: i64) -> Result<i64> {
-        let mut txn = match single_prefix {
-            Some(p) => self.begin(TxnOptions::single(p))?,
-            None => self.begin(TxnOptions::multi())?,
-        };
-        let old = match self.get(&mut txn, key) {
-            Ok(v) => v.unwrap_or(0),
-            Err(e) => {
-                self.abort(txn)?;
-                return Err(e);
-            }
-        };
-        let new = old + delta;
-        if let Err(e) = self.put(&mut txn, key, new) {
-            self.abort(txn)?;
-            return Err(e);
+        let mut txn = self.begin(match single_prefix {
+            Some(p) => TxnOptions::single(p),
+            None => TxnOptions::multi(),
+        })?;
+        let bumped = self.get(&mut txn, key).and_then(|old| {
+            let new = old.unwrap_or(0) + delta;
+            self.put(&mut txn, key, new).map(|()| new)
+        });
+        match bumped {
+            Ok(new) => self.commit(txn).map(|()| new),
+            Err(e) => self.abort(txn).and(Err(e)),
         }
-        self.commit(txn)?;
-        Ok(new)
     }
 }
 
@@ -1703,7 +1713,7 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, k1, 11).unwrap();
         c.put(&mut t, k2, 22).unwrap();
-        c.multi_prepare(&t).unwrap();
+        let p = c.prepare(t).unwrap();
 
         let s1 = c.shard_map().shard_of_prefix(p1);
         c.crash_node(s1); // crash in the in-doubt window
@@ -1711,12 +1721,9 @@ mod tests {
 
         // The decision still lands at the GTM; the down leg's confirmation
         // is skipped (it will resolve from the clog instead).
-        c.multi_commit_at_gtm(&t).unwrap();
-        for (s, x) in t.legs() {
-            if s != s1 {
-                c.finish_leg(s, x).unwrap();
-            }
-        }
+        let mut d = c.decide(p).unwrap();
+        assert_eq!(c.finish_leg(&mut d, s1).unwrap_err().class(), "unavailable");
+        c.finish_all(d).unwrap();
 
         c.restart_node(s1);
         // In-doubt resolution committed the leg: value visible, no leaks.
@@ -1738,12 +1745,12 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, k1, 100).unwrap();
         c.put(&mut t, k2, 200).unwrap();
-        c.multi_prepare(&t).unwrap();
+        let p = c.prepare(t).unwrap();
         let s1 = c.shard_map().shard_of_prefix(p1);
         c.crash_node(s1);
 
         // The coordinator gives up and aborts instead of deciding commit.
-        c.abort(t).unwrap();
+        c.abort_prepared(p).unwrap();
         c.restart_node(s1);
 
         // Presumed abort resolved the in-doubt leg: old value restored.
@@ -1754,16 +1761,19 @@ mod tests {
     }
 
     #[test]
-    fn down_participant_makes_prepare_vote_no() {
+    fn down_participant_makes_prepare_vote_no_and_abort() {
         let mut c = lite(4);
         let (p1, p2) = two_shards(&c);
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, make_key(p1, 1), 1).unwrap();
         c.put(&mut t, make_key(p2, 1), 2).unwrap();
         c.crash_node(c.shard_map().shard_of_prefix(p2));
-        let err = c.multi_prepare(&t).unwrap_err();
+        let err = c.prepare(t).unwrap_err();
         assert_eq!(err.class(), "txn_aborted");
-        c.abort(t).unwrap();
+        // Presumed abort ran inside the step: nothing is left open.
+        assert_eq!(c.counters().aborts, 1);
+        assert_eq!(c.gtm().active_count(), 0);
+        assert_eq!(c.node(c.shard_map().shard_of_prefix(p1)).undo_len(), 0);
     }
 
     #[test]
@@ -1804,15 +1814,12 @@ mod tests {
         let (p1, p2) = two_shards(&c);
         let (k1, k2) = (make_key(p1, 1), make_key(p2, 1));
 
-        let t = {
-            let mut t = c.begin(TxnOptions::multi()).unwrap();
-            c.put(&mut t, k1, 31).unwrap();
-            c.put(&mut t, k2, 32).unwrap();
-            c.multi_prepare(&t).unwrap();
-            c.multi_commit_at_gtm(&t).unwrap();
-            t
-        };
-        let gxid = t.gxid().unwrap();
+        let mut t = c.begin(TxnOptions::multi()).unwrap();
+        c.put(&mut t, k1, 31).unwrap();
+        c.put(&mut t, k2, 32).unwrap();
+        let p = c.prepare(t).unwrap();
+        let d = c.decide(p).unwrap();
+        let gxid = d.gxid().unwrap();
 
         c.crash_gtm();
         c.restart_gtm();
@@ -1822,9 +1829,7 @@ mod tests {
         assert_eq!(c.bump(Some(p1), k1, 0).unwrap(), 31);
         assert_eq!(c.bump(Some(p2), k2, 0).unwrap(), 32);
         // The client's finish retransmissions are clean no-ops.
-        for (s, x) in t.legs() {
-            c.finish_leg(s, x).unwrap();
-        }
+        c.finish_all(d).unwrap();
         for s in 0..4 {
             assert_eq!(c.node(ShardId::new(s)).pending_commit_len(), 0);
         }
@@ -1842,23 +1847,20 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, k1, 100).unwrap();
         c.put(&mut t, k2, 200).unwrap();
-        c.multi_prepare(&t).unwrap();
         let gxid = t.gxid().unwrap();
+        let p = c.prepare(t).unwrap();
 
         c.crash_gtm();
-        assert_eq!(
-            c.multi_commit_at_gtm(&t).unwrap_err().class(),
-            "unavailable"
-        );
+        let undecided = c.decide(p).unwrap_err();
+        assert_eq!(undecided.error.class(), "unavailable");
+        let p = undecided.retry.expect("a GTM outage gives the handle back");
         c.restart_gtm();
 
         // The recovered GTM observed only prepared legs: presumed abort.
         assert!(!c.gtm_commit_status(gxid).unwrap());
         // Its in-doubt legs were resolved aborted at recovery, so the
-        // coordinator's late commit attempt must fail...
-        assert!(c.multi_commit_at_gtm(&t).is_err());
-        // ...and aborting the handle cleans up what is left.
-        c.abort(t).unwrap();
+        // coordinator's late commit attempt fails and aborts what is left.
+        assert!(c.decide(p).unwrap_err().retry.is_none());
         assert_eq!(c.bump(Some(p1), k1, 0).unwrap(), 5);
         for s in 0..4 {
             let node = c.node(ShardId::new(s));
@@ -1877,16 +1879,21 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, make_key(p1, 1), 1).unwrap();
         c.put(&mut t, make_key(p2, 1), 2).unwrap();
-        c.multi_prepare(&t).unwrap();
+        let p = c.prepare(t).unwrap();
 
         let s1 = c.shard_map().shard_of_prefix(p1);
         c.crash_node(s1);
         c.restart_node(s1); // inquiry resolves presumed-abort at the GTM
 
-        let err = c.multi_commit_at_gtm(&t).unwrap_err();
-        assert_eq!(err.class(), "txn_state", "late commit must be rejected");
-        c.abort(t).unwrap();
+        let err = c.decide(p).unwrap_err();
+        assert_eq!(err.error.class(), "txn_state", "late commit rejected");
+        assert!(err.retry.is_none(), "and the step aborted the rest");
         assert_eq!(c.counters().in_doubt_aborts, 1);
+        assert_eq!(c.counters().aborts, 1);
+        assert_eq!(c.gtm().active_count(), 0);
+        for s in c.shard_map().all() {
+            assert_eq!(c.node(s).mgr().active_count(), 0, "{s}");
+        }
     }
 
     #[test]
@@ -2011,8 +2018,8 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, w, 11).unwrap();
         c.get(&mut t, r).unwrap();
-        c.multi_prepare(&t).unwrap();
-        c.abort(t).unwrap();
+        let p = c.prepare(t).unwrap();
+        c.abort_prepared(p).unwrap();
         for s in [sw, sr] {
             let n = c.node(s);
             assert_eq!((n.undo_len(), n.pending_commit_len()), (0, 0));
@@ -2204,17 +2211,16 @@ mod tests {
                 c.put(&mut t, make_key(ps, round), i64::from(round) + 10)
                     .unwrap();
                 c.put(&mut t, make_key(po, 100 + round), 1).unwrap();
-                c.multi_prepare(&t).unwrap();
-                let commit = (u64::from(round) + s) % 2 == 0;
-                if commit {
-                    c.multi_commit_at_gtm(&t).unwrap();
-                }
+                let p = c.prepare(t).unwrap();
+                let decided = match (u64::from(round) + s) % 2 {
+                    0 => Ok(c.decide(p).unwrap()),
+                    _ => Err(p),
+                };
                 c.crash_node(shard);
                 assert!(c.try_failover(shard).unwrap());
-                if commit {
-                    c.multi_finish(t).unwrap();
-                } else {
-                    c.abort(t).unwrap();
+                match decided {
+                    Ok(d) => c.finish_all(d).unwrap(),
+                    Err(p) => c.abort_prepared(p).unwrap(),
                 }
                 // The promoted primary takes writes before the old one returns.
                 dml(&mut db, 6);
@@ -2231,7 +2237,7 @@ mod tests {
         let mut t = c.begin(TxnOptions::multi()).unwrap();
         c.put(&mut t, make_key(p0, 7), 70).unwrap();
         c.put(&mut t, make_key(p1, 7), 71).unwrap();
-        c.multi_prepare(&t).unwrap();
+        let _in_doubt = c.prepare(t).unwrap();
         c.crash_gtm();
         c.crash_node(s0);
         assert!(c.try_failover(s0).unwrap());

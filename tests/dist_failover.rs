@@ -160,6 +160,10 @@ fn twenty_seed_chaos_dist_sweep_loses_nothing_and_replays_bit_identical() {
             "seed {seed}: a statement path leaked its global snapshot: {r1:?}"
         );
         assert_eq!(
+            r1.leaked_txns, 0,
+            "seed {seed}: a transaction stayed open after healing: {r1:?}"
+        );
+        assert_eq!(
             r1.replica_divergences,
             Vec::<String>::new(),
             "seed {seed}: a replica differs from a replay of its log"

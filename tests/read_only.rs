@@ -181,7 +181,7 @@ fn gtm_recovery_never_reissues_a_read_only_gxid() {
     for p in 0..16 {
         c.get(&mut t, make_key(p, 1)).unwrap();
     }
-    assert_eq!(t.legs().len(), SHARDS);
+    assert_eq!(t.leg_count(), SHARDS);
     c.commit(t).unwrap();
     for s in 0..SHARDS {
         let m = c.node(ShardId::new(s as u64)).mgr();
