@@ -35,7 +35,7 @@ fn bench_store_keys(c: &mut Criterion) {
         .iter()
         .map(|t| StepObservation {
             kind: StepKind::Join,
-            text: t.clone(),
+            text: t.as_str().into(),
             estimated: 1.0,
             actual: 100,
         })
@@ -66,7 +66,7 @@ fn bench_capture_policies(c: &mut Criterion) {
     let obs: Vec<StepObservation> = (0..100)
         .map(|i| StepObservation {
             kind: StepKind::Scan,
-            text: long_step_text(i),
+            text: long_step_text(i).into(),
             estimated: if i % 2 == 0 { 100.0 } else { 99.0 },
             actual: 100,
         })

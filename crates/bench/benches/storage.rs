@@ -99,7 +99,7 @@ fn bench_point_lookup(c: &mut Criterion) {
         let mut k = 0i64;
         b.iter(|| {
             k = (k + 7919) % N;
-            black_box(table.probe(0, &vec![Datum::Int(k)], &judge).unwrap())
+            black_box(table.probe(0, &[Datum::Int(k)], &judge).unwrap())
         })
     });
     g.bench_function("seq_scan_filter", |b| {

@@ -43,7 +43,9 @@ use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
 use hdm_sql::prepared::ExecOptions;
 use hdm_sql::profile::ChainProfiler;
-use hdm_sql::session::{BoundSets, CachedPlan, EngineState, Facade, Session, StmtProfiler};
+use hdm_sql::session::{
+    output_columns, BoundSets, CachedPlan, EngineState, Facade, Session, StmtProfiler,
+};
 use hdm_sql::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_sql::{Catalog, ExecBackend};
 use hdm_storage::heap::TupleId;
@@ -53,9 +55,11 @@ use hdm_telemetry::{
     StatementProfile, Telemetry,
 };
 use hdm_txn::{MemoVisibility, SnapshotVisibility};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One scripted fault against a data node, named by its raw shard id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +147,10 @@ pub enum Scope {
 
 /// A compiled linear SELECT (`Project? → SeqScan` of one distributed
 /// table): everything the scatter/gather loop needs without walking a plan
-/// tree through the boxed executor.
+/// tree through the boxed executor. A run borrows all of it: the shard
+/// list, the observation text it reports and (from the plan-cache entry)
+/// the column names are shared, not copied, so a pruned point read
+/// allocates only its snapshot, its result and its one observation.
 pub struct FastSelect {
     table: String,
     meta: DistMeta,
@@ -151,17 +158,22 @@ pub struct FastSelect {
     pred: Option<SExpr>,
     /// The whole predicate pre-lowered to `column = ?N`: execution then
     /// needs no expression substitution and no generic pruning walk at all —
-    /// the bound datum routes the shard and filters rows directly.
+    /// the bound datum routes the shard, probes the index as a one-datum
+    /// key borrowed from the bound parameters, and filters rows directly.
     param_eq: Option<(usize, u16)>,
-    /// Projection expressions over the scan schema, if any.
+    /// Projection expressions over the scan schema, if any; each leg's rows
+    /// are projected straight into the result.
     project: Option<Vec<SExpr>>,
-    /// Canonical text of the un-annotated scan; the `EXCHANGE(..)` plan-store
-    /// key is assembled around it per execution once the shard list is known.
+    /// Canonical text of the un-annotated scan: the local `SCAN(..)`
+    /// plan-store key, consulted before the `EXCHANGE(..)` one.
     scan_canon: String,
+    /// Every shard's raw id, in shard order: the legs of an unpruned run.
+    all: Vec<u64>,
     /// Pre-rendered `EXCHANGE(.., SHARDS(..))` observation texts: one per
-    /// single-shard outcome (keyed by raw shard id) plus the scatter form.
-    ex_single: Vec<(u64, String)>,
-    ex_all: String,
+    /// single-shard outcome (indexed by raw shard id) plus the scatter form.
+    /// A run's observation shares its text.
+    ex_single: Vec<Arc<str>>,
+    ex_all: Arc<str>,
     /// The planner's compile-time scan estimate (rehinted before each run).
     est_rows: f64,
 }
@@ -779,9 +791,9 @@ impl DistDb {
         });
         let scan_canon = scan.canonical()?;
         let all: Vec<u64> = self.cluster.shard_map().all().map(|s| s.raw()).collect();
-        let ex_text = |shards: &[u64]| {
+        let ex_text = |shards: &[u64]| -> Arc<str> {
             let list: Vec<String> = shards.iter().map(u64::to_string).collect();
-            format!("EXCHANGE({scan_canon}, SHARDS({}))", list.join(","))
+            format!("EXCHANGE({scan_canon}, SHARDS({}))", list.join(",")).into()
         };
         Some(FastSelect {
             table: table.clone(),
@@ -789,9 +801,10 @@ impl DistDb {
             pred: predicate.clone(),
             param_eq,
             project,
-            ex_single: all.iter().map(|&r| (r, ex_text(&[r]))).collect(),
+            ex_single: all.iter().map(|&r| ex_text(&[r])).collect(),
             ex_all: ex_text(&all),
             scan_canon,
+            all,
             est_rows: scan.est_rows(),
         })
     }
@@ -1019,9 +1032,10 @@ impl Facade for DistDb {
             hdm_sql::exec::execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))
         };
         let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
+        let columns = output_columns(plan);
         Ok(self
             .session
-            .finish_select(plan, rows, steps, planning, profile))
+            .finish_select(columns, rows, steps, planning, profile))
     }
 
     /// The compiled hot path: prune from the bound predicate, open the
@@ -1034,7 +1048,7 @@ impl Facade for DistDb {
     /// annotated, and its legs come from the leg clock.
     fn run_program(
         &mut self,
-        plan: &PlanNode,
+        cached: &CachedPlan<FastSelect>,
         fast: &FastSelect,
         params: &[Datum],
         replans: u64,
@@ -1054,13 +1068,13 @@ impl Facade for DistDb {
             other => other.clone(),
         };
         let project = match &fast.project {
-            Some(exprs) if exprs.iter().any(SExpr::has_params) => Some(
+            Some(exprs) if exprs.iter().any(SExpr::has_params) => Some(Cow::Owned(
                 exprs
                     .iter()
                     .map(|e| e.substitute_params(params))
                     .collect::<Result<Vec<_>>>()?,
-            ),
-            other => other.clone(),
+            )),
+            other => other.as_deref().map(Cow::Borrowed),
         };
         let pruned = match eq {
             Some((col, Datum::Int(v))) if col == fast.meta.shard_col => {
@@ -1070,29 +1084,20 @@ impl Facade for DistDb {
             _ if fast.param_eq.is_some() => Pruned::All,
             _ => self.prune_shards(fast.meta, pred.as_ref()),
         };
-        let (scope, shards) = match &pruned {
-            Pruned::Single(s, prefix) => (Scope::Single(*prefix), vec![s.raw()]),
-            Pruned::All => (
-                Scope::Multi,
-                self.cluster.shard_map().all().map(|s| s.raw()).collect(),
-            ),
+        let single;
+        let (scope, shards, ex_text) = match &pruned {
+            Pruned::Single(s, prefix) => {
+                single = s.raw();
+                let text = &fast.ex_single[single as usize];
+                (Scope::Single(*prefix), std::slice::from_ref(&single), text)
+            }
+            Pruned::All => (Scope::Multi, &fast.all[..], &fast.ex_all),
         };
         if shards.len() <= 1 {
             self.counters.pruned_scans += 1;
         } else {
             self.counters.scatter_scans += 1;
         }
-        // Observation texts were rendered at compile time; per-shard lookup
-        // keeps the hot loop free of string formatting.
-        let ex_text = if let [only] = shards[..] {
-            fast.ex_single
-                .iter()
-                .find(|(r, _)| *r == only)
-                .map(|(_, t)| t.clone())
-                .unwrap_or_else(|| format!("EXCHANGE({}, SHARDS({only}))", fast.scan_canon))
-        } else {
-            fast.ex_all.clone()
-        };
         let mut est = fast.est_rows;
         let mut planning = PlanningInfo {
             replans,
@@ -1109,13 +1114,13 @@ impl Facade for DistDb {
             }
             // ...then the distributed rehint under the EXCHANGE key (hits
             // only, matching `rehint_exchanges`).
-            if let Some(v) = h.lookup(&ex_text) {
+            if let Some(v) = h.lookup(ex_text) {
                 planning.hint_hits += 1;
                 est = v as f64;
             }
         }
         let bound = profiled
-            .map(|_| self.profile_plan(plan, params, est))
+            .map(|_| self.profile_plan(&cached.plan, params, est))
             .transpose()?;
         let gtm_before = self.cluster.counters().gtm_interactions;
         let mut prof = self.session.profiler(profiled);
@@ -1124,7 +1129,8 @@ impl Facade for DistDb {
             .as_mut()
             .zip(bound.as_ref())
             .map(|(p, b)| ChainProfiler::new(&mut p.ops, b));
-        let mut scan_rows: Vec<Row> = Vec::new();
+        // Each leg's rows go straight into the result, projected on the way.
+        let mut rows: Vec<Row> = Vec::new();
         let mut be = self.dist_exec(&mut txn, chain.is_some(), None);
         let scanned = shards.iter().try_for_each(|&raw| {
             be.run_leg(
@@ -1134,45 +1140,41 @@ impl Facade for DistDb {
                 eq,
                 pred.as_ref(),
                 |_, row| {
-                    scan_rows.push(row.clone());
+                    rows.push(match project.as_deref() {
+                        None => row.clone(),
+                        Some(exprs) => Row::new(
+                            exprs
+                                .iter()
+                                .map(|e| e.eval(row.values()))
+                                .collect::<Result<_>>()?,
+                        ),
+                    });
                     Ok(())
                 },
             )
             .map(drop)
         });
         let legs = be.take_exchange_profile();
-        let actual = scan_rows.len() as u64;
-        let rows = scanned.and_then(|()| {
-            if let Some(c) = &mut chain {
-                c.exit_next(actual, legs);
+        let actual = rows.len() as u64;
+        if let (Ok(()), Some(c)) = (&scanned, &mut chain) {
+            c.exit_next(actual, legs);
+            if project.is_some() {
+                c.exit_next(actual, Vec::new());
             }
-            let Some(exprs) = &project else {
-                return Ok(scan_rows);
-            };
-            let mut out = Vec::with_capacity(scan_rows.len());
-            for r in &scan_rows {
-                let vals: Vec<Datum> = exprs
-                    .iter()
-                    .map(|e| e.eval(r.values()))
-                    .collect::<Result<_>>()?;
-                out.push(Row::new(vals));
-            }
-            if let Some(c) = &mut chain {
-                c.exit_next(out.len() as u64, Vec::new());
-            }
-            Ok(out)
-        });
+        }
         drop(chain);
+        let rows = scanned.map(|()| rows);
         let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
         let steps = vec![StepObservation {
             kind: StepKind::Scan,
-            text: ex_text,
+            text: Arc::clone(ex_text),
             estimated: est,
             actual,
         }];
+        let columns = Arc::clone(&cached.columns);
         Ok(self
             .session
-            .finish_select(plan, rows, steps, planning, profile))
+            .finish_select(columns, rows, steps, planning, profile))
     }
 
     fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
@@ -1242,7 +1244,7 @@ impl Facade for DistDb {
         self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
             let n = routed.len() as u64;
             for (shard, _, row) in routed {
-                let (xid, _) = be.open_leg(shard)?;
+                let xid = be.open_leg(shard)?;
                 let node = be.cluster.node_mut(shard);
                 node.sql_insert(node.table_id(&canon)?, xid, row)?;
             }
@@ -1674,9 +1676,9 @@ struct DistExec<'a> {
 impl DistExec<'_> {
     /// Leg prologue: advance the fault script one tick, give a down shard
     /// its one inline failover chance, open the multi-shard leg on first
-    /// touch, and return the `(local xid, snapshot)` the fragment runs
-    /// under.
-    fn open_leg(&mut self, shard: ShardId) -> Result<(Xid, hdm_txn::Snapshot)> {
+    /// touch, and return the local xid the fragment runs as. Its snapshot
+    /// is the transaction's, borrowed through [`Txn::lite_ctx`].
+    fn open_leg(&mut self, shard: ShardId) -> Result<Xid> {
         tick_faults(self.cluster, self.faults)?;
         if !self.cluster.is_node_up(shard) {
             if leg_failover(self.cluster, self.txn, shard)? {
@@ -1688,7 +1690,8 @@ impl DistExec<'_> {
         if !self.txn.is_single_shard() {
             self.cluster.ensure_leg(self.txn, shard)?;
         }
-        self.txn.lite_ctx(shard).ok_or_else(|| {
+        let xid = self.txn.lite_ctx(shard).map(|(xid, _)| xid);
+        xid.ok_or_else(|| {
             HdmError::TxnState(format!(
                 "fragment on {shard} outside the transaction's scope"
             ))
@@ -1717,7 +1720,7 @@ impl DistExec<'_> {
         predicate: Option<&SExpr>,
         mut emit: impl FnMut(TupleId, &Row) -> Result<()>,
     ) -> Result<Xid> {
-        let (xid, snap) = self.open_leg(shard)?;
+        let xid = self.open_leg(shard)?;
         let span = self.tel.map(|t| {
             let s = t.tracer.begin("plan.fragment");
             t.tracer.field(s, "shard", shard);
@@ -1730,31 +1733,11 @@ impl DistExec<'_> {
         // still counts the leg and closes its span before it propagates.
         let scanned = (|| -> Result<()> {
             let node = self.cluster.node(shard);
+            let (_, snap) = self.txn.lite_ctx(shard).expect("open_leg checked the leg");
             let judge =
-                MemoVisibility::new(SnapshotVisibility::new(&snap, node.mgr().clog(), Some(xid)));
+                MemoVisibility::new(SnapshotVisibility::new(snap, node.mgr().clog(), Some(xid)));
             let t = node.sql_table(table)?;
             let ix_on = |cols: &[usize]| t.indexes().iter().position(|ix| ix.key_columns() == cols);
-            let hits: Option<Vec<(TupleId, &Row)>> = match probe {
-                Some(ExchangeProbe::Eq { columns, key }) => {
-                    ix_on(columns).map(|ix| t.probe(ix, key, &judge))
-                }
-                Some(ExchangeProbe::Range { column, lo, hi }) => ix_on(&[*column]).map(|ix| {
-                    let lo_k = hdm_sql::backend::bound_key(lo);
-                    let hi_k = hdm_sql::backend::bound_key(hi);
-                    t.range_probe(
-                        ix,
-                        hdm_sql::backend::bound_ref(&lo_k),
-                        hdm_sql::backend::bound_ref(&hi_k),
-                        &judge,
-                    )
-                }),
-                None => match eq {
-                    Some((col, v)) => ix_on(&[col]).map(|ix| (ix, v)),
-                    None => predicate.and_then(|p| indexed_eq(p, &ix_on)),
-                }
-                .map(|(ix, v)| t.probe(ix, &vec![v.clone()], &judge)),
-            }
-            .transpose()?;
             let mut visit = |tid: TupleId, row: &Row| -> Result<()> {
                 let keep = match (predicate, eq) {
                     (Some(p), _) => p.eval_filter(row.values())?,
@@ -1767,20 +1750,45 @@ impl DistExec<'_> {
                 }
                 Ok(())
             };
-            match hits {
-                Some(mut hits) => {
-                    // Ascending tid = heap-scan order, so probed legs yield
-                    // byte-identical rows to scanned ones.
-                    hits.sort_unstable_by_key(|&(tid, _)| tid);
-                    for (tid, row) in hits {
-                        visit(tid, row)?;
-                    }
-                    self.counters.index_probes += 1;
+            // Probed legs visit their hits in ascending tid = heap-scan
+            // order, so they yield byte-identical rows to scanned ones: an
+            // equality probe walks its posting list in place, a range probe
+            // collects and sorts its hits.
+            let eq_probe = match probe {
+                Some(ExchangeProbe::Eq { columns, key }) => ix_on(columns).map(|ix| (ix, &key[..])),
+                Some(ExchangeProbe::Range { .. }) => None,
+                None => match eq {
+                    Some((col, v)) => ix_on(&[col]).map(|ix| (ix, v)),
+                    None => predicate.and_then(|p| indexed_eq(p, &ix_on)),
                 }
-                None => {
-                    for (tid, row) in t.scan(&judge) {
-                        visit(tid, row)?;
-                    }
+                .map(|(ix, v)| (ix, std::slice::from_ref(v))),
+            };
+            let range_hits = match probe {
+                Some(ExchangeProbe::Range { column, lo, hi }) => ix_on(&[*column]).map(|ix| {
+                    let lo_k = hdm_sql::backend::bound_key(lo);
+                    let hi_k = hdm_sql::backend::bound_key(hi);
+                    t.range_probe(
+                        ix,
+                        hdm_sql::backend::bound_ref(&lo_k),
+                        hdm_sql::backend::bound_ref(&hi_k),
+                        &judge,
+                    )
+                }),
+                _ => None,
+            }
+            .transpose()?;
+            if let Some((ix, key)) = eq_probe {
+                t.probe_each(ix, key, &judge, &mut visit)?;
+                self.counters.index_probes += 1;
+            } else if let Some(mut hits) = range_hits {
+                hits.sort_unstable_by_key(|&(tid, _)| tid);
+                for (tid, row) in hits {
+                    visit(tid, row)?;
+                }
+                self.counters.index_probes += 1;
+            } else {
+                for (tid, row) in t.scan(&judge) {
+                    visit(tid, row)?;
                 }
             }
             Ok(())

@@ -273,15 +273,15 @@ impl Txn {
     /// under: the single-shard txn's own context, or the opened leg's merged
     /// view. `None` when the leg is not open (call `ensure_leg` first) or
     /// the transaction is baseline-protocol.
-    pub(crate) fn lite_ctx(&self, shard: ShardId) -> Option<(Xid, Snapshot)> {
+    pub(crate) fn lite_ctx(&self, shard: ShardId) -> Option<(Xid, &Snapshot)> {
         match &self.kind {
             TxnKind::LiteSingle {
                 shard: own,
                 xid,
                 snap,
                 ..
-            } => (*own == shard).then(|| (*xid, snap.clone())),
-            _ => self.leg(shard).map(|leg| (leg.xid, leg.merged.clone())),
+            } => (*own == shard).then_some((*xid, snap)),
+            _ => self.leg(shard).map(|leg| (leg.xid, &leg.merged)),
         }
     }
 }
@@ -1291,10 +1291,14 @@ impl Cluster {
             TxnKind::LiteSingle {
                 shard, xid, epoch, ..
             } => {
-                // A down or fenced home node took the transaction with it.
+                // A down or fenced home node took the transaction with it;
+                // `abort` counts it and skips the unreachable node.
                 let (shard, i) = (*shard, shard.raw() as usize);
-                self.check_node(shard).map_err(aborted)?;
-                self.check_epoch(shard, *epoch).map_err(aborted)?;
+                let reachable = self.check_node(shard);
+                if let Err(e) = reachable.and_then(|()| self.check_epoch(shard, *epoch)) {
+                    self.abort(p.txn).map_err(aborted)?;
+                    return Err(aborted(e));
+                }
                 let (ops, stmt) = self.nodes[i].commit_local(*xid).map_err(aborted)?;
                 self.prune_lco(shard);
                 if self.cfg.replicas > 0 && (!ops.is_empty() || stmt.is_some()) {

@@ -292,8 +292,8 @@ impl DataNode {
     /// `own`-xid visibility) whose row equals `row` — the follower's lookup
     /// for a replicated UPDATE or DELETE. Every distributed table is hashed
     /// on column 0 and indexed there by [`Self::create_sql_table`], so this
-    /// is a shard-key probe filtered by row equality. Posting lists are not
-    /// kept in tid order, so the lowest tid is taken explicitly: the tuple a
+    /// is a shard-key probe filtered by row equality. The probe visits hits
+    /// in ascending tid order, so the first equal row is the tuple a
     /// heap-order scan would find first, which keeps replay deterministic.
     pub fn sql_find_row(
         &self,
@@ -316,13 +316,15 @@ impl DataNode {
             .iter()
             .position(|ix| ix.key_columns() == [0])
             .ok_or_else(no_key)?;
-        let key = row.values().get(..1).ok_or_else(no_key)?.to_vec();
-        Ok(table
-            .probe(ix, &key, &judge)?
-            .into_iter()
-            .filter(|(_, r)| *r == row)
-            .map(|(tid, _)| tid)
-            .min())
+        let key = row.values().get(..1).ok_or_else(no_key)?;
+        let mut found = None;
+        table.probe_each(ix, key, &judge, |tid, r| {
+            if found.is_none() && r == row {
+                found = Some(tid);
+            }
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// ANALYZE every table on this node under the node's current local
@@ -342,23 +344,30 @@ impl DataNode {
         SnapshotVisibility::new(snap, self.mgr.clog(), own)
     }
 
-    /// The versions of kv `key` visible to `judge`, in probe order.
+    /// Hand each version of kv `key` visible to `judge` to `visit`, in
+    /// ascending tid order, without allocating.
     fn kv_probe<'a, V: Visibility + ?Sized>(
         &'a self,
-        judge: &'a V,
+        judge: &V,
         key: i64,
-    ) -> Result<Vec<(TupleId, &'a Row)>> {
-        self.tables[0].probe(0, &vec![Datum::Int(key)], judge)
+        visit: impl FnMut(TupleId, &'a Row) -> Result<()>,
+    ) -> Result<()> {
+        self.tables[0].probe_each(0, &[Datum::Int(key)], judge, visit)
     }
 
     /// Read kv `key` under `judge`.
     pub fn get<V: Visibility + ?Sized>(&self, judge: &V, key: i64) -> Result<Option<i64>> {
-        match self.kv_probe(judge, key)?.as_slice() {
-            [] => Ok(None),
-            [(_, r)] => Ok(r.get(1).and_then(Datum::as_int)),
-            hits => Err(HdmError::Execution(format!(
-                "key {key} resolves to {} visible versions on {}",
-                hits.len(),
+        let (mut hits, mut first) = (0usize, None);
+        self.kv_probe(judge, key, |_, r| {
+            hits += 1;
+            first.get_or_insert(r);
+            Ok(())
+        })?;
+        match (hits, first) {
+            (1, Some(r)) => Ok(r.get(1).and_then(Datum::as_int)),
+            (0, _) => Ok(None),
+            _ => Err(HdmError::Execution(format!(
+                "key {key} resolves to {hits} visible versions on {}",
                 self.id
             ))),
         }
@@ -374,17 +383,23 @@ impl DataNode {
         own: Option<Xid>,
         key: i64,
     ) -> Result<Vec<i64>> {
-        Ok(self
-            .kv_probe(&self.judge(snap, own), key)?
-            .iter()
-            .filter_map(|(_, r)| r.get(1).and_then(Datum::as_int))
-            .collect())
+        let mut out = Vec::new();
+        self.kv_probe(&self.judge(snap, own), key, |_, r| {
+            out.extend(r.get(1).and_then(Datum::as_int));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// The kv version of `key` a write judged by `judge` replaces: the
     /// first visible one, if any. Pass it to [`Self::put`] or [`Self::del`].
     pub fn kv_find<V: Visibility + ?Sized>(&self, judge: &V, key: i64) -> Result<Option<TupleId>> {
-        Ok(self.kv_probe(judge, key)?.first().map(|(tid, _)| *tid))
+        let mut first = None;
+        self.kv_probe(judge, key, |tid, _| {
+            first.get_or_insert(tid);
+            Ok(())
+        })?;
+        Ok(first)
     }
 
     /// Upsert `key = val` as transaction `xid`, replacing version `old`. A
@@ -825,7 +840,7 @@ mod tests {
         let ix = kv.indexes().iter().position(|ix| ix.key_columns() == [0]);
         let snap = n.local_snapshot();
         let judge = n.judge(&snap, None);
-        let hits = kv.probe(ix.expect("column-0 index"), &vec![Datum::Int(2)], &judge);
+        let hits = kv.probe(ix.expect("column-0 index"), &[Datum::Int(2)], &judge);
         assert_eq!(hits.unwrap().len(), 1);
 
         let x = n.mgr_mut().begin_local();

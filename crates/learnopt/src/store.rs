@@ -162,7 +162,7 @@ impl PlanStore {
             self.entries.insert(
                 key,
                 StoredStep {
-                    text: s.text.clone(),
+                    text: s.text.to_string(),
                     kind: s.kind,
                     actual: s.actual,
                     estimated: s.estimated,
@@ -290,7 +290,7 @@ mod tests {
     fn obs(text: &str, estimated: f64, actual: u64) -> StepObservation {
         StepObservation {
             kind: StepKind::Scan,
-            text: text.to_string(),
+            text: text.into(),
             estimated,
             actual,
         }

@@ -333,7 +333,7 @@ impl ExecBackend for LocalBackend<'_> {
     ) -> Result<Vec<Row>> {
         let judge = SnapshotVisibility::new(&self.snap, self.mgr.clog(), None);
         let t = self.catalog.get(table)?;
-        let hits = t.probe(index_id, &key_values.to_vec(), &judge)?;
+        let hits = t.probe(index_id, key_values, &judge)?;
         collect_matching(hits.into_iter().map(|(_tid, row)| row), residual)
     }
 

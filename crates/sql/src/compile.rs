@@ -17,6 +17,7 @@ use crate::expr::SExpr;
 use crate::plan::{eq_key_value, PlanNode, PlanOp, StepKind, StepObservation};
 use crate::profile::ChainProfiler;
 use hdm_common::{Datum, HdmError, Result, Row};
+use std::sync::Arc;
 
 /// One instruction. Expression operands index [`CompiledProgram::exprs`];
 /// `dst`/`src`/`reg` are register slots holding materialized row batches.
@@ -53,7 +54,7 @@ pub enum Op {
 #[derive(Debug, Clone)]
 pub struct StepTemplate {
     pub kind: StepKind,
-    pub text: String,
+    pub text: Arc<str>,
     pub est_rows: f64,
     pub op_index: usize,
 }
@@ -111,7 +112,7 @@ pub fn compile(plan: &PlanNode) -> Option<CompiledProgram> {
     };
     steps.push(StepTemplate {
         kind: StepKind::Scan,
-        text: scan_node.canonical()?,
+        text: scan_node.canonical()?.into(),
         est_rows: scan_node.est_rows(),
         op_index: ops.len(),
     });
@@ -136,7 +137,7 @@ pub fn compile(plan: &PlanNode) -> Option<CompiledProgram> {
         };
         steps.push(StepTemplate {
             kind: StepKind::Limit,
-            text: l.canonical()?,
+            text: l.canonical()?.into(),
             est_rows: l.est_rows(),
             op_index: ops.len(),
         });

@@ -17,7 +17,7 @@ use crate::expr::SExpr;
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::{Planner, PlanningInfo, TempRels};
 use crate::profile::ChainProfiler;
-use crate::session::{BoundSets, CachedPlan, EngineState, Facade, Session};
+use crate::session::{output_columns, BoundSets, CachedPlan, EngineState, Facade, Session};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Datum, Result, Row, Schema};
 use hdm_telemetry::{
@@ -58,8 +58,8 @@ pub trait TableFunction {
 /// Result of executing one statement.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
-    /// Output column names.
-    pub columns: Vec<String>,
+    /// Output column names; a cached plan's results share one list.
+    pub columns: Arc<[String]>,
     pub rows: Vec<Row>,
     /// Rows touched by DML (INSERT/UPDATE/DELETE).
     pub affected: u64,
@@ -339,16 +339,17 @@ impl Facade for Database {
             execute(plan, &mut be, &mut steps, prof.as_mut().map(|p| &mut p.ops))?
         };
         let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
+        let columns = output_columns(plan);
         Ok(self
             .session
-            .finish_select(plan, rows, steps, planning, profile))
+            .finish_select(columns, rows, steps, planning, profile))
     }
 
     /// Rehint the program's step estimates against the plan store and run
     /// the compiled op-array.
     fn run_program(
         &mut self,
-        plan: &PlanNode,
+        cached: &CachedPlan<CompiledProgram>,
         prog: &CompiledProgram,
         params: &[Datum],
         replans: u64,
@@ -357,7 +358,7 @@ impl Facade for Database {
         let (ests, mut planning) = self.rehint_steps(&prog.steps);
         planning.replans = replans;
         let bound = profiled
-            .map(|_| prog.profile_plan(plan, params, &ests))
+            .map(|_| prog.profile_plan(&cached.plan, params, &ests))
             .transpose()?;
         let mut prof = self.session.profiler(profiled);
         let mut steps = Vec::new();
@@ -370,9 +371,10 @@ impl Facade for Database {
             prog.run(params, &ests, &mut be, &mut steps, chain.as_mut())?
         };
         let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
+        let columns = Arc::clone(&cached.columns);
         Ok(self
             .session
-            .finish_select(plan, rows, steps, planning, profile))
+            .finish_select(columns, rows, steps, planning, profile))
     }
 
     fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {

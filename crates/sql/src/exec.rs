@@ -293,7 +293,7 @@ fn leave(
     if let Some(text) = plan.canonical() {
         obs.push(StepObservation {
             kind: plan.step_kind(),
-            text,
+            text: text.into(),
             estimated: plan.est_rows(),
             actual,
         });

@@ -41,160 +41,154 @@ pub enum Sym {
 
 /// Tokenize SQL text.
 pub fn lex(input: &str) -> Result<Vec<Token>> {
+    let mut lexer = Lexer::new(input);
     let mut out = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                out.push(Token::Symbol(Sym::LParen));
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::Symbol(Sym::RParen));
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Symbol(Sym::Comma));
-                i += 1;
-            }
-            '.' => {
-                out.push(Token::Symbol(Sym::Dot));
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Symbol(Sym::Semicolon));
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Symbol(Sym::Star));
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Symbol(Sym::Plus));
-                i += 1;
-            }
-            '-' => {
-                out.push(Token::Symbol(Sym::Minus));
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Symbol(Sym::Slash));
-                i += 1;
-            }
-            '%' => {
-                out.push(Token::Symbol(Sym::Percent));
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Symbol(Sym::Eq));
-                i += 1;
-            }
-            '?' => {
-                out.push(Token::Symbol(Sym::Question));
-                i += 1;
-            }
-            '!' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                out.push(Token::Symbol(Sym::Ne));
-                i += 2;
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token::Symbol(Sym::Le));
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    out.push(Token::Symbol(Sym::Ne));
-                    i += 2;
-                } else {
-                    out.push(Token::Symbol(Sym::Lt));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token::Symbol(Sym::Ge));
-                    i += 2;
-                } else {
-                    out.push(Token::Symbol(Sym::Gt));
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // String literal with '' escaping.
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(HdmError::Parse("unterminated string literal".into()));
-                    }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[i] as char);
-                        i += 1;
-                    }
-                }
-                out.push(Token::Str(s));
-            }
-            '0'..='9' => {
-                let start = i;
-                let mut is_float = false;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || (bytes[i] == b'.'
-                            && i + 1 < bytes.len()
-                            && bytes[i + 1].is_ascii_digit()))
-                {
-                    if bytes[i] == b'.' {
-                        is_float = true;
-                    }
-                    i += 1;
-                }
-                let text = &input[start..i];
-                if is_float {
-                    let v: f64 = text
-                        .parse()
-                        .map_err(|_| HdmError::Parse(format!("bad float {text}")))?;
-                    out.push(Token::Float(v));
-                } else {
-                    let v: i64 = text
-                        .parse()
-                        .map_err(|_| HdmError::Parse(format!("bad integer {text}")))?;
-                    out.push(Token::Int(v));
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                out.push(Token::Ident(input[start..i].to_ascii_lowercase()));
-            }
-            other => {
-                return Err(HdmError::Parse(format!(
-                    "unexpected character {other:?} at byte {i}"
-                )))
-            }
-        }
+    while let Some(tok) = lexer.next_token()? {
+        out.push(match tok {
+            RawToken::Ident(s) => Token::Ident(s.to_ascii_lowercase()),
+            RawToken::Int(v) => Token::Int(v),
+            RawToken::Float(v) => Token::Float(v),
+            RawToken::Str(s) => Token::Str(s),
+            RawToken::Symbol(s) => Token::Symbol(s),
+        });
     }
     out.push(Token::Eof);
     Ok(out)
+}
+
+/// A token as the text spells it: an identifier is borrowed from the input
+/// in its written case, so a caller that only compares or copies it (the
+/// plan-cache canonicalizer) allocates nothing for it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RawToken<'a> {
+    /// ASCII letters, digits and `_`; [`Token::Ident`] is its lowercase.
+    Ident(&'a str),
+    Int(i64),
+    Float(f64),
+    Str(String),
+    Symbol(Sym),
+}
+
+/// A one-token-at-a-time scan of SQL text; [`lex`] collects it.
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    i: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(input: &'a str) -> Self {
+        Self { input, i: 0 }
+    }
+
+    /// The next token, or `None` at the end of the text.
+    pub(crate) fn next_token(&mut self) -> Result<Option<RawToken<'a>>> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let i = &mut self.i;
+        while *i < bytes.len() {
+            let c = bytes[*i] as char;
+            let sym = |s: Sym, width: usize, i: &mut usize| {
+                *i += width;
+                Ok(Some(RawToken::Symbol(s)))
+            };
+            let next_is = |b: u8| *i + 1 < bytes.len() && bytes[*i + 1] == b;
+            return match c {
+                ' ' | '\t' | '\r' | '\n' => {
+                    *i += 1;
+                    continue;
+                }
+                '-' if next_is(b'-') => {
+                    // Line comment.
+                    while *i < bytes.len() && bytes[*i] != b'\n' {
+                        *i += 1;
+                    }
+                    continue;
+                }
+                '(' => sym(Sym::LParen, 1, i),
+                ')' => sym(Sym::RParen, 1, i),
+                ',' => sym(Sym::Comma, 1, i),
+                '.' => sym(Sym::Dot, 1, i),
+                ';' => sym(Sym::Semicolon, 1, i),
+                '*' => sym(Sym::Star, 1, i),
+                '+' => sym(Sym::Plus, 1, i),
+                '-' => sym(Sym::Minus, 1, i),
+                '/' => sym(Sym::Slash, 1, i),
+                '%' => sym(Sym::Percent, 1, i),
+                '=' => sym(Sym::Eq, 1, i),
+                '?' => sym(Sym::Question, 1, i),
+                '!' if next_is(b'=') => sym(Sym::Ne, 2, i),
+                '<' if next_is(b'=') => sym(Sym::Le, 2, i),
+                '<' if next_is(b'>') => sym(Sym::Ne, 2, i),
+                '<' => sym(Sym::Lt, 1, i),
+                '>' if next_is(b'=') => sym(Sym::Ge, 2, i),
+                '>' => sym(Sym::Gt, 1, i),
+                '\'' => {
+                    // String literal with '' escaping.
+                    let mut s = String::new();
+                    *i += 1;
+                    loop {
+                        if *i >= bytes.len() {
+                            return Err(HdmError::Parse("unterminated string literal".into()));
+                        }
+                        if bytes[*i] == b'\'' {
+                            if *i + 1 < bytes.len() && bytes[*i + 1] == b'\'' {
+                                s.push('\'');
+                                *i += 2;
+                            } else {
+                                *i += 1;
+                                break;
+                            }
+                        } else {
+                            s.push(bytes[*i] as char);
+                            *i += 1;
+                        }
+                    }
+                    Ok(Some(RawToken::Str(s)))
+                }
+                '0'..='9' => {
+                    let start = *i;
+                    let mut is_float = false;
+                    while *i < bytes.len()
+                        && (bytes[*i].is_ascii_digit()
+                            || (bytes[*i] == b'.'
+                                && *i + 1 < bytes.len()
+                                && bytes[*i + 1].is_ascii_digit()))
+                    {
+                        if bytes[*i] == b'.' {
+                            is_float = true;
+                        }
+                        *i += 1;
+                    }
+                    let text = &input[start..*i];
+                    if is_float {
+                        let v: f64 = text
+                            .parse()
+                            .map_err(|_| HdmError::Parse(format!("bad float {text}")))?;
+                        Ok(Some(RawToken::Float(v)))
+                    } else {
+                        let v: i64 = text
+                            .parse()
+                            .map_err(|_| HdmError::Parse(format!("bad integer {text}")))?;
+                        Ok(Some(RawToken::Int(v)))
+                    }
+                }
+                c if c.is_ascii_alphabetic() || c == '_' => {
+                    let start = *i;
+                    while *i < bytes.len()
+                        && (bytes[*i].is_ascii_alphanumeric() || bytes[*i] == b'_')
+                    {
+                        *i += 1;
+                    }
+                    Ok(Some(RawToken::Ident(&input[start..*i])))
+                }
+                other => Err(HdmError::Parse(format!(
+                    "unexpected character {other:?} at byte {}",
+                    *i
+                ))),
+            };
+        }
+        Ok(None)
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::ast::SetOpKind;
 use crate::expr::{BoundSchema, SExpr};
 use hdm_common::{Datum, Row};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Which logical operator class a step belongs to. The paper captures
 /// exactly the cardinality-affecting classes: "scans, joins, aggregation
@@ -31,8 +32,9 @@ pub enum StepKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepObservation {
     pub kind: StepKind,
-    /// Canonical step text (the plan-store key material).
-    pub text: String,
+    /// Canonical step text (the plan-store key material), shared with the
+    /// cached program that pre-rendered it.
+    pub text: Arc<str>,
     pub estimated: f64,
     pub actual: u64,
 }

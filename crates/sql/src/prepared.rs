@@ -19,12 +19,13 @@
 use crate::ast::{Expr, SelectStmt, Statement, TableRef};
 use crate::db::{CardinalityHints, QueryResult};
 use crate::expr::SExpr;
-use crate::lexer::{lex, Sym, Token};
+use crate::lexer::{Lexer, RawToken, Sym};
 use crate::plan::{PlanNode, PlanOp};
 use crate::planner::PlanningInfo;
 use hdm_common::{DataType, Datum, HdmError, Result};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Default number of cached plans per engine.
 pub const PLAN_CACHE_CAP: usize = 256;
@@ -41,7 +42,7 @@ const CALL_WHITELIST: [&str; 9] = [
 /// lifted literal values. `None` slots are user-written `?` placeholders
 /// that must be bound at execution time; `Some` slots carry the literal the
 /// canonicalizer lifted.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CanonicalSql {
     pub text: String,
     pub slots: Vec<Option<Datum>>,
@@ -65,94 +66,114 @@ impl CanonicalSql {
 /// spellings into the same plan-store keys as their folded forms, and a
 /// lifted `?` would freeze the fold.
 pub fn canonicalize(sql: &str) -> Result<Option<CanonicalSql>> {
-    let tokens = lex(sql)?;
-    if !matches!(tokens.first(), Some(Token::Ident(s)) if s == "select") {
-        return Ok(None);
-    }
-    let lit = |t: &Token| matches!(t, Token::Int(_) | Token::Float(_) | Token::Str(_));
-    let arith = |t: &Token| {
-        matches!(
-            t,
-            Token::Symbol(Sym::Plus | Sym::Minus | Sym::Star | Sym::Slash | Sym::Percent)
-        )
+    // Room for the text plus the spaces the key puts between tokens.
+    let mut c = CanonicalSql {
+        text: String::with_capacity(sql.len() * 3 / 2),
+        slots: Vec::new(),
     };
-    let cmp = |t: &Token| {
-        matches!(
-            t,
-            Token::Symbol(Sym::Eq | Sym::Ne | Sym::Lt | Sym::Le | Sym::Gt | Sym::Ge)
-        )
-    };
-    for w in tokens.windows(3) {
-        if (lit(&w[0]) && arith(&w[1]))
-            || (arith(&w[1]) && lit(&w[2]))
-            || (lit(&w[0]) && cmp(&w[1]) && lit(&w[2]))
-        {
-            return Ok(None);
+    Ok(canonicalize_into(sql, &mut c)?.then_some(c))
+}
+
+/// How a token can make a literal constant-foldable.
+#[derive(Clone, Copy, PartialEq)]
+enum Fold {
+    Lit,
+    Arith,
+    Cmp,
+    Other,
+}
+
+/// [`canonicalize`] into `out`, whose buffers are reused: one scan of the
+/// text writes the key token by token, so a statement that lifts only
+/// numbers allocates nothing once `out` has grown to its size. Returns
+/// `false` (leaving `out` unspecified) when the statement is not cacheable;
+/// the scan stops at the first token that decides it, and a lexing error
+/// past that point surfaces when the statement is parsed.
+pub fn canonicalize_into(sql: &str, out: &mut CanonicalSql) -> Result<bool> {
+    out.text.clear();
+    out.slots.clear();
+    let mut lexer = Lexer::new(sql);
+    match lexer.next_token()? {
+        Some(RawToken::Ident(s)) if s.eq_ignore_ascii_case("select") => {
+            out.text.push_str("select");
         }
+        _ => return Ok(false),
     }
-    let mut out: Vec<String> = Vec::with_capacity(tokens.len());
-    let mut slots: Vec<Option<Datum>> = Vec::new();
+    let text = &mut out.text;
+    // The two tokens before this one, and whether the one before is a call
+    // name outside the whitelist.
+    let (mut before, mut prev, mut prev_call) = (Fold::Other, Fold::Other, false);
     let mut lifting = true;
-    for (i, tok) in tokens.iter().enumerate() {
+    while let Some(tok) = lexer.next_token()? {
+        let fold = match &tok {
+            RawToken::Int(_) | RawToken::Float(_) | RawToken::Str(_) => Fold::Lit,
+            RawToken::Symbol(Sym::Plus | Sym::Minus | Sym::Star | Sym::Slash | Sym::Percent) => {
+                Fold::Arith
+            }
+            RawToken::Symbol(Sym::Eq | Sym::Ne | Sym::Lt | Sym::Le | Sym::Gt | Sym::Ge) => {
+                Fold::Cmp
+            }
+            _ => Fold::Other,
+        };
+        if (prev == Fold::Lit && fold == Fold::Arith)
+            || (prev == Fold::Arith && fold == Fold::Lit)
+            || (before == Fold::Lit && prev == Fold::Cmp && fold == Fold::Lit)
+            || (prev_call && tok == RawToken::Symbol(Sym::LParen))
+        {
+            return Ok(false);
+        }
+        (before, prev, prev_call) = (prev, fold, false);
+        text.push(' ');
         match tok {
-            Token::Eof => break,
-            Token::Ident(s) => {
-                match s.as_str() {
+            RawToken::Ident(s) => {
+                let start = text.len();
+                text.push_str(s);
+                text[start..].make_ascii_lowercase();
+                let word = &text[start..];
+                match word {
                     // GROUP BY / HAVING plans carry aggregate rewrites the
                     // rehint walk does not model; `sys.*` views are frozen
                     // per statement and must never be served from a cache.
-                    "group" | "having" | "sys" => return Ok(None),
+                    "group" | "having" | "sys" => return Ok(false),
                     "order" | "limit" => lifting = false,
                     _ => {}
                 }
-                if matches!(tokens.get(i + 1), Some(Token::Symbol(Sym::LParen)))
-                    && !CALL_WHITELIST.contains(&s.as_str())
-                {
-                    return Ok(None);
-                }
-                out.push(s.clone());
+                prev_call = !CALL_WHITELIST.contains(&word);
             }
-            Token::Int(v) => {
-                if lifting {
-                    out.push("?".into());
-                    slots.push(Some(Datum::Int(*v)));
-                } else {
-                    out.push(v.to_string());
-                }
+            RawToken::Int(v) if lifting => lift(text, &mut out.slots, Datum::Int(v)),
+            RawToken::Int(v) => {
+                let _ = write!(text, "{v}");
             }
-            Token::Float(v) => {
-                if lifting {
-                    out.push("?".into());
-                    slots.push(Some(Datum::Float(*v)));
-                } else {
-                    let mut s = format!("{v}");
-                    if !s.contains('.') {
-                        // Keep the re-rendered literal lexing as a float.
-                        s.push_str(".0");
-                    }
-                    out.push(s);
+            RawToken::Float(v) if lifting => lift(text, &mut out.slots, Datum::Float(v)),
+            RawToken::Float(v) => {
+                let start = text.len();
+                let _ = write!(text, "{v}");
+                if !text[start..].contains('.') {
+                    // Keep the re-rendered literal lexing as a float.
+                    text.push_str(".0");
                 }
             }
-            Token::Str(s) => {
-                if lifting {
-                    out.push("?".into());
-                    slots.push(Some(Datum::Text(s.clone())));
-                } else {
-                    out.push(format!("'{}'", s.replace('\'', "''")));
-                }
+            RawToken::Str(s) if lifting => lift(text, &mut out.slots, Datum::Text(s)),
+            RawToken::Str(s) => {
+                text.push('\'');
+                text.push_str(&s.replace('\'', "''"));
+                text.push('\'');
             }
-            Token::Symbol(sym) => {
-                if *sym == Sym::Question {
-                    slots.push(None);
+            RawToken::Symbol(sym) => {
+                if sym == Sym::Question {
+                    out.slots.push(None);
                 }
-                out.push(sym_text(*sym).to_string());
+                text.push_str(sym_text(sym));
             }
         }
     }
-    Ok(Some(CanonicalSql {
-        text: out.join(" "),
-        slots,
-    }))
+    Ok(true)
+}
+
+/// Write a lifted literal's `?` and keep its value.
+fn lift(text: &mut String, slots: &mut Vec<Option<Datum>>, v: Datum) {
+    text.push('?');
+    slots.push(Some(v));
 }
 
 fn sym_text(s: Sym) -> &'static str {
@@ -322,15 +343,18 @@ impl StmtHandle {
 }
 
 /// Merge lifted literals and user parameters into the full positional
-/// parameter vector, checking arity and (where the plan constrained a
-/// parameter's type) value types. `types` is indexed by full slot position;
-/// the mismatch message numbers open parameters 1-based as the user wrote
-/// them.
+/// parameter vector `out` (cleared first, so a caller can reuse one buffer
+/// across statements), checking arity and (where the plan constrained a
+/// parameter's type) value types. `types` is indexed by full slot
+/// position; the mismatch message numbers open parameters 1-based as the
+/// user wrote them.
 pub fn bind_slots(
     slots: &[Option<Datum>],
     types: &[Option<DataType>],
     params: &[Datum],
-) -> Result<Vec<Datum>> {
+    out: &mut Vec<Datum>,
+) -> Result<()> {
+    out.clear();
     let n_open = slots.iter().filter(|s| s.is_none()).count();
     if params.len() != n_open {
         return Err(HdmError::Execution(format!(
@@ -338,7 +362,6 @@ pub fn bind_slots(
             params.len()
         )));
     }
-    let mut out = Vec::with_capacity(slots.len());
     let mut next = 0usize;
     for (i, slot) in slots.iter().enumerate() {
         match slot {
@@ -359,7 +382,7 @@ pub fn bind_slots(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Int, Float and Timestamp are mutually coercible (SQL numeric comparison
@@ -969,6 +992,135 @@ mod tests {
             .is_some());
     }
 
+    /// The token-list form the one-pass scan replaced: lex everything, bail
+    /// on a foldable window or an uncacheable word, join the pieces.
+    fn token_list_form(sql: &str) -> Result<Option<CanonicalSql>> {
+        use crate::lexer::{lex, Token};
+        let tokens = lex(sql)?;
+        if !matches!(tokens.first(), Some(Token::Ident(s)) if s == "select") {
+            return Ok(None);
+        }
+        let lit = |t: &Token| matches!(t, Token::Int(_) | Token::Float(_) | Token::Str(_));
+        let arith = |t: &Token| {
+            matches!(
+                t,
+                Token::Symbol(Sym::Plus | Sym::Minus | Sym::Star | Sym::Slash | Sym::Percent)
+            )
+        };
+        let cmp = |t: &Token| {
+            matches!(
+                t,
+                Token::Symbol(Sym::Eq | Sym::Ne | Sym::Lt | Sym::Le | Sym::Gt | Sym::Ge)
+            )
+        };
+        for w in tokens.windows(3) {
+            if (lit(&w[0]) && arith(&w[1]))
+                || (arith(&w[1]) && lit(&w[2]))
+                || (lit(&w[0]) && cmp(&w[1]) && lit(&w[2]))
+            {
+                return Ok(None);
+            }
+        }
+        let (mut out, mut slots, mut lifting) = (Vec::new(), Vec::new(), true);
+        for (i, tok) in tokens.iter().enumerate() {
+            match tok {
+                Token::Eof => break,
+                Token::Ident(s) => {
+                    match s.as_str() {
+                        "group" | "having" | "sys" => return Ok(None),
+                        "order" | "limit" => lifting = false,
+                        _ => {}
+                    }
+                    if matches!(tokens.get(i + 1), Some(Token::Symbol(Sym::LParen)))
+                        && !CALL_WHITELIST.contains(&s.as_str())
+                    {
+                        return Ok(None);
+                    }
+                    out.push(s.clone());
+                }
+                Token::Int(v) if lifting => {
+                    out.push("?".into());
+                    slots.push(Some(Datum::Int(*v)));
+                }
+                Token::Int(v) => out.push(v.to_string()),
+                Token::Float(v) if lifting => {
+                    out.push("?".into());
+                    slots.push(Some(Datum::Float(*v)));
+                }
+                Token::Float(v) => {
+                    let s = format!("{v}");
+                    out.push(if s.contains('.') { s } else { s + ".0" });
+                }
+                Token::Str(s) if lifting => {
+                    out.push("?".into());
+                    slots.push(Some(Datum::Text(s.clone())));
+                }
+                Token::Str(s) => out.push(format!("'{}'", s.replace('\'', "''"))),
+                Token::Symbol(sym) => {
+                    if *sym == Sym::Question {
+                        slots.push(None);
+                    }
+                    out.push(sym_text(*sym).to_string());
+                }
+            }
+        }
+        Ok(Some(CanonicalSql {
+            text: out.join(" "),
+            slots,
+        }))
+    }
+
+    #[test]
+    fn one_pass_scan_matches_the_token_list_form() {
+        let corpus = [
+            "select * from events where id = 42",
+            "SELECT  *  FROM OLAP.T1  WHERE  A1=7 -- trailing comment",
+            "select a, b from t where a = ? and b >= 2.5 and s <> 'it''s'",
+            "select a from t where b = 1 order by a limit 3",
+            "select a from t where s = 'x' order by (a) limit 2",
+            "select x from t order by x limit 1.0",
+            "select x from t where y = 2 order by upper(s), 'k''q'",
+            "select count(*), sum(a) from t where length(s) > 2",
+            "select v from doubler(3) d",
+            "select * from t limit(5)",
+            "select * from t where a = -5",
+            "select * from t where a = 1 + b",
+            "select * from t where a = b * 2",
+            "select * from t where 1 = 1",
+            "select * from t where a = 1 and 2 < 3",
+            "select * from t where a in (1, 2, 3)",
+            "select a from t group by a",
+            "select a from t having a > 1",
+            "select * from sys.metrics",
+            "insert into t values (1)",
+            "with x as (select 1) select * from x",
+            "select 1",
+            "select",
+            "select a, t.b from t, u where t.a = u.a and u.c != 9;",
+            "select * from t where s = 'unterminated",
+            "select * from t where a = @",
+            "",
+        ];
+        let mut reused = CanonicalSql::default();
+        for sql in corpus {
+            let want = token_list_form(sql);
+            let got = canonicalize(sql);
+            match (&want, &got) {
+                (Ok(w), Ok(g)) => assert_eq!(w, g, "{sql}"),
+                (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string(), "{sql}"),
+                // A lexing error past the token that ruled the statement
+                // out surfaces when the statement is parsed instead.
+                (Err(_), Ok(None)) => assert!(crate::parser::parse(sql).is_err(), "{sql}"),
+                _ => panic!("{sql}: {want:?} vs {got:?}"),
+            }
+            // The reused buffers give the same answer as fresh ones.
+            if let Ok(Some(g)) = got {
+                assert!(canonicalize_into(sql, &mut reused).unwrap(), "{sql}");
+                assert_eq!(reused, g, "{sql}");
+            }
+        }
+    }
+
     #[test]
     fn string_escapes_round_trip() {
         let c = canon("select * from t where s = 'it''s'");
@@ -997,28 +1149,33 @@ mod tests {
 
     #[test]
     fn bind_slots_checks_arity_and_types() {
+        let bind = |slots: &[Option<Datum>], types: &[Option<DataType>], params: &[Datum]| {
+            let mut out = vec![Datum::Int(99)];
+            bind_slots(slots, types, params, &mut out).map(|()| out)
+        };
         let slots = vec![None, Some(Datum::Int(7)), None];
-        let err = bind_slots(&slots, &[], &[Datum::Int(1)]).unwrap_err();
+        let err = bind(&slots, &[], &[Datum::Int(1)]).unwrap_err();
         assert!(
             err.to_string()
                 .contains("statement has 2 parameters; got 1"),
             "{err}"
         );
         let types = vec![Some(DataType::Int), None, Some(DataType::Text)];
-        let err = bind_slots(&slots, &types, &[Datum::Int(1), Datum::Int(2)]).unwrap_err();
+        let err = bind(&slots, &types, &[Datum::Int(1), Datum::Int(2)]).unwrap_err();
         assert!(
             err.to_string()
                 .contains("parameter ?2 type mismatch: expected TEXT, got INT"),
             "{err}"
         );
-        let full = bind_slots(&slots, &types, &[Datum::Int(1), Datum::Text("x".into())]).unwrap();
+        // The buffer's previous contents are replaced, not appended to.
+        let full = bind(&slots, &types, &[Datum::Int(1), Datum::Text("x".into())]).unwrap();
         assert_eq!(
             full,
             vec![Datum::Int(1), Datum::Int(7), Datum::Text("x".into())]
         );
         // Numeric family interchangeable; NULL always binds.
-        assert!(bind_slots(&[None], &[Some(DataType::Int)], &[Datum::Float(1.5)]).is_ok());
-        assert!(bind_slots(&[None], &[Some(DataType::Int)], &[Datum::Null]).is_ok());
+        assert!(bind(&[None], &[Some(DataType::Int)], &[Datum::Float(1.5)]).is_ok());
+        assert!(bind(&[None], &[Some(DataType::Int)], &[Datum::Null]).is_ok());
     }
 
     #[test]

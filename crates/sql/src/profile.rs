@@ -167,7 +167,7 @@ pub fn observations(root: Option<&OpProfile>) -> Vec<StepObservation> {
             if let Some(text) = &op.canonical {
                 out.push(StepObservation {
                     kind: kind_from_str(&op.kind),
-                    text: text.clone(),
+                    text: text.as_str().into(),
                     estimated: op.est_rows,
                     actual: op.rows_out,
                 });
@@ -253,7 +253,7 @@ mod tests {
             )
         };
         let obs = observations(Some(&tree));
-        let texts: Vec<&str> = obs.iter().map(|o| o.text.as_str()).collect();
+        let texts: Vec<&str> = obs.iter().map(|o| &*o.text).collect();
         assert_eq!(texts, vec!["SCAN(A)", "SCAN(B)", "JOIN(A, B)"]);
         assert_eq!(obs[0].actual, 2);
         assert_eq!(obs[2].kind, StepKind::Join);

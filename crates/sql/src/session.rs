@@ -23,8 +23,9 @@ use crate::expr::{bind, BoundSchema, SExpr};
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::PlanningInfo;
 use crate::prepared::{
-    bind_slots, canonicalize, collect_param_types, count_params, drift_exceeds, rehint_plan,
-    substitute_statement_params, ExecOptions, PlanCache, QueryApi, StmtHandle, PLAN_CACHE_CAP,
+    bind_slots, canonicalize, canonicalize_into, collect_param_types, count_params, drift_exceeds,
+    rehint_plan, substitute_statement_params, CanonicalSql, ExecOptions, PlanCache, QueryApi,
+    StmtHandle, PLAN_CACHE_CAP,
 };
 use crate::profile::{observations, render_analyze, Profiler};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
@@ -49,6 +50,9 @@ pub struct CachedPlan<P> {
     pub plan: PlanNode,
     /// Parameter types the plan constrains, by full slot position.
     pub param_types: Vec<Option<DataType>>,
+    /// The plan's output column names, shared by every result the entry
+    /// serves.
+    pub columns: Arc<[String]>,
     /// The flat program, when the facade lowers this shape.
     pub program: Option<P>,
     /// The op count `sys.prepared` reports (0 for tree-executed plans).
@@ -72,6 +76,7 @@ impl<P> CachedPlan<P> {
     ) -> Self {
         Self {
             param_types: collect_param_types(&plan, n_params),
+            columns: output_columns(&plan),
             ops: program.as_ref().map_or(0, op_count),
             program,
             drift,
@@ -122,6 +127,10 @@ pub struct Session<P> {
     history_stride: u64,
     /// Statements completed since the last flush into the engine.
     history_pending: u64,
+    /// Buffers reused by every statement: raw text's canonical form, and
+    /// the bound parameters of a cached statement.
+    canon: CanonicalSql,
+    params: Vec<Datum>,
 }
 
 impl<P> Default for Session<P> {
@@ -138,6 +147,8 @@ impl<P> Default for Session<P> {
             history: None,
             history_stride: 0,
             history_pending: 0,
+            canon: CanonicalSql::default(),
+            params: Vec::new(),
         }
     }
 }
@@ -352,11 +363,11 @@ impl<P> Session<P> {
 
     /// The tail of every SELECT driver, tree or flat program: check a
     /// profile against the executor's own observations, feed the plan store
-    /// and the flight recorder, and assemble the result with `plan`'s
-    /// output columns.
+    /// and the flight recorder, and assemble the result with the plan's
+    /// output `columns` (a cached plan's own, or [`output_columns`]).
     pub fn finish_select(
         &self,
-        plan: &PlanNode,
+        columns: Arc<[String]>,
         rows: Vec<Row>,
         steps: Vec<StepObservation>,
         planning: PlanningInfo,
@@ -376,7 +387,7 @@ impl<P> Session<P> {
             r.record(Arc::clone(p));
         }
         QueryResult {
-            columns: plan.schema.cols.iter().map(|c| c.name.clone()).collect(),
+            columns,
             rows,
             steps,
             planning,
@@ -445,11 +456,11 @@ pub trait Facade {
         profiled: Option<(u64, &str)>,
     ) -> Result<QueryResult>;
 
-    /// Run `program`, lowered from the cached `plan`, with `params` bound.
-    /// A profiled run fills the profile the tree would, over the bound plan.
+    /// Run `program`, lowered from `cached.plan`, with `params` bound. A
+    /// profiled run fills the profile the tree would, over the bound plan.
     fn run_program(
         &mut self,
-        plan: &PlanNode,
+        cached: &CachedPlan<Self::Program>,
         program: &Self::Program,
         params: &[Datum],
         replans: u64,
@@ -492,10 +503,15 @@ pub trait Facade {
     /// repeat statements that differ only in literal values skip the parser
     /// and planner.
     fn execute_sql(&mut self, sql: &str) -> Result<QueryResult> {
-        let result = match canonicalize(sql)? {
-            Some(c) => self.execute_canonical(&c.text, &c.slots, &[], sql),
-            None => self.execute_parsed(&parse_rewritten(sql)?, sql),
-        }?;
+        // The session's canonical-form buffer, lent out for the statement.
+        let mut canon = std::mem::take(&mut self.session_mut().canon);
+        let result = match canonicalize_into(sql, &mut canon) {
+            Ok(true) => self.execute_canonical(&canon.text, &canon.slots, &[], sql),
+            Ok(false) => parse_rewritten(sql).and_then(|stmt| self.execute_parsed(&stmt, sql)),
+            Err(e) => Err(e),
+        };
+        self.session_mut().canon = canon;
+        let result = result?;
         self.after_statement();
         Ok(result)
     }
@@ -685,15 +701,33 @@ pub trait Facade {
         if replans > 0 {
             cached = self.ensure_cached(text)?;
         }
-        let params = bind_slots(slots, &cached.param_types, user_params)?;
+        // The session's parameter buffer, lent out for the statement.
+        let mut params = std::mem::take(&mut self.session_mut().params);
+        let result = bind_slots(slots, &cached.param_types, user_params, &mut params)
+            .and_then(|()| self.run_cached(&cached, &params, replans, sql));
+        params.clear();
+        self.session_mut().params = params;
+        result
+    }
+
+    /// Run a cached entry with its parameters bound: the shape's flat
+    /// program, or the tree with `params` substituted, its estimates
+    /// rehinted against the plan store, and bound.
+    fn run_cached(
+        &mut self,
+        cached: &CachedPlan<Self::Program>,
+        params: &[Datum],
+        replans: u64,
+        sql: &str,
+    ) -> Result<QueryResult> {
         let session = self.session();
         let profiled = session
             .profiling_enabled()
             .then(|| (session.clock.now_us(), sql));
         if let Some(program) = &cached.program {
-            return self.run_program(&cached.plan, program, &params, replans, profiled);
+            return self.run_program(cached, program, params, replans, profiled);
         }
-        let mut plan = cached.plan.substitute_params(&params)?;
+        let mut plan = cached.plan.substitute_params(params)?;
         let mut planning = PlanningInfo {
             replans,
             ..Default::default()
@@ -765,7 +799,7 @@ fn plan_rows(
     planning: PlanningInfo,
 ) -> QueryResult {
     QueryResult {
-        columns: vec!["plan".into()],
+        columns: Arc::new(["plan".to_string()]),
         rows: lines
             .into_iter()
             .map(|l| Row::new(vec![Datum::Text(l)]))
@@ -774,6 +808,11 @@ fn plan_rows(
         planning,
         ..Default::default()
     }
+}
+
+/// A plan's output column names, as a result carries them.
+pub fn output_columns(plan: &PlanNode) -> Arc<[String]> {
+    plan.schema.cols.iter().map(|c| c.name.clone()).collect()
 }
 
 /// Parse one statement and run the rewrite engine over it.

@@ -24,14 +24,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Construct from the allocator's next XID and the active set.
+    /// Construct from the allocator's next XID and the active set. The set
+    /// is built by insertion: `collect` would stage the XIDs in a `Vec`
+    /// first, a second allocation for the common one-node set.
     pub fn capture(next_xid: Xid, active: impl IntoIterator<Item = Xid>) -> Self {
-        let active: BTreeSet<Xid> = active.into_iter().collect();
-        let xmin = active.iter().next().copied().unwrap_or(next_xid);
+        let mut set = BTreeSet::new();
+        set.extend(active);
         Self {
-            xmin,
+            xmin: set.first().copied().unwrap_or(next_xid),
             xmax: next_xid,
-            active,
+            active: set,
         }
     }
 

@@ -28,6 +28,23 @@ fn twenty_seeded_fault_schedules_stay_safe() {
     }
 }
 
+/// The cluster counts every abort the clients see: over the
+/// `chaos_recovery` sweep, `ClusterCounters::aborts` equals the harness's
+/// retried attempts, including a single-shard commit whose home node
+/// crashed before its commit point.
+#[test]
+fn the_cluster_counts_every_abort_the_clients_see() {
+    for seed in 0..20u64 {
+        let r = run_chaos(ChaosConfig::standard(0xBE2C_0000 + seed));
+        assert_eq!(
+            r.counters.aborts,
+            r.txn_aborts,
+            "seed {:#x}: cluster aborts vs client retries",
+            0xBE2C_0000 + seed
+        );
+    }
+}
+
 /// Every seed's trace replays bit-for-bit: same executed-event count, same
 /// cluster counters, same message fates, same final state.
 #[test]
