@@ -534,8 +534,8 @@ mod tests {
     #[test]
     fn delete_of_identical_rows_takes_the_lowest_tid() {
         let mut rs = with_table();
-        // An aborted leg's undo swap-removes tid 0 from the key-1 posting
-        // list, leaving it [2, 1]: the probe's first hit is not the lowest.
+        // An aborted leg's undo removes tid 0 from the key-1 posting list,
+        // which must leave [1, 2], so the probe's first hit is the lowest.
         rs.append(LogRecord::Prepare {
             gxid: Xid(9100),
             ops: vec![ins(row![1, 5])],
