@@ -38,14 +38,13 @@ use crate::shard::key_prefix;
 use hdm_common::{Datum, HdmError, Result, Row, Schema, ShardId, Xid};
 use hdm_sql::ast::{BinOp, SelectStmt};
 use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver};
+use hdm_sql::dml::{updated_row, values_row, BoundDml, DmlOp, Values};
 use hdm_sql::expr::SExpr;
 use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
 use hdm_sql::prepared::ExecOptions;
 use hdm_sql::profile::ChainProfiler;
-use hdm_sql::session::{
-    output_columns, BoundSets, CachedPlan, EngineState, Facade, Session, StmtProfiler,
-};
+use hdm_sql::session::{output_columns, CachedPlan, EngineState, Facade, Session, StmtProfiler};
 use hdm_sql::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_sql::{Catalog, ExecBackend};
 use hdm_storage::heap::TupleId;
@@ -519,35 +518,99 @@ impl DistDb {
         Ok((canon, meta))
     }
 
-    /// Shared UPDATE/DELETE driver: prune target shards from the predicate,
-    /// then per shard collect the matching tuples through
-    /// [`DistExec::run_leg`] (an index probe when the predicate pins an
-    /// indexed column by equality) and apply `write` to each, all under
-    /// [`Self::run_write`].
-    fn run_dml_scan(
+    /// Route each VALUES row by its distribution column, every row
+    /// evaluated before anything is written, then write them all under
+    /// [`Self::run_write`]. A one-row INSERT, the OLTP shape, routes to its
+    /// shard without collecting.
+    fn insert_rows(
         &mut self,
-        canon: &str,
+        table: &str,
         meta: DistMeta,
-        pred: Option<SExpr>,
-        write: impl Fn(&mut DataNode, TableId, hdm_common::Xid, TupleId, Row) -> Result<()>,
+        values: &Values,
+        params: &[Datum],
     ) -> Result<u64> {
-        let (scope, shards) = match self.prune_shards(meta, pred.as_ref()) {
-            Pruned::Single(shard, prefix) => (Scope::Single(prefix), vec![shard]),
-            Pruned::All => (Scope::Multi, self.cluster.shard_map().all().collect()),
+        let route = |db: &Self, exprs: &[SExpr]| {
+            let row = values_row(exprs, params)?;
+            let Some(dv) = row.values()[meta.shard_col].as_int() else {
+                return Err(HdmError::Execution(format!(
+                    "distribution column of {table} must be a non-null INT"
+                )));
+            };
+            let (shard, prefix) = db.route_value(meta, dv);
+            Ok((shard, prefix, row))
         };
+        let mut rows = values.rows();
+        if let (1, Some(exprs)) = (rows.len(), rows.next()) {
+            let (shard, prefix, row) = route(self, exprs)?;
+            return self.run_write(Scope::Single(prefix), [shard], |be| {
+                be.insert_row(table, shard, row).map(|()| 1)
+            });
+        }
+        let routed = values
+            .rows()
+            .map(|r| route(self, r))
+            .collect::<Result<Vec<_>>>()?;
+        let shards: BTreeSet<u64> = routed.iter().map(|(s, _, _)| s.raw()).collect();
+        let scope = match (shards.len(), routed.first()) {
+            (1, Some((_, prefix, _))) => Scope::Single(*prefix),
+            _ => Scope::Multi,
+        };
+        self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
+            let n = routed.len() as u64;
+            for (shard, _, row) in routed {
+                be.insert_row(table, shard, row)?;
+            }
+            Ok(n)
+        })
+    }
+
+    /// Shared UPDATE/DELETE driver. A statement whose key binds to an INT
+    /// routes to that key's shard; any other scatters. Per shard,
+    /// [`DistExec::run_leg`] collects the matching tuples, each with what
+    /// `target` makes of its row (an index probe when the key or a
+    /// predicate conjunct pins an indexed column), and `write` applies
+    /// them, all under [`Self::run_write`]. A predicate that is the key
+    /// alone is answered by the key's probe with no filter to evaluate.
+    fn run_dml_scan<T>(
+        &mut self,
+        dml: &BoundDml,
+        meta: DistMeta,
+        params: &[Datum],
+        target: impl Fn(&Row) -> Result<T>,
+        write: impl Fn(&mut DataNode, TableId, Xid, TupleId, T) -> Result<()>,
+    ) -> Result<u64> {
+        let key = dml.key_value(params);
+        let pred = match key {
+            Some(_) if dml.key_only => None,
+            _ => dml.predicate(params)?,
+        };
+        let eq = key.map(|v| (meta.shard_col, v));
+        let (single, all): ([ShardId; 1], Vec<ShardId>);
+        let (scope, shards) = match key {
+            Some(Datum::Int(v)) => {
+                let (shard, prefix) = self.route_value(meta, *v);
+                single = [shard];
+                (Scope::Single(prefix), &single[..])
+            }
+            _ => {
+                all = self.cluster.shard_map().all().collect();
+                (Scope::Multi, &all[..])
+            }
+        };
+        let table = &dml.table;
         self.run_write(scope, shards.iter().copied(), |be| {
             let mut n = 0u64;
-            for &shard in &shards {
-                let mut targets: Vec<(TupleId, Row)> = Vec::new();
-                let xid = be.run_leg(canon, shard, None, None, pred.as_ref(), |tid, row| {
-                    targets.push((tid, row.clone()));
+            for &shard in shards {
+                let mut targets = Vec::new();
+                let xid = be.run_leg(table, shard, None, eq, pred.as_deref(), |tid, row| {
+                    targets.push((tid, target(row)?));
                     Ok(())
                 })?;
                 let node = be.cluster.node_mut(shard);
-                let table = node.table_id(canon)?;
-                for (tid, old) in targets {
-                    write(node, table, xid, tid, old)?;
-                    n += 1;
+                let t = node.table_id(table)?;
+                n += targets.len() as u64;
+                for (tid, x) in targets {
+                    write(node, t, xid, tid, x)?;
                 }
             }
             Ok(n)
@@ -1220,59 +1283,42 @@ impl Facade for DistDb {
         Ok(())
     }
 
-    /// Route each materialized row by its distribution column, then write
-    /// them all under `DistDb::run_write`.
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        let (canon, meta) = self.writable(table)?;
-        let routed = rows
-            .into_iter()
-            .map(|row| {
-                let Some(dv) = row.values()[meta.shard_col].as_int() else {
-                    return Err(HdmError::Execution(format!(
-                        "distribution column of {table} must be a non-null INT"
-                    )));
-                };
-                let (shard, prefix) = self.route_value(meta, dv);
-                Ok((shard, prefix, row))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let shards: BTreeSet<u64> = routed.iter().map(|(s, _, _)| s.raw()).collect();
-        let scope = match (shards.len(), routed.first()) {
-            (1, Some((_, prefix, _))) => Scope::Single(*prefix),
-            _ => Scope::Multi,
+    /// A table SQL may write is placed by its distribution column.
+    fn dml_placement(&self, table: &str) -> Result<Option<usize>> {
+        self.writable(table).map(|(_, meta)| Some(meta.shard_col))
+    }
+
+    /// Route and write a bound statement. Its table was writable when it
+    /// was bound, so it is placed by value on the column it was bound with:
+    /// no name is looked up on the coordinator.
+    fn run_dml(&mut self, dml: &BoundDml, params: &[Datum]) -> Result<u64> {
+        let shard_col = dml.placement.ok_or_else(|| {
+            HdmError::Plan(format!(
+                "{} was bound without a distribution column",
+                dml.table
+            ))
+        })?;
+        let meta = DistMeta {
+            shard_col,
+            route: Route::HashValue,
         };
-        self.run_write(scope, shards.into_iter().map(ShardId::new), |be| {
-            let n = routed.len() as u64;
-            for (shard, _, row) in routed {
-                let xid = be.open_leg(shard)?;
-                let node = be.cluster.node_mut(shard);
-                node.sql_insert(node.table_id(&canon)?, xid, row)?;
-            }
-            Ok(n)
-        })
-    }
-
-    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64> {
-        let (canon, meta) = self.writable(table)?;
-        if sets.iter().any(|(idx, _)| *idx == meta.shard_col) {
-            return Err(HdmError::Unsupported(format!(
-                "updating the distribution column of {table} would move rows between shards"
-            )));
+        match &dml.op {
+            DmlOp::Insert(values) => self.insert_rows(&dml.table, meta, values, params),
+            DmlOp::Update(sets) => self.run_dml_scan(
+                dml,
+                meta,
+                params,
+                |old| updated_row(sets, old, params),
+                |node, t, xid, tid, new| node.sql_update(t, xid, tid, new).map(drop),
+            ),
+            DmlOp::Delete => self.run_dml_scan(
+                dml,
+                meta,
+                params,
+                |_| Ok(()),
+                |node, t, xid, tid, ()| node.sql_delete(t, xid, tid),
+            ),
         }
-        self.run_dml_scan(&canon, meta, pred, move |node, table, xid, tid, old| {
-            let mut vals = old.into_values();
-            for (idx, e) in &sets {
-                vals[*idx] = e.eval(&vals)?;
-            }
-            node.sql_update(table, xid, tid, Row::new(vals)).map(|_| ())
-        })
-    }
-
-    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64> {
-        let (canon, meta) = self.writable(table)?;
-        self.run_dml_scan(&canon, meta, pred, |node, table, xid, tid, _old| {
-            node.sql_delete(table, xid, tid)
-        })
     }
 
     /// Distributed ANALYZE: every up node recomputes its local statistics,
@@ -1696,6 +1742,13 @@ impl DistExec<'_> {
                 "fragment on {shard} outside the transaction's scope"
             ))
         })
+    }
+
+    /// Insert `row` into `table` on `shard` through [`Self::open_leg`].
+    fn insert_row(&mut self, table: &str, shard: ShardId, row: Row) -> Result<()> {
+        let xid = self.open_leg(shard)?;
+        let node = self.cluster.node_mut(shard);
+        node.sql_insert(node.table_id(table)?, xid, row).map(drop)
     }
 
     /// Run one fragment on one shard: [`Self::open_leg`], then fetch the

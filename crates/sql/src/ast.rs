@@ -281,6 +281,16 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// INSERT, UPDATE or DELETE: a statement bound by [`crate::dml`].
+    pub fn is_dml(&self) -> bool {
+        matches!(
+            self,
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,9 @@
 use crate::catalog::Catalog;
 use crate::expr::SExpr;
 use crate::sys::{self, SysSnapshot};
-use hdm_common::{Datum, Result, Row};
+use hdm_common::{Datum, Result, Row, Xid};
+use hdm_storage::heap::TupleId;
+use hdm_storage::Table;
 use hdm_telemetry::ShardLeg;
 use hdm_txn::{LocalTxnManager, MemoVisibility, Snapshot, SnapshotVisibility};
 
@@ -162,83 +164,74 @@ impl<'a> LocalBackend<'a> {
     }
 
     /// Update rows matching `predicate`, assigning each `(column, expr)` in
-    /// `sets` (exprs evaluated over the old row). Returns rows updated.
+    /// `sets` (every expr evaluated over the old row, with `params` bound).
+    /// Returns rows updated.
     pub fn update(
         &mut self,
         table: &str,
         sets: &[(usize, SExpr)],
         predicate: Option<&SExpr>,
+        params: &[Datum],
     ) -> Result<u64> {
-        let xid = self.mgr.begin_local();
-        let snap = self.mgr.local_snapshot();
-        // Collect targets first (snapshot view), then write.
-        let targets: Vec<(hdm_storage::heap::TupleId, Row)> = {
-            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
-            let t = self.catalog.get(table)?;
-            let mut v = Vec::new();
-            for (tid, row) in t.scan(&judge) {
-                let hit = match predicate {
-                    None => true,
-                    Some(p) => p.eval_filter(row.values())?,
-                };
-                if hit {
-                    v.push((tid, row.clone()));
-                }
-            }
-            v
-        };
-        let t = self.catalog.get_mut(table)?;
-        let mut n = 0;
-        for (tid, old) in targets {
-            let mut vals = old.into_values();
-            for (idx, e) in sets {
-                vals[*idx] = e.eval(&vals)?;
-            }
-            match t.update(xid, tid, Row::new(vals)) {
-                Ok(_) => n += 1,
-                Err(e) => {
-                    // Write-write conflict mid-statement: abort the lot.
-                    self.mgr.abort(xid)?;
-                    return Err(e);
-                }
-            }
-        }
-        self.mgr.commit(xid)?;
-        Ok(n)
+        self.rewrite(
+            table,
+            predicate,
+            |old| crate::dml::updated_row(sets, old, params),
+            |t, xid, tid, new| t.update(xid, tid, new).map(drop),
+        )
     }
 
     /// Delete rows matching `predicate`. Returns rows deleted.
     pub fn delete(&mut self, table: &str, predicate: Option<&SExpr>) -> Result<u64> {
+        self.rewrite(
+            table,
+            predicate,
+            |_| Ok(()),
+            |t, xid, tid, ()| t.delete(xid, tid),
+        )
+    }
+
+    /// UPDATE's and DELETE's autocommit protocol: collect every row
+    /// `predicate` matches under the transaction's snapshot with what
+    /// `target` makes of it, then `write` each. An error anywhere (a
+    /// predicate's, a SET expression's, a write-write conflict) aborts the
+    /// lot.
+    fn rewrite<T>(
+        &mut self,
+        table: &str,
+        predicate: Option<&SExpr>,
+        target: impl Fn(&Row) -> Result<T>,
+        write: impl Fn(&mut Table, Xid, TupleId, T) -> Result<()>,
+    ) -> Result<u64> {
         let xid = self.mgr.begin_local();
         let snap = self.mgr.local_snapshot();
-        let targets: Vec<hdm_storage::heap::TupleId> = {
-            let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
-            let t = self.catalog.get(table)?;
-            let mut v = Vec::new();
-            for (tid, row) in t.scan(&judge) {
-                let hit = match predicate {
-                    None => true,
-                    Some(p) => p.eval_filter(row.values())?,
-                };
-                if hit {
-                    v.push(tid);
+        let written = (|| {
+            let targets = {
+                let judge = SnapshotVisibility::new(&snap, self.mgr.clog(), Some(xid));
+                let mut v = Vec::new();
+                for (tid, row) in self.catalog.get(table)?.scan(&judge) {
+                    let hit = match predicate {
+                        None => true,
+                        Some(p) => p.eval_filter(row.values())?,
+                    };
+                    if hit {
+                        v.push((tid, target(row)?));
+                    }
                 }
+                v
+            };
+            let t = self.catalog.get_mut(table)?;
+            let n = targets.len() as u64;
+            for (tid, x) in targets {
+                write(t, xid, tid, x)?;
             }
-            v
-        };
-        let t = self.catalog.get_mut(table)?;
-        let mut n = 0;
-        for tid in targets {
-            match t.delete(xid, tid) {
-                Ok(()) => n += 1,
-                Err(e) => {
-                    self.mgr.abort(xid)?;
-                    return Err(e);
-                }
-            }
+            Ok(n)
+        })();
+        match written {
+            Ok(_) => self.mgr.commit(xid)?,
+            Err(_) => self.mgr.abort(xid)?,
         }
-        self.mgr.commit(xid)?;
-        Ok(n)
+        written
     }
 }
 
@@ -452,7 +445,7 @@ mod tests {
             Box::new(SExpr::Col(0)),
             Box::new(SExpr::Lit(Datum::Int(1))),
         );
-        assert_eq!(be.update("t", &sets, Some(&pred)).unwrap(), 1);
+        assert_eq!(be.update("t", &sets, Some(&pred), &[]).unwrap(), 1);
         assert_eq!(be.delete("t", Some(&pred)).unwrap(), 1);
         let mut be = LocalBackend::new(&mut catalog, &mut mgr);
         assert_eq!(scan_all(&mut be), vec![row![2, 20]]);

@@ -2,6 +2,7 @@
 
 use hdm_common::{HdmError, Result, Schema};
 use hdm_storage::Table;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Named tables with their storage and statistics. Names may be
@@ -17,12 +18,17 @@ impl Catalog {
         Self::default()
     }
 
-    fn norm(name: &str) -> String {
-        name.to_ascii_lowercase()
+    /// `name` in lower case, borrowed when it already is.
+    fn norm(name: &str) -> Cow<'_, str> {
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        }
     }
 
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
-        let key = Self::norm(name);
+        let key = Self::norm(name).into_owned();
         if self.tables.contains_key(&key) {
             return Err(HdmError::Catalog(format!("table {name} already exists")));
         }
@@ -32,25 +38,25 @@ impl Catalog {
 
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         self.tables
-            .remove(&Self::norm(name))
+            .remove(&*Self::norm(name))
             .map(|_| ())
             .ok_or_else(|| HdmError::Catalog(format!("no table {name}")))
     }
 
     pub fn get(&self, name: &str) -> Result<&Table> {
         self.tables
-            .get(&Self::norm(name))
+            .get(&*Self::norm(name))
             .ok_or_else(|| HdmError::Catalog(format!("no table {name}")))
     }
 
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
-            .get_mut(&Self::norm(name))
+            .get_mut(&*Self::norm(name))
             .ok_or_else(|| HdmError::Catalog(format!("no table {name}")))
     }
 
     pub fn exists(&self, name: &str) -> bool {
-        self.tables.contains_key(&Self::norm(name))
+        self.tables.contains_key(&*Self::norm(name))
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {

@@ -12,12 +12,12 @@ use crate::ast::SelectStmt;
 use crate::backend::LocalBackend;
 use crate::catalog::Catalog;
 use crate::compile::{compile, CompiledProgram, StepTemplate};
+use crate::dml::{values_row, BoundDml, DmlOp};
 use crate::exec::execute;
-use crate::expr::SExpr;
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::{Planner, PlanningInfo, TempRels};
 use crate::profile::ChainProfiler;
-use crate::session::{output_columns, BoundSets, CachedPlan, EngineState, Facade, Session};
+use crate::session::{output_columns, CachedPlan, EngineState, Facade, Session};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Datum, Result, Row, Schema};
 use hdm_telemetry::{
@@ -385,16 +385,29 @@ impl Facade for Database {
         self.catalog.get_mut(table)?.create_index(columns).map(drop)
     }
 
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64> {
-        LocalBackend::new(&mut self.catalog, &mut self.mgr).insert(table, rows)
+    /// The embedded engine does not place rows; every catalog table is
+    /// writable.
+    fn dml_placement(&self, _: &str) -> Result<Option<usize>> {
+        Ok(None)
     }
 
-    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64> {
-        LocalBackend::new(&mut self.catalog, &mut self.mgr).update(table, &sets, pred.as_ref())
-    }
-
-    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64> {
-        LocalBackend::new(&mut self.catalog, &mut self.mgr).delete(table, pred.as_ref())
+    /// Each statement is one autocommitted local transaction; an INSERT's
+    /// VALUES are evaluated before anything is written.
+    fn run_dml(&mut self, dml: &BoundDml, params: &[Datum]) -> Result<u64> {
+        let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
+        let pred = dml.predicate(params)?;
+        let pred = pred.as_deref();
+        match &dml.op {
+            DmlOp::Insert(values) => {
+                let rows = values
+                    .rows()
+                    .map(|r| values_row(r, params))
+                    .collect::<Result<_>>()?;
+                be.insert(&dml.table, rows)
+            }
+            DmlOp::Update(sets) => be.update(&dml.table, sets, pred, params),
+            DmlOp::Delete => be.delete(&dml.table, pred),
+        }
     }
 
     fn analyze(&mut self, table: Option<&str>) -> Result<()> {

@@ -43,6 +43,7 @@ pub mod backend;
 pub mod catalog;
 pub mod compile;
 pub mod db;
+pub mod dml;
 pub mod exec;
 pub mod expr;
 pub mod lexer;

@@ -18,6 +18,7 @@
 
 use crate::ast::{Expr, SelectStmt, Statement, TableRef};
 use crate::db::{CardinalityHints, QueryResult};
+use crate::dml::BoundDml;
 use crate::expr::SExpr;
 use crate::lexer::{Lexer, RawToken, Sym};
 use crate::plan::{PlanNode, PlanOp};
@@ -316,8 +317,9 @@ impl<T: Clone> PlanCache<T> {
 
 /// A prepared statement handle, engine-independent. Cacheable statements
 /// keep only their canonical text (surviving cache eviction and DDL
-/// invalidation via transparent replan); everything else keeps the parsed
-/// AST and substitutes parameters at the AST level.
+/// invalidation via transparent replan); INSERT, UPDATE and DELETE keep
+/// their bound form; everything else keeps the parsed AST and substitutes
+/// parameters at the AST level.
 #[derive(Debug, Clone)]
 pub enum StmtHandle {
     Cached {
@@ -325,6 +327,7 @@ pub enum StmtHandle {
         slots: Vec<Option<Datum>>,
         n_open: usize,
     },
+    Dml(Box<BoundDml>),
     Ast {
         stmt: Box<Statement>,
         n_params: usize,
@@ -337,6 +340,7 @@ impl StmtHandle {
     pub fn param_count(&self) -> usize {
         match self {
             StmtHandle::Cached { n_open, .. } => *n_open,
+            StmtHandle::Dml(dml) => dml.n_params,
             StmtHandle::Ast { n_params, .. } => *n_params,
         }
     }
@@ -613,49 +617,21 @@ fn for_each_tableref_expr(t: &TableRef, f: &mut impl FnMut(&Expr)) {
 }
 
 /// Replace every `Expr::Param(i)` in a statement with the literal form of
-/// `params[i]` — the execution path for prepared statements the plan cache
-/// cannot hold (DML, GROUP BY, CTEs, `sys.*`, table functions).
+/// `params[i]` — the execution path for prepared SELECTs the plan cache
+/// cannot hold (GROUP BY, CTEs, `sys.*`, table functions). DDL takes no
+/// parameters and is returned as it is; DML is bound, never substituted
+/// (see [`crate::dml`]).
 pub fn substitute_statement_params(stmt: &Statement, params: &[Datum]) -> Result<Statement> {
     Ok(match stmt {
-        Statement::CreateTable { .. }
-        | Statement::CreateIndex { .. }
-        | Statement::Analyze { .. } => stmt.clone(),
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => Statement::Insert {
-            table: table.clone(),
-            columns: columns.clone(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(|e| subst_expr(e, params)).collect())
-                .collect::<Result<_>>()?,
-        },
-        Statement::Update {
-            table,
-            sets,
-            where_clause,
-        } => Statement::Update {
-            table: table.clone(),
-            sets: sets
-                .iter()
-                .map(|(c, e)| Ok((c.clone(), subst_expr(e, params)?)))
-                .collect::<Result<_>>()?,
-            where_clause: subst_opt(where_clause, params)?,
-        },
-        Statement::Delete {
-            table,
-            where_clause,
-        } => Statement::Delete {
-            table: table.clone(),
-            where_clause: subst_opt(where_clause, params)?,
-        },
         Statement::Select(s) => Statement::Select(subst_select(s, params)?),
         Statement::Explain { analyze, stmt } => Statement::Explain {
             analyze: *analyze,
             stmt: Box::new(substitute_statement_params(stmt, params)?),
         },
+        other => {
+            debug_assert!(!other.is_dml(), "DML is bound, not substituted");
+            other.clone()
+        }
     })
 }
 
@@ -1190,18 +1166,15 @@ mod tests {
 
     #[test]
     fn ast_substitution_inlines_literals() {
-        let stmt = crate::parser::parse("update t set a = ? where b = ?").unwrap();
-        let bound = substitute_statement_params(&stmt, &[Datum::Int(5), Datum::Int(9)]).unwrap();
-        let Statement::Update {
-            sets, where_clause, ..
-        } = bound
-        else {
-            panic!("update expected")
+        let stmt =
+            crate::parser::parse("select a, count(*) from t where b = ? group by a").unwrap();
+        let bound = substitute_statement_params(&stmt, &[Datum::Int(9)]).unwrap();
+        let Statement::Select(s) = bound else {
+            panic!("select expected")
         };
-        assert_eq!(sets[0].1, Expr::int(5));
-        assert!(where_clause.is_some());
+        assert_eq!(count_params(&Statement::Select(s)), 0);
         // Too few values error mentions the missing ordinal.
-        let err = substitute_statement_params(&stmt, &[Datum::Int(5)]).unwrap_err();
-        assert!(err.to_string().contains("unbound parameter ?2"), "{err}");
+        let err = substitute_statement_params(&stmt, &[]).unwrap_err();
+        assert!(err.to_string().contains("unbound parameter ?1"), "{err}");
     }
 }

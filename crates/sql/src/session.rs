@@ -10,16 +10,17 @@
 //! live, and the tail of the SELECT driver.
 //!
 //! [`Facade`] is the statement path itself, written once: canonicalize,
-//! plan cache, drift check, bind, flat program or tree, EXPLAIN, DDL/DML
-//! binding. Each facade implements its hooks (planning and lowering,
-//! running a tree or a flat program against its backend, applying DDL and
-//! DML, its own `sys.*` rows, its after-statement hook) and gets
-//! [`QueryApi`] from it.
+//! plan cache, drift check, bind, flat program or tree, EXPLAIN, DDL
+//! binding, and DML bound once into a [`BoundDml`] whether it is prepared
+//! or raw text. Each facade implements its hooks (planning and lowering,
+//! running a tree or a flat program against its backend, applying DDL,
+//! placing and running bound DML, its own `sys.*` rows, its
+//! after-statement hook) and gets [`QueryApi`] from it.
 
-use crate::ast::{ColumnDef, Expr, SelectStmt, Statement};
+use crate::ast::{ColumnDef, SelectStmt, Statement};
 use crate::catalog::Catalog;
 use crate::db::{CardinalityHints, QueryResult, StepObserver};
-use crate::expr::{bind, BoundSchema, SExpr};
+use crate::dml::{self, column_positions, writable_schema, BoundDml};
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::PlanningInfo;
 use crate::prepared::{
@@ -401,15 +402,17 @@ impl<P> Session<P> {
 /// canonicalize (or parse and rewrite), serve a cacheable SELECT through
 /// the plan cache with its re-plan-on-drift check, bind its parameters and
 /// run the cached shape's flat program when it has one, else the bound
-/// tree; plan a fresh SELECT, render EXPLAIN, bind DDL and DML, and run the
-/// history hook after every statement. [`QueryApi`] is implemented once on
-/// top of it.
+/// tree; plan a fresh SELECT, render EXPLAIN, bind DDL, bind DML once (at
+/// prepare time for a prepared statement) and run it, and run the history
+/// hook after every statement. [`QueryApi`] is implemented once on top of
+/// it.
 ///
 /// A facade supplies only what differs between the embedded and the
 /// distributed engine: the required methods below, which say how it plans
 /// and lowers, how it runs a tree or a flat program against its backend,
-/// how it applies DDL and DML, its own `sys.*` rows and its
-/// after-statement hook. The provided methods are the protocol.
+/// how it applies DDL, where a table's rows are placed and how it runs
+/// bound DML, its own `sys.*` rows and its after-statement hook. The
+/// provided methods are the protocol.
 pub trait Facade {
     /// The flat program a cached shape lowers to.
     type Program;
@@ -472,14 +475,14 @@ pub trait Facade {
     /// CREATE INDEX on the column positions `columns`.
     fn create_index(&mut self, table: &str, columns: Vec<usize>) -> Result<()>;
 
-    /// INSERT full-width rows; returns the rows written.
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<u64>;
+    /// The column `table`'s rows are placed by (`None` on an engine that
+    /// does not place rows by column), or the error that makes the table
+    /// unwritable. Asked once per statement, when DML is bound.
+    fn dml_placement(&self, table: &str) -> Result<Option<usize>>;
 
-    /// UPDATE the rows `pred` matches; returns the rows written.
-    fn update(&mut self, table: &str, sets: BoundSets, pred: Option<SExpr>) -> Result<u64>;
-
-    /// DELETE the rows `pred` matches; returns the rows deleted.
-    fn delete(&mut self, table: &str, pred: Option<SExpr>) -> Result<u64>;
+    /// Run a bound INSERT, UPDATE or DELETE with `params`, whose count is
+    /// checked; returns the rows written.
+    fn run_dml(&mut self, dml: &BoundDml, params: &[Datum]) -> Result<u64>;
 
     /// ANALYZE one table, or every table when `None`.
     fn analyze(&mut self, table: Option<&str>) -> Result<()>;
@@ -578,10 +581,26 @@ pub trait Facade {
         )
     }
 
+    /// Bind an INSERT, UPDATE or DELETE against the catalog and the
+    /// facade's placement.
+    fn bind_dml(&self, stmt: &Statement) -> Result<BoundDml> {
+        dml::bind(stmt, self.catalog(), |table| self.dml_placement(table))
+    }
+
+    /// Run a bound DML statement: the one executor of prepared and raw
+    /// INSERT, UPDATE and DELETE.
+    fn execute_dml(&mut self, dml: &BoundDml, params: &[Datum]) -> Result<QueryResult> {
+        dml.check_params(params)?;
+        Ok(QueryResult {
+            affected: self.run_dml(dml, params)?,
+            ..Default::default()
+        })
+    }
+
     /// Run one parsed statement the plan cache does not serve: a SELECT or
-    /// EXPLAIN is planned fresh, DDL and DML are bound here and applied by
-    /// the facade. DDL and ANALYZE change plan choices, so they drop every
-    /// cached plan.
+    /// EXPLAIN is planned fresh, DDL is bound here and applied by the
+    /// facade, DML is bound and run. DDL and ANALYZE change plan choices,
+    /// so they drop every cached plan.
     fn execute_parsed(&mut self, stmt: &Statement, sql: &str) -> Result<QueryResult> {
         let affected = match stmt {
             Statement::Select(s) => {
@@ -626,36 +645,14 @@ pub trait Facade {
                 self.session_mut().cache.bump_epoch();
                 0
             }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let schema = writable_schema(self.catalog(), table)?;
-                let rows = insert_rows(table, schema, columns.as_deref(), rows)?;
-                self.insert(table, rows)?
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => {
-                let schema = writable_schema(self.catalog(), table)?;
-                let (sets, pred) = bind_dml(table, schema, sets, where_clause.as_ref())?;
-                self.update(table, sets, pred)?
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let schema = writable_schema(self.catalog(), table)?;
-                let (_, pred) = bind_dml(table, schema, &[], where_clause.as_ref())?;
-                self.delete(table, pred)?
-            }
             Statement::Analyze { table } => {
                 self.analyze(table.as_deref())?;
                 self.session_mut().cache.bump_epoch();
                 0
+            }
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                let dml = self.bind_dml(stmt)?;
+                return self.execute_dml(&dml, &[]);
             }
         };
         Ok(QueryResult {
@@ -743,7 +740,8 @@ pub trait Facade {
 impl<F: Facade> QueryApi for F {
     /// A cacheable statement keeps only its canonical text and is planned
     /// once now, so unknown tables and columns surface at prepare time;
-    /// anything else keeps its rewritten AST.
+    /// DML is bound now, with the same effect; anything else keeps its
+    /// rewritten AST.
     fn prepare_handle(&mut self, sql: &str) -> Result<StmtHandle> {
         if let Some(c) = canonicalize(sql)? {
             self.ensure_cached(&c.text)?;
@@ -755,6 +753,9 @@ impl<F: Facade> QueryApi for F {
             });
         }
         let stmt = parse_rewritten(sql)?;
+        if stmt.is_dml() {
+            return Ok(StmtHandle::Dml(Box::new(self.bind_dml(&stmt)?)));
+        }
         let n_params = count_params(&stmt);
         Ok(StmtHandle::Ast {
             stmt: Box::new(stmt),
@@ -763,13 +764,14 @@ impl<F: Facade> QueryApi for F {
         })
     }
 
-    /// An AST handle binds its parameters at the AST level, after checking
-    /// their count.
+    /// A DML handle runs its bound form; an AST handle binds its
+    /// parameters at the AST level, after checking their count.
     fn execute_prepared(&mut self, handle: &StmtHandle, params: &[Datum]) -> Result<QueryResult> {
         let result = match handle {
             StmtHandle::Cached {
                 canonical, slots, ..
             } => self.execute_canonical(canonical, slots, params, canonical),
+            StmtHandle::Dml(dml) => self.execute_dml(dml, params),
             StmtHandle::Ast {
                 stmt,
                 n_params,
@@ -822,13 +824,6 @@ fn parse_rewritten(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// The schema DML and CREATE INDEX bind against; `sys.*` views are
-/// read-only.
-fn writable_schema<'a>(catalog: &'a Catalog, table: &str) -> Result<&'a Schema> {
-    sys::check_read_only(table)?;
-    Ok(catalog.get(table)?.schema())
-}
-
 /// CREATE TABLE's schema; names in the `sys.` namespace are rejected.
 fn table_schema(name: &str, columns: &[ColumnDef]) -> Result<Schema> {
     if sys::is_sys_name(name) {
@@ -849,72 +844,4 @@ fn table_schema(name: &str, columns: &[ColumnDef]) -> Result<Schema> {
             })
             .collect(),
     ))
-}
-
-/// Resolve column names to positions in `table`'s schema (CREATE INDEX
-/// keys, INSERT column lists).
-fn column_positions(table: &str, schema: &Schema, columns: &[String]) -> Result<Vec<usize>> {
-    columns
-        .iter()
-        .map(|c| column_position(table, schema, c))
-        .collect()
-}
-
-fn column_position(table: &str, schema: &Schema, column: &str) -> Result<usize> {
-    schema
-        .index_of(column)
-        .ok_or_else(|| HdmError::Catalog(format!("no column {column} in {table}")))
-}
-
-/// Evaluate INSERT's VALUES into full-width rows (unlisted columns NULL)
-/// before anything is written.
-fn insert_rows(
-    table: &str,
-    schema: &Schema,
-    columns: Option<&[String]>,
-    rows: &[Vec<Expr>],
-) -> Result<Vec<Row>> {
-    let width = schema.len();
-    let col_map = match columns {
-        None => (0..width).collect(),
-        Some(cols) => column_positions(table, schema, cols)?,
-    };
-    let empty = BoundSchema::default();
-    rows.iter()
-        .map(|r| {
-            if r.len() != col_map.len() {
-                return Err(HdmError::Execution(format!(
-                    "INSERT row has {} values, expected {}",
-                    r.len(),
-                    col_map.len()
-                )));
-            }
-            let mut vals = vec![Datum::Null; width];
-            for (expr, &slot) in r.iter().zip(&col_map) {
-                vals[slot] = bind(expr, &empty)?.eval(&[])?;
-            }
-            Ok(Row::new(vals))
-        })
-        .collect()
-}
-
-/// UPDATE's SET list bound to (column position, expression) pairs.
-pub type BoundSets = Vec<(usize, SExpr)>;
-
-/// Bind UPDATE/DELETE against `table`: the SET list (empty for DELETE) and
-/// the WHERE predicate.
-fn bind_dml(
-    table: &str,
-    schema: &Schema,
-    sets: &[(String, Expr)],
-    where_clause: Option<&Expr>,
-) -> Result<(BoundSets, Option<SExpr>)> {
-    let canon = table.to_ascii_lowercase();
-    let scope = BoundSchema::from_table(&canon, &canon, schema);
-    let pred = where_clause.map(|w| bind(w, &scope)).transpose()?;
-    let sets = sets
-        .iter()
-        .map(|(c, e)| Ok((column_position(table, schema, c)?, bind(e, &scope)?)))
-        .collect::<Result<_>>()?;
-    Ok((sets, pred))
 }

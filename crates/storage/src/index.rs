@@ -121,11 +121,17 @@ impl OrderedIndex {
             .collect()
     }
 
-    /// Register a tuple version under its key. Callers register a key's
-    /// versions in ascending tuple-id order, as the heap hands ids out.
-    pub fn insert(&mut self, key: IndexKey, tid: TupleId) {
+    /// Register tuple version `tid` under the key of its `row`, read from
+    /// the row in place (a one-column key needs no key vector). Callers
+    /// register a key's versions in ascending tuple-id order, as the heap
+    /// hands ids out.
+    pub fn insert(&mut self, row: &hdm_common::Row, tid: TupleId) {
+        let key = match self.key_columns[..] {
+            [c] => StoredKey::One(row.values()[c].clone()),
+            _ => StoredKey::new(self.key_of(row)),
+        };
         self.map
-            .entry(StoredKey::new(key))
+            .entry(key)
             .and_modify(|p| p.push(tid))
             .or_insert(Postings::One(tid));
         self.entries += 1;
@@ -197,12 +203,17 @@ mod tests {
         vec![Datum::Int(v)]
     }
 
+    /// Register `tid` under the one-column key `v`.
+    fn insert(ix: &mut OrderedIndex, v: i64, tid: u64) {
+        ix.insert(&row![v], TupleId(tid));
+    }
+
     #[test]
     fn probe_finds_all_versions() {
         let mut ix = OrderedIndex::new(vec![0]);
-        ix.insert(key(5), TupleId(1));
-        ix.insert(key(5), TupleId(9));
-        ix.insert(key(6), TupleId(2));
+        insert(&mut ix, 5, 1);
+        insert(&mut ix, 5, 9);
+        insert(&mut ix, 6, 2);
         assert_eq!(ix.probe(&key(5)), &[TupleId(1), TupleId(9)]);
         assert_eq!(ix.probe(&key(7)), &[] as &[TupleId]);
         assert_eq!(ix.len(), 3);
@@ -213,7 +224,7 @@ mod tests {
     fn range_scans_in_key_order() {
         let mut ix = OrderedIndex::new(vec![0]);
         for v in [30i64, 10, 20, 40] {
-            ix.insert(key(v), TupleId(v as u64));
+            insert(&mut ix, v, v as u64);
         }
         let lo = key(15);
         let hi = key(35);
@@ -228,7 +239,7 @@ mod tests {
     fn unbounded_range_is_full_scan_in_order() {
         let mut ix = OrderedIndex::new(vec![0]);
         for v in [3i64, 1, 2] {
-            ix.insert(key(v), TupleId(v as u64));
+            insert(&mut ix, v, v as u64);
         }
         let all: Vec<u64> = ix
             .range(Bound::Unbounded, Bound::Unbounded)
@@ -241,7 +252,7 @@ mod tests {
     fn remove_unregisters_one_version() {
         let mut ix = OrderedIndex::new(vec![0]);
         for t in 1..=3 {
-            ix.insert(key(5), TupleId(t));
+            insert(&mut ix, 5, t);
         }
         assert!(ix.remove(&key(5), TupleId(1)));
         assert!(!ix.remove(&key(5), TupleId(1)), "already gone");
@@ -254,9 +265,10 @@ mod tests {
     #[test]
     fn composite_keys_extract_and_order() {
         let mut ix = OrderedIndex::new(vec![1, 0]);
-        let k = ix.key_of(&row![7, "beta"]);
+        let r = row![7, "beta"];
+        let k = ix.key_of(&r);
         assert_eq!(k, vec![Datum::Text("beta".into()), Datum::Int(7)]);
-        ix.insert(k.clone(), TupleId(0));
+        ix.insert(&r, TupleId(0));
         assert_eq!(ix.probe(&k), &[TupleId(0)]);
     }
 }

@@ -74,7 +74,7 @@ impl Table {
         }
         let mut ix = OrderedIndex::new(key_columns);
         for (tid, _hdr, row) in self.heap.scan_all() {
-            ix.insert(ix.key_of(row), tid);
+            ix.insert(row, tid);
         }
         self.indexes.push(ix);
         Ok(self.indexes.len() - 1)
@@ -92,12 +92,19 @@ impl Table {
     /// Insert a row as transaction `xid`.
     pub fn insert(&mut self, xid: Xid, row: Row) -> Result<TupleId> {
         self.schema.validate_row(&row).map_err(HdmError::Storage)?;
-        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(&row)).collect();
         let tid = self.heap.insert(xid, row);
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(key, tid);
-        }
+        self.index_version(tid)?;
         Ok(tid)
+    }
+
+    /// Register version `tid` in every index, keyed from its row in the
+    /// heap.
+    fn index_version(&mut self, tid: TupleId) -> Result<()> {
+        let row = self.heap.row(tid)?;
+        for ix in &mut self.indexes {
+            ix.insert(row, tid);
+        }
+        Ok(())
     }
 
     /// Delete a visible tuple as `xid`.
@@ -110,11 +117,8 @@ impl Table {
         self.schema
             .validate_row(&new_row)
             .map_err(HdmError::Storage)?;
-        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(&new_row)).collect();
         let new_tid = self.heap.update(xid, tid, new_row)?;
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(key, new_tid);
-        }
+        self.index_version(new_tid)?;
         Ok(new_tid)
     }
 

@@ -1,13 +1,14 @@
 //! Prepared-vs-raw equivalence (ISSUE 8): the seeded corpus driven through
 //! `prepare`/`execute(params)` must be indistinguishable from raw text
 //! execution on both engines — identical rows, identical step observations,
-//! identical plan-store contents — plus DDL/ANALYZE cache invalidation and
-//! the parameter-binding error pins.
+//! identical plan-store contents — plus DDL/ANALYZE cache invalidation, the
+//! parameter-binding error pins, and bound INSERT/UPDATE/DELETE agreeing
+//! with the same statements as raw text.
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::{Datum, Row};
 use huawei_dm::learnopt::SharedPlanStore;
-use huawei_dm::sql::{Database, QueryApi, QueryResult};
+use huawei_dm::sql::{Database, ExecOptions, QueryApi, QueryResult};
 use huawei_dm::telemetry::{RecorderConfig, SharedRecorder, VirtualClock};
 use huawei_dm::workloads::DistCorpus;
 use std::sync::Arc;
@@ -427,4 +428,288 @@ fn drift_replans_once_on_both_engines() {
             "prepared run {i}: both engines return the same rows"
         );
     }
+}
+
+fn new_dist() -> DistDb {
+    DistDb::new(Cluster::new(ClusterConfig::gtm_lite(SHARDS))).unwrap()
+}
+
+/// Raw text on any engine.
+fn raw<E: QueryApi>(db: &mut E, sql: &str) -> Result<QueryResult, String> {
+    db.execute_opts(sql, ExecOptions::default())
+        .map_err(|e| e.to_string())
+}
+
+/// Prepare `sql` and execute it once with `params`.
+fn prepared<E: QueryApi>(db: &mut E, sql: &str, params: &[Datum]) -> Result<u64, String> {
+    let h = db.prepare_handle(sql).map_err(|e| e.to_string())?;
+    db.execute_prepared(&h, params)
+        .map(|r| r.affected)
+        .map_err(|e| e.to_string())
+}
+
+/// Run `text` as raw text on `raw_db` and `sql` prepared with `params` on
+/// its twin `prep_db`: the rows written, or the error text, must agree.
+fn both_ways<E: QueryApi>(
+    raw_db: &mut E,
+    prep_db: &mut E,
+    text: &str,
+    sql: &str,
+    params: &[Datum],
+) -> Result<u64, String> {
+    let r = raw(raw_db, text).map(|r| r.affected);
+    assert_eq!(
+        r,
+        prepared(prep_db, sql, params),
+        "{text} / {sql} {params:?}"
+    );
+    r
+}
+
+/// Table `t`'s rows as a sorted multiset.
+fn contents<E: QueryApi>(db: &mut E) -> Vec<String> {
+    sorted(raw(db, "select * from t").unwrap().rows)
+}
+
+/// Twin engines holding the same five rows of `t (k, a, b)`.
+fn dml_twins<E: QueryApi>(new: impl Fn() -> E) -> (E, E) {
+    let (mut a, mut b) = (new(), new());
+    for db in [&mut a, &mut b] {
+        raw(db, "create table t (k int, a int, b int)").unwrap();
+        raw(
+            db,
+            "insert into t values (1, 1, 10), (2, 1, 20), (3, 2, 30), (4, 2, 40), (5, 3, 50)",
+        )
+        .unwrap();
+    }
+    (a, b)
+}
+
+/// Every bound-DML case on one engine; returns the final contents of `t`,
+/// which the raw and the prepared twin share. `dist` says whether the
+/// engine places rows by a distribution column.
+fn bound_dml_cases<E: QueryApi>(new: impl Fn() -> E, dist: bool) -> Vec<String> {
+    let (mut r, mut p) = dml_twins(new);
+    let int = Datum::Int;
+
+    // A column list that leaves `a` out (it becomes NULL), and a literal
+    // beside a parameter.
+    let ins = "insert into t (b, k) values (?, 6)";
+    let got = both_ways(
+        &mut r,
+        &mut p,
+        "insert into t (b, k) values (60, 6)",
+        ins,
+        &[int(60)],
+    );
+    assert_eq!(got, Ok(1));
+
+    // A wrong parameter count fails as raw text whose `?` has no value.
+    let sql = "insert into t values (?, ?, ?)";
+    let err = both_ways(&mut r, &mut p, sql, sql, &[]).unwrap_err();
+    assert!(err.contains("statement has 3 parameters; got 0"), "{err}");
+    let err = prepared(&mut p, sql, &[int(7), int(1)]).unwrap_err();
+    assert!(err.contains("statement has 3 parameters; got 2"), "{err}");
+
+    // A NULL distribution key.
+    let ins = "insert into t values (?, 9, 90)";
+    let got = both_ways(
+        &mut r,
+        &mut p,
+        "insert into t values (null, 9, 90)",
+        ins,
+        &[Datum::Null],
+    );
+    match dist {
+        true => assert!(got.unwrap_err().contains("must be a non-null INT")),
+        false => assert_eq!(got, Ok(1)),
+    }
+
+    // An UPDATE of the distribution column: a prepared one fails when it
+    // is prepared.
+    let upd = "update t set k = ? where a = 3";
+    let got = both_ways(
+        &mut r,
+        &mut p,
+        "update t set k = 7 where a = 3",
+        upd,
+        &[int(7)],
+    );
+    match dist {
+        true => {
+            assert!(got
+                .unwrap_err()
+                .contains("updating the distribution column of t"));
+            assert!(p.prepare_handle(upd).is_err());
+        }
+        false => assert_eq!(got, Ok(1)),
+    }
+
+    // Predicates off the key scatter.
+    let upd = "update t set b = ? where a = ?";
+    let got = both_ways(
+        &mut r,
+        &mut p,
+        "update t set b = 11 where a = 1",
+        upd,
+        &[int(11), int(1)],
+    );
+    assert_eq!(got, Ok(2));
+    let del = "delete from t where a = ?";
+    assert_eq!(
+        both_ways(&mut r, &mut p, "delete from t where a = 2", del, &[int(2)]),
+        Ok(2)
+    );
+
+    // A handle prepared before CREATE INDEX and ANALYZE on its table runs
+    // after them.
+    let h = p.prepare_handle(upd).unwrap();
+    for db in [&mut r, &mut p] {
+        raw(db, "create index on t (a)").unwrap();
+        raw(db, "analyze").unwrap();
+    }
+    let got = raw(&mut r, "update t set b = 12 where a = 1").map(|r| r.affected);
+    assert_eq!(got, Ok(2));
+    assert_eq!(
+        p.execute_prepared(&h, &[int(12), int(1)]).unwrap().affected,
+        2
+    );
+
+    // An idempotent statement applies once; on the distributed engine its
+    // retry is answered from the statement's tag without re-applying.
+    let ins = "insert into t values (8, 4, 80)";
+    let retries = if dist { 2 } else { 1 };
+    for _ in 0..retries {
+        let got = r.execute_opts(ins, ExecOptions::idempotent(42)).unwrap();
+        assert_eq!(got.affected, 1);
+    }
+    assert_eq!(
+        prepared(&mut p, "insert into t values (?, ?, 80)", &[int(8), int(4)]),
+        Ok(1)
+    );
+
+    let want = contents(&mut r);
+    assert_eq!(want, contents(&mut p), "raw and prepared twins diverged");
+    want
+}
+
+#[test]
+fn bound_dml_matches_raw_text_on_both_engines() {
+    let row = |k: Option<i64>, a: Option<i64>, b: i64| {
+        let d = |v: Option<i64>| v.map_or(Datum::Null, Datum::Int);
+        Row::new(vec![d(k), d(a), Datum::Int(b)])
+    };
+    let shared = [
+        row(Some(1), Some(1), 12),
+        row(Some(2), Some(1), 12),
+        row(Some(6), None, 60),
+        row(Some(8), Some(4), 80),
+    ];
+    // The embedded engine has no distribution column: it also wrote the
+    // NULL-key row and moved row 5 to key 7.
+    let mut local = shared.to_vec();
+    local.extend([row(None, Some(9), 90), row(Some(7), Some(3), 50)]);
+    let mut dist = shared.to_vec();
+    dist.push(row(Some(5), Some(3), 50));
+    assert_eq!(bound_dml_cases(Database::new, false), sorted(local));
+    assert_eq!(bound_dml_cases(new_dist, true), sorted(dist));
+}
+
+/// The distributed engine routes a key-fixed prepared write to one shard,
+/// scatters one whose predicate is off the key, and probes a secondary
+/// index once it exists.
+#[test]
+fn bound_dml_routes_by_key_and_probes_new_indexes() {
+    let (mut db, _) = dml_twins(new_dist);
+    let int = Datum::Int;
+    let by_key = db.prepare_handle("update t set b = ? where k = ?").unwrap();
+    let off_key = db.prepare_handle("update t set b = ? where a = ?").unwrap();
+
+    let before = db.counters();
+    assert_eq!(
+        db.execute_prepared(&by_key, &[int(0), int(3)])
+            .unwrap()
+            .affected,
+        1
+    );
+    let after = db.counters();
+    assert_eq!(after.single_shard_stmts - before.single_shard_stmts, 1);
+    assert_eq!(after.multi_shard_stmts, before.multi_shard_stmts);
+    assert_eq!(
+        after.index_probes - before.index_probes,
+        1,
+        "shard-key probe"
+    );
+
+    let before = db.counters();
+    assert_eq!(
+        db.execute_prepared(&off_key, &[int(0), int(1)])
+            .unwrap()
+            .affected,
+        2
+    );
+    let after = db.counters();
+    assert_eq!(after.multi_shard_stmts - before.multi_shard_stmts, 1);
+    assert_eq!(after.index_probes, before.index_probes, "no index on a yet");
+
+    db.execute("create index on t (a)").unwrap();
+    let before = db.counters();
+    assert_eq!(
+        db.execute_prepared(&off_key, &[int(1), int(1)])
+            .unwrap()
+            .affected,
+        2
+    );
+    let after = db.counters();
+    assert_eq!(after.index_probes - before.index_probes, SHARDS as u64);
+}
+
+/// Every right-hand side of a SET list reads the row as it was before the
+/// statement, so `set a = b, b = a` swaps the two columns.
+#[test]
+fn update_set_list_reads_the_old_row_on_both_engines() {
+    fn swapped<E: QueryApi>(new: impl Fn() -> E) -> Vec<String> {
+        let (mut r, mut p) = dml_twins(new);
+        let swap = "update t set a = b, b = a where k = ?";
+        let got = both_ways(
+            &mut r,
+            &mut p,
+            "update t set a = b, b = a where k = 2",
+            swap,
+            &[Datum::Int(2)],
+        );
+        assert_eq!(got, Ok(1));
+        let row = raw(&mut r, "select a, b from t where k = 2").unwrap().rows;
+        assert_eq!(
+            sorted(row),
+            sorted(vec![Row::new(vec![Datum::Int(20), Datum::Int(1)])])
+        );
+        let want = contents(&mut r);
+        assert_eq!(want, contents(&mut p));
+        want
+    }
+    assert_eq!(swapped(Database::new), swapped(new_dist));
+}
+
+/// A statement that names one target column twice fails when it is bound,
+/// with one error text on both engines, and writes nothing.
+#[test]
+fn a_target_column_named_twice_is_rejected_on_both_engines() {
+    fn rejected<E: QueryApi>(new: impl Fn() -> E) -> Vec<String> {
+        let (mut db, _) = dml_twins(new);
+        let before = contents(&mut db);
+        for sql in [
+            "insert into t (k, a, a) values (9, 10, 20)",
+            "update t set a = 1, a = 2 where k = 1",
+        ] {
+            let want = "column a of t is assigned more than once";
+            let err = raw(&mut db, sql).unwrap_err();
+            assert!(err.contains(want), "{sql}: {err}");
+            let err = db.prepare_handle(sql).unwrap_err().to_string();
+            assert!(err.contains(want), "prepared {sql}: {err}");
+        }
+        assert_eq!(contents(&mut db), before);
+        before
+    }
+    assert_eq!(rejected(Database::new), rejected(new_dist));
 }
