@@ -26,10 +26,11 @@
 //! The statement path (canonicalize, plan cache and drift check, bind,
 //! flat program or tree, EXPLAIN, DDL/DML binding) is
 //! [`hdm_sql::session::Facade`]'s, shared with the embedded engine.
-//! [`DistDb`] implements its hooks: planning and annotation, lowering to a
-//! [`FastSelect`], running trees and programs in the transaction their
-//! shards imply, routed DDL/DML, the cluster's `sys.*` rows, the history
-//! hook's journal, and the retry loop behind `execute_opts`.
+//! [`DistDb`] implements its hooks: planning and annotation, routing the
+//! flat programs `hdm_sql::program::lower` makes of cached linear scans,
+//! running trees and programs in the transaction their shards imply, routed
+//! DDL/DML, the cluster's `sys.*` rows, the history hook's journal, and the
+//! retry loop behind `execute_opts`.
 
 use crate::engine::{Cluster, Protocol, Txn, TxnOptions};
 use crate::node::{DataNode, TableId};
@@ -40,10 +41,11 @@ use hdm_sql::ast::{BinOp, SelectStmt};
 use hdm_sql::db::{CardinalityHints, QueryResult, StepObserver};
 use hdm_sql::dml::{updated_row, values_row, BoundDml, DmlOp, Values};
 use hdm_sql::expr::SExpr;
-use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp, StepKind, StepObservation};
+use hdm_sql::plan::{ExchangeProbe, PlanNode, PlanOp};
 use hdm_sql::planner::{and_all, Planner, PlanningInfo, TempRels};
 use hdm_sql::prepared::ExecOptions;
 use hdm_sql::profile::ChainProfiler;
+use hdm_sql::program::{lower, Access, Exchange, LinearSelect};
 use hdm_sql::session::{output_columns, CachedPlan, EngineState, Facade, Session, StmtProfiler};
 use hdm_sql::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_sql::{Catalog, ExecBackend};
@@ -54,7 +56,6 @@ use hdm_telemetry::{
     StatementProfile, Telemetry,
 };
 use hdm_txn::{MemoVisibility, SnapshotVisibility};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -89,22 +90,19 @@ pub struct FaultScript {
 /// installed (kept small so followers visibly lag a busy primary).
 const REPL_RECORDS_PER_TICK: usize = 4;
 
-/// How a table's rows map to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// The distribution column's value *is* the application sharding prefix
-    /// (truncated to `u32`) — the default for CN-created SQL tables.
-    HashValue,
-    /// The distribution column holds packed `make_key(prefix, local)` keys —
-    /// the built-in `kv` table's convention.
-    PackedKey,
-}
-
-/// CN-side distribution metadata for one table.
+/// CN-side distribution metadata for one table: the distribution column
+/// and the sharding prefix its value routes by — the value itself
+/// (truncated to `u32`) for CN-created SQL tables, the prefix of a packed
+/// `make_key(prefix, local)` key for the built-in `kv` table.
 #[derive(Debug, Clone, Copy)]
 struct DistMeta {
     shard_col: usize,
-    route: Route,
+    prefix: fn(i64) -> u32,
+}
+
+/// The sharding prefix of a CN-created SQL table's distribution value.
+fn value_prefix(v: i64) -> u32 {
+    v as u32
 }
 
 /// Observable distributed-execution activity.
@@ -144,47 +142,6 @@ pub enum Scope {
     Multi,
 }
 
-/// A compiled linear SELECT (`Project? → SeqScan` of one distributed
-/// table): everything the scatter/gather loop needs without walking a plan
-/// tree through the boxed executor. A run borrows all of it: the shard
-/// list, the observation text it reports and (from the plan-cache entry)
-/// the column names are shared, not copied, so a pruned point read
-/// allocates only its snapshot, its result and its one observation.
-pub struct FastSelect {
-    table: String,
-    meta: DistMeta,
-    /// Scan predicate template (may reference parameters).
-    pred: Option<SExpr>,
-    /// The whole predicate pre-lowered to `column = ?N`: execution then
-    /// needs no expression substitution and no generic pruning walk at all —
-    /// the bound datum routes the shard, probes the index as a one-datum
-    /// key borrowed from the bound parameters, and filters rows directly.
-    param_eq: Option<(usize, u16)>,
-    /// Projection expressions over the scan schema, if any; each leg's rows
-    /// are projected straight into the result.
-    project: Option<Vec<SExpr>>,
-    /// Canonical text of the un-annotated scan: the local `SCAN(..)`
-    /// plan-store key, consulted before the `EXCHANGE(..)` one.
-    scan_canon: String,
-    /// Every shard's raw id, in shard order: the legs of an unpruned run.
-    all: Vec<u64>,
-    /// Pre-rendered `EXCHANGE(.., SHARDS(..))` observation texts: one per
-    /// single-shard outcome (indexed by raw shard id) plus the scatter form.
-    /// A run's observation shares its text.
-    ex_single: Vec<Arc<str>>,
-    ex_all: Arc<str>,
-    /// The planner's compile-time scan estimate (rehinted before each run).
-    est_rows: f64,
-}
-
-impl FastSelect {
-    /// Op count surfaced by `sys.prepared`: the scan plus an optional
-    /// projection.
-    fn op_count(&self) -> usize {
-        1 + self.project.is_some() as usize
-    }
-}
-
 /// A distributed SQL database: coordinator planning over cluster storage.
 pub struct DistDb {
     cluster: Cluster,
@@ -205,8 +162,9 @@ pub struct DistDb {
     /// Scripted crash/restart plan ticked at every fragment dispatch.
     faults: Option<Rc<RefCell<FaultScript>>>,
     /// Plan-store hooks, profiler wiring, the plan cache (logical plans plus
-    /// fast programs, invalidated on DDL and ANALYZE) and history capture.
-    session: Session<FastSelect>,
+    /// routed flat programs, invalidated on DDL and ANALYZE) and history
+    /// capture.
+    session: Session,
 }
 
 impl DistDb {
@@ -232,7 +190,7 @@ impl DistDb {
             "kv".to_string(),
             DistMeta {
                 shard_col: 0,
-                route: Route::PackedKey,
+                prefix: key_prefix,
             },
         );
         Ok(Self {
@@ -485,19 +443,11 @@ impl DistDb {
         Ok(affected)
     }
 
-    /// The shard a distribution-column value routes to, with the sharding
-    /// prefix that names it in [`TxnOptions::single`].
-    fn route_value(&self, meta: DistMeta, v: i64) -> (ShardId, u32) {
-        match meta.route {
-            Route::HashValue => {
-                let prefix = v as u32;
-                (self.cluster.shard_map().shard_of_prefix(prefix), prefix)
-            }
-            Route::PackedKey => {
-                let prefix = key_prefix(v);
-                (self.cluster.shard_map().shard_of_prefix(prefix), prefix)
-            }
-        }
+    /// The shard a distribution-column value routes to by `prefix`, with
+    /// the sharding prefix that names it in [`TxnOptions::single`].
+    fn route_value(&self, prefix: fn(i64) -> u32, v: i64) -> (ShardId, u32) {
+        let prefix = prefix(v);
+        (self.cluster.shard_map().shard_of_prefix(prefix), prefix)
     }
 
     /// The canonical name and distribution metadata of a table SQL may
@@ -510,7 +460,7 @@ impl DistDb {
             .get(&canon)
             .copied()
             .ok_or_else(|| HdmError::Catalog(format!("{canon} is not a distributed table")))?;
-        if meta.route == Route::PackedKey {
+        if canon == "kv" {
             return Err(HdmError::Unsupported(
                 "the built-in kv table is read-only through SQL".into(),
             ));
@@ -536,7 +486,7 @@ impl DistDb {
                     "distribution column of {table} must be a non-null INT"
                 )));
             };
-            let (shard, prefix) = db.route_value(meta, dv);
+            let (shard, prefix) = db.route_value(meta.prefix, dv);
             Ok((shard, prefix, row))
         };
         let mut rows = values.rows();
@@ -588,7 +538,7 @@ impl DistDb {
         let (single, all): ([ShardId; 1], Vec<ShardId>);
         let (scope, shards) = match key {
             Some(Datum::Int(v)) => {
-                let (shard, prefix) = self.route_value(meta, *v);
+                let (shard, prefix) = self.route_value(meta.prefix, *v);
                 single = [shard];
                 (Scope::Single(prefix), &single[..])
             }
@@ -830,62 +780,19 @@ impl DistDb {
         }
     }
 
-    /// Lower a cached plan to a [`FastSelect`] when the shape is a linear
-    /// `Project? → SeqScan` over one distributed table. Anything else
-    /// (joins, aggregates, sorts, limits, temp rels) keeps the tree
-    /// executor — still without re-parsing or re-planning.
-    fn compile_fast(&self, plan: &PlanNode) -> Option<FastSelect> {
-        let (project, scan) = match &plan.op {
-            PlanOp::Project { exprs } => (Some(exprs.clone()), &plan.children[0]),
-            _ => (None, plan),
-        };
-        let PlanOp::SeqScan { table, predicate } = &scan.op else {
-            return None;
-        };
-        let meta = *self.meta.get(table)?;
-        let param_eq = predicate.as_ref().and_then(|p| match p {
-            SExpr::Binary(BinOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-                (SExpr::Col(c), SExpr::Param(i)) | (SExpr::Param(i), SExpr::Col(c)) => {
-                    Some((*c, *i))
-                }
-                _ => None,
-            },
-            _ => None,
-        });
-        let scan_canon = scan.canonical()?;
-        let all: Vec<u64> = self.cluster.shard_map().all().map(|s| s.raw()).collect();
-        let ex_text = |shards: &[u64]| -> Arc<str> {
-            let list: Vec<String> = shards.iter().map(u64::to_string).collect();
-            format!("EXCHANGE({scan_canon}, SHARDS({}))", list.join(",")).into()
-        };
-        Some(FastSelect {
-            table: table.clone(),
-            meta,
-            pred: predicate.clone(),
-            param_eq,
-            project,
-            ex_single: all.iter().map(|&r| ex_text(&[r])).collect(),
-            ex_all: ex_text(&all),
-            scan_canon,
-            all,
-            est_rows: scan.est_rows(),
-        })
-    }
-
-    /// The tree a profile of a [`FastSelect`] run mirrors: the cached
-    /// `plan` bound to `params` and annotated, with its Exchange estimate
-    /// set to `est`, the value the run has just rehinted, rather than
-    /// looked up in the plan store a second time.
-    fn profile_plan(&self, plan: &PlanNode, params: &[Datum], est: f64) -> Result<PlanNode> {
-        let mut bound = plan.substitute_params(params)?;
-        self.distribute(&mut bound);
-        let exchange = if bound.children.is_empty() {
-            &mut bound
-        } else {
-            &mut bound.children[0]
-        };
-        exchange.set_est_rows(est);
-        Ok(bound)
+    /// [`lower`]'s program, routed by its table's [`Exchange`], when it is
+    /// `Project? → SeqScan` of one distributed table. Anything else (a
+    /// limit, whose text names the pruned shards, an index probe, joins,
+    /// aggregates) keeps the tree executor, still without re-planning.
+    fn lower_routed(&self, plan: &PlanNode) -> Option<LinearSelect> {
+        let unlimited = !matches!(plan.op, PlanOp::Limit { .. });
+        let routed = |p: &LinearSelect| matches!(p.access, Access::Scan { .. });
+        let mut prog = unlimited.then(|| lower(plan)).flatten().filter(routed)?;
+        let meta = self.meta.get(&prog.table)?;
+        let shards = self.cluster.shard_map().all().map(|s| s.raw()).collect();
+        let ex = Exchange::new(&prog.scan, meta.shard_col, meta.prefix, shards);
+        prog.exchange = Some(ex);
+        Some(prog)
     }
 
     /// Plan (and annotate) a SELECT without executing — exposes the
@@ -986,7 +893,7 @@ impl DistDb {
                 };
                 if let Some((col, v)) = col_lit {
                     if col == meta.shard_col {
-                        let (shard, prefix) = self.route_value(meta, v);
+                        let (shard, prefix) = self.route_value(meta.prefix, v);
                         return Pruned::Single(shard, prefix);
                     }
                 }
@@ -997,18 +904,16 @@ impl DistDb {
 }
 
 /// The distributed engine's hooks: plan against the shadow catalog,
-/// annotate for distribution, lower linear cached shapes to a
-/// [`FastSelect`], and run every statement in the transaction its shards
-/// imply.
+/// annotate for distribution, run cached linear scans flat with their
+/// routing, and run every statement in the transaction its shards imply.
 impl Facade for DistDb {
-    type Program = FastSelect;
     type Scope = Scope;
 
-    fn session(&self) -> &Session<FastSelect> {
+    fn session(&self) -> &Session {
         &self.session
     }
 
-    fn session_mut(&mut self) -> &mut Session<FastSelect> {
+    fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
 
@@ -1038,23 +943,13 @@ impl Facade for DistDb {
     /// The cached plan is logical and **un-annotated**: canonicalizable
     /// statements reference no `sys.*` views and no CTEs, and pruning must
     /// wait for bound parameter values anyway.
-    fn plan_cacheable(
-        &mut self,
-        s: &SelectStmt,
-        n_params: usize,
-    ) -> Result<CachedPlan<FastSelect>> {
+    fn plan_cacheable(&mut self, s: &SelectStmt, n_params: usize) -> Result<CachedPlan> {
         let (plan, _) = self.plan_logical(s, &TempRels::new(), None)?;
-        let fast = self.compile_fast(&plan);
+        let program = self.lower_routed(&plan);
         // Drift is judged under the distributed EXCHANGE keys the probes
         // are expanded to, so a re-plan adopts the observed cardinalities.
         let drift = self.drift_probes_for(&plan);
-        Ok(CachedPlan::new(
-            plan,
-            n_params,
-            fast,
-            FastSelect::op_count,
-            drift,
-        ))
+        Ok(CachedPlan::new(plan, n_params, program, drift))
     }
 
     /// Annotate a logical plan for distribution — base-table scans become
@@ -1101,139 +996,93 @@ impl Facade for DistDb {
             .finish_select(columns, rows, steps, planning, profile))
     }
 
-    /// The compiled hot path: prune from the bound predicate, open the
-    /// narrowest transaction, and scatter/gather through
-    /// `DistExec::run_leg` — the same leg the tree path dispatches, so
-    /// fault ticks, telemetry spans and counters are identical — with no
-    /// plan tree and no boxed executor above it. Observations and hint
-    /// accounting mirror the tree path exactly, and so does the profile
-    /// when `profiled`: its operators are `plan`'s nodes, bound and
-    /// annotated, and its legs come from the leg clock.
+    /// The flat hot path: prune from the bound predicate, open the
+    /// narrowest transaction, and scatter/gather through the tree path's
+    /// own `DistExec::run_leg` (same fault ticks, spans and counters), with
+    /// no plan tree above it. A profile's operators are the bound and
+    /// annotated plan's nodes, its legs come from the leg clock.
     fn run_program(
         &mut self,
-        cached: &CachedPlan<FastSelect>,
-        fast: &FastSelect,
+        cached: &CachedPlan,
+        prog: &LinearSelect,
         params: &[Datum],
         replans: u64,
         profiled: Option<(u64, &str)>,
     ) -> Result<QueryResult> {
+        let (Access::Scan { param_eq }, Some(ex)) = (&prog.access, &prog.exchange) else {
+            unreachable!("the distributed engine caches routed scans only");
+        };
         // The pre-lowered `col = ?N` shape skips expression substitution
         // entirely: the bound datum is the comparison value and the shard
         // route. NULL never satisfies `=`, so a NULL binding — like every
         // other shape — substitutes and re-prunes generically.
-        let eq: Option<(usize, &Datum)> = fast
-            .param_eq
+        let eq: Option<(usize, &Datum)> = param_eq
             .map(|(col, idx)| (col, &params[idx as usize]))
             .filter(|(_, v)| !v.is_null());
-        let pred = match &fast.pred {
-            _ if eq.is_some() => None,
-            Some(p) if p.has_params() => Some(p.substitute_params(params)?),
-            other => other.clone(),
-        };
-        let project = match &fast.project {
-            Some(exprs) if exprs.iter().any(SExpr::has_params) => Some(Cow::Owned(
-                exprs
-                    .iter()
-                    .map(|e| e.substitute_params(params))
-                    .collect::<Result<Vec<_>>>()?,
-            )),
-            other => other.as_deref().map(Cow::Borrowed),
-        };
+        let bound = prog.bind(params, eq.is_some())?;
+        let pred = bound.pred.as_deref();
         let pruned = match eq {
-            Some((col, Datum::Int(v))) if col == fast.meta.shard_col => {
-                let (shard, prefix) = self.route_value(fast.meta, *v);
+            Some((col, Datum::Int(v))) if col == ex.column => {
+                let (shard, prefix) = self.route_value(ex.prefix, *v);
                 Pruned::Single(shard, prefix)
             }
-            _ if fast.param_eq.is_some() => Pruned::All,
-            _ => self.prune_shards(fast.meta, pred.as_ref()),
+            _ if param_eq.is_some() => Pruned::All,
+            _ => {
+                let meta = DistMeta {
+                    shard_col: ex.column,
+                    prefix: ex.prefix,
+                };
+                self.prune_shards(meta, pred)
+            }
         };
         let single;
         let (scope, shards, ex_text) = match &pruned {
             Pruned::Single(s, prefix) => {
                 single = s.raw();
-                let text = &fast.ex_single[single as usize];
+                let text = ex.text(Some(single));
                 (Scope::Single(*prefix), std::slice::from_ref(&single), text)
             }
-            Pruned::All => (Scope::Multi, &fast.all[..], &fast.ex_all),
+            Pruned::All => (Scope::Multi, &ex.shards[..], ex.text(None)),
         };
         if shards.len() <= 1 {
             self.counters.pruned_scans += 1;
         } else {
             self.counters.scatter_scans += 1;
         }
-        let mut est = fast.est_rows;
-        let mut planning = PlanningInfo {
-            replans,
-            ..Default::default()
-        };
-        if let Some(h) = &self.session.hints {
-            // The per-node consult the planner would do (local SCAN key)...
-            match h.lookup(&fast.scan_canon) {
-                Some(v) => {
-                    planning.hint_hits += 1;
-                    est = v as f64;
-                }
-                None => planning.hint_misses += 1,
-            }
-            // ...then the distributed rehint under the EXCHANGE key (hits
-            // only, matching `rehint_exchanges`).
-            if let Some(v) = h.lookup(ex_text) {
-                planning.hint_hits += 1;
-                est = v as f64;
-            }
-        }
-        let bound = profiled
-            .map(|_| self.profile_plan(&cached.plan, params, est))
-            .transpose()?;
+        let hints = self.session.hints.as_deref();
+        let (ests, planning) = prog.rehint(hints, Some(ex_text), replans);
+        let bound_plan = profiled
+            .map(|_| prog.profile_plan(&cached.plan, params, ests))
+            .transpose()?
+            .map(|mut plan| {
+                self.distribute(&mut plan);
+                plan
+            });
         let gtm_before = self.cluster.counters().gtm_interactions;
         let mut prof = self.session.profiler(profiled);
         let mut txn = self.begin_scoped(scope)?;
         let mut chain = prof
             .as_mut()
-            .zip(bound.as_ref())
+            .zip(bound_plan.as_ref())
             .map(|(p, b)| ChainProfiler::new(&mut p.ops, b));
         // Each leg's rows go straight into the result, projected on the way.
         let mut rows: Vec<Row> = Vec::new();
         let mut be = self.dist_exec(&mut txn, chain.is_some(), None);
         let scanned = shards.iter().try_for_each(|&raw| {
-            be.run_leg(
-                &fast.table,
-                ShardId::new(raw),
-                None,
-                eq,
-                pred.as_ref(),
-                |_, row| {
-                    rows.push(match project.as_deref() {
-                        None => row.clone(),
-                        Some(exprs) => Row::new(
-                            exprs
-                                .iter()
-                                .map(|e| e.eval(row.values()))
-                                .collect::<Result<_>>()?,
-                        ),
-                    });
-                    Ok(())
-                },
-            )
+            be.run_leg(&prog.table, ShardId::new(raw), None, eq, pred, |_, row| {
+                rows.push(bound.project(row)?);
+                Ok(())
+            })
             .map(drop)
         });
         let legs = be.take_exchange_profile();
-        let actual = rows.len() as u64;
-        if let (Ok(()), Some(c)) = (&scanned, &mut chain) {
-            c.exit_next(actual, legs);
-            if project.is_some() {
-                c.exit_next(actual, Vec::new());
-            }
-        }
+        let mut steps = Vec::new();
+        let rows = scanned.map(|()| {
+            steps = prog.finish(&mut rows, ex_text, ests, chain.as_mut(), legs);
+            rows
+        });
         drop(chain);
-        let rows = scanned.map(|()| rows);
         let (rows, profile) = self.commit_select(txn, rows, scope, prof, gtm_before)?;
-        let steps = vec![StepObservation {
-            kind: StepKind::Scan,
-            text: Arc::clone(ex_text),
-            estimated: est,
-            actual,
-        }];
         let columns = Arc::clone(&cached.columns);
         Ok(self
             .session
@@ -1262,7 +1111,7 @@ impl Facade for DistDb {
             canon,
             DistMeta {
                 shard_col: 0,
-                route: Route::HashValue,
+                prefix: value_prefix,
             },
         );
         Ok(())
@@ -1300,7 +1149,7 @@ impl Facade for DistDb {
         })?;
         let meta = DistMeta {
             shard_col,
-            route: Route::HashValue,
+            prefix: value_prefix,
         };
         match &dml.op {
             DmlOp::Insert(values) => self.insert_rows(&dml.table, meta, values, params),
@@ -1697,7 +1546,7 @@ fn merge_stats(per_shard: &[&TableStats]) -> TableStats {
 /// The CN-side scatter-gather backend: `Exchange` leaves fan out to data
 /// nodes, everything above them (joins, aggregation, sorts) runs on the CN;
 /// an aggregate consumes each leg's rows as the leg visits them, others
-/// take the gathered rows. Every statement — tree SELECT, [`FastSelect`],
+/// take the gathered rows. Every statement — tree SELECT, flat program,
 /// UPDATE/DELETE, INSERT — dispatches its per-shard work through
 /// [`Self::run_leg`] / [`Self::open_leg`].
 struct DistExec<'a> {

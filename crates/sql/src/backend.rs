@@ -46,7 +46,7 @@ pub trait ExecBackend {
     ) -> Result<u64>;
 
     /// Equality index probe on `index_id` with `key_values`, filtered by the
-    /// `residual` predicate.
+    /// `residual` predicate. A NULL key value matches no row.
     fn point_get(
         &mut self,
         table: &str,
@@ -324,6 +324,11 @@ impl ExecBackend for LocalBackend<'_> {
         key_values: &[Datum],
         residual: Option<&SExpr>,
     ) -> Result<Vec<Row>> {
+        // NULL never satisfies `=`: a NULL key matches no row, not the rows
+        // whose key column is NULL.
+        if key_values.iter().any(Datum::is_null) {
+            return Ok(Vec::new());
+        }
         let judge = SnapshotVisibility::new(&self.snap, self.mgr.clog(), None);
         let t = self.catalog.get(table)?;
         let hits = t.probe(index_id, key_values, &judge)?;

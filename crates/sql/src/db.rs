@@ -4,19 +4,19 @@
 //!
 //! The statement path itself is [`Facade`]'s, shared with the distributed
 //! engine. [`Database`] supplies only its backend: planning against its
-//! catalog (CTEs materialized first), lowering cached chains to a
-//! [`CompiledProgram`], running trees and programs on the [`LocalBackend`],
-//! autocommitted DDL/DML, its `sys.*` rows and its history hook.
+//! catalog (CTEs materialized first), running trees and the cached chains
+//! [`lower`] flattens on the [`LocalBackend`], autocommitted DDL/DML, its
+//! `sys.*` rows and its history hook.
 
 use crate::ast::SelectStmt;
-use crate::backend::LocalBackend;
+use crate::backend::{ExecBackend, LocalBackend};
 use crate::catalog::Catalog;
-use crate::compile::{compile, CompiledProgram, StepTemplate};
 use crate::dml::{values_row, BoundDml, DmlOp};
 use crate::exec::execute;
 use crate::plan::{PlanNode, StepObservation};
 use crate::planner::{Planner, PlanningInfo, TempRels};
 use crate::profile::ChainProfiler;
+use crate::program::{lower, Access, LinearSelect};
 use crate::session::{output_columns, CachedPlan, EngineState, Facade, Session};
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Datum, Result, Row, Schema};
@@ -90,8 +90,8 @@ pub struct Database {
     /// Registry backing `sys.metrics` (scans empty when none is attached).
     metrics: Option<MetricsRegistry>,
     /// Plan-store hooks, profiler wiring, the plan cache (whose entries
-    /// carry the compiled op-array for linear chains) and history capture.
-    session: Session<CompiledProgram>,
+    /// carry the flat program of linear chains) and history capture.
+    session: Session,
 }
 
 impl Default for Database {
@@ -214,32 +214,6 @@ impl Database {
     pub fn plan_only(&mut self, sql: &str) -> Result<PlanNode> {
         self.plan_sql(sql)
     }
-
-    /// Rehint the step templates of a compiled program (same hit/miss
-    /// accounting as [`crate::prepared::rehint_plan`] — templates mirror the
-    /// plan's canonical-bearing nodes one to one).
-    fn rehint_steps(&self, steps: &[StepTemplate]) -> (Vec<f64>, PlanningInfo) {
-        let mut info = PlanningInfo::default();
-        let mut ests: Vec<f64> = steps.iter().map(|s| s.est_rows).collect();
-        if let Some(hints) = self.session.hints.as_deref() {
-            for (i, st) in steps.iter().enumerate() {
-                match hints.lookup(&st.text) {
-                    Some(v) => {
-                        info.hint_hits += 1;
-                        ests[i] = v as f64;
-                    }
-                    None => info.hint_misses += 1,
-                }
-            }
-        }
-        (ests, info)
-    }
-
-    /// Split borrow of the storage halves (tests and the compiled runner).
-    #[cfg(test)]
-    pub(crate) fn storage_parts(&mut self) -> (&mut Catalog, &mut LocalTxnManager) {
-        (&mut self.catalog, &mut self.mgr)
-    }
 }
 
 /// The embedded engine's share of a history capture: the attached registry's
@@ -248,18 +222,18 @@ fn engine_state(metrics: Option<&MetricsRegistry>) -> EngineState {
     (metrics.map(MetricsRegistry::snapshot), Vec::new())
 }
 
-/// The embedded engine's hooks: plan against the catalog, lower cached
-/// chains to a [`CompiledProgram`], run everything on the [`LocalBackend`]
-/// under autocommit. Every statement runs in the same local scope.
+/// The embedded engine's hooks: plan against the catalog, run cached
+/// linear chains flat and everything else as a tree, all on the
+/// [`LocalBackend`] under autocommit. Every statement runs in the same
+/// local scope.
 impl Facade for Database {
-    type Program = CompiledProgram;
     type Scope = ();
 
-    fn session(&self) -> &Session<CompiledProgram> {
+    fn session(&self) -> &Session {
         &self.session
     }
 
-    fn session_mut(&mut self) -> &mut Session<CompiledProgram> {
+    fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
 
@@ -300,21 +274,11 @@ impl Facade for Database {
         Ok((plan, p.info, ()))
     }
 
-    fn plan_cacheable(
-        &mut self,
-        s: &SelectStmt,
-        n_params: usize,
-    ) -> Result<CachedPlan<CompiledProgram>> {
+    fn plan_cacheable(&mut self, s: &SelectStmt, n_params: usize) -> Result<CachedPlan> {
         let (plan, _, ()) = self.plan_select(s, None)?;
-        let program = compile(&plan);
+        let program = lower(&plan);
         let drift = crate::prepared::drift_probes(&plan);
-        Ok(CachedPlan::new(
-            plan,
-            n_params,
-            program,
-            CompiledProgram::op_count,
-            drift,
-        ))
+        Ok(CachedPlan::new(plan, n_params, program, drift))
     }
 
     /// A substituted, rehinted cached tree runs as it is.
@@ -345,31 +309,44 @@ impl Facade for Database {
             .finish_select(columns, rows, steps, planning, profile))
     }
 
-    /// Rehint the program's step estimates against the plan store and run
-    /// the compiled op-array.
+    /// Rehint the program's estimates against the plan store, then scan or
+    /// probe, projecting each row, and apply the limit.
     fn run_program(
         &mut self,
-        cached: &CachedPlan<CompiledProgram>,
-        prog: &CompiledProgram,
+        cached: &CachedPlan,
+        prog: &LinearSelect,
         params: &[Datum],
         replans: u64,
         profiled: Option<(u64, &str)>,
     ) -> Result<QueryResult> {
-        let (ests, mut planning) = self.rehint_steps(&prog.steps);
-        planning.replans = replans;
-        let bound = profiled
-            .map(|_| prog.profile_plan(&cached.plan, params, &ests))
+        let (ests, planning) = prog.rehint(self.session.hints.as_deref(), None, replans);
+        let bound_plan = profiled
+            .map(|_| prog.profile_plan(&cached.plan, params, ests))
             .transpose()?;
         let mut prof = self.session.profiler(profiled);
-        let mut steps = Vec::new();
-        let rows = {
-            let mut chain = prof
-                .as_mut()
-                .zip(bound.as_ref())
-                .map(|(p, plan)| ChainProfiler::new(&mut p.ops, plan));
-            let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
-            prog.run(params, &ests, &mut be, &mut steps, chain.as_mut())?
+        let mut chain = prof
+            .as_mut()
+            .zip(bound_plan.as_ref())
+            .map(|(p, plan)| ChainProfiler::new(&mut p.ops, plan));
+        let bound = prog.bind(params, false)?;
+        let pred = bound.pred.as_deref();
+        let mut be = LocalBackend::new(&mut self.catalog, &mut self.mgr);
+        let mut rows = match &prog.access {
+            Access::Scan { .. } => {
+                let mut rows = Vec::new();
+                be.scan(&prog.table, pred, &mut |r| {
+                    rows.push(bound.project(r)?);
+                    Ok(())
+                })?;
+                rows
+            }
+            Access::Probe { index, key } => {
+                let key = std::slice::from_ref(key.value(params)?);
+                bound.project_all(be.point_get(&prog.table, *index, key, pred)?)?
+            }
         };
+        let steps = prog.finish(&mut rows, &prog.scan.text, ests, chain.as_mut(), Vec::new());
+        drop(chain);
         let profile = prof.map(|p| self.session.finish_profile(p, "local", rows.len(), 0, 0));
         let columns = Arc::clone(&cached.columns);
         Ok(self

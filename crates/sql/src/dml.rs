@@ -15,7 +15,7 @@
 
 use crate::ast::{BinOp, Expr, Statement};
 use crate::catalog::Catalog;
-use crate::expr::{bind as bind_expr, BoundSchema, SExpr};
+use crate::expr::{bind as bind_expr, unique_column, BoundSchema, Resolve, SExpr};
 use crate::prepared::count_params;
 use crate::sys;
 use hdm_common::{Datum, HdmError, Result, Row, Schema};
@@ -49,12 +49,26 @@ impl Values {
     }
 }
 
-/// The value a predicate fixes the placement column to by equality.
+/// The value an equality conjunct fixes a key column to: a parameter
+/// slot or a literal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyArg {
     Param(u16),
-    /// Only an INT literal routes, so only an INT literal is kept.
     Lit(Datum),
+}
+
+impl KeyArg {
+    /// The value under `params`.
+    pub fn value<'a>(&'a self, params: &'a [Datum]) -> Result<&'a Datum> {
+        match self {
+            KeyArg::Param(i) => params.get(*i as usize).ok_or_else(|| unbound(*i)),
+            KeyArg::Lit(d) => Ok(d),
+        }
+    }
+}
+
+fn unbound(i: u16) -> HdmError {
+    HdmError::Execution(format!("unbound parameter ?{}", i as usize + 1))
 }
 
 /// An INSERT, UPDATE or DELETE bound against the catalog.
@@ -69,7 +83,8 @@ pub struct BoundDml {
     /// UPDATE's and DELETE's WHERE predicate.
     pub pred: Option<SExpr>,
     /// The first top-level AND conjunct of `pred` that fixes the placement
-    /// column by equality: the value that routes the statement.
+    /// column by equality to a parameter or an INT literal (only an INT
+    /// routes): the value that routes the statement.
     pub key: Option<KeyArg>,
     /// `pred` is that conjunct alone, so a leg that finds its rows by the
     /// key needs no other filter.
@@ -102,10 +117,7 @@ impl BoundDml {
     /// one. NULL and other types never route: the statement scatters and
     /// its predicate decides.
     pub fn key_value<'a>(&'a self, params: &'a [Datum]) -> Option<&'a Datum> {
-        let v = match self.key.as_ref()? {
-            KeyArg::Param(i) => params.get(*i as usize)?,
-            KeyArg::Lit(d) => d,
-        };
+        let v = self.key.as_ref()?.value(params).ok()?;
         matches!(v, Datum::Int(_)).then_some(v)
     }
 }
@@ -122,11 +134,8 @@ fn bound<'a>(e: &'a SExpr, params: &[Datum]) -> Result<Cow<'a, SExpr>> {
 /// usual prepared VALUES entry or SET value, is read as it is.
 fn eval_bound(e: &SExpr, row: &[Datum], params: &[Datum]) -> Result<Datum> {
     match e {
-        SExpr::Param(i) => params
-            .get(*i as usize)
-            .cloned()
-            .ok_or_else(|| HdmError::Execution(format!("unbound parameter ?{}", *i as usize + 1))),
-        _ => bound(e, params)?.eval(row),
+        SExpr::Param(i) => params.get(*i as usize).cloned().ok_or_else(|| unbound(*i)),
+        _ => e.bound(params)?.eval(row),
     }
 }
 
@@ -174,7 +183,7 @@ pub fn bind(
             where_clause,
         } => {
             let schema = writable_schema(catalog, table)?;
-            let scope = table_scope(table, schema);
+            let scope = TableScope { table, schema };
             let pred = where_clause
                 .as_ref()
                 .map(|w| bind_expr(w, &scope))
@@ -193,8 +202,10 @@ pub fn bind(
             table,
             where_clause,
         } => {
-            let schema = writable_schema(catalog, table)?;
-            let scope = table_scope(table, schema);
+            let scope = TableScope {
+                table,
+                schema: writable_schema(catalog, table)?,
+            };
             let pred = where_clause
                 .as_ref()
                 .map(|w| bind_expr(w, &scope))
@@ -264,10 +275,20 @@ fn assigned_twice(column: &str, table: &str) -> HdmError {
     ))
 }
 
-/// The scope UPDATE's and DELETE's expressions resolve columns in.
-fn table_scope(table: &str, schema: &Schema) -> BoundSchema {
-    let canon = table.to_ascii_lowercase();
-    BoundSchema::from_table(&canon, &canon, schema)
+/// The scope UPDATE's and DELETE's expressions resolve columns in: the
+/// table's own schema, qualified by its name, read in place.
+struct TableScope<'a> {
+    table: &'a str,
+    schema: &'a Schema,
+}
+
+impl Resolve for TableScope<'_> {
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        let qualified = qualifier.is_none_or(|q| q.eq_ignore_ascii_case(self.table));
+        let hits = self.schema.columns().iter().enumerate();
+        let hits = hits.filter(|(_, c)| qualified && c.name.eq_ignore_ascii_case(name));
+        unique_column(hits.map(|(i, _)| i), qualifier, name)
+    }
 }
 
 /// Bind INSERT's VALUES into full-width rows (columns the column list

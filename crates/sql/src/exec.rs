@@ -532,16 +532,11 @@ fn run_set_op(kind: SetOpKind, all: bool, left: Vec<Row>, right: Vec<Row>) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::LocalBackend;
     use crate::db::Database;
 
     fn run(db: &mut Database, sql: &str) -> (Vec<Row>, Vec<StepObservation>) {
-        let plan = db.plan_only(sql).unwrap();
-        let mut obs = Vec::new();
-        let (catalog, mgr) = db.storage_parts();
-        let mut be = LocalBackend::new(catalog, mgr);
-        let rows = execute(&plan, &mut be, &mut obs, None).unwrap();
-        (rows, obs)
+        let r = db.execute(sql).unwrap();
+        (r.rows, r.steps)
     }
 
     /// Groups come out in the order their first row was scanned, whatever

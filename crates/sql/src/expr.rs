@@ -70,33 +70,6 @@ impl BoundSchema {
         BoundSchema { cols }
     }
 
-    /// Resolve `qualifier.name`; errors on unknown or ambiguous references.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let matches: Vec<usize> = self
-            .cols
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.name.eq_ignore_ascii_case(name)
-                    && match qualifier {
-                        None => true,
-                        Some(q) => {
-                            c.refq.eq_ignore_ascii_case(q) || c.canonq.eq_ignore_ascii_case(q)
-                        }
-                    }
-            })
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            0 => Err(HdmError::Plan(format!(
-                "unknown column {}{name}",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
-            ))),
-            1 => Ok(matches[0]),
-            _ => Err(HdmError::Plan(format!("ambiguous column {name}"))),
-        }
-    }
-
     /// Convert to a storage-layer schema.
     pub fn to_schema(&self) -> hdm_common::Schema {
         hdm_common::Schema::new(
@@ -105,6 +78,41 @@ impl BoundSchema {
                 .map(|c| hdm_common::Column::new(c.name.clone(), c.ty))
                 .collect(),
         )
+    }
+}
+
+/// Where [`bind`] resolves a column reference to its row offset.
+pub trait Resolve {
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize>;
+}
+
+impl Resolve for BoundSchema {
+    /// Errors on unknown or ambiguous references.
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        let hits = self.cols.iter().enumerate().filter(|(_, c)| {
+            c.name.eq_ignore_ascii_case(name)
+                && qualifier.is_none_or(|q| {
+                    c.refq.eq_ignore_ascii_case(q) || c.canonq.eq_ignore_ascii_case(q)
+                })
+        });
+        unique_column(hits.map(|(i, _)| i), qualifier, name)
+    }
+}
+
+/// The one offset in `hits` that `qualifier.name` resolves to; an error
+/// when there is none or more than one.
+pub(crate) fn unique_column(
+    mut hits: impl Iterator<Item = usize>,
+    qualifier: Option<&str>,
+    name: &str,
+) -> Result<usize> {
+    match (hits.next(), hits.next()) {
+        (Some(i), None) => Ok(i),
+        (None, _) => Err(HdmError::Plan(format!(
+            "unknown column {}{name}",
+            qualifier.map(|q| format!("{q}.")).unwrap_or_default()
+        ))),
+        (Some(_), Some(_)) => Err(HdmError::Plan(format!("ambiguous column {name}"))),
     }
 }
 
@@ -272,6 +280,15 @@ impl SExpr {
         }
     }
 
+    /// This expression with `params` bound: borrowed when it has none,
+    /// else a copy with their values substituted.
+    pub fn bound(&self, params: &[Datum]) -> Result<Cow<'_, SExpr>> {
+        Ok(match self.has_params() {
+            true => Cow::Owned(self.substitute_params(params)?),
+            false => Cow::Borrowed(self),
+        })
+    }
+
     /// Replace every `Param(i)` with `Lit(params[i])`. Errors if a parameter
     /// index is out of range (arity is checked up front by the prepared
     /// layer, so this is a defensive backstop).
@@ -404,9 +421,9 @@ fn scalar_func(name: &str, args: &[Datum]) -> Result<Datum> {
     }
 }
 
-/// Bind an AST expression against a schema (aggregates are NOT allowed here;
-/// the planner splits them out first).
-pub fn bind(e: &Expr, schema: &BoundSchema) -> Result<SExpr> {
+/// Bind an AST expression, resolving its columns in `schema` (aggregates
+/// are NOT allowed here; the planner splits them out first).
+pub fn bind(e: &Expr, schema: &dyn Resolve) -> Result<SExpr> {
     match e {
         Expr::Column(q, n) => Ok(SExpr::Col(schema.resolve(q.as_deref(), n)?)),
         Expr::Literal(l) => Ok(SExpr::Lit(lit_to_datum(l))),

@@ -27,7 +27,9 @@
 //! that do not depend on placement. [`session::Facade`] is the one
 //! statement path both run — canonicalize, plan cache, drift check, bind,
 //! flat program or tree, EXPLAIN, DDL/DML binding — and [`QueryApi`] is
-//! implemented once on top of it. Each facade adds only its backend: how it
+//! implemented once on top of it. [`program::lower`] is the one lowering
+//! of a cached linear SELECT into the flat [`program::LinearSelect`] both
+//! facades run. Each facade adds only its backend: how it
 //! plans, lowers and runs, how it applies DDL/DML, and the views only it
 //! can answer.
 //!
@@ -41,7 +43,6 @@
 pub mod ast;
 pub mod backend;
 pub mod catalog;
-pub mod compile;
 pub mod db;
 pub mod dml;
 pub mod exec;
@@ -52,6 +53,7 @@ pub mod plan;
 pub mod planner;
 pub mod prepared;
 pub mod profile;
+pub mod program;
 pub mod rewrite;
 pub mod session;
 pub mod sys;
@@ -59,7 +61,6 @@ pub mod sys;
 pub use ast::Statement;
 pub use backend::{ExecBackend, LocalBackend};
 pub use catalog::Catalog;
-pub use compile::CompiledProgram;
 pub use db::{CardinalityHints, Database, QueryResult, StepObserver, TableFunction};
 pub use plan::{PlanNode, StepKind, StepObservation};
 pub use prepared::{

@@ -15,7 +15,7 @@
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, SetOpKind, Statement, TableRef};
 use crate::catalog::Catalog;
 use crate::db::{CardinalityHints, TableFunction};
-use crate::expr::{bind, BoundColumn, BoundSchema, SExpr};
+use crate::expr::{bind, BoundColumn, BoundSchema, Resolve, SExpr};
 use crate::plan::{
     range_bound_parts, range_bounds_from_exprs, AggCall, AggFunc, CostEstimate, PlanNode, PlanOp,
 };

@@ -208,10 +208,9 @@ pub struct CacheEntry<T> {
     pub last_used: u64,
 }
 
-/// A bounded LRU of `(canonical text → compiled payload)`. The payload type
-/// is engine-defined: the embedded engine caches a parameterized plan plus
-/// an optional flat op-array; the distributed engine caches the
-/// pre-annotation logical plan. `bump_epoch` (DDL, ANALYZE) drops every
+/// A bounded LRU of `(canonical text → cached payload)`: both engines cache
+/// a parameterized plan (the distributed one before annotation) plus the
+/// optional flat program `program::lower` makes of it. `bump_epoch` (DDL, ANALYZE) drops every
 /// entry — stale plans are replanned transparently from their canonical
 /// text on next use.
 #[derive(Debug)]

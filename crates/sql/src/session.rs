@@ -29,6 +29,7 @@ use crate::prepared::{
     StmtHandle, PLAN_CACHE_CAP,
 };
 use crate::profile::{observations, render_analyze, Profiler};
+use crate::program::LinearSelect;
 use crate::sys::{self, PlanStoreDump, SysSnapshot};
 use hdm_common::{Column, DataType, Datum, HdmError, Result, Row, Schema};
 use hdm_telemetry::{
@@ -43,9 +44,9 @@ use std::sync::Arc;
 /// snapshot and per-shard health rows (none on the embedded engine).
 pub type EngineState = (Option<MetricsSnapshot>, Vec<ShardWindowStat>);
 
-/// One plan-cache entry. `P` is the facade's flat program for the shape
-/// (the embedded `CompiledProgram`, the distributed `FastSelect`).
-pub struct CachedPlan<P> {
+/// One plan-cache entry, with the shape's flat program when the facade
+/// runs it flat.
+pub struct CachedPlan {
     /// The parameterized logical plan (un-annotated on the distributed
     /// engine: pruning re-runs per execution once parameters are bound).
     pub plan: PlanNode,
@@ -54,8 +55,8 @@ pub struct CachedPlan<P> {
     /// The plan's output column names, shared by every result the entry
     /// serves.
     pub columns: Arc<[String]>,
-    /// The flat program, when the facade lowers this shape.
-    pub program: Option<P>,
+    /// The flat [`LinearSelect`], when the facade runs this shape flat.
+    pub program: Option<LinearSelect>,
     /// The op count `sys.prepared` reports (0 for tree-executed plans).
     ops: usize,
     /// Re-plan-on-drift probes: (store keys, planning-time estimate) per
@@ -66,19 +67,17 @@ pub struct CachedPlan<P> {
     drift_state: Cell<Option<(u64, bool)>>,
 }
 
-impl<P> CachedPlan<P> {
-    /// A fresh entry; `op_count` sizes `program` for `sys.prepared`.
+impl CachedPlan {
     pub fn new(
         plan: PlanNode,
         n_params: usize,
-        program: Option<P>,
-        op_count: fn(&P) -> usize,
+        program: Option<LinearSelect>,
         drift: Vec<(Vec<String>, f64)>,
     ) -> Self {
         Self {
             param_types: collect_param_types(&plan, n_params),
             columns: output_columns(&plan),
-            ops: program.as_ref().map_or(0, op_count),
+            ops: program.as_ref().map_or(0, LinearSelect::op_count),
             program,
             drift,
             drift_state: Cell::new(None),
@@ -98,7 +97,7 @@ pub struct StmtProfiler<'a> {
 }
 
 /// Session state and code shared by both SQL facades.
-pub struct Session<P> {
+pub struct Session {
     /// Plan-store consumer: cardinality hints the planner consults.
     pub hints: Option<Rc<dyn CardinalityHints>>,
     /// Plan-store producer: receives every executed step.
@@ -118,7 +117,7 @@ pub struct Session<P> {
     pub sys_plan_store: Option<Rc<dyn PlanStoreDump>>,
     /// Prepared-statement plan cache keyed by canonical statement text; DDL
     /// and ANALYZE bump its epoch.
-    pub cache: PlanCache<Rc<CachedPlan<P>>>,
+    pub cache: PlanCache<Rc<CachedPlan>>,
     /// Workload-history engine backing `sys.history_*`.
     history: Option<SharedHistory>,
     /// Cached `HistoryConfig::every_stmts` (0 = clock-driven windows). In
@@ -134,7 +133,7 @@ pub struct Session<P> {
     params: Vec<Datum>,
 }
 
-impl<P> Default for Session<P> {
+impl Default for Session {
     fn default() -> Self {
         Self {
             hints: None,
@@ -154,7 +153,7 @@ impl<P> Default for Session<P> {
     }
 }
 
-impl<P> Session<P> {
+impl Session {
     /// Install (`Some`) or remove the learning plan store's two halves.
     pub fn set_plan_store(
         &mut self,
@@ -304,7 +303,7 @@ impl<P> Session<P> {
     /// access-path and join-order choices are suspect, so the entry is
     /// evicted for the facade to plan afresh against current hints. Returns
     /// the [`PlanningInfo::replans`] count (0 or 1).
-    pub fn evict_if_drifted(&mut self, text: &str, cached: &CachedPlan<P>) -> u64 {
+    pub fn evict_if_drifted(&mut self, text: &str, cached: &CachedPlan) -> u64 {
         let (probes, state) = (&cached.drift, &cached.drift_state);
         let drifted = self
             .hints
@@ -414,14 +413,12 @@ impl<P> Session<P> {
 /// bound DML, its own `sys.*` rows and its after-statement hook. The
 /// provided methods are the protocol.
 pub trait Facade {
-    /// The flat program a cached shape lowers to.
-    type Program;
     /// The transaction scope a planned tree runs under.
     type Scope;
 
-    fn session(&self) -> &Session<Self::Program>;
+    fn session(&self) -> &Session;
 
-    fn session_mut(&mut self) -> &mut Session<Self::Program>;
+    fn session_mut(&mut self) -> &mut Session;
 
     /// The catalog DDL and DML bind against. It carries schemas and
     /// statistics; it need not hold the rows.
@@ -435,13 +432,10 @@ pub trait Facade {
         sys: Option<&SysSnapshot>,
     ) -> Result<(PlanNode, PlanningInfo, Self::Scope)>;
 
-    /// Plan and lower a cacheable SELECT with `n_params` parameters into
-    /// its plan-cache entry.
-    fn plan_cacheable(
-        &mut self,
-        s: &SelectStmt,
-        n_params: usize,
-    ) -> Result<CachedPlan<Self::Program>>;
+    /// Plan a cacheable SELECT with `n_params` parameters into its
+    /// plan-cache entry, lowered by [`crate::program::lower`] when the
+    /// facade runs the shape flat.
+    fn plan_cacheable(&mut self, s: &SelectStmt, n_params: usize) -> Result<CachedPlan>;
 
     /// Bind a cached tree whose parameters are substituted and whose
     /// estimates are rehinted, returning the scope it runs under.
@@ -463,8 +457,8 @@ pub trait Facade {
     /// profiled run fills the profile the tree would, over the bound plan.
     fn run_program(
         &mut self,
-        cached: &CachedPlan<Self::Program>,
-        program: &Self::Program,
+        cached: &CachedPlan,
+        program: &LinearSelect,
         params: &[Datum],
         replans: u64,
         profiled: Option<(u64, &str)>,
@@ -663,7 +657,7 @@ pub trait Facade {
 
     /// Fetch the plan-cache entry for canonical statement text, planning
     /// and lowering it on a miss.
-    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan<Self::Program>>> {
+    fn ensure_cached(&mut self, canonical: &str) -> Result<Rc<CachedPlan>> {
         if let Some(e) = self.session_mut().cache.get(canonical) {
             return Ok(e);
         }
@@ -712,7 +706,7 @@ pub trait Facade {
     /// rehinted against the plan store, and bound.
     fn run_cached(
         &mut self,
-        cached: &CachedPlan<Self::Program>,
+        cached: &CachedPlan,
         params: &[Datum],
         replans: u64,
         sql: &str,

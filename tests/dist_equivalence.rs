@@ -212,7 +212,7 @@ fn pruned_point_query_skips_the_gtm() {
     assert_eq!(sorted(res.rows), want);
 
     // Profiling swaps in the tree walker. The production paths — raw text
-    // and prepared with profiling off — run `FastSelect`, and must stay off
+    // and prepared with profiling off — run the flat program, and must stay off
     // the GTM just the same.
     dist.set_profiling(false);
     let handle = dist

@@ -11,10 +11,15 @@
 //! * the single-shard transaction's local snapshot (one B-tree node);
 //! * the result's row vector and its one row;
 //! * the result's one step observation.
+//!
+//! The embedded engine's prepared point read, an index probe on its cached
+//! flat program, allocates the same four: its local snapshot, the probe's
+//! hit list and its one row, and the one observation (10 while the program
+//! copied its expressions and register file on every run).
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::Datum;
-use huawei_dm::sql::{QueryApi, QueryResult};
+use huawei_dm::sql::{Database, QueryApi, QueryResult};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,4 +117,33 @@ fn a_warmed_point_read_allocates_its_snapshot_and_its_result() {
     let (n, r) = counted(|| db.execute(&sql).unwrap());
     assert_event(&r, 987);
     assert_eq!(n, 4, "raw-text point read allocations");
+}
+
+/// The embedded engine's prepared point read, probed through an index on
+/// `id`, runs its cached flat program.
+#[test]
+fn a_warmed_embedded_point_read_runs_its_flat_program() {
+    let mut db = Database::new();
+    db.execute("create table events (id int, dev int, ts int, val int)")
+        .unwrap();
+    let vals: Vec<String> = (0..ROWS)
+        .map(|id| format!("({id}, {}, {}, {})", id % 7, id * 3, id * 5))
+        .collect();
+    db.execute(&format!("insert into events values {}", vals.join(", ")))
+        .unwrap();
+    db.execute("create index on events (id)").unwrap();
+    db.execute("analyze").unwrap();
+    let handle = db
+        .prepare_handle("select * from events where id = ?")
+        .unwrap();
+    for id in 0..64 {
+        assert_event(
+            &db.execute_prepared(&handle, &[Datum::Int(id)]).unwrap(),
+            id,
+        );
+    }
+    let params = [Datum::Int(1_234)];
+    let (n, r) = counted(|| db.execute_prepared(&handle, &params).unwrap());
+    assert_event(&r, 1_234);
+    assert_eq!(n, 4, "embedded prepared point read allocations");
 }

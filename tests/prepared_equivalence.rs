@@ -176,7 +176,7 @@ const PROFILES_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden
 /// estimates, rows, loops, shard legs and the scope/GTM/2PC footer. Two
 /// passes, so the second takes its estimates from the plan-store hints. A
 /// profile is the same whichever executor ran the statement: the tree
-/// walker, `CompiledProgram` or `FastSelect`.
+/// walker or the flat `LinearSelect` program.
 ///
 /// Regenerate after an intentional change with
 /// `BLESS=1 cargo test --test prepared_equivalence`.
@@ -712,4 +712,108 @@ fn a_target_column_named_twice_is_rejected_on_both_engines() {
         before
     }
     assert_eq!(rejected(Database::new), rejected(new_dist));
+}
+
+/// Table `t (a, b)` of 2 000 rows with an index on `b`; every third `b` is
+/// NULL, the rest cycle through 0..50.
+fn null_keyed<E: QueryApi>(db: &mut E) {
+    raw(db, "create table t (a int, b int)").unwrap();
+    let rows: Vec<String> = (0..2_000)
+        .map(|i| match i % 3 {
+            0 => format!("({i}, null)"),
+            _ => format!("({i}, {})", i % 50),
+        })
+        .collect();
+    for chunk in rows.chunks(500) {
+        raw(db, &format!("insert into t values {}", chunk.join(", "))).unwrap();
+    }
+    raw(db, "create index on t (b)").unwrap();
+    raw(db, "analyze").unwrap();
+}
+
+/// NULL never satisfies `=`: an index probe with a NULL key matches no row,
+/// not the rows whose key is NULL, on both engines — as raw text, with a
+/// prepared NULL binding and under an aggregate run on the tree.
+#[test]
+fn a_null_index_key_matches_nothing_on_both_engines() {
+    fn check<E: QueryApi>(db: &mut E, engine: &str) {
+        null_keyed(db);
+        let count = raw(db, "select count(*) from t where b = null").unwrap();
+        assert_eq!(count.scalar_int(), Some(0), "{engine}: aggregate");
+        let rows = raw(db, "select * from t where b = null").unwrap().rows;
+        assert!(rows.is_empty(), "{engine}: raw text matched {}", rows.len());
+        let h = db.prepare_handle("select * from t where b = ?").unwrap();
+        let rows = db.execute_prepared(&h, &[Datum::Null]).unwrap().rows;
+        assert!(
+            rows.is_empty(),
+            "{engine}: NULL binding matched {}",
+            rows.len()
+        );
+        let rows = db.execute_prepared(&h, &[Datum::Int(7)]).unwrap().rows;
+        assert_eq!(rows.len(), 27, "{engine}: a non-NULL key still probes");
+    }
+    check(&mut Database::new(), "embedded");
+    check(&mut new_dist(), "dist");
+}
+
+/// Everything a differential run compares: rows in order, step texts and
+/// actuals, and the profile's operators with their rows, loops and shard
+/// legs (estimates are left out: a cached plan estimates a range against
+/// `?`, the tree against its literal).
+fn run_shape(r: &QueryResult) -> String {
+    let steps: Vec<(String, u64)> = r
+        .steps
+        .iter()
+        .map(|s| (s.text.to_string(), s.actual))
+        .collect();
+    let mut ops = Vec::new();
+    let mut stack: Vec<&huawei_dm::sql::OpProfile> =
+        r.profile.iter().filter_map(|p| p.root.as_ref()).collect();
+    while let Some(op) = stack.pop() {
+        let legs: Vec<(u64, u64)> = op.shards.iter().map(|l| (l.shard, l.rows)).collect();
+        ops.push(format!(
+            "{}|{}|{}|{legs:?}",
+            op.label, op.rows_out, op.loops
+        ));
+        stack.extend(op.children.iter());
+    }
+    format!("rows={:?}\nsteps={steps:?}\nops={ops:?}", r.rows)
+}
+
+/// Every shape the flat lowering accepts — `Limit? → Project? → (SeqScan |
+/// IndexScan)`, and the `col = ?` route on the shard key — runs from the
+/// plan cache, raw and prepared, exactly as its tree twin runs: the same
+/// text with ` and 1 = 1` appended to the WHERE clause, which the
+/// canonicalizer does not cache and the rewriter folds away before planning.
+#[test]
+fn flat_programs_match_the_tree_on_both_engines() {
+    fn check<E: QueryApi>(db: &mut E, engine: &str) {
+        null_keyed(db);
+        for proj in ["*", "b, a + 1"] {
+            for (pred, v) in [("a > ", 1_990), ("b = ", 7), ("a = ", 5)] {
+                for limit in ["", " limit 3"] {
+                    let flat = format!("select {proj} from t where {pred}{v}{limit}");
+                    let prep = format!("select {proj} from t where {pred}?{limit}");
+                    let tree = format!("select {proj} from t where {pred}{v} and 1 = 1{limit}");
+                    let want = run_shape(&raw(db, &tree).unwrap());
+                    for pass in 0..2 {
+                        let got = run_shape(&raw(db, &flat).unwrap());
+                        assert_eq!(got, want, "{engine} raw pass {pass}: {flat}");
+                        let h = db.prepare_handle(&prep).unwrap();
+                        let got = run_shape(&db.execute_prepared(&h, &[Datum::Int(v)]).unwrap());
+                        assert_eq!(got, want, "{engine} prepared pass {pass}: {prep}");
+                    }
+                }
+            }
+        }
+    }
+    let clock = Arc::new(VirtualClock::new());
+    let mut local = Database::new();
+    local.set_clock(clock.clone());
+    local.set_profiling(true);
+    check(&mut local, "embedded");
+    let mut dist = new_dist();
+    dist.set_clock(clock);
+    dist.set_profiling(true);
+    check(&mut dist, "dist");
 }

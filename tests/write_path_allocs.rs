@@ -29,6 +29,11 @@
 //!
 //! The 5 of a prepared DELETE by shard key: the snapshot; the leg's target
 //! list; the redo record's old image; the undo and redo lists.
+//!
+//! The same UPDATE and DELETE as raw text also parse and bind the
+//! statement, resolving its columns against the catalog's schema in place:
+//! 37 and 29 allocations (52 and 44 while binding copied every column name
+//! into a fresh scope).
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::Datum;
@@ -146,4 +151,27 @@ fn a_prepared_write_allocates_its_rows_and_its_transaction() {
         5,
         "prepared DELETE by key"
     );
+
+    // Raw text is parsed and bound per statement, against the catalog's
+    // schema in place.
+    let fewest_raw = |db: &mut DistDb, sqls: Vec<String>| {
+        sqls.iter()
+            .map(|sql| {
+                let before = ALLOCS.with(Cell::get);
+                let r = db.execute(sql).unwrap();
+                let n = ALLOCS.with(Cell::get) - before;
+                assert_eq!(r.affected, 1, "{sql}");
+                n
+            })
+            .min()
+            .unwrap()
+    };
+    let raw_updates = (400..408)
+        .map(|id| format!("update events set val = 9 where id = {id}"))
+        .collect();
+    assert_eq!(fewest_raw(&mut db, raw_updates), 37, "raw UPDATE by key");
+    let raw_deletes = (500..508)
+        .map(|id| format!("delete from events where id = {id}"))
+        .collect();
+    assert_eq!(fewest_raw(&mut db, raw_deletes), 29, "raw DELETE by key");
 }
