@@ -59,6 +59,9 @@ pub struct DataNode {
     /// Undo log per writing XID (local XID under GTM-lite, global XID under
     /// the baseline protocol — the node is agnostic).
     undo: HashMap<u64, Vec<UndoOp>>,
+    /// The undo list of the last transaction to finish, emptied: the next
+    /// transaction to write here takes it instead of allocating its own.
+    spare_undo: Vec<UndoOp>,
     /// Local XIDs prepared here whose global decision is commit, awaiting
     /// the confirmation message. Readers' UPGRADE may finish them early.
     pending_commit: HashSet<u64>,
@@ -85,6 +88,7 @@ impl DataNode {
             tables: Vec::new(),
             names: HashMap::new(),
             undo: HashMap::new(),
+            spare_undo: Vec::new(),
             pending_commit: HashSet::new(),
             redo: HashMap::new(),
             record_redo: false,
@@ -219,13 +223,24 @@ impl DataNode {
             .ok_or_else(|| HdmError::Catalog(format!("no table {t:?} on {}", self.id)))
     }
 
+    /// `xid`'s undo list, started from the spare on its first write here.
+    fn undo_list(&mut self, xid: Xid) -> &mut Vec<UndoOp> {
+        let spare = &mut self.spare_undo;
+        self.undo
+            .entry(xid.raw())
+            .or_insert_with(|| std::mem::take(spare))
+    }
+
+    /// Keep `ops`, a finished transaction's undo list, as the spare.
+    fn recycle_undo(&mut self, mut ops: Vec<UndoOp>) {
+        ops.clear();
+        self.spare_undo = ops;
+    }
+
     /// Insert `row` into table `t` as `xid`, with undo recorded.
     fn insert(&mut self, t: TableId, xid: Xid, row: Row) -> Result<TupleId> {
         let tid = self.table_mut(t)?.insert(xid, row)?;
-        self.undo
-            .entry(xid.raw())
-            .or_default()
-            .push(UndoOp::Insert(t, tid));
+        self.undo_list(xid).push(UndoOp::Insert(t, tid));
         Ok(tid)
     }
 
@@ -233,7 +248,7 @@ impl DataNode {
     /// recorded.
     fn update(&mut self, t: TableId, xid: Xid, tid: TupleId, row: Row) -> Result<TupleId> {
         let new_tid = self.table_mut(t)?.update(xid, tid, row)?;
-        let u = self.undo.entry(xid.raw()).or_default();
+        let u = self.undo_list(xid);
         u.push(UndoOp::Delete(t, tid));
         u.push(UndoOp::Insert(t, new_tid));
         Ok(new_tid)
@@ -242,10 +257,7 @@ impl DataNode {
     /// Delete tuple `tid` of table `t` as `xid`, with undo recorded.
     fn delete(&mut self, t: TableId, xid: Xid, tid: TupleId) -> Result<()> {
         self.table_mut(t)?.delete(xid, tid)?;
-        self.undo
-            .entry(xid.raw())
-            .or_default()
-            .push(UndoOp::Delete(t, tid));
+        self.undo_list(xid).push(UndoOp::Delete(t, tid));
         Ok(())
     }
 
@@ -430,19 +442,22 @@ impl DataNode {
         self.redo.remove(&xid.raw());
         self.stmt_tags.remove(&xid.raw());
         if let Some(ops) = self.undo.remove(&xid.raw()) {
-            for op in ops.into_iter().rev() {
-                match op {
+            for op in ops.iter().rev() {
+                match *op {
                     UndoOp::Insert(t, tid) => self.table_mut(t)?.undo_insert(xid, tid)?,
                     UndoOp::Delete(t, tid) => self.table_mut(t)?.undo_delete(xid, tid)?,
                 }
             }
+            self.recycle_undo(ops);
         }
         Ok(())
     }
 
     /// Forget undo info after a successful commit.
     pub fn clear_undo(&mut self, xid: Xid) {
-        self.undo.remove(&xid.raw());
+        if let Some(ops) = self.undo.remove(&xid.raw()) {
+            self.recycle_undo(ops);
+        }
     }
 
     /// Did `xid` write here: does it hold undo, redo or a statement tag?

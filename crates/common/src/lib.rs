@@ -20,4 +20,4 @@ pub use ids::{ClientId, DeviceId, NodeId, ShardId, Xid};
 pub use rng::SplitMix64;
 pub use schema::{Column, Row, Schema};
 pub use time::{SimDuration, SimInstant};
-pub use value::{DataType, Datum};
+pub use value::{BuildDatumHasher, DataType, Datum, DatumHasher};

@@ -161,7 +161,8 @@ impl Row {
 
     /// Concatenate with another row (join output).
     pub fn concat(&self, other: &Row) -> Row {
-        let mut v = self.0.clone();
+        let mut v = Vec::with_capacity(self.0.len() + other.0.len());
+        v.extend(self.0.iter().cloned());
         v.extend(other.0.iter().cloned());
         Row(v)
     }

@@ -5,6 +5,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Logical column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,6 +60,7 @@ impl Datum {
         }
     }
 
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Datum::Null)
     }
@@ -91,6 +93,7 @@ impl Datum {
         }
     }
 
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Datum::Bool(b) => Some(*b),
@@ -100,6 +103,7 @@ impl Datum {
 
     /// SQL comparison: `None` when either side is NULL or the types are
     /// incomparable (three-valued logic's UNKNOWN).
+    #[inline]
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
         use Datum::*;
         match (self, other) {
@@ -118,6 +122,7 @@ impl Datum {
 
     /// Total order for sorting (ORDER BY, index keys): NULLs sort first,
     /// cross-type falls back to a type rank so sorting never panics.
+    #[inline]
     pub fn total_cmp(&self, other: &Datum) -> Ordering {
         fn rank(d: &Datum) -> u8 {
             match d {
@@ -153,6 +158,7 @@ impl Datum {
 
     /// A stable hash for distribution (sharding) and hash joins. NULL hashes
     /// to a fixed value; Int/Float that compare equal hash equal.
+    #[inline]
     pub fn dist_hash(&self) -> u64 {
         const SEED: u64 = 0x9e3779b97f4a7c15;
         fn mix(mut h: u64) -> u64 {
@@ -186,6 +192,7 @@ impl Datum {
 }
 
 impl PartialEq for Datum {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
@@ -204,8 +211,58 @@ impl Ord for Datum {
 }
 
 impl std::hash::Hash for Datum {
+    #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.dist_hash());
+    }
+}
+
+/// Builds the [`DatumHasher`] of a table keyed by datums.
+pub type BuildDatumHasher = BuildHasherDefault<DatumHasher>;
+
+/// The hasher of every per-statement table keyed by datums: hash-join
+/// builds, aggregate groups, DISTINCT and set-operation sets, and
+/// ANALYZE's distinct counts. `Datum`'s `Hash` writes its already-mixed
+/// [`Datum::dist_hash`], so one multiply-rotate per written word spreads a
+/// composite key; equal datums (`Int(7)` and `Float(7.0)` included) hash
+/// equal because every key goes through `Datum::hash`.
+///
+/// Not flood-resistant: it keys only tables that live for one statement,
+/// so keys crafted to collide slow down that statement and nothing else.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DatumHasher(u64);
+
+impl DatumHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(23);
+    }
+}
+
+impl Hasher for DatumHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.fold(word as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -281,6 +338,33 @@ mod tests {
     #[test]
     fn equal_int_and_float_hash_equal() {
         assert_eq!(Datum::Int(7).dist_hash(), Datum::Float(7.0).dist_hash());
+    }
+
+    /// Keys that compare equal hash equal under the table hasher, and
+    /// distinct small integers spread over both ends of the hash (the low
+    /// bits pick a bucket, the high bits its control byte).
+    #[test]
+    fn the_table_hasher_agrees_with_eq_and_spreads() {
+        use std::hash::BuildHasher;
+        let h = |key: &[Datum]| BuildDatumHasher::default().hash_one(key);
+        assert_eq!(h(&[Datum::Int(7)]), h(&[Datum::Float(7.0)]));
+        assert_eq!(
+            h(&[Datum::Null, Datum::Timestamp(3)]),
+            h(&[Datum::Null, Datum::Int(3)])
+        );
+        assert_ne!(
+            h(&[Datum::Int(1), Datum::Int(2)]),
+            h(&[Datum::Int(2), Datum::Int(1)])
+        );
+        let hashes: Vec<u64> = (0..4096).map(|i| h(&[Datum::Int(i)])).collect();
+        let low: std::collections::HashSet<u64> = hashes.iter().map(|x| x & 0xfff).collect();
+        let high: std::collections::HashSet<u64> = hashes.iter().map(|x| x >> 57).collect();
+        assert!(
+            low.len() > 2_000,
+            "{} distinct low 12-bit values",
+            low.len()
+        );
+        assert_eq!(high.len(), 128, "every control byte is used");
     }
 
     #[test]

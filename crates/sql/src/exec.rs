@@ -21,8 +21,8 @@ use crate::backend::ExecBackend;
 use crate::expr::SExpr;
 use crate::plan::{AggCall, AggFunc, PlanNode, PlanOp, StepObservation};
 use crate::profile::Profiler;
-use hdm_common::{Datum, HdmError, Result, Row};
-use std::collections::HashMap;
+use hdm_common::{BuildDatumHasher, Datum, HdmError, Result, Row};
+use std::collections::{HashMap, HashSet};
 
 /// Execute a plan against a storage backend, appending step observations.
 /// With a profiler riding along, rows, observations and plan choice are
@@ -96,31 +96,46 @@ pub fn execute(
         } => {
             let left = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
             let right = execute(&plan.children[1], backend, obs, prof.as_deref_mut())?;
-            // Build on the right input.
-            let mut table: HashMap<Vec<Datum>, Vec<&Row>> = HashMap::new();
-            for r in &right {
-                let key: Vec<Datum> = right_keys.iter().map(|&k| r.values()[k].clone()).collect();
-                if key.iter().any(Datum::is_null) {
-                    continue; // NULL never equi-joins.
+            // Build on the right input: number its distinct keys, and chain
+            // each key's rows in input order (built back to front). A key is
+            // allocated only when first seen; every lookup is by slice from
+            // one reused buffer.
+            let mut keys: HashMap<Vec<Datum>, usize, BuildDatumHasher> = HashMap::default();
+            let mut first = Vec::new();
+            let mut next = vec![usize::MAX; right.len()];
+            let mut key = Vec::with_capacity(right_keys.len());
+            for (i, r) in right.iter().enumerate().rev() {
+                if !join_key(&mut key, right_keys, r.values()) {
+                    continue;
                 }
-                table.entry(key).or_default().push(r);
+                let k = match keys.get(key.as_slice()) {
+                    Some(&k) => k,
+                    None => {
+                        keys.insert(key.clone(), first.len());
+                        first.push(usize::MAX);
+                        first.len() - 1
+                    }
+                };
+                next[i] = std::mem::replace(&mut first[k], i);
             }
             let mut out = Vec::new();
             for l in &left {
-                let key: Vec<Datum> = left_keys.iter().map(|&k| l.values()[k].clone()).collect();
-                if key.iter().any(Datum::is_null) {
+                if !join_key(&mut key, left_keys, l.values()) {
                     continue;
                 }
-                if let Some(matches) = table.get(&key) {
-                    for r in matches {
-                        let joined = l.concat(r);
-                        let keep = match residual {
-                            None => true,
-                            Some(p) => p.eval_filter(joined.values())?,
-                        };
-                        if keep {
-                            out.push(joined);
-                        }
+                let Some(&k) = keys.get(key.as_slice()) else {
+                    continue;
+                };
+                let mut i = first[k];
+                while i != usize::MAX {
+                    let joined = l.concat(&right[i]);
+                    i = next[i];
+                    let keep = match residual {
+                        None => true,
+                        Some(p) => p.eval_filter(joined.values())?,
+                    };
+                    if keep {
+                        out.push(joined);
                     }
                 }
             }
@@ -187,7 +202,7 @@ pub fn execute(
         }
         PlanOp::Distinct => {
             let input = execute(&plan.children[0], backend, obs, prof.as_deref_mut())?;
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::with_hasher(BuildDatumHasher::default());
             input
                 .into_iter()
                 .filter(|r| seen.insert(r.clone()))
@@ -426,7 +441,7 @@ struct Aggregate<'p> {
     group: &'p [SExpr],
     aggs: &'p [AggCall],
     /// Group key → group number, numbered in first-seen order.
-    groups: HashMap<Vec<Datum>, usize>,
+    groups: HashMap<Vec<Datum>, usize, BuildDatumHasher>,
     /// `aggs.len()` accumulators per group, by group number.
     accs: Vec<Acc>,
     key: Vec<Datum>,
@@ -442,7 +457,7 @@ impl<'p> Aggregate<'p> {
         Self {
             group,
             aggs,
-            groups: HashMap::new(),
+            groups: HashMap::default(),
             accs,
             key: Vec::with_capacity(group.len()),
         }
@@ -494,8 +509,21 @@ impl<'p> Aggregate<'p> {
     }
 }
 
+/// Copy a join key's columns of `row` into `key`; false when one is NULL,
+/// which never equi-joins.
+fn join_key(key: &mut Vec<Datum>, cols: &[usize], row: &[Datum]) -> bool {
+    key.clear();
+    for &c in cols {
+        if row[c].is_null() {
+            return false;
+        }
+        key.push(row[c].clone());
+    }
+    true
+}
+
 fn run_set_op(kind: SetOpKind, all: bool, left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {
-    use std::collections::HashSet;
+    type RowSet = HashSet<Row, BuildDatumHasher>;
     match (kind, all) {
         (SetOpKind::Union, true) => {
             let mut out = left;
@@ -503,7 +531,7 @@ fn run_set_op(kind: SetOpKind, all: bool, left: Vec<Row>, right: Vec<Row>) -> Ve
             out
         }
         (SetOpKind::Union, false) => {
-            let mut seen: HashSet<Row> = HashSet::new();
+            let mut seen: RowSet = RowSet::default();
             let mut out = Vec::new();
             for r in left.into_iter().chain(right) {
                 if seen.insert(r.clone()) {
@@ -513,15 +541,15 @@ fn run_set_op(kind: SetOpKind, all: bool, left: Vec<Row>, right: Vec<Row>) -> Ve
             out
         }
         (SetOpKind::Intersect, _) => {
-            let rset: HashSet<Row> = right.into_iter().collect();
-            let mut seen: HashSet<Row> = HashSet::new();
+            let rset: RowSet = right.into_iter().collect();
+            let mut seen: RowSet = RowSet::default();
             left.into_iter()
                 .filter(|r| rset.contains(r) && seen.insert(r.clone()))
                 .collect()
         }
         (SetOpKind::Except, _) => {
-            let rset: HashSet<Row> = right.into_iter().collect();
-            let mut seen: HashSet<Row> = HashSet::new();
+            let rset: RowSet = right.into_iter().collect();
+            let mut seen: RowSet = RowSet::default();
             left.into_iter()
                 .filter(|r| !rset.contains(r) && seen.insert(r.clone()))
                 .collect()

@@ -137,56 +137,24 @@ impl SExpr {
         match self {
             SExpr::Col(i) => column(row, *i).cloned(),
             SExpr::Lit(d) => Ok(d.clone()),
-            SExpr::Unary(op, e) => {
-                let v = e.eval(row)?;
-                match op {
-                    UnOp::Not => Ok(match v.as_bool() {
-                        Some(b) => Datum::Bool(!b),
-                        None => Datum::Null,
-                    }),
-                    UnOp::Neg => Ok(match v {
-                        Datum::Int(x) => Datum::Int(-x),
-                        Datum::Float(x) => Datum::Float(-x),
-                        _ => Datum::Null,
-                    }),
+            SExpr::Unary(UnOp::Not, _) => Ok(truth_datum(self.truth(row)?)),
+            SExpr::Unary(UnOp::Neg, e) => Ok(match e.eval(row)? {
+                Datum::Int(x) => Datum::Int(-x),
+                Datum::Float(x) => Datum::Float(-x),
+                _ => Datum::Null,
+            }),
+            SExpr::Binary(op, l, r) => match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                    // Column and literal operands are borrowed, not cloned.
+                    let lv = l.eval_ref(row)?;
+                    let rv = r.eval_ref(row)?;
+                    if lv.is_null() || rv.is_null() {
+                        return Ok(Datum::Null);
+                    }
+                    arith(*op, &lv, &rv)
                 }
-            }
-            SExpr::Binary(op, l, r) => {
-                let datum = |t: Option<bool>| t.map_or(Datum::Null, Datum::Bool);
-                // Short-circuit AND/OR with three-valued logic.
-                match op {
-                    BinOp::And => {
-                        let lt = l.eval(row)?.as_bool();
-                        if lt == Some(false) {
-                            return Ok(Datum::Bool(false));
-                        }
-                        return Ok(datum(and3(lt, r.eval(row)?.as_bool())));
-                    }
-                    BinOp::Or => {
-                        let lt = l.eval(row)?.as_bool();
-                        if lt == Some(true) {
-                            return Ok(Datum::Bool(true));
-                        }
-                        return Ok(datum(or3(lt, r.eval(row)?.as_bool())));
-                    }
-                    _ => {}
-                }
-                // Column and literal operands are borrowed, not cloned.
-                let lv = l.eval_ref(row)?;
-                let rv = r.eval_ref(row)?;
-                match op {
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        Ok(datum(compare(*op, &lv, &rv)))
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        if lv.is_null() || rv.is_null() {
-                            return Ok(Datum::Null);
-                        }
-                        arith(*op, &lv, &rv)
-                    }
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                }
-            }
+                _ => Ok(truth_datum(self.truth(row)?)),
+            },
             SExpr::Func(name, args) => {
                 let vals: Vec<Datum> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
                 scalar_func(name, &vals)
@@ -205,9 +173,53 @@ impl SExpr {
         }
     }
 
+    /// Evaluate as a truth value under SQL's three-valued logic: `None` is
+    /// UNKNOWN, and so is any value that is not a boolean. AND, OR, NOT and
+    /// the comparisons are decided here without building a `Datum`; AND
+    /// evaluates its right side unless the left is FALSE, OR unless it is
+    /// TRUE, so an error on the right surfaces under an UNKNOWN left side.
+    pub fn truth(&self, row: &[Datum]) -> Result<Option<bool>> {
+        match self {
+            SExpr::Binary(BinOp::And, l, r) => {
+                let lt = l.truth(row)?;
+                if lt == Some(false) {
+                    return Ok(lt);
+                }
+                Ok(and3(lt, r.truth(row)?))
+            }
+            SExpr::Binary(BinOp::Or, l, r) => {
+                let lt = l.truth(row)?;
+                if lt == Some(true) {
+                    return Ok(lt);
+                }
+                Ok(or3(lt, r.truth(row)?))
+            }
+            SExpr::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                l,
+                r,
+            ) => {
+                // A column against a literal, the common filter, reads the
+                // column in place.
+                if let (SExpr::Col(i), SExpr::Lit(lit)) = (&**l, &**r) {
+                    let v = column(row, *i)?;
+                    if let (Datum::Int(a), Datum::Int(b)) = (v, lit) {
+                        return Ok(Some(holds(*op, a.cmp(b))));
+                    }
+                    return Ok(compare(*op, v, lit));
+                }
+                let lv = l.eval_ref(row)?;
+                let rv = r.eval_ref(row)?;
+                Ok(compare(*op, &lv, &rv))
+            }
+            SExpr::Unary(UnOp::Not, e) => Ok(e.truth(row)?.map(|b| !b)),
+            _ => Ok(self.eval(row)?.as_bool()),
+        }
+    }
+
     /// Evaluate as a filter predicate: only TRUE keeps the row.
     pub fn eval_filter(&self, row: &[Datum]) -> Result<bool> {
-        Ok(self.eval(row)?.as_bool() == Some(true))
+        Ok(self.truth(row)? == Some(true))
     }
 
     /// Canonical rendering for step text: commutative operands are ordered
@@ -340,11 +352,22 @@ fn or3(l: Option<bool>, r: Option<bool>) -> Option<bool> {
     }
 }
 
+/// The SQL value of a truth value: UNKNOWN is NULL.
+fn truth_datum(t: Option<bool>) -> Datum {
+    t.map_or(Datum::Null, Datum::Bool)
+}
+
 /// A comparison operator applied under SQL semantics: UNKNOWN (`None`)
 /// when either side is NULL or the types are incomparable.
+#[inline]
 fn compare(op: BinOp, l: &Datum, r: &Datum) -> Option<bool> {
-    let ord = l.sql_cmp(r)?;
-    Some(match op {
+    Some(holds(op, l.sql_cmp(r)?))
+}
+
+/// Does comparison operator `op` hold for operands ordered `ord`?
+#[inline]
+fn holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
+    match op {
         BinOp::Eq => ord.is_eq(),
         BinOp::Ne => !ord.is_eq(),
         BinOp::Lt => ord.is_lt(),
@@ -352,7 +375,7 @@ fn compare(op: BinOp, l: &Datum, r: &Datum) -> Option<bool> {
         BinOp::Gt => ord.is_gt(),
         BinOp::Ge => ord.is_ge(),
         _ => unreachable!("{} is not a comparison", op.symbol()),
-    })
+    }
 }
 
 fn arith(op: BinOp, l: &Datum, r: &Datum) -> Result<Datum> {
@@ -569,12 +592,45 @@ mod tests {
         assert_eq!(e.eval(&[Datum::Null, Datum::Int(5)]).unwrap(), Datum::Null);
     }
 
-    /// `eval_filter` against the generic evaluator as oracle: over generated
-    /// rows and predicates (every comparison over `Col`/`Lit` operands of
-    /// every type, AND/OR/NOT nested to depth 3, an operand that errors),
-    /// both must keep the same rows and raise the same errors. It holds by
-    /// construction while `eval_filter` wraps `eval`, and guards any filter
-    /// fast path added later.
+    /// The evaluator as it was before truth values: every AND, OR, NOT and
+    /// comparison builds a `Datum`. Arithmetic and functions go to `eval`.
+    fn reference(e: &SExpr, row: &[Datum]) -> Result<Datum> {
+        let datum = |t: Option<bool>| t.map_or(Datum::Null, Datum::Bool);
+        match e {
+            SExpr::Binary(BinOp::And, l, r) => {
+                let lt = reference(l, row)?.as_bool();
+                if lt == Some(false) {
+                    return Ok(Datum::Bool(false));
+                }
+                Ok(datum(and3(lt, reference(r, row)?.as_bool())))
+            }
+            SExpr::Binary(BinOp::Or, l, r) => {
+                let lt = reference(l, row)?.as_bool();
+                if lt == Some(true) {
+                    return Ok(Datum::Bool(true));
+                }
+                Ok(datum(or3(lt, reference(r, row)?.as_bool())))
+            }
+            SExpr::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                l,
+                r,
+            ) => {
+                let lv = reference(l, row)?;
+                let rv = reference(r, row)?;
+                Ok(datum(compare(*op, &lv, &rv)))
+            }
+            SExpr::Unary(UnOp::Not, x) => Ok(datum(reference(x, row)?.as_bool().map(|b| !b))),
+            _ => e.eval(row),
+        }
+    }
+
+    /// `truth`, `eval_filter` and `eval` against [`reference`] as oracle,
+    /// errors included: over generated rows and predicates (every
+    /// comparison over `Col`/`Lit` operands of every type, `Int`, `Float`,
+    /// `Text` and NULL mixed; AND/OR/NOT nested to depth 3; operands that
+    /// raise, a division by zero and a column past the row's end), all four
+    /// must agree on the value or on the error.
     #[test]
     fn eval_filter_agrees_with_eval_on_a_generated_grid() {
         use hdm_common::SplitMix64;
@@ -585,6 +641,7 @@ mod tests {
             Datum::Int(-7),
             Datum::Float(0.5),
             Datum::Float(1.0),
+            Datum::Float(-7.0),
             Datum::Text("a".into()),
             Datum::Text("b".into()),
             Datum::Bool(true),
@@ -602,17 +659,18 @@ mod tests {
         ];
         const COLS: usize = 3;
         fn operand(rng: &mut SplitMix64, values: &[Datum]) -> SExpr {
-            if rng.chance(0.5) {
-                SExpr::Col(rng.next_below(COLS as u64) as usize)
-            } else {
-                SExpr::Lit(rng.pick(values).clone())
+            match rng.next_below(20) {
+                // One column past the row's end: reading it raises.
+                0 => SExpr::Col(COLS),
+                1..10 => SExpr::Col(rng.next_below(COLS as u64) as usize),
+                _ => SExpr::Lit(rng.pick(values).clone()),
             }
         }
         fn gen(rng: &mut SplitMix64, depth: u32, values: &[Datum], cmps: &[BinOp]) -> SExpr {
             let bin = |op, l, r| SExpr::Binary(op, Box::new(l), Box::new(r));
             if depth == 0 || rng.chance(0.3) {
                 return match rng.next_below(10) {
-                    // `v / 0 = 1`: errors unless `v` is NULL.
+                    // `v / 0 = 1`: raises unless `v` is NULL.
                     0 => bin(
                         BinOp::Eq,
                         bin(BinOp::Div, operand(rng, values), SExpr::Lit(Datum::Int(0))),
@@ -637,29 +695,76 @@ mod tests {
                 _ => SExpr::Unary(UnOp::Not, Box::new(gen(rng, depth - 1, values, cmps))),
             }
         }
-        let outcome = |r: Result<bool>| r.map_err(|e| e.to_string());
+        fn outcome<T>(r: Result<T>) -> std::result::Result<T, String> {
+            r.map_err(|e| e.to_string())
+        }
+        let check = |e: &SExpr, row: &[Datum]| {
+            let want = outcome(reference(e, row).map(|d| d.as_bool()));
+            assert_eq!(outcome(e.truth(row)), want, "truth: {e:?} over {row:?}");
+            assert_eq!(
+                outcome(e.eval(row).map(|d| d.as_bool())),
+                want,
+                "eval: {e:?} over {row:?}"
+            );
+            assert_eq!(
+                outcome(e.eval_filter(row)),
+                want.clone().map(|t| t == Some(true)),
+                "eval_filter: {e:?} over {row:?}"
+            );
+            want
+        };
         let mut rng = SplitMix64::new(0xf117e5);
-        let (mut kept, mut errors) = (0, 0);
+        let (mut kept, mut unknown, mut errors) = (0, 0, 0);
         for _ in 0..20_000 {
             let row: Vec<Datum> = (0..COLS).map(|_| rng.pick(&values).clone()).collect();
             let e = gen(&mut rng, 3, &values, &cmps);
-            let want = outcome(e.eval(&row).map(|d| d.as_bool() == Some(true)));
-            assert_eq!(outcome(e.eval_filter(&row)), want, "{e:?} over {row:?}");
-            match want {
-                Ok(k) => kept += k as usize,
+            match check(&e, &row) {
+                Ok(Some(k)) => kept += k as usize,
+                Ok(None) => unknown += 1,
                 Err(_) => errors += 1,
             }
         }
         assert!(
-            kept > 1_000 && errors > 1_000,
-            "grid too narrow: {kept} kept, {errors} errors"
+            kept > 1_000 && unknown > 1_000 && errors > 1_000,
+            "grid too narrow: {kept} kept, {unknown} unknown, {errors} errors"
         );
 
-        // The generic path evaluates AND's right side when the left is
-        // NULL, so the right side's error surfaces; so must the filter's.
-        let e = bind(&crate::parser_test_expr("null and a1 / 0 = 1"), &schema()).unwrap();
-        let err = e.eval_filter(&[Datum::Int(5), Datum::Int(0)]).unwrap_err();
-        assert!(err.to_string().contains("division by zero"), "{err}");
+        // A raising right side under every left side: AND evaluates it
+        // unless the left is FALSE, OR unless the left is TRUE.
+        let row = [Datum::Int(5), Datum::Null, Datum::Float(5.0)];
+        let lefts = [
+            ("TRUE", SExpr::Lit(Datum::Bool(true))),
+            ("FALSE", SExpr::Lit(Datum::Bool(false))),
+            ("NULL", SExpr::Lit(Datum::Null)),
+            (
+                "NULL = 1",
+                bind(&crate::parser_test_expr("b1 = 1"), &schema()).unwrap(),
+            ),
+            ("non-boolean", SExpr::Col(0)),
+        ];
+        let raising = [
+            (
+                "division by zero",
+                bind(&crate::parser_test_expr("a1 / 0 = 1"), &schema()).unwrap(),
+            ),
+            ("row too short", SExpr::Col(COLS)),
+        ];
+        for (lname, left) in &lefts {
+            for (rname, right) in &raising {
+                for op in [BinOp::And, BinOp::Or] {
+                    let e = SExpr::Binary(op, Box::new(left.clone()), Box::new(right.clone()));
+                    let got = check(&e, &row);
+                    let short = matches!((op, *lname), (BinOp::And, "FALSE") | (BinOp::Or, "TRUE"));
+                    match got {
+                        Ok(_) => assert!(short, "{lname} {op:?} {rname} must raise"),
+                        Err(msg) => {
+                            assert!(!short, "{lname} {op:?} {rname} raised {msg}");
+                            assert!(msg.contains(rname), "{msg}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use crate::heap::{HeapTable, TupleId};
 use crate::index::{IndexKey, OrderedIndex};
 use crate::mvcc::Visibility;
-use hdm_common::{Datum, HdmError, Result, Row, Schema, Xid};
-use std::collections::HashMap;
+use hdm_common::{BuildDatumHasher, Datum, HdmError, Result, Row, Schema, Xid};
+use std::collections::HashSet;
 
 /// Per-column statistics for the optimizer.
 #[derive(Debug, Clone, Default)]
@@ -213,7 +213,7 @@ impl Table {
     pub fn analyze<V: Visibility + ?Sized>(&mut self, judge: &V) {
         let width = self.schema.len();
         let mut row_count = 0u64;
-        let mut distinct: Vec<HashMap<Datum, ()>> = vec![HashMap::new(); width];
+        let mut distinct: Vec<HashSet<&Datum, BuildDatumHasher>> = vec![HashSet::default(); width];
         let mut mins: Vec<Option<Datum>> = vec![None; width];
         let mut maxs: Vec<Option<Datum>> = vec![None; width];
         let mut nulls = vec![0u64; width];
@@ -224,7 +224,7 @@ impl Table {
                     nulls[c] += 1;
                     continue;
                 }
-                distinct[c].insert(v.clone(), ());
+                distinct[c].insert(v);
                 match &mins[c] {
                     None => mins[c] = Some(v.clone()),
                     Some(m) if v < m => mins[c] = Some(v.clone()),

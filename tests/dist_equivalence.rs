@@ -474,3 +474,62 @@ fn empty_shard_scan_contributes_nothing() {
     );
     assert_eq!(after.rows_exchanged - before.rows_exchanged, 1);
 }
+
+/// The per-statement hash tables key by SQL equality on both engines:
+/// `7` and `7.0` fall in one group and join each other, NULL keys form one
+/// group and join nothing, and groups come out in first-seen order (every
+/// row sits on one shard, so the cluster scans them in insertion order).
+#[test]
+fn hash_tables_key_by_sql_equality_on_both_engines() {
+    let mut local = Database::new();
+    let mut dist = DistDb::new(Cluster::new(ClusterConfig::gtm_lite(SHARDS))).unwrap();
+    let stmts = [
+        "create table g (s int, k float, v int)",
+        "create table n (s int, k int)",
+        "insert into g values (1, 7.0, 1), (1, null, 2), (1, 3, 4), (1, 7, 8), (1, null, 16), (1, 3.5, 32)",
+        "insert into n values (1, 7), (1, 3), (1, null), (1, 7)",
+        "analyze",
+    ];
+    for sql in stmts {
+        local.execute(sql).unwrap();
+        dist.execute(sql).unwrap();
+    }
+    let groups = "select k, count(*), sum(v) from g group by k";
+    let join = "select g.v, n.k from g, n where g.k = n.k";
+    use Datum::{Float, Int, Null};
+    // 7.0 and 7 sum 1 + 8 under the first-seen key; the two NULLs 2 + 16.
+    let want_groups = [
+        [Float(7.0), Int(2), Int(9)],
+        [Null, Int(2), Int(18)],
+        [Int(3), Int(1), Int(4)],
+        [Float(3.5), Int(1), Int(32)],
+    ]
+    .map(|r| Row::new(r.to_vec()));
+    for (name, db) in [
+        ("embedded", &mut local as &mut dyn QueryApi),
+        ("distributed", &mut dist as &mut dyn QueryApi),
+    ] {
+        let r = db.execute_opts(groups, Default::default()).unwrap();
+        assert_eq!(r.rows, want_groups, "{name} groups");
+        let debug: Vec<String> = r
+            .rows
+            .iter()
+            .map(|r| format!("{:?}", r.values()[0]))
+            .collect();
+        assert_eq!(
+            debug,
+            ["Float(7.0)", "Null", "Int(3)", "Float(3.5)"],
+            "{name}"
+        );
+
+        let plan = explain_text(
+            &db.execute_opts(&format!("explain {join}"), Default::default())
+                .unwrap(),
+        );
+        assert!(plan.contains("Hash Join"), "{name}: {plan}");
+        // Left-major: each `g` row in order, with its `n` matches in order.
+        let r = db.execute_opts(join, Default::default()).unwrap();
+        let want = [[1, 7], [1, 7], [4, 3], [8, 7], [8, 7]].map(|r| Row::new(r.map(Int).to_vec()));
+        assert_eq!(r.rows, want, "{name} join");
+    }
+}

@@ -17,23 +17,28 @@
 //! INSERT made 18 allocations, an UPDATE by shard key 39 and a DELETE by
 //! shard key 32.
 //!
-//! The 5 allocations of a prepared INSERT:
+//! The 4 allocations of a prepared INSERT:
 //! * the single-shard transaction's local snapshot (one B-tree node);
 //! * the new row;
 //! * the row's copy in the redo record the follower replays;
-//! * the transaction's undo list and its redo list on the data node.
+//! * the transaction's redo list on the data node, which ships in the log
+//!   record.
 //!
-//! The 8 of a prepared UPDATE by shard key: the snapshot; the new row; the
+//! The data node's undo list is not among them: a committed transaction
+//! leaves its emptied list behind for the next writer to take (one more
+//! allocation per statement while each transaction started its own).
+//!
+//! The 7 of a prepared UPDATE by shard key: the snapshot; the new row; the
 //! leg's target list; the redo record's old and new images; the shard-key
-//! posting list, which now holds two versions; the undo and redo lists.
+//! posting list, which now holds two versions; the redo list.
 //!
-//! The 5 of a prepared DELETE by shard key: the snapshot; the leg's target
-//! list; the redo record's old image; the undo and redo lists.
+//! The 4 of a prepared DELETE by shard key: the snapshot; the leg's target
+//! list; the redo record's old image; the redo list.
 //!
 //! The same UPDATE and DELETE as raw text also parse and bind the
 //! statement, resolving its columns against the catalog's schema in place:
-//! 37 and 29 allocations (52 and 44 while binding copied every column name
-//! into a fresh scope).
+//! 36 and 28 allocations (52 and 44 while binding copied every column name
+//! into a fresh scope and each transaction started its own undo list).
 
 use huawei_dm::cluster::{Cluster, ClusterConfig, DistDb};
 use huawei_dm::common::Datum;
@@ -136,19 +141,19 @@ fn a_prepared_write_allocates_its_rows_and_its_transaction() {
     let inserts: Vec<_> = (ROWS + 64..ROWS + 72).map(row).collect();
     assert_eq!(
         fewest_allocs(&mut db, &insert, &inserts),
-        5,
+        4,
         "prepared INSERT"
     );
     let updates: Vec<_> = (200..208).map(set).collect();
     assert_eq!(
         fewest_allocs(&mut db, &update, &updates),
-        8,
+        7,
         "prepared UPDATE by key"
     );
     let deletes: Vec<_> = (300..308).map(key).collect();
     assert_eq!(
         fewest_allocs(&mut db, &delete, &deletes),
-        5,
+        4,
         "prepared DELETE by key"
     );
 
@@ -169,9 +174,9 @@ fn a_prepared_write_allocates_its_rows_and_its_transaction() {
     let raw_updates = (400..408)
         .map(|id| format!("update events set val = 9 where id = {id}"))
         .collect();
-    assert_eq!(fewest_raw(&mut db, raw_updates), 37, "raw UPDATE by key");
+    assert_eq!(fewest_raw(&mut db, raw_updates), 36, "raw UPDATE by key");
     let raw_deletes = (500..508)
         .map(|id| format!("delete from events where id = {id}"))
         .collect();
-    assert_eq!(fewest_raw(&mut db, raw_deletes), 29, "raw DELETE by key");
+    assert_eq!(fewest_raw(&mut db, raw_deletes), 28, "raw DELETE by key");
 }
